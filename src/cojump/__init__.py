@@ -4,7 +4,7 @@ Subpackage map:
 
 - modwt: undecimated wavelet transform engine and shipped filter pairs
 - jumps: universal-threshold jump detection and jump adjustment
-- jwc: subsampled jump wavelet covariance estimator
+- jwc: jump wavelet covariance estimator, as the two-scale realized covariance
 - sim: correlated diffusion-with-jumps panel simulator
 - bootstrap: wild bootstrap discontinuity test and day classification
 - ticks: tick ingestion, grid sampling, and return panel construction

@@ -142,14 +142,10 @@ def bootstrap_statistic(
     rho_hat = ic_val / math.sqrt(diag_1 * diag_2)
     rho_hat = min(0.999, max(-0.999, rho_hat))
 
-    children = np.random.SeedSequence(seed).spawn(b_reps)
-    eta = np.empty((b_reps, 2, n))
-    for b, child in enumerate(children):
-        eta[b] = np.random.default_rng(child).standard_normal((2, n))
-    r_1 = math.sqrt(diag_1 / n) * eta[:, 0, :]
-    r_2 = math.sqrt(diag_2 / n) * (
-        rho_hat * eta[:, 0, :] + math.sqrt(1.0 - rho_hat * rho_hat) * eta[:, 1, :]
-    )
+    r_1 = np.empty((b_reps, n))
+    r_2 = np.empty((b_reps, n))
+    for b, child in enumerate(np.random.SeedSequence(seed).spawn(b_reps)):
+        r_1[b], r_2[b] = simulate_null_day(diag_1, diag_2, rho_hat, n, child)
 
     qv_star = np.einsum("bi,bi->b", r_1, r_2)
     res = ic_pair.config.resolve(n)

@@ -116,10 +116,14 @@ def load_config(path: str, overrides: dict) -> RunConfig:
         )
         announcements = _build_announcements(raw.get("announcements"))
         est_block = dict(raw.get("estimator", {}))
+        # keys of earlier versions that changed no output number
+        removed = sorted({"filters", "boundary", "levels"} & set(est_block))
+        if removed:
+            raise ConfigError(
+                f"{path}: estimator keys {removed} are no longer accepted: the "
+                "two-scale estimate does not depend on a wavelet filter, boundary or depth"
+            )
         estimator = jwc.JwcConfig(
-            filters=est_block.get("filters", "d4"),
-            boundary=est_block.get("boundary", "reflecting"),
-            levels=est_block.get("levels"),
             c_n=float(est_block.get("c_n", 1.0)),
             s_spacing=int(est_block.get("s_spacing", 1)),
             g_spacing=est_block.get("g_spacing"),
@@ -144,12 +148,16 @@ def load_config(path: str, overrides: dict) -> RunConfig:
             scenario_path=resolve(raw["scenario"]) if "scenario" in raw else None,
             estimator=estimator,
             detection=detection,
-            b_reps=int(overrides.get("bootstrap_reps") or boot.get("b_reps", 999)),
+            b_reps=int(
+                overrides["bootstrap_reps"]
+                if overrides.get("bootstrap_reps") is not None
+                else boot.get("b_reps", 999)
+            ),
             alpha=float(
                 overrides["alpha"] if overrides.get("alpha") is not None else boot.get("alpha", 0.05)
             ),
             seed=int(overrides["seed"] if overrides.get("seed") is not None else raw.get("seed", 0)),
-            jobs=int(overrides.get("jobs") or raw.get("jobs", 1)),
+            jobs=int(overrides["jobs"] if overrides.get("jobs") is not None else raw.get("jobs", 1)),
             output=resolve(overrides.get("output") or raw.get("output", "out")),
             histogram_bin_minutes=int(raw.get("report", {}).get("histogram_bin_minutes", 30)),
             start_date=dt.date.fromisoformat(raw.get("start_date", "2017-01-02")),

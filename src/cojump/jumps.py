@@ -8,9 +8,7 @@ sizes, and the jump-adjusted series keeps the diffusive part only.
 
 from __future__ import annotations
 
-import datetime as dt
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,60 +140,3 @@ def realized_covariance(returns_1: np.ndarray, returns_2: np.ndarray) -> float:
     if r1.shape != r2.shape:
         raise ValueError("return series lengths differ")
     return math.fsum((r1 * r2).ravel().tolist())
-
-
-@dataclass
-class CoJumpMatrix:
-    """Symmetric co-jump variation across a set of instruments on one day.
-
-    ``values[a, b]`` is the signed size-product sum over indices where both
-    series jump; the diagonal is each series' summed squared jump sizes.
-    ``shared[(a, b)]`` (a < b) holds the common grid indices for that pair.
-    """
-
-    instruments: tuple[str, ...]
-    values: np.ndarray
-    shared: dict[tuple[int, int], np.ndarray]
-    date: dt.date | None = None
-
-    def __post_init__(self) -> None:
-        d = len(self.instruments)
-        if self.values.shape != (d, d):
-            raise ValueError("co-jump matrix shape does not match instruments")
-        if not np.array_equal(self.values, self.values.T):
-            raise ValueError("co-jump matrix must be symmetric")
-
-    def pair(self, name_1: str, name_2: str) -> float:
-        a = self.instruments.index(name_1)
-        b = self.instruments.index(name_2)
-        return float(self.values[a, b])
-
-    def common_indices(self, name_1: str, name_2: str) -> np.ndarray:
-        a = self.instruments.index(name_1)
-        b = self.instruments.index(name_2)
-        if a == b:
-            raise ValueError("common indices are defined for distinct instruments")
-        return self.shared[(min(a, b), max(a, b))]
-
-
-def cojump_matrix(jump_series: Sequence[JumpSeries]) -> CoJumpMatrix:
-    """Assemble the pairwise co-jump variation matrix for one day."""
-    if not jump_series:
-        raise ValueError("at least one jump series is required")
-    n = jump_series[0].n
-    dates = {js.date for js in jump_series}
-    if len(dates) != 1:
-        raise ValueError("jump series must come from a single day")
-    d = len(jump_series)
-    values = np.zeros((d, d))
-    shared: dict[tuple[int, int], np.ndarray] = {}
-    for a, js in enumerate(jump_series):
-        if js.n != n:
-            raise ValueError("jump series live on different grids")
-        values[a, a] = float((js.jump_sizes**2).sum())
-        for b in range(a + 1, d):
-            cj, common = cojump_variation(js, jump_series[b])
-            values[a, b] = values[b, a] = cj
-            shared[(a, b)] = common
-    names = tuple(js.instrument for js in jump_series)
-    return CoJumpMatrix(instruments=names, values=values, shared=shared, date=dates.pop())

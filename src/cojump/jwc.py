@@ -1,41 +1,33 @@
 """Jump wavelet covariance (JWC) estimator of the integrated covariance.
 
-The estimator combines, scale by scale, a subsampled wavelet realized
-covariance on a coarse grid of spacing G with the plain wavelet realized
-covariance on the fine grid, on jump-adjusted returns:
+The paper splits the jump-adjusted returns scale by scale with the
+MODWT, combines a subsampled wavelet realized covariance on a coarse
+grid of spacing G with the plain one on the fine grid of spacing S,
+and sums the scales:
 
     IC[l1, l2] = sum_{j=1..J+1} c_N * ( IC_G(j) - (nbar_G / n_S) * IC_S(j) )
 
-where level J+1 denotes the scaling-coefficient (V vector) contribution,
-nbar_G = (N - G + 1) / G and n_S = (N - S + 1) / S. The coarse grid term
-averages, over the G possible offsets, the per-scale coefficient
-products of the aggregated return series. Microstructure noise inflates
-both terms by the same expected amount, so the combination cancels the
-noise bias while the wavelet split keeps per-scale attribution.
+with nbar_G = (N - G + 1) / G and n_S = (N - S + 1) / S. The MODWT
+conserves energy, so on every sub-grid the per-scale coefficient
+products sum to the plain product of the returns. The sum over scales
+is therefore the two-scale realized covariance of Zhang, Mykland and
+Ait-Sahalia (2005):
 
-Per-scale coefficient products are accumulated over the complete
-analysis support (the full reflected circle under the reflecting
-boundary, halved), which makes the products sum exactly to the realized
-covariance of the inputs at any depth.
+    IC[l1, l2] = c_N * ( RC_G - (nbar_G / n_S) * RC_S )
+
+where RC_G averages, over the G offsets of the coarse grid, the realized
+covariance of the block-summed returns. Microstructure noise inflates
+both terms by the same expected amount, so the combination cancels the
+noise bias. This module computes that closed form, once, for both the
+day's matrix and the bootstrap's batched pair entries; no wavelet
+filter, boundary rule or depth enters the number.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
-
-from . import modwt
-from .modwt import FilterPair
-
-
-def default_levels(n: int) -> int:
-    """Default decomposition depth: 4 deep enough grids, shallower otherwise."""
-    if n >= 256:
-        return 4
-    return max(1, int(math.floor(math.log2(n))) - 2)
 
 
 def default_g_spacing(n: int) -> int:
@@ -47,27 +39,17 @@ def default_g_spacing(n: int) -> int:
 class JwcConfig:
     """Estimator configuration.
 
-    ``filters`` is a shipped filter name or a FilterPair. ``g_spacing``
-    and ``levels`` default to the grid-size rules when left None.
+    ``g_spacing`` defaults to the grid-size rule when left None.
     S = G = 1 is permitted as the degenerate identity case; otherwise
     S < G is required.
     """
 
-    filters: object = "d4"
-    boundary: str = "reflecting"
-    levels: object = None
     c_n: float = 1.0
     s_spacing: int = 1
     g_spacing: object = None
 
-    def filter_pair(self) -> FilterPair:
-        if isinstance(self.filters, FilterPair):
-            return self.filters
-        return modwt.shipped_filters(str(self.filters))
-
     def resolve(self, n: int) -> "ResolvedJwc":
         g = self.g_spacing if self.g_spacing is not None else default_g_spacing(n)
-        levels = self.levels if self.levels is not None else default_levels(n)
         s = self.s_spacing
         if not (1 <= s <= g <= n):
             raise ValueError(f"need 1 <= S <= G <= N, got S={s} G={g} N={n}")
@@ -75,25 +57,11 @@ class JwcConfig:
             raise ValueError("S must be strictly smaller than G (except S = G = 1)")
         if 2 * g - 1 > n:
             raise ValueError(f"G={g} leaves offsets with no coarse return on N={n}")
-        pair = self.filter_pair()
-        # The full-grid transform must support the requested depth.
-        modwt._check_depth(n, pair, int(levels), self.boundary)
-        return ResolvedJwc(
-            filters=pair,
-            boundary=self.boundary,
-            levels=int(levels),
-            c_n=float(self.c_n),
-            s_spacing=int(s),
-            g_spacing=int(g),
-            n=int(n),
-        )
+        return ResolvedJwc(c_n=float(self.c_n), s_spacing=int(s), g_spacing=int(g), n=int(n))
 
 
 @dataclass(frozen=True)
 class ResolvedJwc:
-    filters: FilterPair
-    boundary: str
-    levels: int
     c_n: float
     s_spacing: int
     g_spacing: int
@@ -111,7 +79,6 @@ class IcMatrix:
     """Integrated covariance estimate for one day's panel."""
 
     values: np.ndarray            # (d, d) symmetric
-    per_scale: np.ndarray         # (levels + 1, d, d) bracket terms before summing
     floored: np.ndarray           # (d,) True where a negative diagonal was set to 0
     config: JwcConfig
     date: object = None
@@ -119,19 +86,6 @@ class IcMatrix:
     @property
     def d(self) -> int:
         return self.values.shape[0]
-
-
-def wavelet_rc_scale(w_1: np.ndarray, w_2: np.ndarray) -> float:
-    """Plain wavelet realized covariance at one scale: sum_k W1_k W2_k.
-
-    Summed with ``math.fsum``, not a BLAS dot, so the value does not
-    depend on the BLAS kernel.
-    """
-    w_1 = np.asarray(w_1, dtype=float)
-    w_2 = np.asarray(w_2, dtype=float)
-    if w_1.shape != w_2.shape:
-        raise ValueError("coefficient vectors differ in length")
-    return math.fsum((w_1 * w_2).ravel().tolist())
 
 
 def _aggregate(returns: np.ndarray, spacing: int, offset: int) -> np.ndarray:
@@ -156,135 +110,24 @@ def _aggregate(returns: np.ndarray, spacing: int, offset: int) -> np.ndarray:
     return np.add.reduceat(returns, starts, axis=-1)
 
 
-def _depth_for(n_coarse: int, res: ResolvedJwc) -> int:
-    if n_coarse < 2:
-        return 0
-    return min(res.levels, modwt.max_levels(n_coarse, res.filters, res.boundary))
+def _two_scale(r_a: np.ndarray, r_b: np.ndarray, res: ResolvedJwc) -> np.ndarray:
+    """Two-scale realized covariance of broadcastable return arrays (..., N).
 
-
-@lru_cache(maxsize=256)
-def _spectral_gains(filters: FilterPair, m: int, levels: int) -> np.ndarray:
-    """Squared per-level transfer gains on the length-m circle.
-
-    Coefficient cross products need only magnitudes: for transforms of
-    two series sharing the filter bank, sum_t W_j1 W_j2 equals the
-    cross-spectrum of the inputs weighted by the squared cascade gain
-    of level j. Row j (0-based) holds that gain for wavelet scale j+1,
-    the final row the scaling cascade, all folded with the real-FFT
-    Parseval weights and the 1/m normalization. Depends only on
-    (filters, m, levels), hence the cache.
+    Each grid's term averages, over its offsets, the elementwise product
+    sum of the block-summed returns. No BLAS call is involved, so the
+    bytes do not depend on the BLAS kernel, and swapping r_a and r_b
+    gives the same bits.
     """
-    k = np.arange(m // 2 + 1)
-    abs2_h = np.abs(np.fft.fft(filters.h_arr(), m)) ** 2
-    abs2_g = np.abs(np.fft.fft(filters.g_arr(), m)) ** 2
-    gains = np.empty((levels + 1, k.size))
-    cascade = np.ones(k.size)
-    for j in range(1, levels + 1):
-        idx = (k << (j - 1)) % m
-        gains[j - 1] = abs2_h[idx] * cascade
-        cascade = cascade * abs2_g[idx]
-    gains[levels] = cascade
-    weights = np.full(k.size, 2.0)
-    weights[0] = 1.0
-    if m % 2 == 0:
-        weights[-1] = 1.0
-    return gains * weights / m
-
-
-def _cross_scale_products(
-    ca: np.ndarray, cb: np.ndarray, depth: int, res: ResolvedJwc
-) -> np.ndarray:
-    """Per-level products of a pair's transforms via the cross-spectrum."""
-    ext_a = modwt._extend(ca, res.boundary)
-    ext_b = ext_a if cb is ca else modwt._extend(cb, res.boundary)
-    m = ext_a.shape[-1]
-    fa = np.fft.rfft(ext_a, axis=-1)
-    fb = fa if cb is ca else np.fft.rfft(ext_b, axis=-1)
-    spec = (fa * np.conj(fb)).real
-    gains = _spectral_gains(res.filters, m, depth)
-    return np.einsum("...k,jk->j...", spec, gains) * (ca.shape[-1] / m)
-
-
-def _per_scale_pair(
-    r_a: np.ndarray, r_b: np.ndarray, spacing: int, res: ResolvedJwc
-) -> np.ndarray:
-    """Offset-averaged per-scale products for one pair, shape (levels+1, ...).
-
-    Slots 0..levels-1 hold wavelet scales 1..levels; slot ``levels``
-    holds the scaling contribution. Offsets whose coarse grid cannot
-    support the full depth are decomposed as deep as allowed and their
-    scaling product is accumulated into the final slot, preserving the
-    per-offset additivity of the scale split.
-    """
-    batch = np.broadcast_shapes(r_a.shape[:-1], r_b.shape[:-1])
-    acc = np.zeros((res.levels + 1,) + batch)
-    for g in range(1, spacing + 1):
-        ca = _aggregate(r_a, spacing, g)
-        cb = ca if r_b is r_a else _aggregate(r_b, spacing, g)
-        n_coarse = ca.shape[-1]
-        depth = _depth_for(n_coarse, res)
-        if depth == 0:
-            acc[res.levels] += (ca * cb).sum(axis=-1)
-            continue
-        prods = _cross_scale_products(ca, cb, depth, res)
-        acc[:depth] += prods[:depth]
-        acc[res.levels] += prods[depth]
-    return acc / spacing
-
-
-def wavelet_rc_subsampled(
-    adjusted_1: np.ndarray,
-    adjusted_2: np.ndarray,
-    scale: int,
-    g_spacing: int,
-    config: "JwcConfig | None" = None,
-) -> float:
-    """Subsampled wavelet realized covariance of a pair at one scale.
-
-    ``scale`` runs 1..levels for wavelet scales and levels+1 for the
-    scaling term. With g_spacing = 1 this equals the plain per-scale
-    product of the full-grid transforms exactly.
-    """
-    config = config if config is not None else JwcConfig()
-    r1 = np.asarray(adjusted_1, dtype=float)
-    r2 = np.asarray(adjusted_2, dtype=float)
-    if r1.shape != r2.shape or r1.ndim != 1:
-        raise ValueError("need two equal-length 1-d return series")
-    n = r1.size
-    if not g_spacing < n:
-        raise ValueError("G must be smaller than N")
-    res = config.resolve(n)
-    res = replace(res, g_spacing=int(g_spacing))
-    if 2 * res.g_spacing - 1 > n:
-        raise ValueError(f"G={g_spacing} leaves offsets with no coarse return")
-    table = _per_scale_pair(r1, r2, res.g_spacing, res)
-    if not (1 <= scale <= res.levels + 1):
-        raise ValueError(f"scale must lie in 1..{res.levels + 1}")
-    return float(table[scale - 1])
-
-
-def _per_scale_tables(returns: np.ndarray, spacing: int, res: ResolvedJwc) -> np.ndarray:
-    """Offset-averaged per-scale product tables, shape (levels+1, d, d)."""
-    d = returns.shape[0]
-    acc = np.zeros((res.levels + 1, d, d))
-    for g in range(1, spacing + 1):
-        coarse = _aggregate(returns, spacing, g)
-        n_coarse = coarse.shape[-1]
-        depth = _depth_for(n_coarse, res)
-        if depth == 0:
-            # elementwise, as in _per_scale_pair: a BLAS product would make
-            # the bytes depend on the BLAS kernel
-            acc[res.levels] += (coarse[:, None, :] * coarse[None, :, :]).sum(axis=-1)
-            continue
-        ext = modwt._extend(coarse, res.boundary)
-        m = ext.shape[-1]
-        f = np.fft.rfft(ext, axis=-1)
-        spec = np.einsum("ak,bk->abk", f, np.conj(f)).real
-        gains = _spectral_gains(res.filters, m, depth)
-        prods = np.einsum("abk,jk->jab", spec, gains) * (n_coarse / m)
-        acc[:depth] += prods[:depth]
-        acc[res.levels] += prods[depth]
-    return acc / spacing
+    terms = []
+    for spacing in (res.g_spacing, res.s_spacing):
+        total = 0.0
+        for g in range(1, spacing + 1):
+            coarse_a = _aggregate(r_a, spacing, g)
+            coarse_b = _aggregate(r_b, spacing, g)
+            total = total + (coarse_a * coarse_b).sum(axis=-1)
+        terms.append(total / spacing)
+    slow, fast = terms
+    return res.c_n * (slow - res.subsample_ratio * fast)
 
 
 def jwc_integrated_covariance(
@@ -301,55 +144,19 @@ def jwc_integrated_covariance(
     r = np.atleast_2d(np.asarray(adjusted, dtype=float))
     d, n = r.shape
     res = config.resolve(n)
-    slow = _per_scale_tables(r, res.g_spacing, res)
-    fast = _per_scale_tables(r, res.s_spacing, res)
-    per_scale = res.c_n * (slow - res.subsample_ratio * fast)
-    values = per_scale.sum(axis=0)
-    values = 0.5 * (values + values.T)
+    values = _two_scale(r[:, None, :], r[None, :, :], res)
     floored = np.zeros(d, dtype=bool)
     for i in range(d):
         if values[i, i] < 0.0:
             values[i, i] = 0.0
             floored[i] = True
-    return IcMatrix(values=values, per_scale=per_scale, floored=floored, config=config, date=date)
+    return IcMatrix(values=values, floored=floored, config=config, date=date)
 
 
 def jwc_pair_entry(r_1: np.ndarray, r_2: np.ndarray, res: ResolvedJwc) -> np.ndarray:
     """Single covariance entry for batched return pairs of shape (..., N).
 
     Used by the bootstrap, which needs only one matrix entry per
-    replication; broadcasting batches keeps the replication loop in
-    vectorized transforms.
+    replication; the whole batch goes through one vectorized call.
     """
-    slow = _per_scale_pair(r_1, r_2, res.g_spacing, res)
-    fast = _per_scale_pair(r_1, r_2, res.s_spacing, res)
-    return (res.c_n * (slow - res.subsample_ratio * fast)).sum(axis=0)
-
-
-def continuous_correlation(ic: IcMatrix):
-    """Correlation matrix from an IC estimate, clamped to [-1, 1].
-
-    Returns (corr, clamped, valid): pairs involving a zero diagonal are
-    undefined and reported through the valid mask (NaN in corr).
-    """
-    v = ic.values
-    d = v.shape[0]
-    corr = np.full((d, d), np.nan)
-    clamped = np.zeros((d, d), dtype=bool)
-    valid = np.zeros((d, d), dtype=bool)
-    diag = np.diag(v)
-    for i in range(d):
-        for j in range(d):
-            if diag[i] <= 0.0 or diag[j] <= 0.0:
-                continue
-            raw = v[i, j] / math.sqrt(diag[i] * diag[j])
-            valid[i, j] = True
-            if raw > 1.0:
-                corr[i, j] = 1.0
-                clamped[i, j] = True
-            elif raw < -1.0:
-                corr[i, j] = -1.0
-                clamped[i, j] = True
-            else:
-                corr[i, j] = raw
-    return corr, clamped, valid
+    return _two_scale(r_1, r_2, res)

@@ -166,20 +166,6 @@ def _forward_matrix(xm: np.ndarray, filters: FilterPair, levels: int, boundary: 
     return _pyramid(_extend(xm, boundary), filters.h_arr(), filters.g_arr(), levels)
 
 
-@lru_cache(maxsize=None)
-def _impulse_shifts(filters: FilterPair, levels: int) -> tuple:
-    """Per-level phase advance: offset of the peak of |W_j| behind an impulse."""
-    n = max(64, 4 * filter_width(filters, levels))
-    x = np.zeros(n)
-    k = n // 2
-    x[k] = 1.0
-    coeffs = _forward_matrix(x, filters, levels, "circular")
-    shifts = []
-    for j in range(levels):
-        shifts.append(int(np.argmax(np.abs(coeffs[j]))) - k)
-    return tuple(shifts)
-
-
 @dataclass
 class WaveletDecomposition:
     """Coefficients of one forward MODWT run.
@@ -205,10 +191,6 @@ class WaveletDecomposition:
     @property
     def V(self) -> np.ndarray:
         return self.coeffs[self.levels][: self.n]
-
-    @property
-    def alignment_shift(self) -> tuple:
-        return _impulse_shifts(self.filters, self.levels)
 
     def level_energies(self) -> np.ndarray:
         """Energy per level (W_1 .. W_J, then V), full-analysis accounting."""
@@ -304,14 +286,3 @@ def level1_coefficients(
     shift = _path_shift(filters, boundary)
     idx = (np.arange(x.size) + shift) % raw.size
     return raw[idx]
-
-
-def dump_coefficients(dec: WaveletDecomposition, path) -> None:
-    """Debug dump of the positional coefficients as CSV (level, index, value)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("level,index,value\n")
-        for j, w in enumerate(dec.W, start=1):
-            for i, val in enumerate(w):
-                fh.write(f"{j},{i},{float(val)!r}\n")
-        for i, val in enumerate(dec.V):
-            fh.write(f"{dec.levels + 1},{i},{float(val)!r}\n")

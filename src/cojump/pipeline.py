@@ -30,7 +30,7 @@ class DetectConfig:
 
     The narrow two-tap filter is the default because detection wants a
     single coefficient per return; wider filters smear one jump across
-    neighbours and are better left to the estimator side.
+    neighbours.
     """
 
     filters: str = "haar"
@@ -121,7 +121,6 @@ def process_day(
         sub = ic.values[np.ix_([ia, ib], [ia, ib])]
         ic_pair = jwc.IcMatrix(
             values=sub,
-            per_scale=ic.per_scale[:, [ia, ib]][:, :, [ia, ib]],
             floored=ic.floored[[ia, ib]],
             config=ic.config,
             date=ic.date,
@@ -253,29 +252,25 @@ def process_panels(
     for panel in sorted(panels, key=lambda p: p.date):
         seeds = {pair: table[(panel.date, pair)] for pair in pairs}
         tasks.append((panel, pairs, estimator, detect, b_reps, alpha, seeds, tuples))
-    results = []
-    failures = []
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = list(pool.map(_run_one_safe, tasks))
-        for (panel, *_), res in zip(tasks, futures):
-            if isinstance(res, tuple) and res and res[0] == "__error__":
-                failures.append((panel.date, res[1]))
-            else:
-                results.append(res)
+            outs = list(pool.map(_run_one_safe, tasks))
     else:
-        for task in tasks:
-            try:
-                results.append(_run_one(task))
-            except Exception as exc:  # per-day isolation is the contract
-                failures.append((task[0].date, f"{type(exc).__name__}: {exc}"))
+        outs = [_run_one_safe(task) for task in tasks]
+    results = []
+    failures = []
+    for (panel, *_), res in zip(tasks, outs):
+        if isinstance(res, tuple) and res and res[0] == "__error__":
+            failures.append((panel.date, res[1]))
+        else:
+            results.append(res)
     return results, failures
 
 
 def _run_one_safe(args):
     try:
         return _run_one(args)
-    except Exception as exc:
+    except Exception as exc:  # per-day isolation is the contract
         return ("__error__", f"{type(exc).__name__}: {exc}")
 
 

@@ -94,6 +94,23 @@ def test_bad_alpha_and_reps(capsys, tmp_path):
     ) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("flag", ["--bootstrap-reps", "--jobs"])
+def test_zero_override_is_rejected_not_ignored(capsys, tmp_path, flag):
+    cfg = _write_config(tmp_path)
+    assert cli.main(["decompose", "--config", str(cfg), flag, "0"]) == cli.EXIT_CONFIG
+    assert _stderr_json(capsys)["error"] == "config"
+
+
+@pytest.mark.parametrize("key, value", [("filters", "d4"), ("boundary", "reflecting"),
+                                        ("levels", None)])
+def test_removed_estimator_keys_rejected(capsys, tmp_path, key, value):
+    cfg = _write_config(tmp_path, estimator={"g_spacing": 5, key: value})
+    assert cli.main(["decompose", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    msg = _stderr_json(capsys)
+    assert msg["error"] == "config"
+    assert key in msg["message"]
+
+
 def test_missing_tick_file_is_io_error(capsys, tmp_path):
     cfg = _write_config(
         tmp_path,

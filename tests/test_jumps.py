@@ -1,6 +1,5 @@
 """Detection, adjustment, and co-jump variation rules."""
 
-import datetime as dt
 import math
 
 import numpy as np
@@ -236,37 +235,3 @@ def test_decomposition_identity_exact():
     qv = jumps.realized_covariance(r1, r2)
     parts = jumps.realized_covariance(a1, a2) + cj + cross
     assert qv == pytest.approx(parts, rel=1e-14)
-
-
-# --- co-jump matrix ---
-
-
-def _dated(n, sized, instrument):
-    return _series(n, sized, date=dt.date(2026, 3, 2), instrument=instrument)
-
-
-def test_cojump_matrix_layout():
-    a = _dated(64, {10: 0.002, 50: 0.004}, "A")
-    b = _dated(64, {50: 0.003}, "B")
-    c = _dated(64, {10: -0.001, 50: -0.002}, "C")
-    m = jumps.cojump_matrix([a, b, c])
-    assert m.instruments == ("A", "B", "C")
-    assert np.array_equal(m.values, m.values.T)
-    assert m.values[0, 0] == pytest.approx(0.002**2 + 0.004**2, rel=1e-12)
-    assert m.pair("A", "B") == pytest.approx(1.2e-5, rel=1e-12)
-    assert m.pair("A", "C") == pytest.approx(0.002 * -0.001 + 0.004 * -0.002, rel=1e-12)
-    assert m.common_indices("A", "C").tolist() == [10, 50]
-    assert m.common_indices("C", "A").tolist() == [10, 50]
-    assert m.date == dt.date(2026, 3, 2)
-
-
-def test_cojump_matrix_validation():
-    a = _dated(64, {}, "A")
-    with pytest.raises(ValueError, match="single day"):
-        jumps.cojump_matrix([a, _series(64, {}, date=dt.date(2026, 3, 3), instrument="B")])
-    with pytest.raises(ValueError, match="grids"):
-        jumps.cojump_matrix([a, _dated(32, {}, "B")])
-    with pytest.raises(ValueError, match="at least one"):
-        jumps.cojump_matrix([])
-    with pytest.raises(ValueError, match="distinct"):
-        jumps.cojump_matrix([a, _dated(64, {}, "B")]).common_indices("A", "A")

@@ -1,16 +1,20 @@
 """Two-scale wavelet covariance estimator tests.
 
-The FFT cross-spectrum implementation is checked against the explicit
-pyramid transform (independent code path) and against a plain-python
-re-aggregation oracle for the subsample grids.
+The closed-form two-scale covariance is checked against a plain-python
+re-aggregation oracle for the subsample grids, against the summed
+per-scale MODWT products it replaces, and against the exact rational
+value of the same formula.
 """
+
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cojump import jumps, jwc, modwt
+from cojump import jumps, jwc, modwt, pipeline
 from conftest import seeded
 
 
@@ -31,6 +35,29 @@ def oracle_subsampled_rc(r1, r2, spacing):
     return total / spacing
 
 
+def oracle_two_scale(r1, r2, res):
+    """c_N * (RC_G - (nbar_G / n_S) * RC_S) from the pure-python oracle."""
+    slow = oracle_subsampled_rc(r1, r2, res.g_spacing)
+    fast = oracle_subsampled_rc(r1, r2, res.s_spacing)
+    return res.c_n * (slow - res.subsample_ratio * fast)
+
+
+def exact_two_scale(r1, r2, g_spacing):
+    """The S = 1, c_N = 1 two-scale covariance in exact rational arithmetic."""
+    n = len(r1)
+    x1 = [Fraction(float(v)) for v in r1]
+    x2 = [Fraction(float(v)) for v in r2]
+    slow = Fraction(0)
+    for g in range(1, g_spacing + 1):
+        c1 = oracle_coarse_series(x1, g_spacing, g)
+        c2 = oracle_coarse_series(x2, g_spacing, g)
+        slow += sum(a * b for a, b in zip(c1, c2))
+    slow /= g_spacing
+    fast = sum(a * b for a, b in zip(x1, x2))
+    ratio = Fraction(n - g_spacing + 1, g_spacing) / n
+    return slow - ratio * fast
+
+
 # --- defaults and configuration ---
 
 
@@ -40,22 +67,12 @@ def test_default_g_spacing_rule():
     assert jwc.default_g_spacing(2) == 2  # floor of the rule
 
 
-def test_default_levels_rule():
-    assert jwc.default_levels(540) == 4
-    assert jwc.default_levels(256) == 4
-    assert jwc.default_levels(255) == 5  # floor(log2 255) - 2
-    assert jwc.default_levels(16) == 2
-    assert jwc.default_levels(4) == 1
-
-
 def test_resolve_defaults():
     res = jwc.JwcConfig().resolve(540)
     assert res.g_spacing == 66
     assert res.s_spacing == 1
-    assert res.levels == 4
     assert res.c_n == 1.0
-    assert res.filters.name == "d4"
-    assert res.boundary == "reflecting"
+    assert res.n == 540
 
 
 def test_resolve_validation():
@@ -74,121 +91,69 @@ def test_subsample_ratio_value():
     assert res.subsample_ratio == pytest.approx((536 / 5) / 540, rel=1e-14)
 
 
-# --- per-scale products ---
-
-
-def test_rc_scale_self_nonnegative():
-    w = seeded("wrc").standard_normal(64)
-    assert jwc.wavelet_rc_scale(w, w) >= 0.0
-
-
-def test_rc_scale_disjoint_supports():
-    a = np.zeros(16)
-    b = np.zeros(16)
-    a[:8] = 1.5
-    b[8:] = -2.0
-    assert jwc.wavelet_rc_scale(a, b) == 0.0
-
-
-def test_rc_scale_hand_haar_length4():
-    # circular level-1 Haar by hand: W_t = (x_t - x_{t-1}) / 2
-    x = np.array([1.0, 2.0, 0.0, -1.0])
-    y = np.array([2.0, -1.0, 1.0, 3.0])
-    wx = modwt.modwt_forward(x, modwt.haar(), 1, "circular").W[0]
-    wy = modwt.modwt_forward(y, modwt.haar(), 1, "circular").W[0]
-    assert wx == pytest.approx([1.0, 0.5, -1.0, -0.5], abs=1e-15)
-    assert wy == pytest.approx([-0.5, -1.5, 1.0, 1.0], abs=1e-15)
-    assert jwc.wavelet_rc_scale(wx, wy) == pytest.approx(-2.75, rel=1e-15)
-
-
-def test_rc_scale_length_mismatch():
-    with pytest.raises(ValueError, match="length"):
-        jwc.wavelet_rc_scale(np.zeros(4), np.zeros(5))
-
-
-@pytest.mark.parametrize("boundary", modwt.BOUNDARIES)
-@pytest.mark.parametrize("name", ["haar", "d4"])
-def test_subsampled_g1_equals_plain_scale(name, boundary):
-    """G = 1 must reduce to the plain per-scale product, bit for bit."""
-    rng = seeded("g1", name, boundary)
-    r1 = rng.standard_normal(64)
-    r2 = rng.standard_normal(64)
-    cfg = jwc.JwcConfig(filters=name, boundary=boundary, levels=3)
-    d1 = modwt.modwt_forward(r1, cfg.filter_pair(), 3, boundary)
-    d2 = modwt.modwt_forward(r2, cfg.filter_pair(), 3, boundary)
-    cross = d1.cross_products(d2)
-    for scale in range(1, 5):
-        sub = jwc.wavelet_rc_subsampled(r1, r2, scale, 1, cfg)
-        assert sub == pytest.approx(float(cross[scale - 1]), rel=1e-12)
-
-
-def test_dual_route_fft_vs_pyramid_at_g3():
-    """Spectral-gain products must match transform-then-dot per offset."""
-    rng = seeded("dual")
-    r1 = rng.standard_normal(48)
-    r2 = rng.standard_normal(48)
-    g = 3
-    cfg = jwc.JwcConfig(levels=2)
-    res = cfg.resolve(48)
-    manual = np.zeros(3)
-    for off in range(1, g + 1):
-        c1 = np.asarray(oracle_coarse_series(r1, g, off))
-        c2 = np.asarray(oracle_coarse_series(r2, g, off))
-        d1 = modwt.modwt_forward(c1, res.filters, 2, res.boundary)
-        d2 = modwt.modwt_forward(c2, res.filters, 2, res.boundary)
-        manual += d1.cross_products(d2)
-    manual /= g
-    for scale in range(1, 4):
-        sub = jwc.wavelet_rc_subsampled(r1, r2, scale, g, cfg)
-        assert sub == pytest.approx(float(manual[scale - 1]), rel=1e-10, abs=1e-14)
+# --- two-scale entry against the re-aggregation oracle ---
 
 
 def test_subsampled_zero_returns():
     for g in (1, 2, 7):
-        assert jwc.wavelet_rc_subsampled(np.zeros(32), np.zeros(32), 1, g) == 0.0
-
-
-def test_subsampled_validation():
-    r = np.zeros(32)
-    with pytest.raises(ValueError, match="smaller than N"):
-        jwc.wavelet_rc_subsampled(r, r, 1, 32)
-    with pytest.raises(ValueError, match="no coarse return"):
-        jwc.wavelet_rc_subsampled(r, r, 1, 20)
-    with pytest.raises(ValueError, match="scale"):
-        jwc.wavelet_rc_subsampled(r, r, 9, 2)
-    with pytest.raises(ValueError, match="equal-length"):
-        jwc.wavelet_rc_subsampled(np.zeros(16), np.zeros(17), 1, 2)
+        res = jwc.JwcConfig(g_spacing=g).resolve(32)
+        assert jwc.jwc_pair_entry(np.zeros(32), np.zeros(32), res) == 0.0
 
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 5000), g=st.integers(2, 9))
 def test_scale_additivity_subsampled(seed, g):
-    """Summing all scales recovers the offset-averaged coarse RC."""
+    """The entry equals the summed-scale estimate: offset-averaged coarse RCs."""
     rng = seeded("addsub", seed)
     r1 = rng.standard_normal(64)
     r2 = rng.standard_normal(64)
-    cfg = jwc.JwcConfig(levels=2)
-    total = sum(jwc.wavelet_rc_subsampled(r1, r2, s, g, cfg) for s in range(1, 4))
-    assert total == pytest.approx(oracle_subsampled_rc(r1, r2, g), rel=1e-10)
+    res = jwc.JwcConfig(g_spacing=g).resolve(64)
+    entry = jwc.jwc_pair_entry(r1, r2, res)
+    assert entry == pytest.approx(oracle_two_scale(r1, r2, res), rel=1e-10)
 
 
 def test_scale_additivity_full_grid():
+    """The fine-grid term is the plain realized covariance."""
     r1 = seeded("addfull", 1).standard_normal(540)
     r2 = seeded("addfull", 2).standard_normal(540)
-    cfg = jwc.JwcConfig()
-    total = sum(jwc.wavelet_rc_subsampled(r1, r2, s, 1, cfg) for s in range(1, 6))
-    assert total == pytest.approx(jumps.realized_covariance(r1, r2), rel=1e-10)
+    res = jwc.JwcConfig(g_spacing=5).resolve(540)
+    slow = oracle_subsampled_rc(r1, r2, 5)
+    expected = slow - res.subsample_ratio * jumps.realized_covariance(r1, r2)
+    assert jwc.jwc_pair_entry(r1, r2, res) == pytest.approx(expected, rel=1e-10)
 
 
 def test_depth_capped_offsets_keep_additivity():
-    """Short coarse grids fall back to shallower trees; totals must agree."""
+    """Coarse grids of about 5 points (G = 13 on N = 64) still match the oracle."""
     rng = seeded("cap")
     r1 = rng.standard_normal(64)
     r2 = rng.standard_normal(64)
-    cfg = jwc.JwcConfig(levels=3)
-    g = 13  # coarse grids of ~5 points cannot support 3 levels
-    total = sum(jwc.wavelet_rc_subsampled(r1, r2, s, g, cfg) for s in range(1, 5))
-    assert total == pytest.approx(oracle_subsampled_rc(r1, r2, g), rel=1e-10)
+    res = jwc.JwcConfig(g_spacing=13, c_n=1.5).resolve(64)
+    entry = jwc.jwc_pair_entry(r1, r2, res)
+    assert entry == pytest.approx(oracle_two_scale(r1, r2, res), rel=1e-10)
+
+
+@pytest.mark.parametrize("boundary", modwt.BOUNDARIES)
+@pytest.mark.parametrize("name", ["haar", "d4"])
+def test_closed_form_equals_wavelet_scale_sum(name, boundary):
+    """The paper's per-scale MODWT products, summed, give the closed form."""
+    rng = seeded("wavelet-sum", name, boundary)
+    r1 = rng.standard_normal(48)
+    r2 = rng.standard_normal(48)
+    res = jwc.JwcConfig(g_spacing=3).resolve(48)
+    filters = modwt.shipped_filters(name)
+    terms = []
+    for spacing in (res.g_spacing, res.s_spacing):
+        total = 0.0
+        for off in range(1, spacing + 1):
+            c1 = np.asarray(oracle_coarse_series(r1, spacing, off))
+            c2 = np.asarray(oracle_coarse_series(r2, spacing, off))
+            depth = min(2, modwt.max_levels(c1.size, filters, boundary))
+            d1 = modwt.modwt_forward(c1, filters, depth, boundary)
+            d2 = modwt.modwt_forward(c2, filters, depth, boundary)
+            total += float(d1.cross_products(d2).sum())
+        terms.append(total / spacing)
+    wavelet = terms[0] - res.subsample_ratio * terms[1]
+    assert jwc.jwc_pair_entry(r1, r2, res) == pytest.approx(wavelet, rel=1e-10)
 
 
 # --- integrated covariance matrix ---
@@ -203,19 +168,41 @@ def test_zero_returns_zero_matrix():
 def test_degenerate_bracket_exactly_zero():
     r = seeded("degen").standard_normal((2, 256))
     ic = jwc.jwc_integrated_covariance(r, jwc.JwcConfig(s_spacing=1, g_spacing=1))
-    assert np.abs(ic.per_scale).max() == 0.0
     assert np.abs(ic.values).max() == 0.0
 
 
-def test_matrix_symmetric_and_per_scale_sums():
-    r = seeded("sym").standard_normal((3, 200)) * 1e-3
-    ic = jwc.jwc_integrated_covariance(r, jwc.JwcConfig(g_spacing=10))
-    assert np.array_equal(ic.values, ic.values.T)
-    resummed = ic.per_scale.sum(axis=0)
-    resummed = 0.5 * (resummed + resummed.T)
-    off = ~np.eye(3, dtype=bool)
-    assert ic.values[off] == pytest.approx(resummed[off], rel=1e-12)
-    assert ic.d == 3
+def test_matrix_exactly_symmetric():
+    """Symmetric bit for bit without symmetrizing, on 200 random panels."""
+    rng = seeded("sym")
+    for _ in range(200):
+        d = int(rng.integers(2, 6))
+        n = int(rng.integers(16, 300))
+        g = int(rng.integers(2, (n + 1) // 2 + 1))
+        r = rng.standard_normal((d, n)) * 1e-3
+        ic = jwc.jwc_integrated_covariance(r, jwc.JwcConfig(g_spacing=g))
+        assert np.array_equal(ic.values, ic.values.T)
+        assert ic.d == d
+
+
+def test_matrix_within_ulps_of_exact_two_scale():
+    """Every entry within 32 ulps of the exact rational two-scale value.
+
+    The legs' volatilities peak at opposite ends of the session, so the
+    sum of |r_1 r_2| is small against |r_1| |r_2|. Block sums round in
+    proportion to the former; a route whose rounding scales with the
+    norms of the legs (an FFT cross-spectrum) is off by up to 180 ulps here.
+    """
+    t = np.arange(540) / 540
+    vol = np.vstack([np.exp(-5.0 * t), np.exp(-5.0 * (1.0 - t))])
+    worst = 0.0
+    for k in range(12):
+        r = 1e-3 * vol * seeded("exact", k).standard_normal((2, 540))
+        ic = jwc.jwc_integrated_covariance(r, jwc.JwcConfig(g_spacing=5))
+        for i, j in ((0, 1), (0, 0), (1, 1)):
+            exact = exact_two_scale(r[i], r[j], 5)
+            err = abs(Fraction(float(ic.values[i, j])) - exact)
+            worst = max(worst, float(err) / math.ulp(float(exact)))
+    assert worst <= 32.0, f"{worst:.1f} ulps"
 
 
 def test_matrix_pair_entry_agrees():
@@ -276,67 +263,39 @@ def test_d1_mean_within_2pct():
 
 
 def test_subsampled_total_unbiased_g5_g10():
-    """Sum over scales of the slow side stays within 3 MC SE of true IC."""
+    """With c_N = 1 / (1 - nbar_G/n_S) the entry stays within 3 MC SE of true IC."""
     from cojump import sim
 
-    cfg = jwc.JwcConfig()
-    res = cfg.resolve(540)
     truth = 0.5 * 0.01 * 0.012
     sc = sim.SimScenario(
         n_intervals=540, n_days=500, sigma=(0.01, 0.012), mu=0.0, rho=0.5,
         noise_sd=0.0, jumps=(), seed=2, vol_pattern="flat",
     )
-    days = sim.simulate(sc)
+    observed = np.stack([d.observed for d in sim.simulate(sc)])
     for g in (5, 10):
-        vals = np.array([
-            sum(
-                jwc.wavelet_rc_subsampled(d.observed[0], d.observed[1], s, g, cfg)
-                for s in range(1, res.levels + 2)
-            )
-            for d in days
-        ])
+        ratio = jwc.JwcConfig(g_spacing=g).resolve(540).subsample_ratio
+        res = jwc.JwcConfig(g_spacing=g, c_n=1.0 / (1.0 - ratio)).resolve(540)
+        vals = jwc.jwc_pair_entry(observed[:, 0], observed[:, 1], res)
+        assert vals.shape == (500,)
         se = vals.std(ddof=1) / np.sqrt(len(vals))
         assert abs(vals.mean() - truth) <= 3.0 * se
 
 
-# --- correlation ---
+# --- continuous correlation: the clamp and NaN path of the pipeline ---
 
 
 def test_correlation_example():
-    ic = jwc.IcMatrix(
-        values=np.array([[4.0, 2.0], [2.0, 4.0]]),
-        per_scale=np.zeros((1, 2, 2)),
-        floored=np.zeros(2, dtype=bool),
-        config=jwc.JwcConfig(),
-    )
-    corr, clamped, valid = jwc.continuous_correlation(ic)
-    assert corr[0, 1] == 0.5
-    assert corr[0, 0] == 1.0
-    assert valid.all()
-    assert not clamped.any()
+    assert pipeline._corr(2.0, 4.0, 4.0) == 0.5
+    assert pipeline._corr(4.0, 4.0, 4.0) == 1.0
+    assert pipeline._corr(-1.0, 1.0, 4.0) == -0.5
 
 
 def test_correlation_clamp_flag():
-    ic = jwc.IcMatrix(
-        values=np.array([[1.0, 1.03], [1.03, 1.0]]),
-        per_scale=np.zeros((1, 2, 2)),
-        floored=np.zeros(2, dtype=bool),
-        config=jwc.JwcConfig(),
-    )
-    corr, clamped, valid = jwc.continuous_correlation(ic)
-    assert corr[0, 1] == 1.0
-    assert clamped[0, 1]
-    assert valid[0, 1]
+    assert pipeline._corr(1.03, 1.0, 1.0) == 1.0
+    assert pipeline._corr(-1.03, 1.0, 1.0) == -1.0
 
 
 def test_correlation_zero_diag_missing():
-    ic = jwc.IcMatrix(
-        values=np.array([[0.0, 0.5], [0.5, 1.0]]),
-        per_scale=np.zeros((1, 2, 2)),
-        floored=np.array([True, False]),
-        config=jwc.JwcConfig(),
-    )
-    corr, clamped, valid = jwc.continuous_correlation(ic)
-    assert np.isnan(corr[0, 1])
-    assert not valid[0, 1]
-    assert valid[1, 1]
+    assert np.isnan(pipeline._corr(0.5, 0.0, 1.0))
+    assert np.isnan(pipeline._corr(0.5, 1.0, 0.0))
+    assert np.isnan(pipeline._corr(0.5, -1e-12, 1.0))

@@ -232,16 +232,3 @@ def test_level1_input_validation():
         modwt.level1_coefficients(np.zeros((4, 4)), modwt.haar())
     with pytest.raises(ValueError, match="boundary"):
         modwt.level1_coefficients(np.zeros(16), modwt.haar(), boundary="wrap")
-
-
-def test_dump_coefficients_roundtrip(tmp_path):
-    x = seeded("dump").standard_normal(12)
-    dec = modwt.modwt_forward(x, modwt.haar(), 2, "reflecting")
-    out = tmp_path / "coeffs.csv"
-    modwt.dump_coefficients(dec, out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "level,index,value"
-    assert len(lines) == 1 + 3 * 12
-    level, index, value = lines[1].split(",")
-    assert (level, index) == ("1", "0")
-    assert float(value) == dec.W[0][0]

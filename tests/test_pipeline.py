@@ -152,7 +152,7 @@ def test_worker_count_does_not_change_results(two_leg):
             assert a.classification == b.classification
 
 
-def test_per_day_failure_isolation():
+def _panels_with_short_day():
     panels = _two_leg_panels()
     # a short day cannot supply a single coarse return at this spacing
     bad = sim.SimScenario(n_intervals=8, n_days=1, sigma=(0.01, 0.012), seed=3)
@@ -160,6 +160,11 @@ def test_per_day_failure_isolation():
     short_panel = sim.panels_from_sim(sim.simulate(bad), ["TU", "FV"], spec8,
                                       START + dt.timedelta(days=40))[0]
     panels.insert(1, short_panel)
+    return panels, short_panel
+
+
+def test_per_day_failure_isolation():
+    panels, short_panel = _panels_with_short_day()
     results, failures = pipeline.process_panels(
         panels, [("TU", "FV")], EST, DET, b_reps=150, alpha=0.05, seed=0
     )
@@ -167,6 +172,19 @@ def test_per_day_failure_isolation():
     assert len(failures) == 1
     assert failures[0][0] == short_panel.date
     assert "ValueError" in failures[0][1]
+
+
+def test_failures_same_serial_and_parallel():
+    panels, _ = _panels_with_short_day()
+    runs = [
+        pipeline.process_panels(
+            panels, [("TU", "FV")], EST, DET, b_reps=150, alpha=0.05, seed=0, jobs=jobs
+        )
+        for jobs in (1, 2)
+    ]
+    (serial_results, serial_failures), (parallel_results, parallel_failures) = runs
+    assert serial_failures == parallel_failures
+    assert [r.date for r in serial_results] == [r.date for r in parallel_results]
 
 
 def test_decomposition_csv_roundtrip(two_leg, tmp_path):
@@ -234,3 +252,4 @@ def test_failures_csv(tmp_path):
     pipeline.write_failures([(START, "ValueError: boom")], path)
     rows = list(csv.reader(open(path, newline="")))
     assert rows == [["date", "error"], ["2017-03-13", "ValueError: boom"]]
+

@@ -178,12 +178,18 @@ def _validate(config: RunConfig) -> None:
         if not _NAME_RE.match(name):
             raise ConfigError(f"instrument name {name!r} must match [A-Za-z0-9_]+")
     declared = set(config.instruments)
+    seen_pairs = set()
     for pair in config.pairs:
-        if len(pair) != 2 or not set(pair) <= declared:
-            raise ConfigError(f"pair {pair} must name two declared instruments")
+        if len(pair) != 2 or pair[0] == pair[1] or not set(pair) <= declared:
+            raise ConfigError(f"pair {pair} must name two distinct declared instruments")
+        if frozenset(pair) in seen_pairs:
+            raise ConfigError(f"pair {pair} is declared twice (in either order)")
+        seen_pairs.add(frozenset(pair))
     for members in config.tuples:
-        if len(members) < 2 or not set(members) <= declared:
-            raise ConfigError(f"tuple {members} must name declared instruments")
+        if len(members) < 2 or len(set(members)) != len(members) or not set(members) <= declared:
+            raise ConfigError(
+                f"tuple {members} must name two or more distinct declared instruments"
+            )
     if not 0.0 < config.alpha < 1.0:
         raise ConfigError("alpha must lie in (0, 1)")
     if config.b_reps < 100:
@@ -193,6 +199,12 @@ def _validate(config: RunConfig) -> None:
     for name, src in config.tick_sources.items():
         if name not in declared:
             raise ConfigError(f"tick source {name!r} is not a declared instrument")
+        unknown = sorted(set(src["schema"]) - {"timestamp", "price", "volume"})
+        if unknown:
+            raise ConfigError(
+                f"tick source {name!r}: unknown schema roles {unknown} "
+                "(the roles are timestamp, price and volume)"
+            )
         # missing referenced files are I/O failures, not config failures
         if not os.path.exists(src["path"]):
             raise FileNotFoundError(f"tick file for {name} not found: {src['path']}")
@@ -216,9 +228,7 @@ def cmd_ingest(config: RunConfig) -> int:
     series = {}
     for name in config.instruments:
         src = config.tick_sources[name]
-        series[name] = ticks.parse_ticks(
-            src["path"], src["schema"], config.session.timezone, instrument=name
-        )
+        series[name] = ticks.parse_ticks(src["path"], src["schema"], config.session, name)
     panels, drop_log = ticks.build_panels(series, config.session, config.calendar)
     out = _panels_dir(config)
     os.makedirs(out, exist_ok=True)
@@ -447,7 +457,7 @@ def main(argv=None) -> int:
     try:
         os.makedirs(config.output, exist_ok=True)
         return COMMANDS[args.command](config)
-    except ConfigError as exc:
+    except (ConfigError, ticks.SessionMismatch) as exc:
         _emit_error("config", str(exc))
         return EXIT_CONFIG
     except (OSError, ticks.ZeroValidRows) as exc:

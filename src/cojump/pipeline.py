@@ -407,23 +407,6 @@ def write_jump_report(results: list, path) -> None:
         writer.writerows(rows)
 
 
-def read_jump_report(path) -> list:
-    out = []
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        for row in reader:
-            out.append(
-                {
-                    "date": dt.date.fromisoformat(row["date"]),
-                    "instrument": row["instrument"],
-                    "index": int(row["index"]),
-                    "time": dt.time.fromisoformat(row["time"]),
-                    "size": float(row["size"]),
-                }
-            )
-    return out
-
-
 def write_tuple_labels(results: list, path) -> None:
     rows = []
     for res in results:

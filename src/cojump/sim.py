@@ -264,22 +264,3 @@ def read_scenario(path) -> SimScenario:
     if "sigma" not in fields:
         raise ValueError(f"{path}: sigma is required")
     return SimScenario(jumps=tuple(jumps), **fields)
-
-
-def write_scenario(scenario: SimScenario, path) -> None:
-    lines = [
-        f"n_intervals = {scenario.n_intervals}",
-        f"n_days = {scenario.n_days}",
-        "sigma = " + ", ".join(repr(s) for s in scenario.sigma),
-        "mu = " + ", ".join(repr(m) for m in scenario.mu),
-        f"rho = {scenario.rho!r}",
-        f"noise_sd = {scenario.noise_sd!r}",
-        f"vol_pattern = {scenario.vol_pattern}",
-        f"seed = {scenario.seed}",
-    ]
-    for j in scenario.jumps:
-        lines.append(
-            "jump = " + ", ".join([str(int(j[0])), str(int(j[1]))] + [repr(float(s)) for s in j[2:]])
-        )
-    with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")

@@ -1,10 +1,11 @@
 """Tick ingestion and synchronization onto regular intraday return grids.
 
 Raw trades arrive as CSV rows with user-named columns. They are parsed
-with an explicit IANA timezone (never guessed), filtered by a trading
-calendar, sampled by the last-tick rule onto an evenly spaced price
-grid, and differenced into log-return panels: one row per interval,
-one column per instrument.
+with the session's IANA timezone (never guessed) into one sorted array
+of wall-clock stamps per instrument, cut into session dates, filtered
+by a trading calendar, sampled by the last-tick rule onto an evenly
+spaced price grid, and differenced into log-return panels: one row per
+interval, one column per instrument.
 
 Grid convention: a session of length T seconds sampled every s seconds
 yields N = T/s return intervals and N + 1 grid instants t_0..t_N.
@@ -16,13 +17,20 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import math
 from dataclasses import dataclass, field
 from zoneinfo import ZoneInfo
 
 import numpy as np
 
 LOW_TRADE_BIN_SECONDS = 300  # the thin-day rule is always judged on 5-min bins
+_EPOCH = dt.datetime(1970, 1, 1)
+_US = dt.timedelta(microseconds=1)
+_DAY_US = 86_400_000_000
+
+
+def _wall_us(stamp: dt.datetime) -> int:
+    """Microseconds from 1970-01-01 00:00 to a naive wall-clock stamp."""
+    return (stamp - _EPOCH) // _US
 
 
 class ZeroValidRows(ValueError):
@@ -31,6 +39,10 @@ class ZeroValidRows(ValueError):
 
 class DayUnusable(ValueError):
     """No trade occurred inside the session; the day cannot be sampled."""
+
+
+class SessionMismatch(ValueError):
+    """A panel file's grid does not match the configured session."""
 
 
 @dataclass(frozen=True)
@@ -72,27 +84,38 @@ class SessionSpec:
         step = dt.timedelta(seconds=self.sampling_interval)
         return [base + i * step for i in range(self.n_intervals + 1)]
 
-
-@dataclass(frozen=True)
-class TickRecord:
-    timestamp: dt.datetime
-    price: float
-    volume: int
-    instrument: str
+    def grid_us(self, date: dt.date) -> np.ndarray:
+        """The same N + 1 instants as wall-clock microseconds (see TickSeries)."""
+        start = _wall_us(dt.datetime.combine(date, self.session_start))
+        return start + self.sampling_interval * 1_000_000 * np.arange(self.n_intervals + 1)
 
 
 @dataclass
 class TickSeries:
-    """Parsed trades of one instrument, sorted by time."""
+    """Parsed trades of one instrument, ordered by session wall clock.
+
+    ``times`` holds int64 wall-clock microseconds in the session
+    timezone (microseconds since 1970-01-01 00:00 on that clock, not a
+    UTC epoch), sorted, with equal stamps in file order; ``prices`` is
+    aligned with it.
+    """
 
     instrument: str
-    records: list
+    times: np.ndarray
+    prices: np.ndarray
     rejected: int = 0
     total_rows: int = 0
     diagnostics: list = field(default_factory=list)
 
     def dates(self) -> list:
-        return sorted({r.timestamp.date() for r in self.records})
+        days = np.unique(self.times // _DAY_US)
+        return [_EPOCH.date() + dt.timedelta(days=int(d)) for d in days]
+
+    def day(self, date: dt.date):
+        """(times, prices) of the trades whose wall-clock date is ``date``."""
+        lo = _wall_us(dt.datetime.combine(date, dt.time()))
+        a, b = np.searchsorted(self.times, [lo, lo + _DAY_US])
+        return self.times[a:b], self.prices[a:b]
 
 
 @dataclass(frozen=True)
@@ -113,7 +136,6 @@ class ReturnPanel:
     instruments: list
     returns: np.ndarray
     grid_times: list
-    backfilled: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.returns = np.asarray(self.returns, dtype=float)
@@ -132,19 +154,23 @@ class ReturnPanel:
         return self.returns[self.instruments.index(instrument)]
 
 
-def parse_ticks(path, schema: dict, timezone: str, instrument: str = "") -> TickSeries:
+def parse_ticks(path, schema: dict, spec: SessionSpec, instrument: str = "") -> TickSeries:
     """Parse one instrument's trades from a CSV file.
 
-    ``schema`` maps the roles "timestamp", "price", "volume" (and
-    optionally "instrument") to column names in the file's header.
-    Naive timestamps are localized to ``timezone``; rows that fail to
-    parse, or carry a non-positive price, are rejected and counted.
+    ``schema`` maps the roles "timestamp", "price" and optionally
+    "volume" to column names in the file's header. Naive timestamps are
+    read as wall clock in the session timezone, stamps with an offset
+    are converted to it. Rows that fail to parse, lack a field, or
+    carry a non-positive price or negative volume are rejected and
+    counted.
     """
     for role in ("timestamp", "price"):
         if role not in schema:
             raise ValueError(f"schema must name a {role} column")
-    tz = ZoneInfo(timezone)
-    records = []
+    tz = spec.tzinfo()
+    vol_col = schema.get("volume")
+    times = []
+    prices = []
     rejected = 0
     diagnostics = []
     total = 0
@@ -153,15 +179,14 @@ def parse_ticks(path, schema: dict, timezone: str, instrument: str = "") -> Tick
     except OSError as exc:
         raise OSError(f"cannot read tick file {path}: {exc}") from exc
     with handle:
-        reader = csv.DictReader(handle)
+        # a short row reads "" for its missing fields and fails to parse
+        reader = csv.DictReader(handle, restval="")
         for lineno, row in enumerate(reader, start=2):
             total += 1
             try:
                 stamp = dt.datetime.fromisoformat(row[schema["timestamp"]].strip())
                 price = float(row[schema["price"]])
-                vol_col = schema.get("volume")
                 volume = int(float(row[vol_col])) if vol_col else 0
-                name = row[schema["instrument"]].strip() if "instrument" in schema else instrument
             except (KeyError, TypeError, ValueError) as exc:
                 rejected += 1
                 diagnostics.append(f"line {lineno}: {exc}")
@@ -170,81 +195,51 @@ def parse_ticks(path, schema: dict, timezone: str, instrument: str = "") -> Tick
                 rejected += 1
                 diagnostics.append(f"line {lineno}: invalid price/volume {price}/{volume}")
                 continue
-            if stamp.tzinfo is None:
-                stamp = stamp.replace(tzinfo=tz)
-            else:
-                stamp = stamp.astimezone(tz)
-            records.append(TickRecord(stamp, price, volume, name or instrument))
-    if not records:
+            if stamp.tzinfo is not None:
+                stamp = stamp.astimezone(tz).replace(tzinfo=None)
+            times.append(_wall_us(stamp))
+            prices.append(price)
+    if not times:
         raise ZeroValidRows(f"{path}: no valid tick rows ({rejected} rejected)")
-    records.sort(key=lambda r: r.timestamp)
+    times = np.array(times, dtype=np.int64)
+    order = np.argsort(times, kind="stable")  # equal stamps keep their file order
     return TickSeries(
-        instrument=instrument or records[0].instrument,
-        records=records,
+        instrument=instrument,
+        times=times[order],
+        prices=np.array(prices)[order],
         rejected=rejected,
         total_rows=total,
         diagnostics=diagnostics,
     )
 
 
-def split_by_instrument(series: TickSeries) -> dict:
-    """Split a combined-file TickSeries on the instrument field."""
-    out: dict = {}
-    for rec in series.records:
-        out.setdefault(rec.instrument, []).append(rec)
-    return {
-        name: TickSeries(instrument=name, records=recs, rejected=0, total_rows=len(recs))
-        for name, recs in out.items()
-    }
-
-
-def _day_records(ticks: TickSeries, spec: SessionSpec, date: dt.date) -> list:
-    return [r for r in ticks.records if r.timestamp.astimezone(spec.tzinfo()).date() == date]
-
-
-def sample_last_tick(ticks: TickSeries, spec: SessionSpec, date: dt.date):
+def sample_last_tick(ticks: TickSeries, spec: SessionSpec, date: dt.date) -> np.ndarray:
     """Last-tick sampling of one day onto the session grid.
 
-    Returns (prices, backfilled): N + 1 prices where grid point t holds
-    the last trade at or before t. Grid points before the day's first
-    trade are back-filled with that first price and flagged. Raises
-    DayUnusable when no trade falls inside [session_start, session_end].
+    Returns N + 1 prices where grid point t holds the last trade of the
+    day at or before t. Grid points before the day's first trade are
+    back-filled with that first price. Raises DayUnusable when no trade
+    falls inside [session_start, session_end].
     """
-    grid = spec.grid_instants(date)
-    day = _day_records(ticks, spec, date)
-    in_session = [r for r in day if grid[0] <= r.timestamp <= grid[-1]]
-    if not in_session:
+    grid = spec.grid_us(date)
+    times, prices = ticks.day(date)
+    if not np.any((times >= grid[0]) & (times <= grid[-1])):
         raise DayUnusable(f"{ticks.instrument} {date}: no session trades")
-    prices = np.empty(len(grid))
-    backfilled = False
-    last_price = None
-    idx = 0
-    for k, t in enumerate(grid):
-        while idx < len(day) and day[idx].timestamp <= t:
-            last_price = day[idx].price
-            idx += 1
-        if last_price is None:
-            prices[k] = day[0].price
-            backfilled = True
-        else:
-            prices[k] = last_price
-    return prices, backfilled
+    return prices[np.maximum(np.searchsorted(times, grid, side="right") - 1, 0)]
 
 
 def trade_fraction(ticks: TickSeries, spec: SessionSpec, date: dt.date) -> float:
     """Fraction of the session's 5-minute bins containing at least one trade."""
-    grid = spec.grid_instants(date)
+    grid = spec.grid_us(date)
     start, end = grid[0], grid[-1]
     n_bins = max(1, spec.session_seconds // LOW_TRADE_BIN_SECONDS)
-    hit = set()
-    for r in _day_records(ticks, spec, date):
-        if start < r.timestamp <= end:
-            offset = (r.timestamp - start).total_seconds()
-            hit.add(min(n_bins - 1, int(offset // LOW_TRADE_BIN_SECONDS)))
-    return len(hit) / n_bins
+    times, _ = ticks.day(date)
+    offsets = times[(times > start) & (times <= end)] - start
+    bins = np.minimum(n_bins - 1, offsets // (LOW_TRADE_BIN_SECONDS * 1_000_000))
+    return len(np.unique(bins)) / n_bins
 
 
-def build_panel(price_grids: dict, date: dt.date, spec: SessionSpec, backfilled=None) -> ReturnPanel:
+def build_panel(price_grids: dict, date: dt.date, spec: SessionSpec) -> ReturnPanel:
     """Log-return panel from per-instrument price grids of one day."""
     instruments = list(price_grids)
     n = spec.n_intervals
@@ -257,11 +252,7 @@ def build_panel(price_grids: dict, date: dt.date, spec: SessionSpec, backfilled=
             raise ValueError(f"{name}: non-positive price on the grid")
         returns[i] = np.diff(np.log(prices))
     return ReturnPanel(
-        date=date,
-        instruments=instruments,
-        returns=returns,
-        grid_times=spec.grid_instants(date),
-        backfilled=dict(backfilled or {}),
+        date=date, instruments=instruments, returns=returns, grid_times=spec.grid_instants(date)
     )
 
 
@@ -280,7 +271,7 @@ def build_panels(tick_series: dict, spec: SessionSpec, calendar: TradingCalendar
         if date in calendar.excluded_dates:
             drop_log.append((date, "excluded_date"))
             continue
-        missing = [n for n, s in tick_series.items() if not _day_records(s, spec, date)]
+        missing = [n for n, s in tick_series.items() if not s.day(date)[0].size]
         if missing:
             drop_log.append((date, f"missing_instrument:{','.join(sorted(missing))}"))
             continue
@@ -289,18 +280,17 @@ def build_panels(tick_series: dict, spec: SessionSpec, calendar: TradingCalendar
             drop_log.append((date, "low_trade"))
             continue
         grids = {}
-        flags = {}
         unusable = None
         for name, series in tick_series.items():
             try:
-                grids[name], flags[name] = sample_last_tick(series, spec, date)
+                grids[name] = sample_last_tick(series, spec, date)
             except DayUnusable as exc:
                 unusable = str(exc)
                 break
         if unusable is not None:
             drop_log.append((date, f"unusable:{unusable}"))
             continue
-        panels.append(build_panel(grids, date, spec, backfilled=flags))
+        panels.append(build_panel(grids, date, spec))
     return panels, drop_log
 
 
@@ -317,7 +307,7 @@ def write_panel_csv(panel: ReturnPanel, path) -> None:
 
 
 def read_panel_csv(path, spec: SessionSpec) -> ReturnPanel:
-    """Rebuild a ReturnPanel written by write_panel_csv."""
+    """Rebuild a ReturnPanel written by write_panel_csv under ``spec``."""
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader)
@@ -328,13 +318,14 @@ def read_panel_csv(path, spec: SessionSpec) -> ReturnPanel:
     if not rows:
         raise ValueError(f"{path}: empty panel")
     date = dt.date.fromisoformat(rows[0][0])
+    grid = spec.grid_instants(date)
+    if [row[1:2] for row in rows] != [[t.strftime("%H:%M:%S")] for t in grid[:-1]]:
+        raise SessionMismatch(
+            f"{path}: grid_time column does not match the session "
+            f"{spec.session_start}-{spec.session_end} every {spec.sampling_interval} s"
+        )
     returns = np.array([[float(v) for v in row[2:]] for row in rows]).T
-    return ReturnPanel(
-        date=date,
-        instruments=instruments,
-        returns=returns,
-        grid_times=spec.grid_instants(date),
-    )
+    return ReturnPanel(date=date, instruments=instruments, returns=returns, grid_times=grid)
 
 
 def write_drop_log(drop_log, path) -> None:

@@ -85,6 +85,22 @@ def test_unknown_instrument_in_pair(capsys, tmp_path):
     assert "US" in msg["message"]
 
 
+@pytest.mark.parametrize(
+    "pairs, tuples",
+    [
+        ([["TU", "TU"]], []),
+        ([["TU", "FV"], ["TU", "FV"]], []),
+        ([["TU", "FV"], ["FV", "TU"]], []),
+        ([["TU", "FV"]], [["TU", "FV", "TU"]]),
+    ],
+    ids=["self-pair", "duplicate-pair", "reversed-pair", "repeated-tuple-member"],
+)
+def test_degenerate_pairs_and_tuples_rejected(capsys, tmp_path, pairs, tuples):
+    cfg = _write_config(tmp_path, pairs=pairs, tuples=tuples)
+    assert cli.main(["decompose", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    assert _stderr_json(capsys)["error"] == "config"
+
+
 def test_bad_alpha_and_reps(capsys, tmp_path):
     cfg = _write_config(tmp_path, bootstrap={"b_reps": 150, "alpha": 1.5})
     assert cli.main(["simulate", "--config", str(cfg)]) == cli.EXIT_CONFIG
@@ -164,6 +180,20 @@ def test_ingest_writes_panels_and_drop_log(tmp_path):
     assert (tmp_path / "out" / "drop_log.csv").exists()
 
 
+@pytest.mark.parametrize("role", ["instrument", "volumes"])
+def test_unknown_schema_role_rejected(capsys, tmp_path, role):
+    (tmp_path / "tu.csv").write_text("t,p,v,sym\n2017-03-13 07:00:01,100.0,1,TU\n")
+    schema = {"timestamp": "t", "price": "p", role: "sym" if role == "instrument" else "v"}
+    cfg = _write_config(
+        tmp_path, instruments=["TU"], pairs=[],
+        ticks={"TU": {"path": "tu.csv", "schema": schema}},
+    )
+    assert cli.main(["ingest", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    msg = _stderr_json(capsys)
+    assert msg["error"] == "config"
+    assert role in msg["message"]
+
+
 def test_ingest_requires_sources_for_all_instruments(capsys, tmp_path):
     cfg = _write_config(tmp_path, ticks={})
     assert cli.main(["ingest", "--config", str(cfg)]) == cli.EXIT_CONFIG
@@ -177,6 +207,19 @@ def full_run(tmp_path):
     assert cli.main(["decompose", "--config", str(cfg)]) == cli.EXIT_OK
     assert cli.main(["report", "--config", str(cfg)]) == cli.EXIT_OK
     return tmp_path, cfg
+
+
+def test_decompose_refuses_panels_of_another_session(capsys, tmp_path):
+    """Panels simulated at 07:00-16:00 do not decompose under 08:00-17:00 (same N)."""
+    cfg = _write_config(tmp_path)
+    assert cli.main(["simulate", "--config", str(cfg)]) == cli.EXIT_OK
+    shifted = _write_config(tmp_path, name="shifted.json",
+                            session=dict(SESSION, start="08:00", end="17:00"))
+    assert cli.main(["decompose", "--config", str(shifted)]) == cli.EXIT_CONFIG
+    msg = _stderr_json(capsys)
+    assert msg["error"] == "config"
+    assert "panel_2017-03-13.csv" in msg["message"]
+    assert not (tmp_path / "out" / "decompositions.csv").exists()
 
 
 def test_pipeline_end_to_end(full_run):

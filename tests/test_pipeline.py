@@ -219,7 +219,17 @@ def test_events_csv_roundtrip(two_leg, tmp_path):
 def test_jump_report_roundtrip(two_leg, tmp_path):
     path = tmp_path / "jumps.csv"
     pipeline.write_jump_report(two_leg, path)
-    rows = pipeline.read_jump_report(path)
+    with open(path, newline="") as handle:
+        rows = [
+            {
+                "date": dt.date.fromisoformat(row["date"]),
+                "instrument": row["instrument"],
+                "index": int(row["index"]),
+                "time": dt.time.fromisoformat(row["time"]),
+                "size": float(row["size"]),
+            }
+            for row in csv.DictReader(handle)
+        ]
     assert [(r["date"], r["instrument"], r["index"]) for r in rows] == [
         (START + dt.timedelta(days=1), "FV", 270),
         (START + dt.timedelta(days=1), "TU", 270),

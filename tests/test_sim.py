@@ -191,7 +191,18 @@ def test_scenario_file_roundtrip(tmp_path):
         seed=42, vol_pattern="u_shape",
     )
     path = tmp_path / "scenario.txt"
-    sim.write_scenario(sc, path)
+    path.write_text(
+        "n_intervals = 540\n"
+        "n_days = 7\n"
+        "sigma = 0.01, 0.012\n"
+        "mu = 1e-06, 0.0\n"
+        "rho = 0.6\n"
+        "noise_sd = 0.00043\n"
+        "vol_pattern = u_shape\n"
+        "seed = 42\n"
+        "jump = 2, 100, 0.1, 0.12\n"
+        "jump = 5, 30, 0.05, 0.0\n"
+    )
     assert sim.read_scenario(path) == sc
 
 

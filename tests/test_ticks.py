@@ -3,7 +3,6 @@
 import csv
 import datetime as dt
 import math
-from zoneinfo import ZoneInfo
 
 import numpy as np
 import pytest
@@ -31,15 +30,22 @@ def _tick_file(tmp_path, rows, header="time,px,vol", name="ticks.csv"):
 SCHEMA = {"timestamp": "time", "price": "px", "volume": "vol"}
 
 
+def _wall_us(stamp):
+    """Wall-clock microseconds of a naive or session-zone stamp."""
+    return (stamp.replace(tzinfo=None) - dt.datetime(1970, 1, 1)) // dt.timedelta(microseconds=1)
+
+
 def _series(recs, instrument="X"):
-    return tk.TickSeries(instrument=instrument, records=sorted(recs, key=lambda r: r.timestamp))
+    recs = sorted(recs)
+    return tk.TickSeries(
+        instrument=instrument,
+        times=np.array([t for t, _ in recs], dtype=np.int64),
+        prices=np.array([p for _, p in recs]),
+    )
 
 
-def _rec(stamp, price, instrument="X", volume=1):
-    t = dt.datetime.fromisoformat(stamp)
-    if t.tzinfo is None:
-        t = t.replace(tzinfo=ZoneInfo(TZ))
-    return tk.TickRecord(t, price, volume, instrument)
+def _rec(stamp, price):
+    return _wall_us(dt.datetime.fromisoformat(stamp)), price
 
 
 def test_session_spec_geometry():
@@ -64,20 +70,18 @@ def test_session_spec_validation():
 
 def test_parse_ticks_field_mapping(tmp_path):
     path = _tick_file(tmp_path, ["2017-03-15 13:00:01,124.53125,12"])
-    series = tk.parse_ticks(path, SCHEMA, TZ, instrument="ZN")
+    series = tk.parse_ticks(path, SCHEMA, _spec(), instrument="ZN")
     assert series.total_rows == 1 and series.rejected == 0
-    rec = series.records[0]
-    assert rec.price == 124.53125
-    assert rec.volume == 12
-    assert rec.timestamp.time() == dt.time(13, 0, 1)
-    assert rec.timestamp.tzinfo is not None
+    assert series.prices.tolist() == [124.53125]
+    assert series.times.dtype == np.int64
+    assert series.times.tolist() == [_wall_us(dt.datetime(2017, 3, 15, 13, 0, 1))]
     assert series.instrument == "ZN"
 
 
 def test_parse_ticks_empty_file(tmp_path):
     path = _tick_file(tmp_path, [])
     with pytest.raises(tk.ZeroValidRows):
-        tk.parse_ticks(path, SCHEMA, TZ)
+        tk.parse_ticks(path, SCHEMA, _spec())
 
 
 def test_parse_ticks_rejects_bad_rows(tmp_path):
@@ -91,12 +95,21 @@ def test_parse_ticks_rejects_bad_rows(tmp_path):
             "2017-03-15 13:00:04,131.0,7",
         ],
     )
-    series = tk.parse_ticks(path, SCHEMA, TZ, instrument="ZN")
+    series = tk.parse_ticks(path, SCHEMA, _spec(), instrument="ZN")
     assert series.total_rows == 5
     assert series.rejected == 3
-    assert len(series.records) == 2
-    assert len(series.records) + series.rejected == series.total_rows
+    assert len(series.times) == 2
+    assert len(series.times) + series.rejected == series.total_rows
     assert len(series.diagnostics) == 3
+
+
+def test_parse_ticks_rejects_short_rows(tmp_path):
+    """A row without its timestamp field is rejected, not a crash."""
+    path = _tick_file(tmp_path, ["100.0,5,2017-03-15T09:00:01", "100.5,3"], header="px,vol,ts")
+    series = tk.parse_ticks(path, {"timestamp": "ts", "price": "px", "volume": "vol"}, _spec())
+    assert series.total_rows == 2 and series.rejected == 1
+    assert series.prices.tolist() == [100.0]
+    assert len(series.diagnostics) == 1 and series.diagnostics[0].startswith("line 3:")
 
 
 def test_parse_ticks_sorts_and_schema_validation(tmp_path):
@@ -104,26 +117,36 @@ def test_parse_ticks_sorts_and_schema_validation(tmp_path):
         tmp_path,
         ["2017-03-15 13:00:05,10,1", "2017-03-15 13:00:01,11,1"],
     )
-    series = tk.parse_ticks(path, SCHEMA, TZ)
-    stamps = [r.timestamp for r in series.records]
-    assert stamps == sorted(stamps)
+    series = tk.parse_ticks(path, SCHEMA, _spec())
+    assert series.times.tolist() == sorted(series.times.tolist())
+    assert series.prices.tolist() == [11.0, 10.0]
     with pytest.raises(ValueError, match="price"):
-        tk.parse_ticks(path, {"timestamp": "time"}, TZ)
+        tk.parse_ticks(path, {"timestamp": "time"}, _spec())
     with pytest.raises(OSError):
-        tk.parse_ticks(tmp_path / "absent.csv", SCHEMA, TZ)
+        tk.parse_ticks(tmp_path / "absent.csv", SCHEMA, _spec())
 
 
-def test_parse_ticks_combined_instrument_column(tmp_path):
+def test_parse_ticks_orders_by_session_wall_clock(tmp_path):
+    """Stamps order by wall clock in the session zone, ignoring the DST fold;
+    equal stamps keep their file order."""
     path = _tick_file(
         tmp_path,
-        ["2017-03-15 13:00:01,10,1,ZN", "2017-03-15 13:00:02,99,1,ES"],
-        header="time,px,vol,sym",
+        [
+            "2017-11-05T01:30:00-06:00,1,1",  # second 01:30 (CST)
+            "2017-11-05T06:40:00+00:00,2,1",  # 01:40 CDT, the first pass
+            "2017-11-05 01:30:00,3,1",  # naive: same wall clock as line 2
+            "2017-11-05T06:30:00+00:00,4,1",  # 01:30 CDT, the first 01:30
+            "2017-11-06T05:59:59+00:00,5,1",  # 23:59:59 CST on Nov 5
+        ],
     )
-    schema = dict(SCHEMA, instrument="sym")
-    series = tk.parse_ticks(path, schema, TZ)
-    split = tk.split_by_instrument(series)
-    assert sorted(split) == ["ES", "ZN"]
-    assert split["ZN"].records[0].price == 10
+    series = tk.parse_ticks(path, SCHEMA, _spec())
+    assert series.prices.tolist() == [1.0, 3.0, 4.0, 2.0, 5.0]
+    at = dt.datetime(2017, 11, 5, 1, 30)
+    assert series.times[:3].tolist() == [_wall_us(at)] * 3
+    assert series.dates() == [dt.date(2017, 11, 5)]
+    _, prices = series.day(dt.date(2017, 11, 5))
+    assert prices.tolist() == [1.0, 3.0, 4.0, 2.0, 5.0]
+    assert series.day(dt.date(2017, 11, 6))[0].size == 0
 
 
 def test_last_tick_sampling_rule():
@@ -133,18 +156,18 @@ def test_last_tick_sampling_rule():
         _rec("2017-03-15 09:00:48", 100.3),
         _rec("2017-03-15 09:01:30", 100.2),
     ]
-    prices, backfilled = tk.sample_last_tick(_series(recs), _spec(), date)
+    prices = tk.sample_last_tick(_series(recs), _spec(), date)
     assert prices[1] == 100.3  # 09:01 takes the last trade at or before it
     assert prices[2] == 100.2
     assert prices[3] == 100.2  # carry-forward when (09:02, 09:03] is silent
     assert prices[-1] == 100.2
-    assert backfilled  # 09:00 precedes the first trade of the day
+    assert prices[0] == 100.1  # 09:00 precedes the first trade: back-filled
 
 
 def test_single_tick_constant_path():
     date = dt.date(2017, 3, 15)
     recs = [_rec("2017-03-15 09:00:30", 101.5)]
-    prices, _ = tk.sample_last_tick(_series(recs), _spec(), date)
+    prices = tk.sample_last_tick(_series(recs), _spec(), date)
     assert np.all(prices == 101.5)
     panel = tk.build_panel({"X": prices}, date, _spec())
     assert np.all(panel.returns == 0.0)
@@ -162,10 +185,37 @@ def test_sampling_idempotent_on_gridded_series():
     spec = _spec()
     grid = spec.grid_instants(date)
     base = [100.0 + 0.1 * k for k in range(len(grid))]
-    recs = [tk.TickRecord(t, p, 1, "X") for t, p in zip(grid, base)]
-    prices, backfilled = tk.sample_last_tick(_series(recs), spec, date)
+    recs = [(_wall_us(t), p) for t, p in zip(grid, base)]
+    prices = tk.sample_last_tick(_series(recs), spec, date)
     assert prices == pytest.approx(base, rel=0)
-    assert not backfilled
+
+
+def test_array_sampling_matches_per_tick_loops():
+    """day, sample_last_tick and trade_fraction equal the per-tick loops they replaced."""
+    rng = np.random.default_rng(3)
+    spec = _spec(interval=60)
+    day0 = dt.date(2017, 3, 14)
+    midnight = _wall_us(dt.datetime.combine(day0, dt.time()))
+    secs = rng.integers(0, 3, 90) * 86_400 + rng.integers(8 * 3600, 11 * 3600, 90)
+    secs[::3] -= secs[::3] % 60  # some trades sit exactly on a grid instant
+    edges = [k * 86_400 + h * 3600 for k in range(3) for h in (9, 10)]  # session bounds
+    times = np.sort(midnight + np.repeat(np.append(secs, edges), 2) * 1_000_000)  # with ties
+    series = tk.TickSeries("X", times, rng.uniform(99.0, 101.0, times.size))
+    for k in range(3):
+        date = day0 + dt.timedelta(days=k)
+        day = [(t, p) for t, p in zip(series.times.tolist(), series.prices.tolist())
+               if (t - midnight) // 86_400_000_000 == k]
+        grid = [_wall_us(g) for g in spec.grid_instants(date)]
+        expected, last, idx = [], None, 0
+        for g in grid:
+            while idx < len(day) and day[idx][0] <= g:
+                last = day[idx][1]
+                idx += 1
+            expected.append(day[0][1] if last is None else last)
+        hit = {min(11, (t - grid[0]) // 300_000_000) for t, _ in day if grid[0] < t <= grid[-1]}
+        assert series.day(date)[1].tolist() == [p for _, p in day]
+        assert tk.sample_last_tick(series, spec, date).tolist() == expected
+        assert tk.trade_fraction(series, spec, date) == len(hit) / 12
 
 
 def test_log_return_definition():
@@ -199,30 +249,30 @@ def test_return_panel_invariants():
     assert np.array_equal(panel.series("A"), np.zeros(2))
 
 
-def _dense_day(date_str, instrument, every_seconds=30, price=100.0):
+def _dense_day(date_str, every_seconds=30, price=100.0):
     """Trades every few seconds across the whole session."""
-    base = dt.datetime.fromisoformat(f"{date_str} 09:00:00").replace(tzinfo=ZoneInfo(TZ))
+    base = dt.datetime.fromisoformat(f"{date_str} 09:00:00")
     recs = []
     for k in range(3600 // every_seconds):
-        recs.append(tk.TickRecord(base + dt.timedelta(seconds=k * every_seconds + 1),
-                                  price + 0.01 * (k % 3), 1, instrument))
+        recs.append((_wall_us(base + dt.timedelta(seconds=k * every_seconds + 1)),
+                     price + 0.01 * (k % 3)))
     return recs
 
 
-def _sparse_day(date_str, instrument, fraction, price=100.0):
+def _sparse_day(date_str, fraction, price=100.0):
     """Trades in only the first ``fraction`` of the session's 5-min bins."""
-    base = dt.datetime.fromisoformat(f"{date_str} 09:00:00").replace(tzinfo=ZoneInfo(TZ))
+    base = dt.datetime.fromisoformat(f"{date_str} 09:00:00")
     n_bins = 12
     hit = round(fraction * n_bins)
     recs = []
     for b in range(hit):
-        recs.append(tk.TickRecord(base + dt.timedelta(seconds=300 * b + 10), price, 1, instrument))
+        recs.append((_wall_us(base + dt.timedelta(seconds=300 * b + 10)), price))
     return recs
 
 
 def test_trade_fraction_counts_bins():
     date = dt.date(2017, 3, 15)
-    series = _series(_sparse_day("2017-03-15", "X", 0.55))
+    series = _series(_sparse_day("2017-03-15", 0.55))
     # 0.55 rounds to 7 of 12 bins hit
     assert tk.trade_fraction(series, _spec(), date) == pytest.approx(7 / 12)
 
@@ -231,16 +281,16 @@ def test_build_panels_filters():
     cal = tk.TradingCalendar(excluded_dates=frozenset({dt.date(2017, 3, 16)}))
     spec = _spec()
     x = _series(
-        _dense_day("2017-03-15", "X")
-        + _dense_day("2017-03-16", "X")
-        + _sparse_day("2017-03-17", "X", 6 / 12)  # 50% of bins, below 0.60
-        + _dense_day("2017-03-20", "X"),
+        _dense_day("2017-03-15")
+        + _dense_day("2017-03-16")
+        + _sparse_day("2017-03-17", 6 / 12)  # 50% of bins, below 0.60
+        + _dense_day("2017-03-20"),
         instrument="X",
     )
     y = _series(
-        _dense_day("2017-03-15", "Y")
-        + _dense_day("2017-03-16", "Y")
-        + _sparse_day("2017-03-17", "Y", 6 / 12),
+        _dense_day("2017-03-15")
+        + _dense_day("2017-03-16")
+        + _sparse_day("2017-03-17", 6 / 12),
         instrument="Y",
     )
     panels, drop_log = tk.build_panels({"X": x, "Y": y}, spec, cal)
@@ -259,8 +309,8 @@ def test_thin_day_kept_when_one_leg_active():
     """The low-trade drop fires only when every instrument is thin."""
     cal = tk.TradingCalendar()
     spec = _spec()
-    x = _series(_sparse_day("2017-03-15", "X", 6 / 12), instrument="X")
-    y = _series(_dense_day("2017-03-15", "Y"), instrument="Y")
+    x = _series(_sparse_day("2017-03-15", 6 / 12), instrument="X")
+    y = _series(_dense_day("2017-03-15"), instrument="Y")
     panels, drop_log = tk.build_panels({"X": x, "Y": y}, spec, cal)
     assert len(panels) == 1
     assert drop_log == []
@@ -290,6 +340,18 @@ def test_panel_csv_roundtrip(tmp_path):
     assert header == ["date", "grid_time", "X", "Y"]
     with pytest.raises(ValueError, match="not a panel file"):
         tk.read_panel_csv(__file__, spec)
+
+
+@pytest.mark.parametrize("start, end, interval", [("10:00", "11:00", 900), ("09:00", "10:00", 600)])
+def test_panel_csv_other_session_rejected(tmp_path, start, end, interval):
+    """A panel written under another session (same N, or another N) is refused."""
+    date = dt.date(2017, 3, 15)
+    spec = _spec(interval=900)
+    panel = tk.ReturnPanel(date, ["X"], np.zeros((1, 4)), spec.grid_instants(date))
+    path = tmp_path / "panel.csv"
+    tk.write_panel_csv(panel, path)
+    with pytest.raises(tk.SessionMismatch, match="panel.csv"):
+        tk.read_panel_csv(path, _spec(start, end, interval))
 
 
 def test_drop_log_csv(tmp_path):

@@ -10,9 +10,10 @@ diagonals and correlation, the same statistic Z* is computed on each
 with the same estimator configuration, and the day's Z is studentized
 by the bootstrap moments and referred to the standard normal.
 
-Randomness is nested: one master seed per day-pair spawns B child
-streams, one per replication, so parallel scheduling cannot change any
-number.
+Randomness is one stream per day-pair: the integer ``seed`` (recorded
+in ``outcomes.csv``) starts one Generator, whose single
+``standard_normal((2, B, N))`` draw holds all B replications, so the
+seed alone reproduces a day-pair's null.
 """
 
 from __future__ import annotations
@@ -61,23 +62,26 @@ class TestOutcome:
             raise ValueError(f"unknown classification {self.classification!r}")
 
 
-def simulate_null_day(ic_diag_1: float, ic_diag_2: float, rho_hat: float, n: int, seed):
-    """One synthetic no-jump day matched to estimated scales.
+def simulate_null_day(ic_diag_1: float, ic_diag_2: float, rho_hat: float, n: int | tuple, seed):
+    """Synthetic no-jump days matched to estimated scales.
 
-    Returns an (r_1, r_2) pair of length-n return series with interval
-    variance IC_ll / n and cross correlation rho_hat, deterministic
-    under the seed (an int, SeedSequence, or Generator).
+    Returns an (r_1, r_2) pair of return series with interval variance
+    IC_ll / N and cross correlation rho_hat, deterministic under the
+    seed (an int, SeedSequence, or Generator). ``n`` is N for one day
+    or a (B, N) shape for B days, drawn as one ``standard_normal((2, B,
+    N))`` and correlated and scaled in place.
     """
     if ic_diag_1 < 0 or ic_diag_2 < 0:
         raise ValueError("IC diagonals must be non-negative")
     if not abs(rho_hat) <= 1.0:
         raise ValueError("|rho_hat| must not exceed 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    eta = rng.standard_normal((2, n))
-    r_1 = math.sqrt(ic_diag_1 / n) * eta[0]
-    r_2 = math.sqrt(ic_diag_2 / n) * (
-        rho_hat * eta[0] + math.sqrt(max(0.0, 1.0 - rho_hat * rho_hat)) * eta[1]
-    )
+    shape = np.atleast_1d(n)
+    r_1, r_2 = rng.standard_normal((2, *shape))
+    r_2 *= math.sqrt(max(0.0, 1.0 - rho_hat * rho_hat))
+    r_2 += rho_hat * r_1
+    r_2 *= math.sqrt(ic_diag_2 / shape[-1])
+    r_1 *= math.sqrt(ic_diag_1 / shape[-1])
     return r_1, r_2
 
 
@@ -142,10 +146,7 @@ def bootstrap_statistic(
     rho_hat = ic_val / math.sqrt(diag_1 * diag_2)
     rho_hat = min(0.999, max(-0.999, rho_hat))
 
-    r_1 = np.empty((b_reps, n))
-    r_2 = np.empty((b_reps, n))
-    for b, child in enumerate(np.random.SeedSequence(seed).spawn(b_reps)):
-        r_1[b], r_2[b] = simulate_null_day(diag_1, diag_2, rho_hat, n, child)
+    r_1, r_2 = simulate_null_day(diag_1, diag_2, rho_hat, (b_reps, n), seed)
 
     qv_star = np.einsum("bi,bi->b", r_1, r_2)
     res = ic_pair.config.resolve(n)

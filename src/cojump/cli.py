@@ -51,7 +51,6 @@ class RunConfig:
     tick_sources: dict
     scenario_path: object
     estimator: jwc.JwcConfig
-    detection: pipeline.DetectConfig
     b_reps: int
     alpha: float
     seed: int
@@ -128,11 +127,11 @@ def load_config(path: str, overrides: dict) -> RunConfig:
             s_spacing=int(est_block.get("s_spacing", 1)),
             g_spacing=est_block.get("g_spacing"),
         )
-        det_block = dict(raw.get("detection", {}))
-        detection = pipeline.DetectConfig(
-            filters=det_block.get("filters", "haar"),
-            boundary=det_block.get("boundary", "reflecting"),
-        )
+        if "detection" in raw:
+            raise ConfigError(
+                f"{path}: the 'detection' block is no longer accepted: jump detection "
+                "always thresholds the Haar level-1 coefficients"
+            )
         boot = raw.get("bootstrap", {})
         config = RunConfig(
             session=session,
@@ -147,7 +146,6 @@ def load_config(path: str, overrides: dict) -> RunConfig:
             },
             scenario_path=resolve(raw["scenario"]) if "scenario" in raw else None,
             estimator=estimator,
-            detection=detection,
             b_reps=int(
                 overrides["bootstrap_reps"]
                 if overrides.get("bootstrap_reps") is not None
@@ -235,6 +233,8 @@ def cmd_ingest(config: RunConfig) -> int:
     for panel in panels:
         ticks.write_panel_csv(panel, os.path.join(out, f"panel_{panel.date.isoformat()}.csv"))
     ticks.write_drop_log(drop_log, os.path.join(config.output, "drop_log.csv"))
+    if not panels:
+        raise OSError(f"ingest kept no day: {len(drop_log)} dates dropped, see drop_log.csv")
     return EXIT_OK
 
 
@@ -284,7 +284,6 @@ def cmd_decompose(config: RunConfig) -> int:
         panels,
         config.pairs,
         config.estimator,
-        config.detection,
         b_reps=config.b_reps,
         alpha=config.alpha,
         seed=config.seed,
@@ -299,6 +298,13 @@ def cmd_decompose(config: RunConfig) -> int:
     pipeline.write_failures(failures, os.path.join(config.output, "failures.csv"))
     outcomes = [res.outcomes[pair] for res in results for pair in sorted(res.outcomes)]
     bootstrap.write_outcomes(outcomes, os.path.join(config.output, "outcomes.csv"))
+    if not results:
+        date, message = failures[0]
+        _emit_error(
+            "numerical",
+            f"all {len(failures)} days failed (see failures.csv); first {date}: {message}",
+        )
+        return EXIT_NUMERICAL
     return EXIT_OK
 
 
@@ -324,16 +330,16 @@ def cmd_report(config: RunConfig) -> int:
         if not os.path.exists(p):
             raise OSError(f"missing decomposition output: {p}")
     decomps = pipeline.read_decompositions(dec_path)
+    if not decomps:
+        raise OSError(f"{dec_path} has no rows: decompose processed no day")
     event_rows = pipeline.read_events_csv(ev_path)
     by_pair: dict = {}
     for rec in decomps:
         by_pair.setdefault(rec.pair, []).append(rec)
 
-    if decomps:
-        rows3 = events.cj_qv_summary(decomps)
-    else:
-        rows3 = []
-    events.write_cj_qv_table(rows3, os.path.join(config.output, "cj_qv_share.csv"))
+    events.write_cj_qv_table(
+        events.cj_qv_summary(decomps), os.path.join(config.output, "cj_qv_share.csv")
+    )
 
     rows4 = []
     for pair in sorted(by_pair):

@@ -6,9 +6,10 @@ configured pair for a discontinuity and assemble its decomposition.
 Multi-asset tuples are labeled as common-jump days only when every
 constituent pair rejects and all members share a jump index.
 
-Seeding: the run's master seed expands into one integer per (day, pair)
-through a single SeedSequence draw in sorted day order, so results are
-identical whatever the worker count or scheduling.
+Seeding: each (day, pair) draws its bootstrap from one stream whose
+seed is derived from the run's master seed, the date and the pair's
+index in the configured pairs alone, so a day's results do not depend
+on the worker count, the scheduling or which other days are in the run.
 """
 
 from __future__ import annotations
@@ -24,22 +25,6 @@ from . import bootstrap, events, jumps, jwc, modwt
 from .ticks import ReturnPanel
 
 
-@dataclass(frozen=True)
-class DetectConfig:
-    """Jump detection settings: level-1 filter and boundary handling.
-
-    The narrow two-tap filter is the default because detection wants a
-    single coefficient per return; wider filters smear one jump across
-    neighbours.
-    """
-
-    filters: str = "haar"
-    boundary: str = "reflecting"
-
-    def filter_pair(self) -> modwt.FilterPair:
-        return modwt.shipped_filters(self.filters)
-
-
 @dataclass
 class DayResult:
     date: dt.date
@@ -51,13 +36,16 @@ class DayResult:
     grid_times: tuple = ()
 
 
-def detect_panel_jumps(panel: ReturnPanel, detect: DetectConfig) -> dict:
-    """Universal-threshold jump detection on every instrument of a day."""
-    pair = detect.filter_pair()
+def detect_panel_jumps(panel: ReturnPanel) -> dict:
+    """Universal-threshold jump detection on every instrument of a day.
+
+    Haar level-1 coefficients: one coefficient per return, so a jump is
+    not smeared across its neighbours.
+    """
     out = {}
     for name in panel.instruments:
         series = panel.series(name)
-        w1 = modwt.level1_coefficients(series, pair, boundary=detect.boundary)
+        w1 = modwt.level1_coefficients(series, modwt.haar())
         threshold = jumps.universal_threshold(w1)
         out[name] = jumps.detect_jumps(
             series, w1, threshold, date=panel.date, instrument=name
@@ -91,18 +79,22 @@ def _corr(num: float, den_1: float, den_2: float) -> float:
     return min(1.0, max(-1.0, raw))
 
 
+def pair_seed(seed: int, date: dt.date, k: int) -> int:
+    """Bootstrap seed of the k-th configured pair on ``date``."""
+    return int(np.random.SeedSequence([seed, date.toordinal(), k]).generate_state(1, np.uint64)[0])
+
+
 def process_day(
     panel: ReturnPanel,
     pairs: list,
     estimator: jwc.JwcConfig,
-    detect: DetectConfig,
     b_reps: int,
     alpha: float,
-    pair_seeds: dict,
+    seed: int,
     tuples: list = (),
 ) -> DayResult:
-    """All per-day work for one panel; pure given its seed table."""
-    jump_series = detect_panel_jumps(panel, detect)
+    """All per-day work for one panel; pure given the master seed."""
+    jump_series = detect_panel_jumps(panel)
     adjusted = np.vstack(
         [jumps.adjust_returns(panel.series(n), jump_series[n]) for n in panel.instruments]
     )
@@ -113,7 +105,7 @@ def process_day(
 
     outcomes = {}
     decomps = []
-    for pair in pairs:
+    for k, pair in enumerate(pairs):
         a, b = pair
         ia, ib = panel.instruments.index(a), panel.instruments.index(b)
         raw_a, raw_b = panel.series(a), panel.series(b)
@@ -133,7 +125,7 @@ def process_day(
             ic_pair,
             b_reps=b_reps,
             alpha=alpha,
-            seed=pair_seeds[pair],
+            seed=pair_seed(seed, panel.date, k),
             date=panel.date,
             pair=pair,
         )
@@ -210,31 +202,10 @@ def _pair_outcome(outcomes: dict, a: str, b: str):
     return outcomes.get((a, b)) or outcomes.get((b, a))
 
 
-def pair_seed_table(seed: int, dates: list, pairs: list) -> dict:
-    """Deterministic integer seed per (date, pair), scheduling-free."""
-    dates = sorted(dates)
-    words = np.random.SeedSequence(seed).generate_state(
-        max(1, len(dates) * len(pairs)), dtype=np.uint64
-    )
-    table = {}
-    k = 0
-    for date in dates:
-        for pair in pairs:
-            table[(date, tuple(pair))] = int(words[k])
-            k += 1
-    return table
-
-
-def _run_one(args):
-    panel, pairs, estimator, detect, b_reps, alpha, seeds, tuples = args
-    return process_day(panel, pairs, estimator, detect, b_reps, alpha, seeds, tuples)
-
-
 def process_panels(
     panels: list,
     pairs: list,
     estimator: jwc.JwcConfig,
-    detect: DetectConfig,
     b_reps: int = 999,
     alpha: float = 0.05,
     seed: int = 0,
@@ -247,11 +218,10 @@ def process_panels(
     (date, message) without aborting the remaining days.
     """
     pairs = [tuple(p) for p in pairs]
-    table = pair_seed_table(seed, [p.date for p in panels], pairs)
-    tasks = []
-    for panel in sorted(panels, key=lambda p: p.date):
-        seeds = {pair: table[(panel.date, pair)] for pair in pairs}
-        tasks.append((panel, pairs, estimator, detect, b_reps, alpha, seeds, tuples))
+    tasks = [
+        (panel, pairs, estimator, b_reps, alpha, seed, tuples)
+        for panel in sorted(panels, key=lambda p: p.date)
+    ]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outs = list(pool.map(_run_one_safe, tasks))
@@ -269,7 +239,7 @@ def process_panels(
 
 def _run_one_safe(args):
     try:
-        return _run_one(args)
+        return process_day(*args)
     except Exception as exc:  # per-day isolation is the contract
         return ("__error__", f"{type(exc).__name__}: {exc}")
 

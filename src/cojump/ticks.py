@@ -42,7 +42,7 @@ class DayUnusable(ValueError):
 
 
 class SessionMismatch(ValueError):
-    """A panel file's grid does not match the configured session."""
+    """A panel file's date or grid does not match the configured session."""
 
 
 @dataclass(frozen=True)
@@ -317,6 +317,8 @@ def read_panel_csv(path, spec: SessionSpec) -> ReturnPanel:
         rows = list(reader)
     if not rows:
         raise ValueError(f"{path}: empty panel")
+    if any(row[0] != rows[0][0] for row in rows):
+        raise SessionMismatch(f"{path}: date column is not constant")
     date = dt.date.fromisoformat(rows[0][0])
     grid = spec.grid_instants(date)
     if [row[1:2] for row in rows] != [[t.strftime("%H:%M:%S")] for t in grid[:-1]]:

@@ -124,6 +124,26 @@ def test_statistic_deterministic():
     assert a.var_z_star == b.var_z_star
 
 
+def test_statistic_null_is_one_draw_of_shape_2_b_n():
+    """bootstrap_statistic(seed=s) uses default_rng(s).standard_normal((2, B, N))."""
+    b_reps, seed = 150, 2024
+    out, j_1, j_2 = _run_day(seed, [(0, 200, 0.05)], b_reps=b_reps)
+    r_1, r_2 = bootstrap.simulate_null_day(1e-4, 1.44e-4, 0.5, N, np.random.default_rng(seed))
+    r_1[200] += 0.05
+    adjusted = np.vstack([jumps.adjust_returns(r_1, j_1), jumps.adjust_returns(r_2, j_2)])
+    ic = jwc.jwc_integrated_covariance(adjusted, CFG).values
+    rho = min(0.999, max(-0.999, ic[0, 1] / math.sqrt(ic[0, 0] * ic[1, 1])))
+    eta = np.random.default_rng(seed).standard_normal((2, b_reps, N))
+    s_1 = math.sqrt(ic[0, 0] / N) * eta[0]
+    s_2 = math.sqrt(ic[1, 1] / N) * (rho * eta[0] + math.sqrt(1.0 - rho * rho) * eta[1])
+    qv_star = np.einsum("bi,bi->b", s_1, s_2)
+    z_star = (qv_star - jwc.jwc_pair_entry(s_1, s_2, CFG.resolve(N))) / qv_star
+    assert out.seed == seed
+    assert out.mean_z_star == float(np.mean(z_star))
+    sd = float(np.std(z_star, ddof=1))
+    assert out.var_z_star == sd * sd
+
+
 def test_minimum_replications_enforced():
     with pytest.raises(ValueError, match="100"):
         _run_day(0, b_reps=99)

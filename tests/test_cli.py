@@ -117,10 +117,16 @@ def test_zero_override_is_rejected_not_ignored(capsys, tmp_path, flag):
     assert _stderr_json(capsys)["error"] == "config"
 
 
-@pytest.mark.parametrize("key, value", [("filters", "d4"), ("boundary", "reflecting"),
-                                        ("levels", None)])
+@pytest.mark.parametrize(
+    "key, value",
+    [("filters", "d4"), ("boundary", "reflecting"), ("levels", None),
+     pytest.param("detection", {"filters": "haar", "boundary": "reflecting"}, id="detection")],
+)
 def test_removed_estimator_keys_rejected(capsys, tmp_path, key, value):
-    cfg = _write_config(tmp_path, estimator={"g_spacing": 5, key: value})
+    if key == "detection":  # a removed top-level block
+        cfg = _write_config(tmp_path, detection=value)
+    else:
+        cfg = _write_config(tmp_path, estimator={"g_spacing": 5, key: value})
     assert cli.main(["decompose", "--config", str(cfg)]) == cli.EXIT_CONFIG
     msg = _stderr_json(capsys)
     assert msg["error"] == "config"
@@ -159,7 +165,8 @@ def test_scenario_leg_mismatch(capsys, tmp_path):
     assert "legs" in _stderr_json(capsys)["message"]
 
 
-def test_ingest_writes_panels_and_drop_log(tmp_path):
+def _write_tick_config(tmp_path, **extra):
+    """Two instruments trading every 30 s through 2017-03-13 and 2017-03-14."""
     rows = ["t,p,v"]
     for day in ("2017-03-13", "2017-03-14"):
         for k in range(0, 3600 * 9, 30):
@@ -169,15 +176,35 @@ def test_ingest_writes_panels_and_drop_log(tmp_path):
     (tmp_path / "tu.csv").write_text("\n".join(rows) + "\n")
     (tmp_path / "fv.csv").write_text("\n".join(rows) + "\n")
     schema = {"timestamp": "t", "price": "p", "volume": "v"}
-    cfg = _write_config(
+    return _write_config(
         tmp_path,
         ticks={"TU": {"path": "tu.csv", "schema": schema},
                "FV": {"path": "fv.csv", "schema": schema}},
+        **extra,
     )
+
+
+def test_ingest_writes_panels_and_drop_log(tmp_path):
+    cfg = _write_tick_config(tmp_path)
     assert cli.main(["ingest", "--config", str(cfg)]) == cli.EXIT_OK
     panels = sorted(os.listdir(tmp_path / "out" / "panels"))
     assert panels == ["panel_2017-03-13.csv", "panel_2017-03-14.csv"]
     assert (tmp_path / "out" / "drop_log.csv").exists()
+
+
+def test_ingest_that_keeps_no_day_fails(capsys, tmp_path):
+    cfg = _write_tick_config(
+        tmp_path, calendar={"excluded_dates": ["2017-03-13", "2017-03-14"]}
+    )
+    assert cli.main(["ingest", "--config", str(cfg)]) == cli.EXIT_IO
+    msg = _stderr_json(capsys)
+    assert msg["error"] == "io"
+    assert "2 dates" in msg["message"]
+    assert os.listdir(tmp_path / "out" / "panels") == []
+    drops = list(csv.reader(open(tmp_path / "out" / "drop_log.csv", newline="")))
+    assert drops == [
+        ["date", "reason"], ["2017-03-13", "excluded_date"], ["2017-03-14", "excluded_date"]
+    ]
 
 
 @pytest.mark.parametrize("role", ["instrument", "volumes"])
@@ -305,7 +332,8 @@ def test_env_var_config(full_run, monkeypatch):
     assert cli.main(["report"]) == cli.EXIT_OK
 
 
-def test_report_on_empty_decompositions(tmp_path):
+def test_report_on_empty_decompositions(capsys, tmp_path):
+    """No day to aggregate is an error, not a run of header-only tables."""
     cfg = _write_config(tmp_path)
     out = tmp_path / "out"
     out.mkdir()
@@ -314,12 +342,60 @@ def test_report_on_empty_decompositions(tmp_path):
         "corr_total,corr_cont\n"
     )
     (out / "events.csv").write_text("date,pair,index,time,size_1,size_2\n")
+    assert cli.main(["report", "--config", str(cfg)]) == cli.EXIT_IO
+    msg = _stderr_json(capsys)
+    assert msg["error"] == "io"
+    assert "no rows" in msg["message"]
+    assert not (out / "cj_qv_share.csv").exists()
+    assert not (out / "manifest.json").exists()
+
+
+def test_decompose_when_every_day_fails(capsys, tmp_path):
+    """Panels simulated for TU and FV, decomposed for a renamed instrument."""
+    cfg = _write_config(tmp_path)
+    assert cli.main(["simulate", "--config", str(cfg)]) == cli.EXIT_OK
+    renamed = _write_config(tmp_path, name="renamed.json", instruments=["TU", "US"],
+                            pairs=[["TU", "US"]])
+    assert cli.main(["decompose", "--config", str(renamed)]) == cli.EXIT_NUMERICAL
+    msg = _stderr_json(capsys)
+    assert msg["error"] == "numerical"
+    assert msg["message"].startswith("all 3 days failed")
+    assert "2017-03-13: ValueError" in msg["message"]
+    out = tmp_path / "out"
+    failures = list(csv.DictReader(open(out / "failures.csv", newline="")))
+    assert [r["date"] for r in failures] == ["2017-03-13", "2017-03-14", "2017-03-15"]
+    assert (out / "decompositions.csv").exists()
+    assert cli.main(["report", "--config", str(renamed)]) == cli.EXIT_IO
+    assert "no rows" in _stderr_json(capsys)["message"]
+
+
+def test_decompose_with_one_failed_day_succeeds(tmp_path):
+    cfg = _write_config(tmp_path)
+    assert cli.main(["simulate", "--config", str(cfg)]) == cli.EXIT_OK
+    bad = tmp_path / "out" / "panels" / "panel_2017-03-14.csv"
+    lines = bad.read_text().splitlines(keepends=True)
+    bad.write_text(lines[0].replace(",FV", ",US") + "".join(lines[1:]))
+    assert cli.main(["decompose", "--config", str(cfg)]) == cli.EXIT_OK
+    out = tmp_path / "out"
+    failures = list(csv.DictReader(open(out / "failures.csv", newline="")))
+    assert [r["date"] for r in failures] == ["2017-03-14"]
+    rows = list(csv.DictReader(open(out / "decompositions.csv", newline="")))
+    assert [r["date"] for r in rows] == ["2017-03-13", "2017-03-15"]
     assert cli.main(["report", "--config", str(cfg)]) == cli.EXIT_OK
-    share = list(csv.reader(open(out / "cj_qv_share.csv", newline="")))
-    assert share == [["pair", "days_cj", "qv_total", "pct_cj_qv"]]
-    hist = list(csv.DictReader(open(out / "histogram.csv", newline="")))
-    assert len(hist) == 18
-    assert all(r["count"] == "0" for r in hist)
+
+
+def test_decompose_refuses_panel_with_mixed_dates(capsys, tmp_path):
+    cfg = _write_config(tmp_path)
+    assert cli.main(["simulate", "--config", str(cfg)]) == cli.EXIT_OK
+    edited = tmp_path / "out" / "panels" / "panel_2017-03-14.csv"
+    lines = edited.read_text().splitlines(keepends=True)
+    lines[5] = lines[5].replace("2017-03-14", "2017-03-16", 1)
+    edited.write_text("".join(lines))
+    assert cli.main(["decompose", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    msg = _stderr_json(capsys)
+    assert msg["error"] == "config"
+    assert "panel_2017-03-14.csv" in msg["message"]
+    assert "date" in msg["message"]
 
 
 def test_report_requires_decomposition_outputs(capsys, tmp_path):

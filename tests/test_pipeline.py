@@ -11,7 +11,6 @@ from cojump.ticks import SessionSpec
 
 SPEC = SessionSpec(dt.time(7, 0), dt.time(16, 0), "America/Chicago", 60)
 EST = jwc.JwcConfig(g_spacing=5)
-DET = pipeline.DetectConfig()
 START = dt.date(2017, 3, 13)
 
 
@@ -26,7 +25,7 @@ def _two_leg_panels():
 
 def _run_two_leg(jobs=1, b_reps=150, seed=0):
     return pipeline.process_panels(
-        _two_leg_panels(), [("TU", "FV")], EST, DET,
+        _two_leg_panels(), [("TU", "FV")], EST,
         b_reps=b_reps, alpha=0.05, seed=seed, jobs=jobs,
     )
 
@@ -40,12 +39,12 @@ def two_leg():
 
 def test_detect_panel_jumps_localization():
     panels = _two_leg_panels()
-    js = pipeline.detect_panel_jumps(panels[1], DET)
+    js = pipeline.detect_panel_jumps(panels[1])
     assert js["TU"].jump_indices.tolist() == [270]
     assert js["FV"].jump_indices.tolist() == [270]
     # detected size is the raw return at the flagged interval
     assert js["TU"].jump_sizes[270] == panels[1].series("TU")[270]
-    quiet = pipeline.detect_panel_jumps(panels[0], DET)
+    quiet = pipeline.detect_panel_jumps(panels[0])
     assert quiet["TU"].count == 0 and quiet["FV"].count == 0
 
 
@@ -101,7 +100,7 @@ def test_three_leg_tuple_rotation():
     panels = sim.panels_from_sim(sim.simulate(sc), ["TU", "FV", "TY"], SPEC, START)
     prs = [("TU", "FV"), ("TU", "TY"), ("FV", "TY")]
     results, failures = pipeline.process_panels(
-        panels, prs, EST, DET, b_reps=150, alpha=0.05, seed=0,
+        panels, prs, EST, b_reps=150, alpha=0.05, seed=0,
         tuples=[("TU", "FV", "TY")],
     )
     assert failures == []
@@ -121,23 +120,62 @@ def test_tuple_label_requires_all_pairs():
     panels = sim.panels_from_sim(sim.simulate(sc), ["TU", "FV", "TY"], SPEC, START)
     prs = [("TU", "FV"), ("TU", "TY"), ("FV", "TY")]
     results, failures = pipeline.process_panels(
-        panels, prs, EST, DET, b_reps=150, alpha=0.05, seed=0,
+        panels, prs, EST, b_reps=150, alpha=0.05, seed=0,
         tuples=[("TU", "FV", "TY")],
     )
     assert failures == []
     assert results[0].tuple_labels == {}
 
 
+def _seed_table(seed, dates, pairs):
+    return {
+        (date, pair): pipeline.pair_seed(seed, date, k)
+        for date in dates
+        for k, pair in enumerate(pairs)
+    }
+
+
 def test_pair_seed_table_properties():
     dates = [START + dt.timedelta(days=k) for k in range(4)]
     pairs = [("TU", "FV"), ("TU", "TY")]
-    table = pipeline.pair_seed_table(7, dates, pairs)
+    table = _seed_table(7, dates, pairs)
     assert len(table) == 8
     assert len(set(table.values())) == 8  # distinct streams per day-pair
     # insertion order of the dates argument must not matter
-    shuffled = pipeline.pair_seed_table(7, dates[::-1], pairs)
+    shuffled = _seed_table(7, dates[::-1], pairs)
     assert shuffled == table
-    assert pipeline.pair_seed_table(8, dates, pairs) != table
+    assert _seed_table(8, dates, pairs) != table
+    # nor which other dates are present
+    assert _seed_table(7, dates[1:], pairs) == {
+        key: value for key, value in table.items() if key[0] != dates[0]
+    }
+
+
+def test_rerun_subset_keeps_each_days_test():
+    """A day-pair's seed, Z and p do not depend on the other days or on jobs."""
+    sc = sim.SimScenario(
+        n_intervals=540, n_days=4, sigma=(0.01, 0.012, 0.011), rho=0.6, seed=300,
+        jumps=((1, 270, 0.1, 0.12, 0.0), (3, 100, 0.0, 0.0, 0.11)),
+    )
+    panels = sim.panels_from_sim(sim.simulate(sc), ["TU", "FV", "TY"], SPEC, START)
+    prs = [("TU", "FV"), ("TU", "TY"), ("FV", "TY")]
+
+    def run(days, jobs):
+        results, failures = pipeline.process_panels(
+            days, prs, EST, b_reps=150, alpha=0.05, seed=11, jobs=jobs
+        )
+        assert failures == []
+        return {
+            (day.date, pair): (out.seed, out.z, out.p_value)
+            for day in results
+            for pair, out in day.outcomes.items()
+        }
+
+    full = run(panels, jobs=1)
+    subset = run(panels[1:], jobs=2)
+    assert len(subset) == 9
+    assert all(np.isfinite(z) for _, z, _ in subset.values())
+    assert subset == {key: value for key, value in full.items() if key[0] != START}
 
 
 def test_worker_count_does_not_change_results(two_leg):
@@ -166,7 +204,7 @@ def _panels_with_short_day():
 def test_per_day_failure_isolation():
     panels, short_panel = _panels_with_short_day()
     results, failures = pipeline.process_panels(
-        panels, [("TU", "FV")], EST, DET, b_reps=150, alpha=0.05, seed=0
+        panels, [("TU", "FV")], EST, b_reps=150, alpha=0.05, seed=0
     )
     assert len(results) == 3
     assert len(failures) == 1
@@ -178,7 +216,7 @@ def test_failures_same_serial_and_parallel():
     panels, _ = _panels_with_short_day()
     runs = [
         pipeline.process_panels(
-            panels, [("TU", "FV")], EST, DET, b_reps=150, alpha=0.05, seed=0, jobs=jobs
+            panels, [("TU", "FV")], EST, b_reps=150, alpha=0.05, seed=0, jobs=jobs
         )
         for jobs in (1, 2)
     ]
@@ -248,7 +286,7 @@ def test_tuple_labels_csv_roundtrip(tmp_path):
     panels = sim.panels_from_sim(sim.simulate(sc), ["TU", "FV", "TY"], SPEC, START)
     prs = [("TU", "FV"), ("TU", "TY"), ("FV", "TY")]
     results, _ = pipeline.process_panels(
-        panels, prs, EST, DET, b_reps=150, alpha=0.05, seed=0,
+        panels, prs, EST, b_reps=150, alpha=0.05, seed=0,
         tuples=[("TU", "FV", "TY")],
     )
     path = tmp_path / "tuples.csv"

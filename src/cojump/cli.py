@@ -6,8 +6,9 @@ one, so long runs restart at stage boundaries. All randomness flows
 from the single master seed, and outputs carry no timestamps: a rerun
 with the same inputs, config, and seed is byte-identical.
 
-Exit codes: 0 success, 2 I/O failure, 3 invalid configuration,
-4 numerical failure. Errors are emitted as one-line JSON on stderr.
+Exit codes: 0 success, 2 I/O failure (including an input file that
+does not parse), 3 invalid configuration, 4 numerical failure. Errors
+are emitted as one-line JSON on stderr.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class RunConfig:
     pairs: list
     tuples: list
     calendar: ticks.TradingCalendar
-    announcements: object
+    announcements: frozenset | None
     tick_sources: dict
     scenario_path: object
     estimator: jwc.JwcConfig
@@ -65,22 +66,20 @@ def _parse_time(text: str) -> dt.time:
     return dt.time.fromisoformat(text)
 
 
-def _build_announcements(block) -> object:
+def _announcement_dates(block) -> frozenset | None:
+    """The dates of the announcement events, or None without a block.
+
+    An event is ``[date, time, timezone]`` or a dict with those keys.
+    Only the date is read: the report tables link co-jumps to
+    announcements by day, so an event's time and timezone and the
+    block's ``windows`` are accepted and change no output.
+    """
     if not block:
         return None
-    evs = []
-    for e in block.get("events", []):
-        if isinstance(e, dict):
-            date, time, zone = e["date"], e["time"], e["timezone"]
-        else:
-            date, time, zone = e
-        evs.append(
-            events.Announcement(
-                date=dt.date.fromisoformat(date), time=_parse_time(time), timezone=zone
-            )
-        )
-    windows = [tuple(w) for w in block.get("windows", [])]
-    return events.AnnouncementCalendar(events=tuple(evs), windows=tuple(windows))
+    return frozenset(
+        dt.date.fromisoformat(e["date"] if isinstance(e, dict) else e[0])
+        for e in block.get("events", [])
+    )
 
 
 def load_config(path: str, overrides: dict) -> RunConfig:
@@ -113,7 +112,7 @@ def load_config(path: str, overrides: dict) -> RunConfig:
             ),
             low_trade_threshold=float(cal_block.get("low_trade_threshold", 0.60)),
         )
-        announcements = _build_announcements(raw.get("announcements"))
+        announcements = _announcement_dates(raw.get("announcements"))
         est_block = dict(raw.get("estimator", {}))
         # keys of earlier versions that changed no output number
         removed = sorted({"filters", "boundary", "levels"} & set(est_block))
@@ -163,7 +162,7 @@ def load_config(path: str, overrides: dict) -> RunConfig:
         )
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (LookupError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     _validate(config)
     return config
@@ -194,6 +193,8 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError("bootstrap b_reps must be at least 100")
     if config.jobs < 1:
         raise ConfigError("jobs must be positive")
+    if config.seed < 0:
+        raise ConfigError("seed must be non-negative")
     for name, src in config.tick_sources.items():
         if name not in declared:
             raise ConfigError(f"tick source {name!r} is not a declared instrument")
@@ -231,7 +232,8 @@ def cmd_ingest(config: RunConfig) -> int:
     out = _panels_dir(config)
     os.makedirs(out, exist_ok=True)
     for panel in panels:
-        ticks.write_panel_csv(panel, os.path.join(out, f"panel_{panel.date.isoformat()}.csv"))
+        path = os.path.join(out, f"panel_{panel.date.isoformat()}.csv")
+        ticks.write_panel_csv(panel, path, config.session)
     ticks.write_drop_log(drop_log, os.path.join(config.output, "drop_log.csv"))
     if not panels:
         raise OSError(f"ingest kept no day: {len(drop_log)} dates dropped, see drop_log.csv")
@@ -252,7 +254,8 @@ def cmd_simulate(config: RunConfig) -> int:
     out = _panels_dir(config)
     os.makedirs(out, exist_ok=True)
     for panel in panels:
-        ticks.write_panel_csv(panel, os.path.join(out, f"panel_{panel.date.isoformat()}.csv"))
+        path = os.path.join(out, f"panel_{panel.date.isoformat()}.csv")
+        ticks.write_panel_csv(panel, path, config.session)
     with open(os.path.join(config.output, "truth.csv"), "w", newline="") as handle:
         handle.write("date,entry,ic,cj,qv\n")
         for day, panel in zip(days, panels):
@@ -292,8 +295,8 @@ def cmd_decompose(config: RunConfig) -> int:
     )
     os.makedirs(config.output, exist_ok=True)
     pipeline.write_decompositions(results, os.path.join(config.output, "decompositions.csv"))
-    pipeline.write_events_csv(results, os.path.join(config.output, "events.csv"))
-    pipeline.write_jump_report(results, os.path.join(config.output, "jumps.csv"))
+    pipeline.write_events_csv(results, os.path.join(config.output, "events.csv"), config.session)
+    pipeline.write_jump_report(results, os.path.join(config.output, "jumps.csv"), config.session)
     pipeline.write_tuple_labels(results, os.path.join(config.output, "tuple_days.csv"))
     pipeline.write_failures(failures, os.path.join(config.output, "failures.csv"))
     outcomes = [res.outcomes[pair] for res in results for pair in sorted(res.outcomes)]
@@ -361,7 +364,7 @@ def cmd_report(config: RunConfig) -> int:
     events.write_regression_table(rows4, os.path.join(config.output, "correlation_regression.csv"))
 
     rows5 = []
-    news_dates = config.announcements.dates() if config.announcements else frozenset()
+    news_dates = config.announcements or frozenset()
     for pair in sorted(by_pair):
         recs = sorted(by_pair[pair], key=lambda r: r.date)
         y = [1.0 if r.classification == "co_jump" else 0.0 for r in recs]
@@ -384,12 +387,8 @@ def cmd_report(config: RunConfig) -> int:
             rows6.append((name, table))
     events.write_shift_rotation_table(rows6, os.path.join(config.output, "shift_rotation.csv"))
 
-    times = []
-    tz = config.session.tzinfo()
-    for row in event_rows:
-        times.append(dt.datetime.combine(row["date"], row["time"], tzinfo=tz))
     bin_starts, counts = events.intraday_histogram(
-        times, config.histogram_bin_minutes, config.session
+        [row["index"] for row in event_rows], config.histogram_bin_minutes, config.session
     )
     events.write_histogram(bin_starts, counts, os.path.join(config.output, "histogram.csv"))
 
@@ -466,7 +465,7 @@ def main(argv=None) -> int:
     except (ConfigError, ticks.SessionMismatch) as exc:
         _emit_error("config", str(exc))
         return EXIT_CONFIG
-    except (OSError, ticks.ZeroValidRows) as exc:
+    except (OSError, ticks.MalformedFile) as exc:
         _emit_error("io", str(exc))
         return EXIT_IO
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:

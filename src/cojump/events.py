@@ -6,6 +6,10 @@ covariation, the correlation-impact regression, the announcement
 logit, intraday co-jump histograms, and the shift/rotation breakdown
 by announcement status.
 
+Announcements enter at the level of the day, as a set of dates, and a
+co-jump's intraday moment as the grid index of its interval; the
+histogram turns indices into wall-clock bins through the session alone.
+
 Regressions are solved by hand on purpose: OLS in exact integer
 arithmetic with an HC0 sandwich, the logit by iteratively reweighted
 least squares with ``math.fsum`` sums, both cross-checked in the test
@@ -19,9 +23,8 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from zoneinfo import ZoneInfo
 
 import numpy as np
 
@@ -39,49 +42,10 @@ class CompleteSeparation(DegenerateFit):
 
 
 @dataclass(frozen=True)
-class Announcement:
-    date: dt.date
-    time: dt.time
-    timezone: str
-
-
-@dataclass(frozen=True)
-class AnnouncementCalendar:
-    """Scheduled events plus relative attribution windows in minutes."""
-
-    events: tuple
-    windows: tuple  # ((offset_start_min, offset_end_min), ...)
-
-    def __post_init__(self):
-        object.__setattr__(self, "events", tuple(self.events))
-        object.__setattr__(self, "windows", tuple((float(a), float(b)) for a, b in self.windows))
-        if not self.windows:
-            raise ValueError("at least one window rule is required")
-        for a, b in self.windows:
-            if not b > a:
-                raise ValueError(f"window ({a}, {b}) has non-positive length")
-
-    def dates(self) -> frozenset:
-        return frozenset(e.date for e in self.events)
-
-    def windows_on(self, date: dt.date) -> list:
-        """Absolute [start, end) windows for the events of one date."""
-        out = []
-        for e in self.events:
-            if e.date != date:
-                continue
-            anchor = dt.datetime.combine(e.date, e.time, tzinfo=ZoneInfo(e.timezone))
-            for a, b in self.windows:
-                out.append((anchor + dt.timedelta(minutes=a), anchor + dt.timedelta(minutes=b)))
-        return out
-
-
-@dataclass(frozen=True)
 class CoJumpEvent:
-    """One simultaneous jump: grid index, interval left endpoint, sizes."""
+    """One simultaneous jump: grid index of its interval, sizes."""
 
     index: int
-    time: dt.datetime
     sizes: tuple
 
 
@@ -324,64 +288,23 @@ def announcement_logit(cojump_indicator, news_indicator) -> LogitResult:
     )
 
 
-def _require_zone(stamp: dt.datetime, zone: str, what: str) -> None:
-    tz = stamp.tzinfo
-    key = getattr(tz, "key", None)
-    if key is None:
-        raise TypeError(f"{what} timestamp {stamp!r} lacks an IANA timezone")
-    if key != zone:
-        raise TypeError(f"{what} timezone {key!r} does not match calendar zone {zone!r}")
-
-
-def cojump_window_indicator(decomps: list, calendar: AnnouncementCalendar) -> dict:
-    """Per-date 0/1: did any co-jump land inside an announcement window.
-
-    Membership is [start, end) on the event's interval left endpoint.
-    Event timestamps must carry the calendar's own timezone; differing
-    or missing zones are an error, never converted behind the caller's
-    back.
-    """
-    zones = {e.timezone for e in calendar.events}
-    out: dict = {}
-    for rec in decomps:
-        hit = 0
-        windows = calendar.windows_on(rec.date)
-        for ev in rec.events:
-            for zone in zones:
-                _require_zone(ev.time, zone, "co-jump event")
-            if any(a <= ev.time < b for a, b in windows):
-                hit = 1
-                break
-        out[rec.date] = max(out.get(rec.date, 0), hit)
-    return out
-
-
-def intraday_histogram(event_times: list, bin_minutes: int, spec: SessionSpec):
+def intraday_histogram(indices: list, bin_minutes: int, spec: SessionSpec):
     """Counts of events per wall-clock bin across the session.
 
-    Returns (bin_starts, counts) where bin_starts are session-local
-    times. ``bin_minutes`` must divide the session length; every event
-    must fall inside the session.
+    ``indices`` are the grid indices of the events' intervals. Returns
+    (bin_starts, counts) with the bins' "HH:MM:SS" session-local starts.
+    ``bin_minutes`` must divide the session length; every index must lie
+    on the session grid.
     """
     width = bin_minutes * 60
     if width <= 0 or spec.session_seconds % width != 0:
         raise ValueError("bin width must divide the session length")
-    n_bins = spec.session_seconds // width
-    counts = np.zeros(n_bins, dtype=int)
-    start = spec.session_start
-    for t in event_times:
-        local = t.astimezone(ZoneInfo(spec.timezone)).time() if t.tzinfo else t.time()
-        offset = (
-            (local.hour - start.hour) * 3600
-            + (local.minute - start.minute) * 60
-            + (local.second - start.second)
-        )
-        if not 0 <= offset < spec.session_seconds:
-            raise ValueError(f"event at {t} outside the session")
-        counts[offset // width] += 1
-    base = dt.datetime(2000, 1, 3, start.hour, start.minute, start.second)
-    bin_starts = [(base + dt.timedelta(seconds=i * width)).time() for i in range(n_bins)]
-    return bin_starts, counts
+    counts = np.zeros(spec.session_seconds // width, dtype=int)
+    for index in indices:
+        if not 0 <= index < spec.n_intervals:
+            raise ValueError(f"event index {index} outside the session")
+        counts[index * spec.sampling_interval // width] += 1
+    return spec.grid_labels(width), counts
 
 
 def classify_shift_rotation(sizes) -> str:
@@ -403,18 +326,18 @@ def classify_shift_rotation(sizes) -> str:
     return "Rotation"
 
 
-def shift_rotation_table(day_labels: dict, calendar: AnnouncementCalendar, sample_dates) -> list:
+def shift_rotation_table(day_labels: dict, announcement_dates, sample_dates) -> list:
     """Shift/rotation counts split by announcement status.
 
     ``day_labels`` maps dates with a co-jump to that day's label (one
-    label per day; multi-event days are labeled upstream). Percentages
-    are taken against the segment's day count, which is emitted so the
-    shares can be renormalized.
+    label per day; multi-event days are labeled upstream). A sample date
+    is an announcement day when it is in ``announcement_dates``.
+    Percentages are taken against the segment's day count, which is
+    emitted so the shares can be renormalized.
     """
-    ann = calendar.dates()
     segments = {"announcement": [], "non_announcement": []}
     for date in sample_dates:
-        key = "announcement" if date in ann else "non_announcement"
+        key = "announcement" if date in announcement_dates else "non_announcement"
         segments[key].append(date)
     rows = []
     for segment in ("announcement", "non_announcement"):
@@ -557,5 +480,5 @@ def write_shift_rotation_table(rows_by_tuple: list, path) -> None:
 
 
 def write_histogram(bin_starts: list, counts, path) -> None:
-    rows = [[t.strftime("%H:%M:%S"), int(c)] for t, c in zip(bin_starts, counts)]
+    rows = [[t, int(c)] for t, c in zip(bin_starts, counts)]
     _write_rows(path, ["bin_start", "count"], rows)

@@ -10,6 +10,8 @@ Seeding: each (day, pair) draws its bootstrap from one stream whose
 seed is derived from the run's master seed, the date and the pair's
 index in the configured pairs alone, so a day's results do not depend
 on the worker count, the scheduling or which other days are in the run.
+A day whose worker process dies is rerun in the calling process, so a
+crash costs time, not results.
 """
 
 from __future__ import annotations
@@ -17,12 +19,13 @@ from __future__ import annotations
 import csv
 import datetime as dt
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import bootstrap, events, jumps, jwc, modwt
-from .ticks import ReturnPanel
+from .ticks import MalformedFile, ReturnPanel, SessionSpec
 
 
 @dataclass
@@ -33,7 +36,6 @@ class DayResult:
     outcomes: dict
     decomps: list
     tuple_labels: dict = field(default_factory=dict)
-    grid_times: tuple = ()
 
 
 def detect_panel_jumps(panel: ReturnPanel) -> dict:
@@ -57,19 +59,13 @@ def _sizes_at_indices(js: jumps.JumpSeries) -> dict:
     return {int(i): float(js.jump_sizes[i]) for i in js.jump_indices}
 
 
-def _pair_events(panel, jumps_a, jumps_b, common) -> tuple:
-    evs = []
+def _pair_events(jumps_a, jumps_b, common) -> tuple:
     sizes_a = _sizes_at_indices(jumps_a)
     sizes_b = _sizes_at_indices(jumps_b)
-    for idx in common.tolist():
-        evs.append(
-            events.CoJumpEvent(
-                index=int(idx),
-                time=panel.grid_times[int(idx)],
-                sizes=(sizes_a[idx], sizes_b[idx]),
-            )
-        )
-    return tuple(evs)
+    return tuple(
+        events.CoJumpEvent(index=int(idx), sizes=(sizes_a[idx], sizes_b[idx]))
+        for idx in common.tolist()
+    )
 
 
 def _corr(num: float, den_1: float, den_2: float) -> float:
@@ -146,9 +142,7 @@ def process_day(
                 ic=selected,
                 cj=cj,
                 classification=outcome.classification,
-                events=_pair_events(panel, jump_series[a], jump_series[b], common)
-                if is_cj
-                else (),
+                events=_pair_events(jump_series[a], jump_series[b], common) if is_cj else (),
                 corr_total=_corr(qv, qv_diag[a], qv_diag[b]),
                 corr_cont=_corr(selected, den_a, den_b),
                 z=outcome.z,
@@ -170,7 +164,6 @@ def process_day(
         outcomes=outcomes,
         decomps=decomps,
         tuple_labels=tuple_labels,
-        grid_times=tuple(panel.grid_times),
     )
 
 
@@ -215,7 +208,8 @@ def process_panels(
     """Run the day pipeline over all panels.
 
     Returns (results, failures): failures collect per-day errors as
-    (date, message) without aborting the remaining days.
+    (date, message) without aborting the remaining days. A day whose
+    worker process dies is rerun here, in this process.
     """
     pairs = [tuple(p) for p in pairs]
     tasks = [
@@ -224,7 +218,8 @@ def process_panels(
     ]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outs = list(pool.map(_run_one_safe, tasks))
+            futures = [pool.submit(_run_one_safe, task) for task in tasks]
+            outs = [_result_or_rerun(future, task) for future, task in zip(futures, tasks)]
     else:
         outs = [_run_one_safe(task) for task in tasks]
     results = []
@@ -244,6 +239,36 @@ def _run_one_safe(args):
         return ("__error__", f"{type(exc).__name__}: {exc}")
 
 
+def _result_or_rerun(future, task):
+    try:
+        return future.result()
+    except BrokenProcessPool:  # a worker died; every day it took down runs again serially
+        return _run_one_safe(task)
+
+
+def _read_csv(path, columns: list, convert) -> list:
+    """``convert`` of each row of an intermediate CSV; bad files raise MalformedFile."""
+    with open(path, newline="") as handle:
+        reader = csv.DictReader(handle)
+        missing = [c for c in columns if c not in (reader.fieldnames or [])]
+        if missing:
+            raise MalformedFile(f"{path}: missing columns {missing}")
+        out = []
+        for row in reader:
+            try:
+                out.append(convert(row))
+            except (TypeError, ValueError) as exc:
+                raise MalformedFile(f"{path}: line {reader.line_num}: {exc}") from exc
+    return out
+
+
+_DECOMP_COLUMNS = (
+    "date pair qv ic cj z p rejected inconclusive classification corr_total corr_cont".split()
+)
+_EVENT_COLUMNS = ["date", "pair", "index", "time", "size_1", "size_2"]
+_TUPLE_COLUMNS = ["date", "tuple", "label"]
+
+
 def write_decompositions(results: list, path) -> None:
     """Per-day, per-pair decomposition CSV, sorted by date then pair."""
     rows = []
@@ -253,22 +278,7 @@ def write_decompositions(results: list, path) -> None:
     rows.sort(key=lambda r: (r.date, r.pair))
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
-            [
-                "date",
-                "pair",
-                "qv",
-                "ic",
-                "cj",
-                "z",
-                "p",
-                "rejected",
-                "inconclusive",
-                "classification",
-                "corr_total",
-                "corr_cont",
-            ]
-        )
+        writer.writerow(_DECOMP_COLUMNS)
         for r in rows:
             writer.writerow(
                 [
@@ -290,32 +300,30 @@ def write_decompositions(results: list, path) -> None:
 
 def read_decompositions(path) -> list:
     """Rebuild DayDecomposition records (events live in events.csv)."""
-    out = []
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        for row in reader:
-            out.append(
-                events.DayDecomposition(
-                    date=dt.date.fromisoformat(row["date"]),
-                    pair=tuple(row["pair"].split("-")),
-                    qv=float(row["qv"]),
-                    ic=float(row["ic"]),
-                    cj=float(row["cj"]),
-                    classification=row["classification"],
-                    events=(),
-                    corr_total=float(row["corr_total"]),
-                    corr_cont=float(row["corr_cont"]),
-                    z=float(row["z"]),
-                    p_value=float(row["p"]),
-                    rejected=bool(int(row["rejected"])),
-                    inconclusive=bool(int(row["inconclusive"])),
-                )
-            )
-    return out
+    return _read_csv(
+        path,
+        _DECOMP_COLUMNS,
+        lambda row: events.DayDecomposition(
+            date=dt.date.fromisoformat(row["date"]),
+            pair=tuple(row["pair"].split("-")),
+            qv=float(row["qv"]),
+            ic=float(row["ic"]),
+            cj=float(row["cj"]),
+            classification=row["classification"],
+            events=(),
+            corr_total=float(row["corr_total"]),
+            corr_cont=float(row["corr_cont"]),
+            z=float(row["z"]),
+            p_value=float(row["p"]),
+            rejected=bool(int(row["rejected"])),
+            inconclusive=bool(int(row["inconclusive"])),
+        ),
+    )
 
 
-def write_events_csv(results: list, path) -> None:
+def write_events_csv(results: list, path, spec: SessionSpec) -> None:
     """Co-jump event rows: date, pair, index, interval start, sizes."""
+    labels = spec.grid_labels()
     rows = []
     for res in results:
         for rec in res.decomps:
@@ -325,7 +333,7 @@ def write_events_csv(results: list, path) -> None:
                         rec.date.isoformat(),
                         "-".join(rec.pair),
                         ev.index,
-                        ev.time.strftime("%H:%M:%S"),
+                        labels[ev.index],
                         repr(float(ev.sizes[0])),
                         repr(float(ev.sizes[1])),
                     ]
@@ -333,30 +341,28 @@ def write_events_csv(results: list, path) -> None:
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["date", "pair", "index", "time", "size_1", "size_2"])
+        writer.writerow(_EVENT_COLUMNS)
         writer.writerows(rows)
 
 
 def read_events_csv(path) -> list:
     """Event rows as (date, pair, index, wall-clock time, sizes)."""
-    out = []
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        for row in reader:
-            out.append(
-                {
-                    "date": dt.date.fromisoformat(row["date"]),
-                    "pair": tuple(row["pair"].split("-")),
-                    "index": int(row["index"]),
-                    "time": dt.time.fromisoformat(row["time"]),
-                    "sizes": (float(row["size_1"]), float(row["size_2"])),
-                }
-            )
-    return out
+    return _read_csv(
+        path,
+        _EVENT_COLUMNS,
+        lambda row: {
+            "date": dt.date.fromisoformat(row["date"]),
+            "pair": tuple(row["pair"].split("-")),
+            "index": int(row["index"]),
+            "time": dt.time.fromisoformat(row["time"]),
+            "sizes": (float(row["size_1"]), float(row["size_2"])),
+        },
+    )
 
 
-def write_jump_report(results: list, path) -> None:
+def write_jump_report(results: list, path, spec: SessionSpec) -> None:
     """Per-instrument jump rows: date, instrument, index, interval start, size."""
+    labels = spec.grid_labels()
     rows = []
     for res in results:
         for name, js in sorted(res.jump_series.items()):
@@ -366,7 +372,7 @@ def write_jump_report(results: list, path) -> None:
                         res.date.isoformat(),
                         name,
                         int(idx),
-                        res.grid_times[int(idx)].strftime("%H:%M:%S"),
+                        labels[idx],
                         repr(float(js.jump_sizes[idx])),
                     ]
                 )
@@ -385,17 +391,17 @@ def write_tuple_labels(results: list, path) -> None:
     rows.sort()
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["date", "tuple", "label"])
+        writer.writerow(_TUPLE_COLUMNS)
         writer.writerows(rows)
 
 
 def read_tuple_labels(path) -> dict:
     """Maps tuple name -> {date: label}."""
     out: dict = {}
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        for row in reader:
-            out.setdefault(row["tuple"], {})[dt.date.fromisoformat(row["date"])] = row["label"]
+    for name, date, label in _read_csv(
+        path, _TUPLE_COLUMNS, lambda r: (r["tuple"], dt.date.fromisoformat(r["date"]), r["label"])
+    ):
+        out.setdefault(name, {})[date] = label
     return out
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ticks import ReturnPanel, SessionSpec
+from .ticks import MalformedFile, ReturnPanel, SessionSpec
 
 VOL_PATTERNS = ("flat", "u_shape")
 
@@ -214,12 +214,7 @@ def panels_from_sim(
         raise ValueError("session grid does not match the scenario's interval count")
     dates = business_dates(start_date, len(days))
     return [
-        ReturnPanel(
-            date=dates[k],
-            instruments=list(instruments),
-            returns=day.observed,
-            grid_times=spec.grid_instants(dates[k]),
-        )
+        ReturnPanel(date=dates[k], instruments=list(instruments), returns=day.observed)
         for k, day in enumerate(days)
     ]
 
@@ -239,7 +234,8 @@ def read_scenario(path) -> SimScenario:
 
     One ``key = value`` pair per line; '#' starts a comment. ``sigma``
     and ``mu`` take comma-separated per-leg values; each ``jump`` line
-    adds one (day, index, sizes...) tuple and may repeat.
+    adds one (day, index, sizes...) tuple and may repeat. A line that does
+    not parse raises MalformedFile naming the file and line.
     """
     fields: dict = {}
     jumps = []
@@ -248,19 +244,23 @@ def read_scenario(path) -> SimScenario:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key == "jump":
-                parts = [p.strip() for p in value.split(",")]
-                jumps.append(tuple([int(parts[0]), int(parts[1])] + [float(p) for p in parts[2:]]))
-            elif key in ("sigma", "mu"):
-                fields[key] = tuple(float(p) for p in value.split(","))
-            elif key in _SCALAR_KEYS:
-                fields[key] = _SCALAR_KEYS[key](value)
-            else:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            key, eq, value = (part.strip() for part in line.partition("="))
+            try:
+                if not eq:
+                    raise ValueError("expected key = value")
+                if key == "jump":
+                    parts = [p.strip() for p in value.split(",")]
+                    jumps.append(
+                        tuple([int(parts[0]), int(parts[1])] + [float(p) for p in parts[2:]])
+                    )
+                elif key in ("sigma", "mu"):
+                    fields[key] = tuple(float(p) for p in value.split(","))
+                elif key in _SCALAR_KEYS:
+                    fields[key] = _SCALAR_KEYS[key](value)
+                else:
+                    raise ValueError(f"unknown key {key!r}")
+            except (IndexError, ValueError) as exc:
+                raise MalformedFile(f"{path}:{lineno}: {exc}") from exc
     if "sigma" not in fields:
-        raise ValueError(f"{path}: sigma is required")
+        raise MalformedFile(f"{path}: sigma is required")
     return SimScenario(jumps=tuple(jumps), **fields)

@@ -10,7 +10,10 @@ interval, one column per instrument.
 Grid convention: a session of length T seconds sampled every s seconds
 yields N = T/s return intervals and N + 1 grid instants t_0..t_N.
 Return i covers (t_i, t_{i+1}], so an event inside interval i is
-stamped with the interval's left endpoint t_i.
+stamped with the interval's left endpoint t_i. An intraday moment is
+held as its grid index i; its wall-clock label depends on the session
+alone, because session times are wall-clock times and the grid steps
+along the wall clock on every date, DST switches included.
 """
 
 from __future__ import annotations
@@ -33,7 +36,11 @@ def _wall_us(stamp: dt.datetime) -> int:
     return (stamp - _EPOCH) // _US
 
 
-class ZeroValidRows(ValueError):
+class MalformedFile(ValueError):
+    """An input file cannot be parsed; the message names the file."""
+
+
+class ZeroValidRows(MalformedFile):
     """A tick file contained no parseable rows."""
 
 
@@ -78,14 +85,20 @@ class SessionSpec:
     def tzinfo(self) -> ZoneInfo:
         return ZoneInfo(self.timezone)
 
-    def grid_instants(self, date: dt.date) -> list[dt.datetime]:
-        """The N + 1 aware grid instants of one session day."""
-        base = dt.datetime.combine(date, self.session_start, tzinfo=self.tzinfo())
-        step = dt.timedelta(seconds=self.sampling_interval)
-        return [base + i * step for i in range(self.n_intervals + 1)]
+    def grid_labels(self, step: int = 0) -> list[str]:
+        """Wall-clock "HH:MM:SS" of the N interval left endpoints, the same on every date.
+
+        A ``step`` in seconds labels a coarser cut of the session instead.
+        """
+        step = step or self.sampling_interval
+        base = dt.datetime.combine(_EPOCH.date(), self.session_start)
+        return [
+            (base + dt.timedelta(seconds=i * step)).strftime("%H:%M:%S")
+            for i in range(self.session_seconds // step)
+        ]
 
     def grid_us(self, date: dt.date) -> np.ndarray:
-        """The same N + 1 instants as wall-clock microseconds (see TickSeries)."""
+        """The N + 1 grid instants of one date as wall-clock microseconds (see TickSeries)."""
         start = _wall_us(dt.datetime.combine(date, self.session_start))
         return start + self.sampling_interval * 1_000_000 * np.arange(self.n_intervals + 1)
 
@@ -135,14 +148,11 @@ class ReturnPanel:
     date: dt.date
     instruments: list
     returns: np.ndarray
-    grid_times: list
 
     def __post_init__(self):
         self.returns = np.asarray(self.returns, dtype=float)
         if self.returns.ndim != 2 or self.returns.shape[0] != len(self.instruments):
             raise ValueError("returns must be a d x N matrix matching instruments")
-        if len(self.grid_times) != self.returns.shape[1] + 1:
-            raise ValueError("grid_times must hold N + 1 instants")
         if not np.all(np.isfinite(self.returns)):
             raise ValueError("returns must be finite")
 
@@ -251,9 +261,7 @@ def build_panel(price_grids: dict, date: dt.date, spec: SessionSpec) -> ReturnPa
         if np.any(prices <= 0.0):
             raise ValueError(f"{name}: non-positive price on the grid")
         returns[i] = np.diff(np.log(prices))
-    return ReturnPanel(
-        date=date, instruments=instruments, returns=returns, grid_times=spec.grid_instants(date)
-    )
+    return ReturnPanel(date=date, instruments=instruments, returns=returns)
 
 
 def build_panels(tick_series: dict, spec: SessionSpec, calendar: TradingCalendar):
@@ -294,40 +302,45 @@ def build_panels(tick_series: dict, spec: SessionSpec, calendar: TradingCalendar
     return panels, drop_log
 
 
-def write_panel_csv(panel: ReturnPanel, path) -> None:
+def write_panel_csv(panel: ReturnPanel, path, spec: SessionSpec) -> None:
     """One day's returns: date, interval left endpoint, one column per leg."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["date", "grid_time"] + list(panel.instruments))
-        for i in range(panel.n_intervals):
-            stamp = panel.grid_times[i].strftime("%H:%M:%S")
-            row = [panel.date.isoformat(), stamp]
-            row.extend(repr(float(v)) for v in panel.returns[:, i])
-            writer.writerow(row)
+        for label, column in zip(spec.grid_labels(), panel.returns.T):
+            writer.writerow([panel.date.isoformat(), label] + [repr(float(v)) for v in column])
 
 
 def read_panel_csv(path, spec: SessionSpec) -> ReturnPanel:
-    """Rebuild a ReturnPanel written by write_panel_csv under ``spec``."""
+    """Rebuild a ReturnPanel written by write_panel_csv under ``spec``.
+
+    A file that does not parse raises MalformedFile; a parseable panel
+    of another date layout or session raises SessionMismatch.
+    """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader)
-        if header[:2] != ["date", "grid_time"]:
-            raise ValueError(f"{path}: not a panel file")
-        instruments = header[2:]
+        header = next(reader, [])
         rows = list(reader)
+    if header[:2] != ["date", "grid_time"]:
+        raise MalformedFile(f"{path}: not a panel file")
     if not rows:
-        raise ValueError(f"{path}: empty panel")
+        raise MalformedFile(f"{path}: empty panel")
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise MalformedFile(f"{path}: line {lineno} has {len(row)} fields, not {len(header)}")
     if any(row[0] != rows[0][0] for row in rows):
         raise SessionMismatch(f"{path}: date column is not constant")
-    date = dt.date.fromisoformat(rows[0][0])
-    grid = spec.grid_instants(date)
-    if [row[1:2] for row in rows] != [[t.strftime("%H:%M:%S")] for t in grid[:-1]]:
+    if [row[1] for row in rows] != spec.grid_labels():
         raise SessionMismatch(
             f"{path}: grid_time column does not match the session "
             f"{spec.session_start}-{spec.session_end} every {spec.sampling_interval} s"
         )
-    returns = np.array([[float(v) for v in row[2:]] for row in rows]).T
-    return ReturnPanel(date=date, instruments=instruments, returns=returns, grid_times=grid)
+    try:
+        date = dt.date.fromisoformat(rows[0][0])
+        returns = np.array([[float(v) for v in row[2:]] for row in rows]).T
+        return ReturnPanel(date=date, instruments=header[2:], returns=returns)
+    except ValueError as exc:
+        raise MalformedFile(f"{path}: {exc}") from exc
 
 
 def write_drop_log(drop_log, path) -> None:

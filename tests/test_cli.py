@@ -4,10 +4,12 @@ import csv
 import datetime as dt
 import json
 import os
+import re
+from pathlib import Path
 
 import pytest
 
-from cojump import cli
+from cojump import cli, pipeline
 
 SESSION = {"start": "07:00", "end": "16:00", "timezone": "America/Chicago",
            "sampling_seconds": 60}
@@ -402,3 +404,131 @@ def test_report_requires_decomposition_outputs(capsys, tmp_path):
     cfg = _write_config(tmp_path)
     assert cli.main(["report", "--config", str(cfg)]) == cli.EXIT_IO
     assert "decomposition" in _stderr_json(capsys)["message"]
+
+
+def _tree(root):
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*")) if path.is_file()
+    }
+
+
+def test_announcement_times_zones_and_windows_change_no_output(full_run):
+    """Only announcement dates are read: the rest of the block moves no byte."""
+    tmp_path, cfg = full_run
+    raw = json.loads(cfg.read_text())
+    del raw["announcements"]["windows"]
+    raw["announcements"]["events"] = [
+        {"date": "2017-03-14", "time": "08:45", "timezone": "Europe/Berlin"}
+    ]
+    raw["output"] = "out2"
+    moved = tmp_path / "moved.json"
+    moved.write_text(json.dumps(raw, indent=1))
+    for stage in ("simulate", "decompose", "report"):
+        assert cli.main([stage, "--config", str(moved)]) == cli.EXIT_OK
+    first, second = _tree(tmp_path / "out"), _tree(tmp_path / "out2")
+    manifests = [json.loads(t.pop("manifest.json")) for t in (first, second)]
+    assert first == second
+    assert manifests[0]["config_hash"] != manifests[1]["config_hash"]
+    for m in manifests:
+        del m["config_hash"]
+    assert manifests[0] == manifests[1]
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_negative_seed_rejected_before_any_day(capsys, tmp_path, where):
+    cfg = _write_config(tmp_path)
+    assert cli.main(["simulate", "--config", str(cfg)]) == cli.EXIT_OK
+    if where == "flag":
+        args = ["decompose", "--config", str(cfg), "--seed", "-1"]
+    else:
+        args = ["decompose", "--config", str(_write_config(tmp_path, "neg.json", seed=-1))]
+    assert cli.main(args) == cli.EXIT_CONFIG
+    msg = _stderr_json(capsys)
+    assert msg["error"] == "config"
+    assert "seed" in msg["message"]
+    assert not (tmp_path / "out" / "decompositions.csv").exists()
+
+
+def _edit_panel(tmp_path, line, edit):
+    path = tmp_path / "out" / "panels" / "panel_2017-03-14.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[line] = edit(lines[line])
+    path.write_text("".join(lines))
+
+
+def _io_error_message(capsys, name):
+    msg = _stderr_json(capsys)
+    assert msg["error"] == "io"
+    assert name in msg["message"]
+    return msg["message"]
+
+
+def test_panel_with_non_numeric_value_is_io_error(capsys, tmp_path):
+    cfg = _write_config(tmp_path)
+    assert cli.main(["simulate", "--config", str(cfg)]) == cli.EXIT_OK
+    _edit_panel(tmp_path, 3, lambda text: text.replace(text.split(",")[2], "abc", 1))
+    assert cli.main(["decompose", "--config", str(cfg)]) == cli.EXIT_IO
+    assert "abc" in _io_error_message(capsys, "panel_2017-03-14.csv")
+    assert not (tmp_path / "out" / "decompositions.csv").exists()
+
+
+def test_panel_with_wrong_header_is_io_error(capsys, tmp_path):
+    cfg = _write_config(tmp_path)
+    assert cli.main(["simulate", "--config", str(cfg)]) == cli.EXIT_OK
+    _edit_panel(tmp_path, 0, lambda text: text.replace("date", "day", 1))
+    assert cli.main(["decompose", "--config", str(cfg)]) == cli.EXIT_IO
+    assert "not a panel file" in _io_error_message(capsys, "panel_2017-03-14.csv")
+
+
+def test_scenario_line_without_equals_is_io_error(capsys, tmp_path):
+    cfg = _write_config(tmp_path)
+    (tmp_path / "scenario.txt").write_text(SCENARIO.replace("rho = 0.6", "rho 0.6"))
+    assert cli.main(["simulate", "--config", str(cfg)]) == cli.EXIT_IO
+    assert "key = value" in _io_error_message(capsys, "scenario.txt:4")
+
+
+def test_decompositions_without_ic_column_is_io_error(capsys, full_run):
+    tmp_path, cfg = full_run
+    path = tmp_path / "out" / "decompositions.csv"
+    rows = list(csv.reader(open(path, newline="")))
+    col = rows[0].index("ic")
+    path.write_text("".join(",".join(r[:col] + r[col + 1:]) + "\n" for r in rows))
+    assert cli.main(["report", "--config", str(cfg)]) == cli.EXIT_IO
+    assert "'ic'" in _io_error_message(capsys, "decompositions.csv")
+
+
+def test_crashed_worker_day_is_rerun_serially(tmp_path, monkeypatch):
+    """A day whose worker process dies reruns in the main process: --jobs 2 equals --jobs 1."""
+    cfg = _write_config(tmp_path)
+    assert cli.main(["simulate", "--config", str(cfg)]) == cli.EXIT_OK
+    assert cli.main(["decompose", "--config", str(cfg), "--jobs", "1"]) == cli.EXIT_OK
+    serial = _tree(tmp_path / "out")
+    main_pid, real = os.getpid(), pipeline.process_day
+    marker = tmp_path / "crashed"
+
+    def crash_in_worker(panel, *args):
+        if os.getpid() != main_pid and panel.date == dt.date(2017, 3, 14):
+            marker.touch()
+            os._exit(1)
+        return real(panel, *args)
+
+    # the pool's workers are forked, so they inherit the patched module
+    monkeypatch.setattr(pipeline, "process_day", crash_in_worker)
+    assert cli.main(["decompose", "--config", str(cfg), "--jobs", "2"]) == cli.EXIT_OK
+    assert marker.exists()  # the worker really died
+    assert _tree(tmp_path / "out") == serial
+
+
+def test_readme_config_example_loads(tmp_path):
+    """The README's config block passes load_config and yields its announcement dates."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+    raw = json.loads(block)
+    (tmp_path / "config.json").write_text(block)
+    (tmp_path / raw["scenario"]).write_text(SCENARIO)
+    for src in raw["ticks"].values():
+        (tmp_path / src["path"]).write_text("ts,px,vol\n")
+    config = cli.load_config(str(tmp_path / "config.json"), {})
+    assert config.announcements == {dt.date(2017, 3, 15), dt.date(2017, 5, 3)}
+    assert config.instruments == ["TU", "FV", "TY"]

@@ -1,10 +1,9 @@
-"""Report-stage aggregation: summaries, regressions, windows, labels."""
+"""Report-stage aggregation: summaries, regressions, histograms, labels."""
 
 import csv
 import datetime as dt
 import math
 from fractions import Fraction
-from zoneinfo import ZoneInfo
 
 import numpy as np
 import pytest
@@ -16,10 +15,6 @@ from cojump.ticks import SessionSpec
 TZ = "America/Chicago"
 
 
-def _aware(date, hh, mm, ss=0):
-    return dt.datetime.combine(date, dt.time(hh, mm, ss), tzinfo=ZoneInfo(TZ))
-
-
 def _decomp(date, pair=("A", "B"), qv=1.0, ic=1.0, cj=0.0,
             classification="no_discontinuity", events=()):
     return ev.DayDecomposition(
@@ -28,8 +23,8 @@ def _decomp(date, pair=("A", "B"), qv=1.0, ic=1.0, cj=0.0,
     )
 
 
-def _cj_day(date, index, time, sizes, pair=("A", "B"), qv=1.0):
-    event = ev.CoJumpEvent(index=index, time=time, sizes=tuple(sizes))
+def _cj_day(date, index, sizes, pair=("A", "B"), qv=1.0):
+    event = ev.CoJumpEvent(index=index, sizes=tuple(sizes))
     cj = math.prod(sizes)
     return _decomp(date, pair=pair, qv=qv, cj=cj, classification="co_jump",
                    events=(event,))
@@ -40,8 +35,8 @@ def test_day_decomposition_invariants():
     with pytest.raises(ValueError, match="co_jump"):
         _decomp(d, cj=1e-5)
     with pytest.raises(ValueError, match="co_jump"):
-        _decomp(d, events=(ev.CoJumpEvent(3, _aware(d, 13, 0), (0.1, 0.1)),))
-    _cj_day(d, 3, _aware(d, 13, 0), (0.1, 0.1))  # consistent record accepted
+        _decomp(d, events=(ev.CoJumpEvent(3, (0.1, 0.1)),))
+    _cj_day(d, 3, (0.1, 0.1))  # consistent record accepted
 
 
 def test_cj_qv_summary_trivials():
@@ -52,7 +47,7 @@ def test_cj_qv_summary_trivials():
     assert rows[0]["pct_cj_qv"] == 0.0
     assert rows[0]["qv_total"] == 5.0
 
-    full = [_cj_day(d0, 10, _aware(d0, 9, 10), (1.0, 1.0), qv=1.0)]
+    full = [_cj_day(d0, 10, (1.0, 1.0), qv=1.0)]
     rows = ev.cj_qv_summary(full)
     assert rows[0]["days_cj"] == 1
     assert rows[0]["pct_cj_qv"] == pytest.approx(100.0)
@@ -61,7 +56,7 @@ def test_cj_qv_summary_trivials():
 def test_cj_qv_summary_mean_skips_zero_qv():
     d = [dt.date(2017, 3, 15 + k) for k in range(3)]
     recs = [
-        _cj_day(d[0], 1, _aware(d[0], 9, 5), (0.2, 0.2), qv=0.08),  # ratio 50%
+        _cj_day(d[0], 1, (0.2, 0.2), qv=0.08),  # ratio 50%
         _decomp(d[1], qv=1.0),                                       # ratio 0%
         _decomp(d[2], qv=0.0),                                       # excluded
     ]
@@ -253,109 +248,42 @@ def test_logit_separation_and_validation():
         ev.announcement_logit(y, x[:-1])
 
 
-def _fomc_calendar(date, minutes=(0, 30)):
-    return ev.AnnouncementCalendar(
-        events=(ev.Announcement(date, dt.time(13, 0), TZ),),
-        windows=(minutes,),
-    )
-
-
-def test_window_indicator_containment():
-    d = dt.date(2017, 3, 15)
-    cal = _fomc_calendar(d)
-    inside = [_cj_day(d, 74, _aware(d, 13, 12), (0.1, 0.2))]
-    before = [_cj_day(d, 71, _aware(d, 12, 59), (0.1, 0.2))]
-    assert ev.cojump_window_indicator(inside, cal) == {d: 1}
-    assert ev.cojump_window_indicator(before, cal) == {d: 0}
-
-
-def test_window_indicator_half_open():
-    d = dt.date(2017, 3, 15)
-    cal = _fomc_calendar(d)
-    at_start = [_cj_day(d, 72, _aware(d, 13, 0), (0.1, 0.2))]
-    at_end = [_cj_day(d, 78, _aware(d, 13, 30), (0.1, 0.2))]
-    assert ev.cojump_window_indicator(at_start, cal)[d] == 1
-    assert ev.cojump_window_indicator(at_end, cal)[d] == 0
-
-
-def test_window_indicator_two_window_day():
-    d = dt.date(2017, 3, 16)
-    cal = ev.AnnouncementCalendar(
-        events=(ev.Announcement(d, dt.time(13, 30), TZ),),
-        windows=((0, 15), (60, 90)),  # 13:30-13:45 and 14:30-15:00
-    )
-    hit = [_cj_day(d, 90, _aware(d, 14, 45), (0.1, -0.2))]
-    gap = [_cj_day(d, 85, _aware(d, 14, 0), (0.1, -0.2))]
-    assert ev.cojump_window_indicator(hit, cal)[d] == 1
-    assert ev.cojump_window_indicator(gap, cal)[d] == 0
-
-
-def test_window_indicator_timezone_mismatch():
-    d = dt.date(2017, 3, 15)
-    cal = _fomc_calendar(d)
-    wrong = dt.datetime.combine(d, dt.time(13, 12), tzinfo=ZoneInfo("Europe/Berlin"))
-    with pytest.raises(TypeError, match="does not match"):
-        ev.cojump_window_indicator([_cj_day(d, 74, wrong, (0.1, 0.2))], cal)
-    naive = dt.datetime.combine(d, dt.time(13, 12))
-    with pytest.raises(TypeError, match="IANA"):
-        ev.cojump_window_indicator([_cj_day(d, 74, naive, (0.1, 0.2))], cal)
-
-
-def test_window_indicator_quiet_day_and_monotonicity():
-    d = dt.date(2017, 3, 15)
-    quiet = [_decomp(d)]
-    assert ev.cojump_window_indicator(quiet, _fomc_calendar(d)) == {d: 0}
-    recs = [_cj_day(d, 80, _aware(d, 13, 20), (0.1, 0.2))]
-    prev = 0
-    for end in (5, 10, 20, 21, 30, 60):
-        flag = ev.cojump_window_indicator(recs, _fomc_calendar(d, (0, end)))[d]
-        assert flag >= prev  # widening the window can only add hits
-        prev = flag
-    assert prev == 1
-
-
-def test_calendar_validation():
-    d = dt.date(2017, 3, 15)
-    with pytest.raises(ValueError, match="window"):
-        ev.AnnouncementCalendar(events=(ev.Announcement(d, dt.time(13, 0), TZ),), windows=())
-    with pytest.raises(ValueError, match="length"):
-        ev.AnnouncementCalendar(
-            events=(ev.Announcement(d, dt.time(13, 0), TZ),), windows=((5, 5),)
-        )
-
-
 SPEC = SessionSpec(dt.time(7, 0), dt.time(16, 0), TZ, 300)
 
 
+def _index(hh, mm):
+    """Grid index of the 5-minute interval holding hh:mm in a 07:00 session."""
+    return ((hh - 7) * 60 + mm) // 5
+
+
 def test_histogram_binning_rule():
-    d = dt.date(2017, 3, 15)
-    times = [_aware(d, 7, 31), _aware(d, 7, 45), _aware(d, 13, 5)]
-    starts, counts = ev.intraday_histogram(times, 30, SPEC)
+    indices = [_index(7, 31), _index(7, 45), _index(13, 5)]
+    starts, counts = ev.intraday_histogram(indices, 30, SPEC)
     assert counts.sum() == 3
-    assert counts[starts.index(dt.time(7, 30))] == 2
-    assert counts[starts.index(dt.time(13, 0))] == 1
+    assert counts[starts.index("07:30:00")] == 2
+    assert counts[starts.index("13:00:00")] == 1
     assert len(starts) == 18
+    assert starts[0] == "07:00:00" and starts[-1] == "15:30:00"
 
 
 def test_histogram_trivials_and_errors():
-    d = dt.date(2017, 3, 15)
     _, counts = ev.intraday_histogram([], 30, SPEC)
     assert np.all(counts == 0)
-    triple = [_aware(d, 9, 1), _aware(d, 9, 14), _aware(d, 9, 29)]
+    triple = [_index(9, 1), _index(9, 14), _index(9, 29)]
     _, counts = ev.intraday_histogram(triple, 30, SPEC)
     assert counts.max() == 3 and counts.sum() == 3
     with pytest.raises(ValueError, match="divide"):
         ev.intraday_histogram([], 7, SPEC)
     with pytest.raises(ValueError, match="outside"):
-        ev.intraday_histogram([_aware(d, 16, 30)], 30, SPEC)
+        ev.intraday_histogram([SPEC.n_intervals], 30, SPEC)
+    with pytest.raises(ValueError, match="outside"):
+        ev.intraday_histogram([-1], 30, SPEC)
 
 
-@given(st.lists(st.integers(min_value=0, max_value=9 * 60 - 1), max_size=40))
-def test_histogram_conserves_counts(minutes):
-    d = dt.date(2017, 3, 15)
-    times = [_aware(d, 7, 0) + dt.timedelta(minutes=m) for m in minutes]
-    _, counts = ev.intraday_histogram(times, 15, SPEC)
-    assert counts.sum() == len(times)
+@given(st.lists(st.integers(min_value=0, max_value=9 * 12 - 1), max_size=40))
+def test_histogram_conserves_counts(indices):
+    _, counts = ev.intraday_histogram(indices, 15, SPEC)
+    assert counts.sum() == len(indices)
 
 
 def test_classify_shift_rotation_pairs():
@@ -397,13 +325,9 @@ def test_shift_rotation_table_percentages():
     # 106 announcement days, 37 of them rotations
     ann_dates = [dt.date(2016, 1, 1) + dt.timedelta(days=k) for k in range(106)]
     quiet_dates = [dt.date(2017, 1, 1) + dt.timedelta(days=k) for k in range(50)]
-    cal = ev.AnnouncementCalendar(
-        events=tuple(ev.Announcement(d, dt.time(13, 0), TZ) for d in ann_dates),
-        windows=((0, 30),),
-    )
     labels = {d: "Rotation" for d in ann_dates[:37]}
     labels[quiet_dates[0]] = "UpShift"
-    rows = ev.shift_rotation_table(labels, cal, ann_dates + quiet_dates)
+    rows = ev.shift_rotation_table(labels, set(ann_dates), ann_dates + quiet_dates)
     ann = next(r for r in rows if r["segment"] == "announcement")
     assert ann["n_rotation"] == 37
     assert ann["n_segment_days"] == 106
@@ -416,19 +340,19 @@ def test_shift_rotation_table_percentages():
 
 
 def test_shift_rotation_table_empty_and_errors():
-    cal = _fomc_calendar(dt.date(2017, 3, 15))
-    rows = ev.shift_rotation_table({}, cal, [dt.date(2017, 3, 15), dt.date(2017, 3, 16)])
+    ann = {dt.date(2017, 3, 15)}
+    rows = ev.shift_rotation_table({}, ann, [dt.date(2017, 3, 15), dt.date(2017, 3, 16)])
     assert all(r["n_days_cj"] == 0 for r in rows)
     assert all(r["pct_rotation"] == 0.0 for r in rows)
     with pytest.raises(ValueError, match="unknown label"):
         ev.shift_rotation_table(
-            {dt.date(2017, 3, 15): "Sideways"}, cal, [dt.date(2017, 3, 15)]
+            {dt.date(2017, 3, 15): "Sideways"}, ann, [dt.date(2017, 3, 15)]
         )
 
 
 def test_table_writers_schemas(tmp_path):
     d = dt.date(2017, 3, 15)
-    summary = ev.cj_qv_summary([_cj_day(d, 10, _aware(d, 9, 10), (0.01, 0.02), qv=0.004)])
+    summary = ev.cj_qv_summary([_cj_day(d, 10, (0.01, 0.02), qv=0.004)])
     path = tmp_path / "t3.csv"
     ev.write_cj_qv_table(summary, path)
     rows = list(csv.reader(open(path, newline="")))
@@ -453,15 +377,14 @@ def test_table_writers_schemas(tmp_path):
     assert rows[0] == ["pair", "beta0", "beta1", "se_beta0", "se_beta1", "pseudo_r_squared"]
     assert float(rows[1][1]) == logit.beta0
 
-    cal = _fomc_calendar(d)
-    table = ev.shift_rotation_table({d: "UpShift"}, cal, [d])
+    table = ev.shift_rotation_table({d: "UpShift"}, {d}, [d])
     path = tmp_path / "t6.csv"
     ev.write_shift_rotation_table([("A-B", table)], path)
     rows = list(csv.reader(open(path, newline="")))
     assert rows[0][:4] == ["tuple", "segment", "n_rotation", "pct_rotation"]
     assert rows[1][0] == "A-B"
 
-    starts, counts = ev.intraday_histogram([_aware(d, 9, 1)], 30, SPEC)
+    starts, counts = ev.intraday_histogram([_index(9, 1)], 30, SPEC)
     path = tmp_path / "hist.csv"
     ev.write_histogram(starts, counts, path)
     rows = list(csv.reader(open(path, newline="")))

@@ -64,7 +64,7 @@ def test_quiet_day_record(two_leg):
     assert abs(rec.corr_total - 0.6) < 0.15
 
 
-def test_co_jump_day_record(two_leg):
+def test_co_jump_day_record(two_leg, tmp_path):
     rec = two_leg[1].decomps[0]
     assert rec.rejected
     assert rec.classification == "co_jump"
@@ -75,7 +75,9 @@ def test_co_jump_day_record(two_leg):
     assert len(rec.events) == 1
     event = rec.events[0]
     assert event.index == 270
-    assert event.time == panel.grid_times[270]
+    pipeline.write_events_csv(two_leg, tmp_path / "events.csv", SPEC)
+    rows = list(csv.DictReader(open(tmp_path / "events.csv", newline="")))
+    assert [(r["index"], r["time"]) for r in rows] == [("270", "11:30:00")]
     assert event.sizes == (panel.series("TU")[270], panel.series("FV")[270])
     # rejected day: continuous part switches to the jump-robust estimate
     assert rec.ic == two_leg[1].ic.values[0, 1]
@@ -242,7 +244,7 @@ def test_decomposition_csv_roundtrip(two_leg, tmp_path):
 
 def test_events_csv_roundtrip(two_leg, tmp_path):
     path = tmp_path / "events.csv"
-    pipeline.write_events_csv(two_leg, path)
+    pipeline.write_events_csv(two_leg, path, SPEC)
     rows = pipeline.read_events_csv(path)
     assert len(rows) == 1
     row = rows[0]
@@ -256,7 +258,7 @@ def test_events_csv_roundtrip(two_leg, tmp_path):
 
 def test_jump_report_roundtrip(two_leg, tmp_path):
     path = tmp_path / "jumps.csv"
-    pipeline.write_jump_report(two_leg, path)
+    pipeline.write_jump_report(two_leg, path, SPEC)
     with open(path, newline="") as handle:
         rows = [
             {

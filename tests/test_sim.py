@@ -177,7 +177,7 @@ def test_panels_from_sim_wraps_days():
     assert [p.date for p in panels] == [dt.date(2026, 1, 5), dt.date(2026, 1, 6)]
     assert panels[0].instruments == ["AAA", "BBB"]
     assert np.array_equal(panels[1].returns, days[1].observed)
-    assert len(panels[0].grid_times) == 13
+    assert panels[0].n_intervals == 12
     with pytest.raises(ValueError, match="per simulated leg"):
         sim.panels_from_sim(days, ["AAA"], _spec(12), dt.date(2026, 1, 5))
     with pytest.raises(ValueError, match="does not match"):

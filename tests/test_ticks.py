@@ -52,11 +52,31 @@ def test_session_spec_geometry():
     spec = _spec("07:00", "16:00", 300)
     assert spec.session_seconds == 9 * 3600
     assert spec.n_intervals == 108
-    grid = spec.grid_instants(dt.date(2017, 3, 15))
+    grid = spec.grid_us(dt.date(2017, 3, 15))
     assert len(grid) == 109
-    assert grid[0].time() == dt.time(7, 0)
-    assert grid[-1].time() == dt.time(16, 0)
-    assert (grid[1] - grid[0]).total_seconds() == 300
+    assert grid[0] == _wall_us(dt.datetime(2017, 3, 15, 7, 0))
+    assert grid[-1] == _wall_us(dt.datetime(2017, 3, 15, 16, 0))
+    assert grid[1] - grid[0] == 300_000_000
+    labels = spec.grid_labels()
+    assert len(labels) == 108
+    assert labels[:2] == ["07:00:00", "07:05:00"] and labels[-1] == "15:55:00"
+    assert spec.grid_labels(1800)[:3] == ["07:00:00", "07:30:00", "08:00:00"]
+
+
+def _label(us):
+    return (dt.datetime(1970, 1, 1) + dt.timedelta(microseconds=int(us))).strftime("%H:%M:%S")
+
+
+@pytest.mark.parametrize("date", [dt.date(2017, 3, 12), dt.date(2017, 11, 5)],
+                         ids=["spring-forward", "fall-back"])
+def test_grid_labels_across_dst_switches(date):
+    """Labels step along the wall clock on the dates Chicago skips or repeats 01:00-03:00."""
+    spec = _spec("00:30", "03:30", 1800)
+    expected = ["00:30:00", "01:00:00", "01:30:00", "02:00:00", "02:30:00", "03:00:00"]
+    assert spec.grid_labels() == expected
+    assert [_label(us) for us in spec.grid_us(date)[:-1]] == expected
+    berlin = tk.SessionSpec(dt.time(1), dt.time(2), "Europe/Berlin", 900)
+    assert berlin.grid_labels() == ["01:00:00", "01:15:00", "01:30:00", "01:45:00"]
 
 
 def test_session_spec_validation():
@@ -183,9 +203,9 @@ def test_no_session_trades_unusable():
 def test_sampling_idempotent_on_gridded_series():
     date = dt.date(2017, 3, 15)
     spec = _spec()
-    grid = spec.grid_instants(date)
+    grid = spec.grid_us(date)
     base = [100.0 + 0.1 * k for k in range(len(grid))]
-    recs = [(_wall_us(t), p) for t, p in zip(grid, base)]
+    recs = [(int(t), p) for t, p in zip(grid, base)]
     prices = tk.sample_last_tick(_series(recs), spec, date)
     assert prices == pytest.approx(base, rel=0)
 
@@ -205,7 +225,7 @@ def test_array_sampling_matches_per_tick_loops():
         date = day0 + dt.timedelta(days=k)
         day = [(t, p) for t, p in zip(series.times.tolist(), series.prices.tolist())
                if (t - midnight) // 86_400_000_000 == k]
-        grid = [_wall_us(g) for g in spec.grid_instants(date)]
+        grid = spec.grid_us(date).tolist()
         expected, last, idx = [], None, 0
         for g in grid:
             while idx < len(day) and day[idx][0] <= g:
@@ -237,14 +257,11 @@ def test_build_panel_validation():
 
 def test_return_panel_invariants():
     date = dt.date(2017, 3, 15)
-    times = _spec(interval=1800).grid_instants(date)
     with pytest.raises(ValueError, match="matrix"):
-        tk.ReturnPanel(date, ["A", "B"], np.zeros((1, 2)), times)
-    with pytest.raises(ValueError, match="N \\+ 1"):
-        tk.ReturnPanel(date, ["A"], np.zeros((1, 5)), times)
+        tk.ReturnPanel(date, ["A", "B"], np.zeros((1, 2)))
     with pytest.raises(ValueError, match="finite"):
-        tk.ReturnPanel(date, ["A"], np.array([[np.nan, 0.0]]), times)
-    panel = tk.ReturnPanel(date, ["A"], np.zeros((1, 2)), times)
+        tk.ReturnPanel(date, ["A"], np.array([[np.nan, 0.0]]))
+    panel = tk.ReturnPanel(date, ["A"], np.zeros((1, 2)))
     assert panel.n_intervals == 2
     assert np.array_equal(panel.series("A"), np.zeros(2))
 
@@ -326,11 +343,9 @@ def test_panel_csv_roundtrip(tmp_path):
     date = dt.date(2017, 3, 15)
     spec = _spec(interval=900)
     rng = np.random.default_rng(5)
-    panel = tk.ReturnPanel(
-        date, ["X", "Y"], rng.standard_normal((2, 4)) * 1e-4, spec.grid_instants(date)
-    )
+    panel = tk.ReturnPanel(date, ["X", "Y"], rng.standard_normal((2, 4)) * 1e-4)
     path = tmp_path / "panel.csv"
-    tk.write_panel_csv(panel, path)
+    tk.write_panel_csv(panel, path, spec)
     back = tk.read_panel_csv(path, spec)
     assert back.date == date
     assert back.instruments == ["X", "Y"]
@@ -338,7 +353,7 @@ def test_panel_csv_roundtrip(tmp_path):
     with open(path, newline="") as handle:
         header = next(csv.reader(handle))
     assert header == ["date", "grid_time", "X", "Y"]
-    with pytest.raises(ValueError, match="not a panel file"):
+    with pytest.raises(tk.MalformedFile, match="not a panel file"):
         tk.read_panel_csv(__file__, spec)
 
 
@@ -347,9 +362,9 @@ def test_panel_csv_other_session_rejected(tmp_path, start, end, interval):
     """A panel written under another session (same N, or another N) is refused."""
     date = dt.date(2017, 3, 15)
     spec = _spec(interval=900)
-    panel = tk.ReturnPanel(date, ["X"], np.zeros((1, 4)), spec.grid_instants(date))
+    panel = tk.ReturnPanel(date, ["X"], np.zeros((1, 4)))
     path = tmp_path / "panel.csv"
-    tk.write_panel_csv(panel, path)
+    tk.write_panel_csv(panel, path, spec)
     with pytest.raises(tk.SessionMismatch, match="panel.csv"):
         tk.read_panel_csv(path, _spec(start, end, interval))
 

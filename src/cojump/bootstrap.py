@@ -18,7 +18,6 @@ seed alone reproduces a day-pair's null.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -27,6 +26,7 @@ import numpy as np
 
 from . import jwc
 from .jumps import JumpSeries, realized_covariance
+from .ticks import write_csv
 
 CLASSIFICATIONS = ("no_discontinuity", "co_jump", "disjoint_only")
 
@@ -192,22 +192,12 @@ def select_ic_star(test: TestOutcome, qv: float, ic_jwc: float) -> float:
 
 def write_outcomes(outcomes, path) -> None:
     """Test-outcome CSV: one row per day and pair."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
-            ["date", "pair", "Z", "p", "rejected", "classification", "B", "alpha", "seed"]
-        )
-        for out in outcomes:
-            writer.writerow(
-                [
-                    out.date,
-                    "-".join(out.pair),
-                    repr(float(out.z)),
-                    repr(float(out.p_value)),
-                    int(out.rejected),
-                    out.classification,
-                    out.b_reps,
-                    repr(float(out.alpha)),
-                    out.seed,
-                ]
-            )
+    write_csv(
+        path,
+        ["date", "pair", "Z", "p", "rejected", "classification", "B", "alpha", "seed"],
+        (
+            [o.date, "-".join(o.pair), o.z, o.p_value, int(o.rejected), o.classification,
+             o.b_reps, o.alpha, o.seed]
+            for o in outcomes
+        ),
+    )

@@ -195,6 +195,9 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError("jobs must be positive")
     if config.seed < 0:
         raise ConfigError("seed must be non-negative")
+    width = config.histogram_bin_minutes * 60
+    if width <= 0 or config.session.session_seconds % width:
+        raise ConfigError("report.histogram_bin_minutes must be positive and divide the session")
     for name, src in config.tick_sources.items():
         if name not in declared:
             raise ConfigError(f"tick source {name!r} is not a declared instrument")
@@ -256,18 +259,18 @@ def cmd_simulate(config: RunConfig) -> int:
     for panel in panels:
         path = os.path.join(out, f"panel_{panel.date.isoformat()}.csv")
         ticks.write_panel_csv(panel, path, config.session)
-    with open(os.path.join(config.output, "truth.csv"), "w", newline="") as handle:
-        handle.write("date,entry,ic,cj,qv\n")
-        for day, panel in zip(days, panels):
-            truth = sim.true_decomposition(day)
-            for i, a in enumerate(config.instruments):
-                for j, b in enumerate(config.instruments):
-                    if j < i:
-                        continue
-                    handle.write(
-                        f"{panel.date.isoformat()},{a}-{b},"
-                        f"{truth['IC'][i, j]!r},{truth['CJ'][i, j]!r},{truth['QV'][i, j]!r}\n"
-                    )
+    rows = []
+    for day, panel in zip(days, panels):
+        truth = sim.true_decomposition(day)
+        date = panel.date.isoformat()
+        rows += [
+            [date, f"{a}-{b}", truth["IC"][i, j], truth["CJ"][i, j], truth["QV"][i, j]]
+            for i, a in enumerate(config.instruments)
+            for j, b in enumerate(config.instruments)
+            if j >= i
+        ]
+    truth_path = os.path.join(config.output, "truth.csv")
+    ticks.write_csv(truth_path, ["date", "entry", "ic", "cj", "qv"], rows)
     return EXIT_OK
 
 
@@ -335,7 +338,7 @@ def cmd_report(config: RunConfig) -> int:
     decomps = pipeline.read_decompositions(dec_path)
     if not decomps:
         raise OSError(f"{dec_path} has no rows: decompose processed no day")
-    event_rows = pipeline.read_events_csv(ev_path)
+    event_rows = pipeline.read_events_csv(ev_path, config.session)
     by_pair: dict = {}
     for rec in decomps:
         by_pair.setdefault(rec.pair, []).append(rec)

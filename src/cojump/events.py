@@ -20,7 +20,6 @@ not depend on which BLAS kernel the machine selects.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import math
 from dataclasses import dataclass
@@ -28,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ticks import SessionSpec
+from .ticks import SessionSpec, write_csv
 
 LABELS = ("UpShift", "DownShift", "Rotation")
 
@@ -372,113 +371,51 @@ def shift_rotation_table(day_labels: dict, announcement_dates, sample_dates) -> 
     return rows
 
 
-def _write_rows(path, header: list, rows: list) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(float(value))  # plain float repr even for numpy scalars
-    return str(value)
-
-
 def write_cj_qv_table(rows: list, path) -> None:
     """Co-jump share table: pair, days_cj, qv_total, pct_cj_qv."""
-    out = [
-        ["-".join(r["pair"]), r["days_cj"], _fmt(r["qv_total"]), _fmt(r["pct_cj_qv"])]
-        for r in rows
-    ]
-    _write_rows(path, ["pair", "days_cj", "qv_total", "pct_cj_qv"], out)
+    write_csv(
+        path,
+        ["pair", "days_cj", "qv_total", "pct_cj_qv"],
+        (["-".join(r["pair"]), r["days_cj"], r["qv_total"], r["pct_cj_qv"]] for r in rows),
+    )
+
+
+def _fit_rows(rows: list, fields: tuple):
+    """One row per (pair, fit); a fit of None (degenerate) leaves its cells blank."""
+    for pair, res in rows:
+        yield ["-".join(pair), *(None if res is None else getattr(res, f) for f in fields)]
 
 
 def write_regression_table(rows: list, path) -> None:
     """Correlation regression table: pair, alpha, beta, r_squared, wald_p."""
-    out = []
-    for pair, res in rows:
-        if res is None:
-            out.append(["-".join(pair), "", "", "", ""])
-        else:
-            out.append(
-                [
-                    "-".join(pair),
-                    _fmt(res.alpha),
-                    _fmt(res.beta),
-                    _fmt(res.r_squared),
-                    _fmt(res.wald_p),
-                ]
-            )
-    _write_rows(path, ["pair", "alpha", "beta", "r_squared", "wald_p"], out)
+    fields = ("alpha", "beta", "r_squared", "wald_p")
+    write_csv(path, ["pair", *fields], _fit_rows(rows, fields))
 
 
 def write_logit_table(rows: list, path) -> None:
     """Announcement logit table: pair, beta0, beta1, ses, pseudo R2."""
-    out = []
-    for pair, res in rows:
-        if res is None:
-            out.append(["-".join(pair), "", "", "", "", ""])
-        else:
-            out.append(
-                [
-                    "-".join(pair),
-                    _fmt(res.beta0),
-                    _fmt(res.beta1),
-                    _fmt(res.se_beta0),
-                    _fmt(res.se_beta1),
-                    _fmt(res.pseudo_r_squared),
-                ]
-            )
-    _write_rows(
-        path,
-        ["pair", "beta0", "beta1", "se_beta0", "se_beta1", "pseudo_r_squared"],
-        out,
-    )
+    fields = ("beta0", "beta1", "se_beta0", "se_beta1", "pseudo_r_squared")
+    write_csv(path, ["pair", *fields], _fit_rows(rows, fields))
+
+
+_SHIFT_ROTATION_FIELDS = (
+    "segment n_rotation pct_rotation n_up_shift pct_up_shift n_down_shift pct_down_shift "
+    "n_days_cj pct_days_cj n_segment_days"
+).split()
 
 
 def write_shift_rotation_table(rows_by_tuple: list, path) -> None:
     """Shift/rotation table keyed by instrument tuple and segment."""
-    out = []
-    for name, rows in rows_by_tuple:
-        for r in rows:
-            out.append(
-                [
-                    name,
-                    r["segment"],
-                    r["n_rotation"],
-                    _fmt(r["pct_rotation"]),
-                    r["n_up_shift"],
-                    _fmt(r["pct_up_shift"]),
-                    r["n_down_shift"],
-                    _fmt(r["pct_down_shift"]),
-                    r["n_days_cj"],
-                    _fmt(r["pct_days_cj"]),
-                    r["n_segment_days"],
-                ]
-            )
-    _write_rows(
+    write_csv(
         path,
-        [
-            "tuple",
-            "segment",
-            "n_rotation",
-            "pct_rotation",
-            "n_up_shift",
-            "pct_up_shift",
-            "n_down_shift",
-            "pct_down_shift",
-            "n_days_cj",
-            "pct_days_cj",
-            "n_segment_days",
-        ],
-        out,
+        ["tuple", *_SHIFT_ROTATION_FIELDS],
+        (
+            [name, *(r[f] for f in _SHIFT_ROTATION_FIELDS)]
+            for name, rows in rows_by_tuple
+            for r in rows
+        ),
     )
 
 
 def write_histogram(bin_starts: list, counts, path) -> None:
-    rows = [[t, int(c)] for t, c in zip(bin_starts, counts)]
-    _write_rows(path, ["bin_start", "count"], rows)
+    write_csv(path, ["bin_start", "count"], ([t, int(c)] for t, c in zip(bin_starts, counts)))

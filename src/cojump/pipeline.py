@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bootstrap, events, jumps, jwc, modwt
-from .ticks import MalformedFile, ReturnPanel, SessionSpec
+from .ticks import MalformedFile, ReturnPanel, SessionSpec, write_csv
 
 
 @dataclass
@@ -271,31 +271,16 @@ _TUPLE_COLUMNS = ["date", "tuple", "label"]
 
 def write_decompositions(results: list, path) -> None:
     """Per-day, per-pair decomposition CSV, sorted by date then pair."""
-    rows = []
-    for res in results:
-        for rec in res.decomps:
-            rows.append(rec)
-    rows.sort(key=lambda r: (r.date, r.pair))
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(_DECOMP_COLUMNS)
-        for r in rows:
-            writer.writerow(
-                [
-                    r.date.isoformat(),
-                    "-".join(r.pair),
-                    repr(float(r.qv)),
-                    repr(float(r.ic)),
-                    repr(float(r.cj)),
-                    repr(float(r.z)),
-                    repr(float(r.p_value)),
-                    int(r.rejected),
-                    int(r.inconclusive),
-                    r.classification,
-                    repr(float(r.corr_total)),
-                    repr(float(r.corr_cont)),
-                ]
-            )
+    rows = sorted((rec for res in results for rec in res.decomps), key=lambda r: (r.date, r.pair))
+    write_csv(
+        path,
+        _DECOMP_COLUMNS,
+        (
+            [r.date.isoformat(), "-".join(r.pair), r.qv, r.ic, r.cj, r.z, r.p_value,
+             int(r.rejected), int(r.inconclusive), r.classification, r.corr_total, r.corr_cont]
+            for r in rows
+        ),
+    )
 
 
 def read_decompositions(path) -> list:
@@ -324,75 +309,63 @@ def read_decompositions(path) -> list:
 def write_events_csv(results: list, path, spec: SessionSpec) -> None:
     """Co-jump event rows: date, pair, index, interval start, sizes."""
     labels = spec.grid_labels()
-    rows = []
-    for res in results:
-        for rec in res.decomps:
-            for ev in rec.events:
-                rows.append(
-                    [
-                        rec.date.isoformat(),
-                        "-".join(rec.pair),
-                        ev.index,
-                        labels[ev.index],
-                        repr(float(ev.sizes[0])),
-                        repr(float(ev.sizes[1])),
-                    ]
-                )
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(_EVENT_COLUMNS)
-        writer.writerows(rows)
+    rows = sorted(
+        (
+            [rec.date.isoformat(), "-".join(rec.pair), ev.index, labels[ev.index], *ev.sizes]
+            for res in results
+            for rec in res.decomps
+            for ev in rec.events
+        ),
+        key=lambda r: r[:3],
+    )
+    write_csv(path, _EVENT_COLUMNS, rows)
 
 
-def read_events_csv(path) -> list:
-    """Event rows as (date, pair, index, wall-clock time, sizes)."""
-    return _read_csv(
-        path,
-        _EVENT_COLUMNS,
-        lambda row: {
+def read_events_csv(path, spec: SessionSpec) -> list:
+    """Event rows as (date, pair, index, wall-clock time, sizes).
+
+    A row whose index is not an interval of ``spec`` or whose time is
+    not that interval's label raises MalformedFile.
+    """
+    labels = spec.grid_labels()
+
+    def convert(row):
+        index = int(row["index"])
+        if not 0 <= index < len(labels) or row["time"] != labels[index]:
+            raise ValueError(f"index {index} at {row['time']} is not an interval of the session")
+        return {
             "date": dt.date.fromisoformat(row["date"]),
             "pair": tuple(row["pair"].split("-")),
-            "index": int(row["index"]),
+            "index": index,
             "time": dt.time.fromisoformat(row["time"]),
             "sizes": (float(row["size_1"]), float(row["size_2"])),
-        },
-    )
+        }
+
+    return _read_csv(path, _EVENT_COLUMNS, convert)
 
 
 def write_jump_report(results: list, path, spec: SessionSpec) -> None:
     """Per-instrument jump rows: date, instrument, index, interval start, size."""
     labels = spec.grid_labels()
-    rows = []
-    for res in results:
-        for name, js in sorted(res.jump_series.items()):
-            for idx in js.jump_indices.tolist():
-                rows.append(
-                    [
-                        res.date.isoformat(),
-                        name,
-                        int(idx),
-                        labels[idx],
-                        repr(float(js.jump_sizes[idx])),
-                    ]
-                )
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["date", "instrument", "index", "time", "size"])
-        writer.writerows(rows)
+    rows = sorted(
+        (
+            [res.date.isoformat(), name, idx, labels[idx], js.jump_sizes[idx]]
+            for res in results
+            for name, js in sorted(res.jump_series.items())
+            for idx in js.jump_indices.tolist()
+        ),
+        key=lambda r: r[:3],
+    )
+    write_csv(path, ["date", "instrument", "index", "time", "size"], rows)
 
 
 def write_tuple_labels(results: list, path) -> None:
-    rows = []
-    for res in results:
-        for members, label in res.tuple_labels.items():
-            rows.append([res.date.isoformat(), "-".join(members), label])
-    rows.sort()
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(_TUPLE_COLUMNS)
-        writer.writerows(rows)
+    rows = sorted(
+        [res.date.isoformat(), "-".join(members), label]
+        for res in results
+        for members, label in res.tuple_labels.items()
+    )
+    write_csv(path, _TUPLE_COLUMNS, rows)
 
 
 def read_tuple_labels(path) -> dict:
@@ -406,8 +379,4 @@ def read_tuple_labels(path) -> dict:
 
 
 def write_failures(failures: list, path) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["date", "error"])
-        for date, message in failures:
-            writer.writerow([date.isoformat(), message])
+    write_csv(path, ["date", "error"], [(date.isoformat(), message) for date, message in failures])

@@ -5,7 +5,8 @@ with the session's IANA timezone (never guessed) into one sorted array
 of wall-clock stamps per instrument, cut into session dates, filtered
 by a trading calendar, sampled by the last-tick rule onto an evenly
 spaced price grid, and differenced into log-return panels: one row per
-interval, one column per instrument.
+interval, one column per instrument. ``write_csv`` writes every output
+table of the package, panels included, in one layout.
 
 Grid convention: a session of length T seconds sampled every s seconds
 yields N = T/s return intervals and N + 1 grid instants t_0..t_N.
@@ -302,13 +303,28 @@ def build_panels(tick_series: dict, spec: SessionSpec, calendar: TradingCalendar
     return panels, drop_log
 
 
-def write_panel_csv(panel: ReturnPanel, path, spec: SessionSpec) -> None:
-    """One day's returns: date, interval left endpoint, one column per leg."""
+def write_csv(path, header: list, rows) -> None:
+    """Write one output table: the layout of every CSV file the package writes.
+
+    A header row, then one row per item of ``rows``, lines ended by
+    ``\\n``. A float, numpy scalars included, is written as its shortest
+    round-trip ``repr``, so it reads back bit-exact; ``None`` is a blank
+    cell (an undefined fit); any other value is written as ``str``.
+    """
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["date", "grid_time"] + list(panel.instruments))
-        for label, column in zip(spec.grid_labels(), panel.returns.T):
-            writer.writerow([panel.date.isoformat(), label] + [repr(float(v)) for v in column])
+        writer.writerow(header)
+        writer.writerows(
+            ["" if v is None else repr(float(v)) if isinstance(v, float) else v for v in row]
+            for row in rows
+        )
+
+
+def write_panel_csv(panel: ReturnPanel, path, spec: SessionSpec) -> None:
+    """One day's returns: date, interval left endpoint, one column per leg."""
+    date = panel.date.isoformat()  # once per file: a date object would be str()-ed per row
+    rows = ([date, t, *r] for t, r in zip(spec.grid_labels(), panel.returns.T.tolist()))
+    write_csv(path, ["date", "grid_time", *panel.instruments], rows)
 
 
 def read_panel_csv(path, spec: SessionSpec) -> ReturnPanel:
@@ -344,8 +360,4 @@ def read_panel_csv(path, spec: SessionSpec) -> ReturnPanel:
 
 
 def write_drop_log(drop_log, path) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["date", "reason"])
-        for date, reason in drop_log:
-            writer.writerow([date.isoformat(), reason])
+    write_csv(path, ["date", "reason"], [(date.isoformat(), reason) for date, reason in drop_log])

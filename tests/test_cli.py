@@ -284,6 +284,21 @@ def test_pipeline_end_to_end(full_run):
     assert manifest["b_reps"] == 150
     assert set(manifest["inputs"]) == {"decompositions.csv", "events.csv", "tuple_days.csv"}
 
+    # every table reads back: plain cells, floats as their shortest round-trip repr
+    for row in csv.DictReader(open(out / "truth.csv", newline="")):
+        for col in ("ic", "cj", "qv"):
+            float(row[col])
+    for path in out.rglob("*.csv"):
+        for row in csv.reader(open(path, newline="")):
+            for cell in row:
+                assert "(" not in cell, (path.name, cell)
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue
+                if not re.fullmatch(r"-?\d+", cell):
+                    assert repr(value) == cell, (path.name, cell)
+
 
 def test_rerun_is_byte_identical(full_run):
     tmp_path, cfg = full_run
@@ -448,6 +463,36 @@ def test_negative_seed_rejected_before_any_day(capsys, tmp_path, where):
     assert msg["error"] == "config"
     assert "seed" in msg["message"]
     assert not (tmp_path / "out" / "decompositions.csv").exists()
+
+
+@pytest.mark.parametrize("minutes", [7, 0])
+def test_histogram_bin_that_does_not_divide_session_rejected(capsys, tmp_path, minutes):
+    cfg = _write_config(tmp_path, report={"histogram_bin_minutes": minutes})
+    assert cli.main(["simulate", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    msg = _stderr_json(capsys)
+    assert msg["error"] == "config"
+    assert "histogram_bin_minutes" in msg["message"]
+    assert not (tmp_path / "out").exists()
+
+
+REPORT_FILES = ("cj_qv_share.csv", "correlation_regression.csv", "announcement_logit.csv",
+                "shift_rotation.csv", "histogram.csv", "manifest.json")
+
+
+@pytest.mark.parametrize("column, value", [("index", "9999"), ("index", "-1"),
+                                           ("time", "11:31:00")])
+def test_event_off_the_session_grid_is_io_error(capsys, full_run, column, value):
+    """An events.csv row off the grid fails report with exit 2 before any table is written."""
+    tmp_path, cfg = full_run
+    out = tmp_path / "out"
+    rows = list(csv.reader(open(out / "events.csv", newline="")))
+    rows[1][rows[0].index(column)] = value
+    (out / "events.csv").write_text("".join(",".join(r) + "\n" for r in rows))
+    for name in REPORT_FILES:
+        (out / name).unlink()
+    assert cli.main(["report", "--config", str(cfg)]) == cli.EXIT_IO
+    assert "not an interval of the session" in _io_error_message(capsys, "events.csv")
+    assert not any((out / name).exists() for name in REPORT_FILES)
 
 
 def _edit_panel(tmp_path, line, edit):

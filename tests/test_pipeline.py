@@ -245,7 +245,7 @@ def test_decomposition_csv_roundtrip(two_leg, tmp_path):
 def test_events_csv_roundtrip(two_leg, tmp_path):
     path = tmp_path / "events.csv"
     pipeline.write_events_csv(two_leg, path, SPEC)
-    rows = pipeline.read_events_csv(path)
+    rows = pipeline.read_events_csv(path, SPEC)
     assert len(rows) == 1
     row = rows[0]
     assert row["date"] == START + dt.timedelta(days=1)

@@ -2,8 +2,10 @@
 
 Subpackage map:
 
-- modwt: undecimated wavelet transform engine and shipped filter pairs
-- jumps: universal-threshold jump detection and jump adjustment
+- modwt: reference wavelet transform and filter pairs that the closed forms
+  in jumps and jwc are tested against
+- jumps: universal-threshold jump detection on the Haar level-1 coefficient
+  r_i / 2, and jump adjustment
 - jwc: jump wavelet covariance estimator, as the two-scale realized covariance
 - sim: correlated diffusion-with-jumps panel simulator
 - bootstrap: wild bootstrap discontinuity test and day classification

@@ -17,6 +17,7 @@ import argparse
 import datetime as dt
 import glob
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -82,6 +83,15 @@ def _announcement_dates(block) -> frozenset | None:
     )
 
 
+def _integer(key: str, value) -> int:
+    """An integer config value; a bool, a fraction or a string is a ConfigError."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if type(value) is not int:
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def load_config(path: str, overrides: dict) -> RunConfig:
     """Parse and validate the JSON run configuration."""
     try:
@@ -94,13 +104,16 @@ def load_config(path: str, overrides: dict) -> RunConfig:
     def resolve(p):
         return p if os.path.isabs(p) else os.path.join(base, p)
 
+    def override(key, value):
+        return overrides[key] if overrides.get(key) is not None else value
+
     try:
         ses = raw["session"]
         session = ticks.SessionSpec(
             session_start=_parse_time(ses["start"]),
             session_end=_parse_time(ses["end"]),
             timezone=ses["timezone"],
-            sampling_interval=int(ses["sampling_seconds"]),
+            sampling_interval=_integer("session.sampling_seconds", ses["sampling_seconds"]),
         )
         instruments = list(raw["instruments"])
         pairs = [tuple(p) for p in raw.get("pairs", [])]
@@ -121,10 +134,11 @@ def load_config(path: str, overrides: dict) -> RunConfig:
                 f"{path}: estimator keys {removed} are no longer accepted: the "
                 "two-scale estimate does not depend on a wavelet filter, boundary or depth"
             )
+        g_spacing = est_block.get("g_spacing")
         estimator = jwc.JwcConfig(
             c_n=float(est_block.get("c_n", 1.0)),
-            s_spacing=int(est_block.get("s_spacing", 1)),
-            g_spacing=est_block.get("g_spacing"),
+            s_spacing=_integer("estimator.s_spacing", est_block.get("s_spacing", 1)),
+            g_spacing=None if g_spacing is None else _integer("estimator.g_spacing", g_spacing),
         )
         if "detection" in raw:
             raise ConfigError(
@@ -145,18 +159,17 @@ def load_config(path: str, overrides: dict) -> RunConfig:
             },
             scenario_path=resolve(raw["scenario"]) if "scenario" in raw else None,
             estimator=estimator,
-            b_reps=int(
-                overrides["bootstrap_reps"]
-                if overrides.get("bootstrap_reps") is not None
-                else boot.get("b_reps", 999)
+            b_reps=_integer(
+                "bootstrap.b_reps", override("bootstrap_reps", boot.get("b_reps", 999))
             ),
-            alpha=float(
-                overrides["alpha"] if overrides.get("alpha") is not None else boot.get("alpha", 0.05)
-            ),
-            seed=int(overrides["seed"] if overrides.get("seed") is not None else raw.get("seed", 0)),
-            jobs=int(overrides["jobs"] if overrides.get("jobs") is not None else raw.get("jobs", 1)),
+            alpha=float(override("alpha", boot.get("alpha", 0.05))),
+            seed=_integer("seed", override("seed", raw.get("seed", 0))),
+            jobs=_integer("jobs", override("jobs", raw.get("jobs", 1))),
             output=resolve(overrides.get("output") or raw.get("output", "out")),
-            histogram_bin_minutes=int(raw.get("report", {}).get("histogram_bin_minutes", 30)),
+            histogram_bin_minutes=_integer(
+                "report.histogram_bin_minutes",
+                raw.get("report", {}).get("histogram_bin_minutes", 30),
+            ),
             start_date=dt.date.fromisoformat(raw.get("start_date", "2017-01-02")),
             raw=raw,
         )
@@ -186,6 +199,16 @@ def _validate(config: RunConfig) -> None:
         if len(members) < 2 or len(set(members)) != len(members) or not set(members) <= declared:
             raise ConfigError(
                 f"tuple {members} must name two or more distinct declared instruments"
+            )
+        missing = [
+            f"{a}-{b}"
+            for a, b in itertools.combinations(members, 2)
+            if frozenset((a, b)) not in seen_pairs
+        ]
+        if missing:
+            raise ConfigError(
+                f"tuple {'-'.join(members)} is labelled only when every member pair is "
+                f"tested; pairs not configured: {', '.join(missing)}"
             )
     if not 0.0 < config.alpha < 1.0:
         raise ConfigError("alpha must lie in (0, 1)")

@@ -1,7 +1,7 @@
 """Intraday jump localization by thresholding first-scale wavelet coefficients.
 
-A day is processed per instrument: the aligned level-1 coefficients of
-the return series are compared against a universal threshold estimated
+A day is processed per instrument: the Haar level-1 coefficients of the
+return series are compared against a universal threshold estimated
 from that same day's coefficients, flagged returns are taken as jump
 sizes, and the jump-adjusted series keeps the diffusive part only.
 """
@@ -30,8 +30,6 @@ class JumpSeries:
     jump_sizes: np.ndarray
     threshold: float
     degenerate: bool = False
-    date: object = None
-    instrument: str = ""
 
     def __post_init__(self):
         self.jump_indices = np.asarray(self.jump_indices, dtype=int)
@@ -62,48 +60,41 @@ def universal_threshold(w1: np.ndarray) -> float:
     return math.sqrt(2.0) * float(np.median(np.abs(w1))) * math.sqrt(2.0 * math.log(n)) / MAD_NORMAL
 
 
-def detect_jumps(
-    returns: np.ndarray,
-    w1: np.ndarray,
-    threshold: float,
-    date=None,
-    instrument: str = "",
-) -> JumpSeries:
+def detect_jumps(returns: np.ndarray, w1: np.ndarray, threshold: float) -> JumpSeries:
     """Flag index i as a jump iff |w1[i]| > threshold (strict).
 
-    The jump size at a flagged index is the raw return there. A zero
-    threshold marks the day degenerate and no index is flagged.
+    The jump size at a flagged index is the raw return there, and an
+    exactly zero return is never flagged. A zero threshold marks the day
+    degenerate and no index is flagged.
     """
     returns = np.asarray(returns, dtype=float)
     w1 = np.asarray(w1, dtype=float)
     if returns.shape != w1.shape:
         raise ValueError("returns and coefficients must have the same length")
-    n = returns.size
-    sizes = np.zeros(n)
-    if threshold == 0.0:
-        return JumpSeries(
-            n=n,
-            jump_indices=np.empty(0, dtype=int),
-            jump_sizes=sizes,
-            threshold=0.0,
-            degenerate=True,
-            date=date,
-            instrument=instrument,
-        )
-    idx = np.flatnonzero(np.abs(w1) > threshold)
-    # An exactly zero return carries no jump size even if its coefficient
-    # clears the threshold (possible for filters wider than Haar).
-    idx = idx[returns[idx] != 0.0]
-    sizes[idx] = returns[idx]
+    degenerate = threshold == 0.0
+    flagged = (np.abs(w1) > threshold) & (returns != 0.0) & (not degenerate)
+    sizes = np.where(flagged, returns, 0.0)
     return JumpSeries(
-        n=n,
-        jump_indices=idx,
+        n=returns.size,
+        jump_indices=np.flatnonzero(flagged),
         jump_sizes=sizes,
         threshold=float(threshold),
-        degenerate=False,
-        date=date,
-        instrument=instrument,
+        degenerate=degenerate,
     )
+
+
+def haar_detect(returns: np.ndarray) -> JumpSeries:
+    """Universal-threshold detection on the Haar level-1 coefficients of a day.
+
+    The aligned Haar level-1 MODWT coefficient of the anchored cumulative
+    path P = [0, r_0, r_0 + r_1, ...] at interval i is (P_{i+1} - P_i) / 2,
+    that is exactly r_i / 2 (Percival & Walden, 2000, ch. 5), so the
+    coefficients are formed from the returns without running the
+    transform. Every coefficient belongs to its own interval.
+    """
+    returns = np.asarray(returns, dtype=float)
+    w1 = 0.5 * returns
+    return detect_jumps(returns, w1, universal_threshold(w1))
 
 
 def adjust_returns(returns: np.ndarray, jumps: JumpSeries) -> np.ndarray:

@@ -1,21 +1,26 @@
-"""Maximal overlap discrete wavelet transform (MODWT) pyramid engine.
+"""Reference maximal overlap discrete wavelet transform (MODWT).
+
+The pipeline runs no transform: jump detection thresholds the
+closed-form Haar level-1 coefficient r_i / 2 (``jumps.haar_detect``) and
+the estimator computes the two-scale realized covariance that the
+summed wavelet scales equal (``jwc``). This module holds the transform
+and the shipped Haar and D(4) filter pairs that those closed forms are
+tested against, and the energy identity the estimator's closed form
+rests on.
 
 The transform is undecimated: every level produces one coefficient per
-input observation, so coefficient positions stay in one-to-one
-correspondence with the sampling grid. Two boundary policies are
-supported. ``circular`` treats the series as periodic. ``reflecting``
-analyses the even reflection of the series (length 2N) with circular
-filtering and keeps the first N coefficients of every level as the
-positional view; energy and cross-product accounting always run over
-the complete reflected analysis, where the transform is exactly
-norm-preserving.
+input observation. Two boundary policies are supported. ``circular``
+treats the series as periodic. ``reflecting`` analyses the even
+reflection of the series (length 2N) with circular filtering and keeps
+the first N coefficients of every level as the positional view; energy
+and cross-product accounting always run over the complete reflected
+analysis, where the transform is exactly norm-preserving.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -134,13 +139,13 @@ def _check_depth(n: int, filters: FilterPair, levels: int, boundary: str) -> Non
 
 
 def _pyramid(xm: np.ndarray, h: np.ndarray, g: np.ndarray, levels: int) -> np.ndarray:
-    """Run the pyramid recursion on (..., M) circular input.
+    """Run the pyramid recursion on a length-M circular input.
 
-    Returns an array of shape (levels + 1, ..., M): wavelet coefficient
-    rows W_1 .. W_J followed by the level-J scaling coefficients.
+    Returns an array of shape (levels + 1, M): wavelet coefficient rows
+    W_1 .. W_J followed by the level-J scaling coefficients.
     """
     out = np.empty((levels + 1,) + xm.shape, dtype=float)
-    v = np.asarray(xm, dtype=float)
+    v = xm
     for j in range(1, levels + 1):
         step = 1 << (j - 1)
         w = h[0] * v
@@ -153,17 +158,6 @@ def _pyramid(xm: np.ndarray, h: np.ndarray, g: np.ndarray, levels: int) -> np.nd
         v = vn
     out[levels] = v
     return out
-
-
-def _extend(xm: np.ndarray, boundary: str) -> np.ndarray:
-    if boundary == "reflecting":
-        return np.concatenate([xm, xm[..., ::-1]], axis=-1)
-    return np.asarray(xm, dtype=float)
-
-
-def _forward_matrix(xm: np.ndarray, filters: FilterPair, levels: int, boundary: str) -> np.ndarray:
-    """Batched forward transform; xm has shape (..., N)."""
-    return _pyramid(_extend(xm, boundary), filters.h_arr(), filters.g_arr(), levels)
 
 
 @dataclass
@@ -225,64 +219,8 @@ def modwt_forward(
     if x.ndim != 1:
         raise ValueError("modwt_forward expects a 1-d series")
     _check_depth(x.size, filters, levels, boundary)
-    coeffs = _forward_matrix(x, filters, levels, boundary)
+    series = np.concatenate([x, x[::-1]]) if boundary == "reflecting" else x
+    coeffs = _pyramid(series, filters.h_arr(), filters.g_arr(), levels)
     return WaveletDecomposition(
         filters=filters, levels=levels, boundary=boundary, n=x.size, coeffs=coeffs
     )
-
-
-@lru_cache(maxsize=None)
-def _path_shift(filters: FilterPair, boundary: str) -> int:
-    """Calibrate the alignment advance for level-1 path coefficients.
-
-    A unit impulse placed in an otherwise zero return series must end
-    up with the peak coefficient magnitude at its own index. The offset
-    of the raw peak is read off empirically and reused as a fixed
-    property of the (filter, boundary) pair.
-    """
-    n = max(64, 8 * filters.width)
-    k = n // 2
-    x = np.zeros(n)
-    x[k] = 1.0
-    raw = _level1_path_raw(x, filters, boundary)
-    window = np.arange(k, k + 2 * filters.width)
-    off = int(np.argmax(np.abs(raw[window])))
-    return int(window[off]) - k
-
-
-def _level1_path_raw(x: np.ndarray, filters: FilterPair, boundary: str) -> np.ndarray:
-    """Unaligned level-1 coefficients of the anchored cumulative path of x."""
-    n = x.size
-    path = np.empty(n + 1)
-    path[0] = 0.0
-    np.cumsum(x, out=path[1:])
-    series = _extend(path, boundary)
-    h = filters.h_arr()
-    w = h[0] * series
-    for l in range(1, h.size):
-        w += h[l] * np.roll(series, l)
-    return w
-
-
-def level1_coefficients(
-    x: np.ndarray, filters: FilterPair, boundary: str = "reflecting"
-) -> np.ndarray:
-    """Aligned first-scale coefficients for locating isolated level shifts.
-
-    The input is a return series. The transform runs on its anchored
-    cumulative path, so a single nonzero return (a level shift of the
-    cumulative series) concentrates in one burst of coefficients; the
-    output is circularly advanced by the calibrated alignment shift so
-    the peak magnitude lands exactly at the return index it belongs to.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("level1_coefficients expects a 1-d series")
-    if boundary not in BOUNDARIES:
-        raise ValueError(f"boundary must be one of {BOUNDARIES}, got {boundary!r}")
-    if x.size < filters.width:
-        raise ValueError("series shorter than the filter")
-    raw = _level1_path_raw(x, filters, boundary)
-    shift = _path_shift(filters, boundary)
-    idx = (np.arange(x.size) + shift) % raw.size
-    return raw[idx]

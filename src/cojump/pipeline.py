@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import itertools
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bootstrap, events, jumps, jwc, modwt
+from . import bootstrap, events, jumps, jwc
 from .ticks import MalformedFile, ReturnPanel, SessionSpec, write_csv
 
 
@@ -39,32 +40,16 @@ class DayResult:
 
 
 def detect_panel_jumps(panel: ReturnPanel) -> dict:
-    """Universal-threshold jump detection on every instrument of a day.
-
-    Haar level-1 coefficients: one coefficient per return, so a jump is
-    not smeared across its neighbours.
-    """
-    out = {}
-    for name in panel.instruments:
-        series = panel.series(name)
-        w1 = modwt.level1_coefficients(series, modwt.haar())
-        threshold = jumps.universal_threshold(w1)
-        out[name] = jumps.detect_jumps(
-            series, w1, threshold, date=panel.date, instrument=name
-        )
-    return out
-
-
-def _sizes_at_indices(js: jumps.JumpSeries) -> dict:
-    return {int(i): float(js.jump_sizes[i]) for i in js.jump_indices}
+    """Haar universal-threshold jump detection on every instrument of a day."""
+    return {name: jumps.haar_detect(panel.series(name)) for name in panel.instruments}
 
 
 def _pair_events(jumps_a, jumps_b, common) -> tuple:
-    sizes_a = _sizes_at_indices(jumps_a)
-    sizes_b = _sizes_at_indices(jumps_b)
     return tuple(
-        events.CoJumpEvent(index=int(idx), sizes=(sizes_a[idx], sizes_b[idx]))
-        for idx in common.tolist()
+        events.CoJumpEvent(
+            index=i, sizes=(float(jumps_a.jump_sizes[i]), float(jumps_b.jump_sizes[i]))
+        )
+        for i in common.tolist()
     )
 
 
@@ -174,21 +159,19 @@ def _tuple_label(members, jump_series, outcomes):
     for every constituent pair. Days with several common indices take
     the label of the largest total-magnitude one (lowest index on ties).
     """
-    members = list(members)
     common = None
     for name in members:
         idx = set(jump_series[name].jump_indices.tolist())
         common = idx if common is None else (common & idx)
     if not common:
         return None
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            out = _pair_outcome(outcomes, members[i], members[j])
-            if out is None or not out.rejected:
-                return None
-    sizes_by = {name: _sizes_at_indices(jump_series[name]) for name in members}
-    best = min(common, key=lambda k: (-sum(abs(sizes_by[n][k]) for n in members), k))
-    return events.classify_shift_rotation([sizes_by[n][best] for n in members])
+    for a, b in itertools.combinations(members, 2):
+        out = _pair_outcome(outcomes, a, b)
+        if out is None or not out.rejected:
+            return None
+    sizes = [jump_series[name].jump_sizes for name in members]
+    best = min(common, key=lambda k: (-sum(abs(s[k]) for s in sizes), k))
+    return events.classify_shift_rotation([s[best] for s in sizes])
 
 
 def _pair_outcome(outcomes: dict, a: str, b: str):

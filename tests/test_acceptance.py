@@ -54,17 +54,10 @@ TABLE_HEADERS = {
 }
 
 
-def _detect(series: np.ndarray) -> jumps.JumpSeries:
-    """Detection exactly as the pipeline default runs it."""
-    pair = modwt.shipped_filters("haar")
-    w1 = modwt.level1_coefficients(series, pair, boundary="reflecting")
-    return jumps.detect_jumps(series, w1, jumps.universal_threshold(w1))
-
-
 def _day_statistic(day: sim.SimDay, cfg: jwc.JwcConfig, b_reps: int, seed: int):
     """One observed day through detect -> adjust -> estimate -> test."""
     r1, r2 = day.observed
-    j1, j2 = _detect(r1), _detect(r2)
+    j1, j2 = jumps.haar_detect(r1), jumps.haar_detect(r2)
     adj = np.vstack([jumps.adjust_returns(r1, j1), jumps.adjust_returns(r2, j2)])
     ic = jwc.jwc_integrated_covariance(adj, cfg)
     out = bootstrap.bootstrap_statistic(
@@ -160,9 +153,9 @@ def test_jump_localization_and_false_flag_rate():
         idx = int(rng_idx.integers(0, n))
         spiked = r.copy()
         spiked[idx] += 8.0 * sig_int
-        found = _detect(spiked)
+        found = jumps.haar_detect(spiked)
         exact += int(found.count == 1 and int(found.jump_indices[0]) == idx)
-        clean += int(_detect(r).count == 0)
+        clean += int(jumps.haar_detect(r).count == 0)
     record_criterion(
         4, "8-sigma return localized >=99%, clean days unflagged >=95%",
         exact >= 990 and clean >= 950,

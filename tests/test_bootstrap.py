@@ -6,15 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from cojump import bootstrap, jumps, jwc, modwt
+from cojump import bootstrap, jumps, jwc
 
 N = 540
 CFG = jwc.JwcConfig(g_spacing=5)
-
-
-def _detect(returns):
-    w1 = modwt.level1_coefficients(returns, modwt.haar())
-    return jumps.detect_jumps(returns, w1, jumps.universal_threshold(w1))
 
 
 def _run_day(seed, jump_spec=(), b_reps=199):
@@ -25,7 +20,7 @@ def _run_day(seed, jump_spec=(), b_reps=199):
     r_1, r_2 = r_1.copy(), r_2.copy()
     for leg, idx, size in jump_spec:
         (r_1 if leg == 0 else r_2)[idx] += size
-    j_1, j_2 = _detect(r_1), _detect(r_2)
+    j_1, j_2 = jumps.haar_detect(r_1), jumps.haar_detect(r_2)
     adjusted = np.vstack([jumps.adjust_returns(r_1, j_1), jumps.adjust_returns(r_2, j_2)])
     ic = jwc.jwc_integrated_covariance(adjusted, CFG)
     out = bootstrap.bootstrap_statistic(

@@ -135,6 +135,39 @@ def test_removed_estimator_keys_rejected(capsys, tmp_path, key, value):
     assert key in msg["message"]
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("session.sampling_seconds", 60.7), ("report.histogram_bin_minutes", 30.9),
+     ("seed", 1.9), ("jobs", 1.5), ("jobs", True), ("bootstrap.b_reps", 150.7),
+     ("bootstrap.b_reps", "150"), ("estimator.s_spacing", 1.5),
+     ("estimator.g_spacing", True), ("estimator.g_spacing", 5.5),
+     ("estimator.g_spacing", "5")],
+)
+def test_non_integer_config_value_rejected(capsys, tmp_path, key, value):
+    """An integer key holding a bool, a fraction or a string exits 3 before any stage."""
+    raw = json.loads(_write_config(tmp_path).read_text())
+    *blocks, last = key.split(".")
+    target = raw
+    for block in blocks:
+        target = target.setdefault(block, {})
+    target[last] = value
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(raw))
+    assert cli.main(["simulate", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    msg = _stderr_json(capsys)
+    assert msg["error"] == "config"
+    assert key in msg["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_tuple_with_unconfigured_pair_rejected(capsys, tmp_path):
+    cfg = _write_config(tmp_path, instruments=["TU", "FV", "TY"], tuples=[["TU", "FV", "TY"]])
+    assert cli.main(["simulate", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    msg = _stderr_json(capsys)
+    assert msg["error"] == "config"
+    assert msg["message"].endswith("pairs not configured: TU-TY, FV-TY")
+
+
 def test_missing_tick_file_is_io_error(capsys, tmp_path):
     cfg = _write_config(
         tmp_path,

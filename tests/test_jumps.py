@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cojump import jumps
+from cojump import jumps, modwt
 from conftest import seeded
 
 
@@ -96,6 +96,47 @@ def test_jump_series_invariant_enforced():
         jumps.JumpSeries(n=3, jump_indices=[0], jump_sizes=[0.0, 0.0, 0.0], threshold=1.0)
     with pytest.raises(ValueError, match="length n"):
         jumps.JumpSeries(n=4, jump_indices=[], jump_sizes=[0.0], threshold=1.0)
+
+
+# --- Haar detection: the closed form against the transform ---
+
+
+def _oracle_w1(returns) -> np.ndarray:
+    """Haar level-1 MODWT coefficients of the anchored cumulative path."""
+    path = np.concatenate([[0.0], np.cumsum(returns)])
+    return modwt.modwt_forward(path, modwt.haar(), 1, "reflecting").W[0][1:]
+
+
+def test_haar_detect_matches_transform_oracle():
+    """w1 = r / 2 up to cumsum rounding, with the transform's flags, on 600 days."""
+    rng = seeded("haar-oracle")
+    degenerate = 0
+    for day in range(600):
+        r = rng.standard_normal(540) * 10.0 ** rng.uniform(-5, -2)
+        r[rng.random(540) < rng.uniform(0.0, 0.6)] = 0.0  # stale intervals
+        for i in rng.choice(540, size=int(rng.integers(0, 4)), replace=False):
+            r[i] = rng.choice([-1.0, 1.0]) * rng.uniform(4.0, 12.0) * np.std(r)
+        w1 = _oracle_w1(r)
+        eps = np.finfo(float).eps * np.max(np.abs(np.cumsum(r)))
+        assert np.max(np.abs(w1 - 0.5 * r)) <= 2.0 * eps, day
+        oracle = jumps.detect_jumps(r, w1, jumps.universal_threshold(w1))
+        live = jumps.haar_detect(r)
+        assert live.jump_indices.tolist() == oracle.jump_indices.tolist(), day
+        assert np.array_equal(live.jump_sizes, oracle.jump_sizes)
+        assert live.degenerate == oracle.degenerate
+        assert not (live.degenerate and live.count)  # a zero threshold flags nothing
+        degenerate += live.degenerate
+    assert 0 < degenerate < 600  # both threshold branches ran
+
+
+def test_haar_detect_flags_a_jump_at_its_own_index():
+    """An 8-sigma return is flagged at its index, both ends of the day included."""
+    noise = seeded("haar-align").standard_normal(540) * 1e-3
+    assert jumps.haar_detect(noise).count == 0
+    for k in range(noise.size):
+        r = noise.copy()
+        r[k] = 8e-3
+        assert jumps.haar_detect(r).jump_indices.tolist() == [k]
 
 
 # --- adjustment ---

@@ -201,34 +201,3 @@ def test_max_levels_agrees_with_validation():
                 if j < math.floor(math.log2(n)):
                     with pytest.raises(ValueError):
                         modwt.modwt_forward(np.zeros(n), pair, j + 1, boundary)
-
-
-# --- level-1 alignment ---
-
-
-@pytest.mark.parametrize("name", ["haar", "d4"])
-@pytest.mark.parametrize("boundary", modwt.BOUNDARIES)
-def test_impulse_alignment_every_index(name, boundary):
-    """A lone nonzero return must put the peak coefficient at its own index."""
-    pair = modwt.shipped_filters(name)
-    n = 64
-    for k in range(n):
-        x = np.zeros(n)
-        x[k] = 1.0
-        w = modwt.level1_coefficients(x, pair, boundary=boundary)
-        assert w.shape == (n,)
-        assert int(np.argmax(np.abs(w))) == k
-
-
-def test_level1_zero_series():
-    w = modwt.level1_coefficients(np.zeros(32), modwt.d4())
-    assert np.all(w == 0.0)
-
-
-def test_level1_input_validation():
-    with pytest.raises(ValueError, match="shorter"):
-        modwt.level1_coefficients(np.zeros(3), modwt.d4())
-    with pytest.raises(ValueError, match="1-d"):
-        modwt.level1_coefficients(np.zeros((4, 4)), modwt.haar())
-    with pytest.raises(ValueError, match="boundary"):
-        modwt.level1_coefficients(np.zeros(16), modwt.haar(), boundary="wrap")

@@ -6,7 +6,7 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from cojump import jwc, pipeline, sim
+from cojump import jumps, jwc, pipeline, sim
 from cojump.ticks import SessionSpec
 
 SPEC = SessionSpec(dt.time(7, 0), dt.time(16, 0), "America/Chicago", 60)
@@ -46,6 +46,16 @@ def test_detect_panel_jumps_localization():
     assert js["TU"].jump_sizes[270] == panels[1].series("TU")[270]
     quiet = pipeline.detect_panel_jumps(panels[0])
     assert quiet["TU"].count == 0 and quiet["FV"].count == 0
+
+
+def test_detect_panel_jumps_is_haar_detect():
+    for panel in _two_leg_panels():
+        detected = pipeline.detect_panel_jumps(panel)
+        assert list(detected) == panel.instruments
+        for name, js in detected.items():
+            direct = jumps.haar_detect(panel.series(name))
+            assert js.jump_indices.tolist() == direct.jump_indices.tolist()
+            assert np.array_equal(js.jump_sizes, direct.jump_sizes)
 
 
 def test_day_classifications(two_leg):

@@ -92,6 +92,13 @@ def _integer(key: str, value) -> int:
     return value
 
 
+def _real(key: str, value) -> float:
+    """A real config value; a bool or a string is a ConfigError."""
+    if type(value) not in (int, float):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def load_config(path: str, overrides: dict) -> RunConfig:
     """Parse and validate the JSON run configuration."""
     try:
@@ -123,7 +130,9 @@ def load_config(path: str, overrides: dict) -> RunConfig:
             excluded_dates=frozenset(
                 dt.date.fromisoformat(d) for d in cal_block.get("excluded_dates", [])
             ),
-            low_trade_threshold=float(cal_block.get("low_trade_threshold", 0.60)),
+            low_trade_threshold=_real(
+                "calendar.low_trade_threshold", cal_block.get("low_trade_threshold", 0.60)
+            ),
         )
         announcements = _announcement_dates(raw.get("announcements"))
         est_block = dict(raw.get("estimator", {}))
@@ -136,7 +145,7 @@ def load_config(path: str, overrides: dict) -> RunConfig:
             )
         g_spacing = est_block.get("g_spacing")
         estimator = jwc.JwcConfig(
-            c_n=float(est_block.get("c_n", 1.0)),
+            c_n=_real("estimator.c_n", est_block.get("c_n", 1.0)),
             s_spacing=_integer("estimator.s_spacing", est_block.get("s_spacing", 1)),
             g_spacing=None if g_spacing is None else _integer("estimator.g_spacing", g_spacing),
         )
@@ -162,7 +171,7 @@ def load_config(path: str, overrides: dict) -> RunConfig:
             b_reps=_integer(
                 "bootstrap.b_reps", override("bootstrap_reps", boot.get("b_reps", 999))
             ),
-            alpha=float(override("alpha", boot.get("alpha", 0.05))),
+            alpha=_real("bootstrap.alpha", override("alpha", boot.get("alpha", 0.05))),
             seed=_integer("seed", override("seed", raw.get("seed", 0))),
             jobs=_integer("jobs", override("jobs", raw.get("jobs", 1))),
             output=resolve(overrides.get("output") or raw.get("output", "out")),
@@ -230,6 +239,8 @@ def _validate(config: RunConfig) -> None:
                 f"tick source {name!r}: unknown schema roles {unknown} "
                 "(the roles are timestamp, price and volume)"
             )
+        if not all(isinstance(c, str) for c in src["schema"].values()):
+            raise ConfigError(f"tick source {name!r}: schema column names must be strings")
         # missing referenced files are I/O failures, not config failures
         if not os.path.exists(src["path"]):
             raise FileNotFoundError(f"tick file for {name} not found: {src['path']}")

@@ -232,14 +232,17 @@ def _result_or_rerun(future, task):
 def _read_csv(path, columns: list, convert) -> list:
     """``convert`` of each row of an intermediate CSV; bad files raise MalformedFile."""
     with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        missing = [c for c in columns if c not in (reader.fieldnames or [])]
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        missing = [c for c in columns if c not in header]
         if missing:
             raise MalformedFile(f"{path}: missing columns {missing}")
         out = []
-        for row in reader:
+        for row in filter(None, reader):  # blank lines are no records
             try:
-                out.append(convert(row))
+                if len(row) < len(header):
+                    raise ValueError(f"{len(row)} fields where the header has {len(header)}")
+                out.append(convert(dict(zip(header, row))))
             except (TypeError, ValueError) as exc:
                 raise MalformedFile(f"{path}: line {reader.line_num}: {exc}") from exc
     return out

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import math
 from dataclasses import dataclass, field
 from zoneinfo import ZoneInfo
 
@@ -166,49 +167,60 @@ class ReturnPanel:
 
 
 def parse_ticks(path, schema: dict, spec: SessionSpec, instrument: str = "") -> TickSeries:
-    """Parse one instrument's trades from a CSV file.
+    """Parse one instrument's trades from a CSV file in one streamed pass.
 
     ``schema`` maps the roles "timestamp", "price" and optionally
     "volume" to column names in the file's header. Naive timestamps are
     read as wall clock in the session timezone, stamps with an offset
     are converted to it. Rows that fail to parse, lack a field, or
-    carry a non-positive price or negative volume are rejected and
-    counted.
+    carry a price outside (0, inf), a negative volume or one too large
+    for an integer are rejected and counted. Blank lines are skipped
+    and not counted; diagnostics number the records from line 2.
     """
     for role in ("timestamp", "price"):
         if role not in schema:
             raise ValueError(f"schema must name a {role} column")
     tz = spec.tzinfo()
-    vol_col = schema.get("volume")
+    fromisoformat = dt.datetime.fromisoformat
     times = []
     prices = []
     rejected = 0
     diagnostics = []
-    total = 0
     try:
         handle = open(path, newline="")
     except OSError as exc:
         raise OSError(f"cannot read tick file {path}: {exc}") from exc
     with handle:
-        # a short row reads "" for its missing fields and fails to parse
-        reader = csv.DictReader(handle, restval="")
-        for lineno, row in enumerate(reader, start=2):
-            total += 1
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        width = len(header)
+        # the last column of a duplicated name wins; a column missing from
+        # the header reads past the end of every row, so every row is rejected
+        column = {name: i for i, name in enumerate(header)}
+        i_stamp = column.get(schema["timestamp"], width)
+        i_price = column.get(schema["price"], width)
+        vol_col = schema.get("volume")
+        i_vol = column.get(vol_col, width) if vol_col else None
+        lineno = 1
+        for lineno, row in enumerate(filter(None, reader), start=2):
+            if len(row) != width:
+                # a short row reads "" for its missing fields; extra fields are ignored
+                row = (row + [""] * width)[:width]
             try:
-                stamp = dt.datetime.fromisoformat(row[schema["timestamp"]].strip())
-                price = float(row[schema["price"]])
-                volume = int(float(row[vol_col])) if vol_col else 0
-            except (KeyError, TypeError, ValueError) as exc:
+                stamp = fromisoformat(row[i_stamp].strip())
+                if stamp.tzinfo is not None:
+                    stamp = stamp.astimezone(tz).replace(tzinfo=None)
+                price = float(row[i_price])
+                volume = 0 if i_vol is None else int(float(row[i_vol]))
+            except (IndexError, OverflowError, ValueError) as exc:
                 rejected += 1
                 diagnostics.append(f"line {lineno}: {exc}")
                 continue
-            if price <= 0.0 or volume < 0:
+            if not 0.0 < price < math.inf or volume < 0:
                 rejected += 1
                 diagnostics.append(f"line {lineno}: invalid price/volume {price}/{volume}")
                 continue
-            if stamp.tzinfo is not None:
-                stamp = stamp.astimezone(tz).replace(tzinfo=None)
-            times.append(_wall_us(stamp))
+            times.append((stamp - _EPOCH) // _US)
             prices.append(price)
     if not times:
         raise ZeroValidRows(f"{path}: no valid tick rows ({rejected} rejected)")
@@ -219,7 +231,7 @@ def parse_ticks(path, schema: dict, spec: SessionSpec, instrument: str = "") -> 
         times=times[order],
         prices=np.array(prices)[order],
         rejected=rejected,
-        total_rows=total,
+        total_rows=lineno - 1,
         diagnostics=diagnostics,
     )
 

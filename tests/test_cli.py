@@ -160,6 +160,36 @@ def test_non_integer_config_value_rejected(capsys, tmp_path, key, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("estimator.c_n", True), ("estimator.c_n", "1.0"), ("bootstrap.alpha", "0.05"),
+     ("bootstrap.alpha", False), ("calendar.low_trade_threshold", True),
+     ("calendar.low_trade_threshold", "0.6")],
+)
+def test_non_real_config_value_rejected(capsys, tmp_path, key, value):
+    """A real key holding a bool or a string exits 3 and names the key."""
+    raw = json.loads(_write_config(tmp_path).read_text())
+    block, last = key.split(".")
+    raw.setdefault(block, {})[last] = value
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(raw))
+    assert cli.main(["simulate", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    msg = _stderr_json(capsys)
+    assert msg["error"] == "config"
+    assert key in msg["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_integer_real_config_value_accepted(tmp_path):
+    raw = json.loads(_write_config(tmp_path).read_text())
+    raw["estimator"]["c_n"] = 2
+    raw["calendar"] = {"low_trade_threshold": 1}
+    cfg = tmp_path / "ints.json"
+    cfg.write_text(json.dumps(raw))
+    config = cli.load_config(str(cfg), {})
+    assert config.estimator.c_n == 2.0 and config.calendar.low_trade_threshold == 1.0
+
+
 def test_tuple_with_unconfigured_pair_rejected(capsys, tmp_path):
     cfg = _write_config(tmp_path, instruments=["TU", "FV", "TY"], tuples=[["TU", "FV", "TY"]])
     assert cli.main(["simulate", "--config", str(cfg)]) == cli.EXIT_CONFIG
@@ -227,6 +257,24 @@ def test_ingest_writes_panels_and_drop_log(tmp_path):
     assert (tmp_path / "out" / "drop_log.csv").exists()
 
 
+def test_ingest_rejects_non_finite_price_and_overflowing_volume(tmp_path):
+    """A nan price as the last tick at a grid instant, or a volume of 1e400,
+    is a rejected row; the panels equal those of the file without them."""
+    cfg = _write_tick_config(tmp_path)
+    assert cli.main(["ingest", "--config", str(cfg), "--output", "clean"]) == cli.EXIT_OK
+    with open(tmp_path / "tu.csv", "a") as handle:
+        handle.write("2017-03-13 07:01:00,nan,1\n2017-03-13 07:02:00,inf,1\n"
+                     "2017-03-14 09:00:00,101.0,1e400\n")
+    assert cli.main(["ingest", "--config", str(cfg)]) == cli.EXIT_OK
+    panels = sorted(os.listdir(tmp_path / "clean" / "panels"))
+    assert sorted(os.listdir(tmp_path / "out" / "panels")) == panels
+    for name in panels:
+        clean = (tmp_path / "clean" / "panels" / name).read_bytes()
+        assert (tmp_path / "out" / "panels" / name).read_bytes() == clean
+    assert (tmp_path / "out" / "drop_log.csv").read_bytes() == (
+        tmp_path / "clean" / "drop_log.csv").read_bytes()
+
+
 def test_ingest_that_keeps_no_day_fails(capsys, tmp_path):
     cfg = _write_tick_config(
         tmp_path, calendar={"excluded_dates": ["2017-03-13", "2017-03-14"]}
@@ -240,6 +288,17 @@ def test_ingest_that_keeps_no_day_fails(capsys, tmp_path):
     assert drops == [
         ["date", "reason"], ["2017-03-13", "excluded_date"], ["2017-03-14", "excluded_date"]
     ]
+
+
+@pytest.mark.parametrize("column", [["t"], 3, None])
+def test_non_string_schema_column_rejected(capsys, tmp_path, column):
+    (tmp_path / "tu.csv").write_text("t,p,v\n2017-03-13 07:00:01,100.0,1\n")
+    cfg = _write_config(
+        tmp_path, instruments=["TU"], pairs=[],
+        ticks={"TU": {"path": "tu.csv", "schema": {"timestamp": column, "price": "p"}}},
+    )
+    assert cli.main(["ingest", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    assert "schema column names" in _stderr_json(capsys)["message"]
 
 
 @pytest.mark.parametrize("role", ["instrument", "volumes"])
@@ -574,6 +633,20 @@ def test_decompositions_without_ic_column_is_io_error(capsys, full_run):
     path.write_text("".join(",".join(r[:col] + r[col + 1:]) + "\n" for r in rows))
     assert cli.main(["report", "--config", str(cfg)]) == cli.EXIT_IO
     assert "'ic'" in _io_error_message(capsys, "decompositions.csv")
+
+
+@pytest.mark.parametrize("keep", [1, 5])
+def test_decompositions_with_short_row_is_io_error(capsys, full_run, keep):
+    """A row with fewer fields than the header exits 2 naming its line; blank lines are skipped."""
+    tmp_path, cfg = full_run
+    path = tmp_path / "out" / "decompositions.csv"
+    rows = list(csv.reader(open(path, newline="")))
+    rows[2] = rows[2][:keep]
+    path.write_text("\n".join(",".join(r) for r in rows) + "\n\n")
+    assert cli.main(["report", "--config", str(cfg)]) == cli.EXIT_IO
+    assert "line 3: " in _io_error_message(capsys, "decompositions.csv")
+    path.write_text("\n\n".join(",".join(r) for r in rows[:2]) + "\n\n")
+    assert cli.main(["report", "--config", str(cfg)]) == cli.EXIT_OK
 
 
 def test_crashed_worker_day_is_rerun_serially(tmp_path, monkeypatch):

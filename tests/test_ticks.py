@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cojump import ticks as tk
 
@@ -167,6 +169,147 @@ def test_parse_ticks_orders_by_session_wall_clock(tmp_path):
     _, prices = series.day(dt.date(2017, 11, 5))
     assert prices.tolist() == [1.0, 3.0, 4.0, 2.0, 5.0]
     assert series.day(dt.date(2017, 11, 6))[0].size == 0
+
+
+def test_parse_ticks_rejects_non_finite_prices_and_overflowing_volumes(tmp_path):
+    path = _tick_file(
+        tmp_path,
+        [
+            "2017-03-15 13:00:01,nan,1",
+            "2017-03-15 13:00:02,inf,1",
+            "2017-03-15 13:00:03,-inf,1",
+            "2017-03-15 13:00:04,1e400,1",
+            "2017-03-15 13:00:05,124.5,1e400",
+            "2017-03-15 13:00:06,124.5,3",
+        ],
+    )
+    series = tk.parse_ticks(path, SCHEMA, _spec())
+    assert series.total_rows == 6 and series.rejected == 5
+    assert series.prices.tolist() == [124.5]
+    assert series.diagnostics == [
+        "line 2: invalid price/volume nan/1",
+        "line 3: invalid price/volume inf/1",
+        "line 4: invalid price/volume -inf/1",
+        "line 5: invalid price/volume inf/1",
+        "line 6: cannot convert float infinity to integer",
+    ]
+
+
+def test_parse_ticks_rejects_offset_stamps_outside_the_calendar(tmp_path):
+    """An offset stamp whose conversion leaves datetime's range is a rejected row."""
+    path = _tick_file(
+        tmp_path, ["0001-01-01T00:30:00+01:00,100,1", "2017-03-15 13:00:01,100,1"]
+    )
+    series = tk.parse_ticks(path, SCHEMA, _spec())
+    assert series.rejected == 1 and series.diagnostics == ["line 2: date value out of range"]
+
+
+def _dictreader_parse(path, schema, spec):
+    """The csv.DictReader loop that parse_ticks replaced, kept as its oracle.
+
+    It accepts a non-finite price and crashes on an overflowing volume or
+    offset stamp, so it is compared only on inputs without them.
+    """
+    tz = spec.tzinfo()
+    vol_col = schema.get("volume")
+    times, prices, diagnostics = [], [], []
+    rejected = total = 0
+    with open(path, newline="") as handle:
+        for lineno, row in enumerate(csv.DictReader(handle, restval=""), start=2):
+            total += 1
+            try:
+                stamp = dt.datetime.fromisoformat(row[schema["timestamp"]].strip())
+                price = float(row[schema["price"]])
+                volume = int(float(row[vol_col])) if vol_col else 0
+            except (KeyError, TypeError, ValueError) as exc:
+                rejected += 1
+                diagnostics.append(f"line {lineno}: {exc}")
+                continue
+            if price <= 0.0 or volume < 0:
+                rejected += 1
+                diagnostics.append(f"line {lineno}: invalid price/volume {price}/{volume}")
+                continue
+            if stamp.tzinfo is not None:
+                stamp = stamp.astimezone(tz).replace(tzinfo=None)
+            times.append(_wall_us(stamp))
+            prices.append(price)
+    if not times:
+        raise tk.ZeroValidRows(f"{path}: no valid tick rows ({rejected} rejected)")
+    order = np.argsort(np.array(times, dtype=np.int64), kind="stable")
+    return tk.TickSeries("", np.array(times, dtype=np.int64)[order], np.array(prices)[order],
+                         rejected, total, diagnostics)
+
+
+def _outcome(parse, path, schema):
+    try:
+        s = parse(path, schema, _spec())
+    except tk.ZeroValidRows as exc:
+        return str(exc)
+    return (s.times.dtype, s.times.tolist(), s.prices.tobytes(), s.rejected, s.total_rows,
+            s.diagnostics)
+
+
+_HEADERS = (  # the schema reads ts, px and vol
+    ["ts", "px", "vol"],
+    ["vol", "ts", "px"],
+    ["ts", "px", "vol", "px"],  # a duplicated column: the last one wins
+    ["ts", "note", "px", "vol"],
+    ["ts", "px"],  # no volume column: every row is rejected
+)
+_STAMPS = st.builds(
+    lambda day, hour, minute, second, micro, sep, offset: (
+        f"2017-11-{day:02d}{sep}{hour:02d}:{minute:02d}:{second:02d}{micro}{offset}"
+    ),
+    st.integers(4, 6),
+    st.integers(0, 25),  # 24 and 25 are impossible clock times
+    st.sampled_from([0, 1, 30, 59, 61]),
+    st.integers(0, 59),
+    st.sampled_from(["", ".250000", ".5"]),
+    st.sampled_from(["T", " ", "X"]),
+    st.sampled_from(["", "", "+00:00", "-06:00", "-05:00", "+01:30"]),
+) | st.sampled_from(["", "not a time", " 2017-11-05T01:30:00 "])
+_FIELDS = {
+    "ts": _STAMPS,
+    "px": st.sampled_from(["101.25", "99.5", " 100 ", "1e2", "n/a", "0", "0.0", "-3.5", "",
+                           "1,5", 'a "quoted" 7']),
+    "vol": st.sampled_from(["5", "0", "-5", "2.5", "-0.5", "0.9", "1e3", "x", ""]),
+    "note": st.sampled_from(["", "a,b", "c"]),
+}
+
+
+@st.composite
+def _tick_files(draw):
+    header = draw(st.sampled_from(_HEADERS))
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["full", "full", "full", "short", "long", "blank"]))
+        row = [draw(_FIELDS[name]) for name in header]
+        if kind == "short":
+            row = row[: draw(st.integers(1, len(header) - 1))]
+        elif kind == "long":
+            row += draw(st.lists(_FIELDS["px"], min_size=1, max_size=3))
+        lines.append(None if kind == "blank" else row)
+    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+    return header, lines, quoting
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tick_files())
+def test_parse_ticks_matches_dictreader_oracle(tmp_path_factory, case):
+    """The streamed reader and the DictReader loop agree on every finite input:
+    blank, short, long and quoted rows, duplicated headers and bad fields."""
+    header, lines, quoting = case
+    path = tmp_path_factory.mktemp("ticks") / "ticks.csv"
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, quoting=quoting, lineterminator="\n")
+        writer.writerow(header)
+        for row in lines:
+            if row is None:
+                handle.write("\n")
+            else:
+                writer.writerow(row)
+    schema = {"timestamp": "ts", "price": "px", "volume": "vol"}
+    assert _outcome(tk.parse_ticks, path, schema) == _outcome(_dictreader_parse, path, schema)
 
 
 def test_last_tick_sampling_rule():

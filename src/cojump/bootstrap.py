@@ -1,4 +1,4 @@
-"""Bootstrap test for daily discontinuity and final estimate selection.
+"""Bootstrap test for a daily discontinuity.
 
 The statistic compares two covariance estimators that agree when the
 day has no jumps: the realized covariance QV of the raw returns and the
@@ -49,8 +49,6 @@ class TestOutcome:
     z: float
     p_value: float
     rejected: bool
-    mean_z_star: float
-    var_z_star: float
     b_reps: int
     alpha: float
     seed: int
@@ -85,13 +83,12 @@ def simulate_null_day(ic_diag_1: float, ic_diag_2: float, rho_hat: float, n: int
     return r_1, r_2
 
 
-def _classify(rejected: bool, jumps_1: JumpSeries, jumps_2: JumpSeries) -> tuple:
-    common = np.intersect1d(jumps_1.jump_indices, jumps_2.jump_indices)
-    if rejected and common.size > 0:
-        return "co_jump", common
+def _classify(rejected: bool, jumps_1: JumpSeries, jumps_2: JumpSeries) -> str:
+    if rejected and np.intersect1d(jumps_1.jump_indices, jumps_2.jump_indices).size > 0:
+        return "co_jump"
     if rejected and (jumps_1.count > 0 or jumps_2.count > 0):
-        return "disjoint_only", common
-    return "no_discontinuity", common
+        return "disjoint_only"
+    return "no_discontinuity"
 
 
 def _inconclusive(date, pair, b_reps, alpha, seed) -> TestOutcome:
@@ -101,8 +98,6 @@ def _inconclusive(date, pair, b_reps, alpha, seed) -> TestOutcome:
         z=float("nan"),
         p_value=float("nan"),
         rejected=False,
-        mean_z_star=float("nan"),
-        var_z_star=float("nan"),
         b_reps=b_reps,
         alpha=alpha,
         seed=seed,
@@ -116,7 +111,8 @@ def bootstrap_statistic(
     raw_2: np.ndarray,
     jumps_1: JumpSeries,
     jumps_2: JumpSeries,
-    ic_pair: jwc.IcMatrix,
+    ic_pair: np.ndarray,
+    estimator: jwc.JwcConfig,
     b_reps: int = 999,
     alpha: float = 0.05,
     seed: int = 0,
@@ -125,9 +121,10 @@ def bootstrap_statistic(
 ) -> TestOutcome:
     """Test one day's pair for a discontinuity.
 
-    ``ic_pair`` is the day's 2 x 2 estimate for this pair on the
-    jump-adjusted returns; its configuration is reused inside every
-    replication (without jump detection, since the null has none).
+    ``ic_pair`` is the 2 x 2 block of the day's IC estimate for this
+    pair on the jump-adjusted returns, and ``estimator`` the
+    configuration that produced it; every replication reuses that
+    configuration (without jump detection, since the null has none).
     Days with QV = 0, a non-positive IC diagonal, or a degenerate
     bootstrap spread are reported inconclusive rather than forced.
     """
@@ -137,9 +134,9 @@ def bootstrap_statistic(
     raw_2 = np.asarray(raw_2, dtype=float)
     n = raw_1.size
     qv = realized_covariance(raw_1, raw_2)
-    ic_val = float(ic_pair.values[0, 1])
-    diag_1 = float(ic_pair.values[0, 0])
-    diag_2 = float(ic_pair.values[1, 1])
+    ic_val = float(ic_pair[0, 1])
+    diag_1 = float(ic_pair[0, 0])
+    diag_2 = float(ic_pair[1, 1])
     if qv == 0.0 or diag_1 <= 0.0 or diag_2 <= 0.0:
         return _inconclusive(date, pair, b_reps, alpha, seed)
 
@@ -149,8 +146,7 @@ def bootstrap_statistic(
     r_1, r_2 = simulate_null_day(diag_1, diag_2, rho_hat, (b_reps, n), seed)
 
     qv_star = np.einsum("bi,bi->b", r_1, r_2)
-    res = ic_pair.config.resolve(n)
-    ic_star = jwc.jwc_pair_entry(r_1, r_2, res)
+    ic_star = jwc.jwc_pair_entry(r_1, r_2, estimator.resolve(n))
     z_star = (qv_star - ic_star) / qv_star
     mean_z = float(np.mean(z_star))
     sd_z = float(np.std(z_star, ddof=1))
@@ -160,34 +156,17 @@ def bootstrap_statistic(
     z = ((qv - ic_val) / qv - mean_z) / sd_z
     p_value = 2.0 * (1.0 - _NORMAL.cdf(abs(z)))
     rejected = abs(z) > critical_value(alpha)
-    classification, _ = _classify(rejected, jumps_1, jumps_2)
     return TestOutcome(
         date=date,
         pair=pair,
         z=float(z),
         p_value=float(p_value),
         rejected=bool(rejected),
-        mean_z_star=mean_z,
-        var_z_star=sd_z * sd_z,
         b_reps=b_reps,
         alpha=alpha,
         seed=seed,
-        classification=classification,
+        classification=_classify(rejected, jumps_1, jumps_2),
     )
-
-
-def select_ic_star(test: TestOutcome, qv: float, ic_jwc: float) -> float:
-    """Final continuous covariance entry for the day.
-
-    The noisy but unbiased QV is kept when the test accepts (|Z| at or
-    below the critical value); the jump-robust estimate replaces it on
-    rejection. Inconclusive days fall back to the robust estimate.
-    """
-    if test.inconclusive:
-        return ic_jwc
-    if abs(test.z) <= critical_value(test.alpha):
-        return qv
-    return ic_jwc
 
 
 def write_outcomes(outcomes, path) -> None:

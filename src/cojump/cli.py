@@ -19,6 +19,7 @@ import glob
 import hashlib
 import itertools
 import json
+import math
 import os
 import re
 import sys
@@ -227,6 +228,12 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError("jobs must be positive")
     if config.seed < 0:
         raise ConfigError("seed must be non-negative")
+    if not 0.0 < config.estimator.c_n < math.inf:
+        raise ConfigError(f"estimator.c_n must be positive and finite, got {config.estimator.c_n}")
+    try:
+        config.estimator.resolve(config.session.n_intervals)
+    except ValueError as exc:
+        raise ConfigError(f"estimator: {exc}") from exc
     width = config.histogram_bin_minutes * 60
     if width <= 0 or config.session.session_seconds % width:
         raise ConfigError("report.histogram_bin_minutes must be positive and divide the session")
@@ -309,10 +316,20 @@ def cmd_simulate(config: RunConfig) -> int:
 
 
 def _load_panels(config: RunConfig) -> list:
+    """Every panel file; one of another date or instrument set raises SessionMismatch."""
     paths = sorted(glob.glob(os.path.join(_panels_dir(config), "panel_*.csv")))
     if not paths:
         raise OSError(f"no panel files under {_panels_dir(config)}")
-    return [ticks.read_panel_csv(p, config.session) for p in paths]
+    panels = [ticks.read_panel_csv(p, config.session) for p in paths]
+    for path, panel in zip(paths, panels):
+        if os.path.basename(path) != f"panel_{panel.date.isoformat()}.csv":
+            raise ticks.SessionMismatch(f"{path}: rows are dated {panel.date}, not the file's date")
+        if sorted(panel.instruments) != sorted(config.instruments):
+            raise ticks.SessionMismatch(
+                f"{path}: instruments {panel.instruments} are not the configured "
+                f"{config.instruments}"
+            )
+    return panels
 
 
 def cmd_decompose(config: RunConfig) -> int:

@@ -80,12 +80,6 @@ class IcMatrix:
 
     values: np.ndarray            # (d, d) symmetric
     floored: np.ndarray           # (d,) True where a negative diagonal was set to 0
-    config: JwcConfig
-    date: object = None
-
-    @property
-    def d(self) -> int:
-        return self.values.shape[0]
 
 
 def _aggregate(returns: np.ndarray, spacing: int, offset: int) -> np.ndarray:
@@ -130,9 +124,7 @@ def _two_scale(r_a: np.ndarray, r_b: np.ndarray, res: ResolvedJwc) -> np.ndarray
     return res.c_n * (slow - res.subsample_ratio * fast)
 
 
-def jwc_integrated_covariance(
-    adjusted: np.ndarray, config: "JwcConfig | None" = None, date=None
-) -> IcMatrix:
+def jwc_integrated_covariance(adjusted: np.ndarray, config: JwcConfig) -> IcMatrix:
     """JWC integrated covariance matrix of a day's jump-adjusted panel.
 
     ``adjusted`` is the d x N matrix of jump-adjusted log returns. The
@@ -140,7 +132,6 @@ def jwc_integrated_covariance(
     known finite-sample artifact of two-scale corrections, are floored
     at zero and flagged.
     """
-    config = config if config is not None else JwcConfig()
     r = np.atleast_2d(np.asarray(adjusted, dtype=float))
     d, n = r.shape
     res = config.resolve(n)
@@ -150,7 +141,7 @@ def jwc_integrated_covariance(
         if values[i, i] < 0.0:
             values[i, i] = 0.0
             floored[i] = True
-    return IcMatrix(values=values, floored=floored, config=config, date=date)
+    return IcMatrix(values=values, floored=floored)
 
 
 def jwc_pair_entry(r_1: np.ndarray, r_2: np.ndarray, res: ResolvedJwc) -> np.ndarray:

@@ -33,7 +33,6 @@ from .ticks import MalformedFile, ReturnPanel, SessionSpec, write_csv
 class DayResult:
     date: dt.date
     jump_series: dict
-    ic: jwc.IcMatrix
     outcomes: dict
     decomps: list
     tuple_labels: dict = field(default_factory=dict)
@@ -79,7 +78,7 @@ def process_day(
     adjusted = np.vstack(
         [jumps.adjust_returns(panel.series(n), jump_series[n]) for n in panel.instruments]
     )
-    ic = jwc.jwc_integrated_covariance(adjusted, estimator, date=panel.date)
+    ic = jwc.jwc_integrated_covariance(adjusted, estimator)
     qv_diag = {
         n: jumps.realized_covariance(panel.series(n), panel.series(n)) for n in panel.instruments
     }
@@ -92,18 +91,13 @@ def process_day(
         raw_a, raw_b = panel.series(a), panel.series(b)
         qv = jumps.realized_covariance(raw_a, raw_b)
         sub = ic.values[np.ix_([ia, ib], [ia, ib])]
-        ic_pair = jwc.IcMatrix(
-            values=sub,
-            floored=ic.floored[[ia, ib]],
-            config=ic.config,
-            date=ic.date,
-        )
         outcome = bootstrap.bootstrap_statistic(
             raw_a,
             raw_b,
             jump_series[a],
             jump_series[b],
-            ic_pair,
+            sub,
+            estimator,
             b_reps=b_reps,
             alpha=alpha,
             seed=pair_seed(seed, panel.date, k),
@@ -114,22 +108,23 @@ def process_day(
         cj_raw, common = jumps.cojump_variation(jump_series[a], jump_series[b])
         is_cj = outcome.classification == "co_jump"
         cj = cj_raw if is_cj else 0.0
-        selected = bootstrap.select_ic_star(outcome, qv, float(sub[0, 1]))
+        # the test's one verdict picks the continuous part: the robust
+        # estimate on rejection (or no verdict), the realized one otherwise
         if outcome.inconclusive or outcome.rejected:
-            den_a, den_b = float(sub[0, 0]), float(sub[1, 1])
+            cont, den_a, den_b = float(sub[0, 1]), float(sub[0, 0]), float(sub[1, 1])
         else:
-            den_a, den_b = qv_diag[a], qv_diag[b]
+            cont, den_a, den_b = qv, qv_diag[a], qv_diag[b]
         decomps.append(
             events.DayDecomposition(
                 date=panel.date,
                 pair=pair,
                 qv=qv,
-                ic=selected,
+                ic=cont,
                 cj=cj,
                 classification=outcome.classification,
                 events=_pair_events(jump_series[a], jump_series[b], common) if is_cj else (),
                 corr_total=_corr(qv, qv_diag[a], qv_diag[b]),
-                corr_cont=_corr(selected, den_a, den_b),
+                corr_cont=_corr(cont, den_a, den_b),
                 z=outcome.z,
                 p_value=outcome.p_value,
                 rejected=outcome.rejected,
@@ -145,7 +140,6 @@ def process_day(
     return DayResult(
         date=panel.date,
         jump_series=jump_series,
-        ic=ic,
         outcomes=outcomes,
         decomps=decomps,
         tuple_labels=tuple_labels,

@@ -61,7 +61,7 @@ def _day_statistic(day: sim.SimDay, cfg: jwc.JwcConfig, b_reps: int, seed: int):
     adj = np.vstack([jumps.adjust_returns(r1, j1), jumps.adjust_returns(r2, j2)])
     ic = jwc.jwc_integrated_covariance(adj, cfg)
     out = bootstrap.bootstrap_statistic(
-        r1, r2, j1, j2, ic, b_reps=b_reps, alpha=0.05, seed=seed
+        r1, r2, j1, j2, ic.values, cfg, b_reps=b_reps, alpha=0.05, seed=seed
     )
     return out, j1, j2
 

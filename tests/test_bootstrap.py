@@ -1,4 +1,4 @@
-"""Discontinuity test: null simulation, studentized statistic, selection."""
+"""Discontinuity test: null simulation, studentized statistic, classification."""
 
 import csv
 import math
@@ -24,9 +24,29 @@ def _run_day(seed, jump_spec=(), b_reps=199):
     adjusted = np.vstack([jumps.adjust_returns(r_1, j_1), jumps.adjust_returns(r_2, j_2)])
     ic = jwc.jwc_integrated_covariance(adjusted, CFG)
     out = bootstrap.bootstrap_statistic(
-        r_1, r_2, j_1, j_2, ic, b_reps=b_reps, alpha=0.05, seed=seed
+        r_1, r_2, j_1, j_2, ic.values, CFG, b_reps=b_reps, alpha=0.05, seed=seed
     )
     return out, j_1, j_2
+
+
+def _rebuild(seed, jump_spec, b_reps, j_1, j_2):
+    """A _run_day call's raw legs, IC block and null Z* rebuilt from its seed.
+
+    Z* is rebuilt from default_rng(seed).standard_normal((2, B, N)), the
+    one draw the statistic's seed stands for.
+    """
+    r_1, r_2 = bootstrap.simulate_null_day(1e-4, 1.44e-4, 0.5, N, np.random.default_rng(seed))
+    for leg, idx, size in jump_spec:
+        (r_1 if leg == 0 else r_2)[idx] += size
+    adjusted = np.vstack([jumps.adjust_returns(r_1, j_1), jumps.adjust_returns(r_2, j_2)])
+    ic = jwc.jwc_integrated_covariance(adjusted, CFG).values
+    rho = min(0.999, max(-0.999, ic[0, 1] / math.sqrt(ic[0, 0] * ic[1, 1])))
+    eta = np.random.default_rng(seed).standard_normal((2, b_reps, N))
+    s_1 = math.sqrt(ic[0, 0] / N) * eta[0]
+    s_2 = math.sqrt(ic[1, 1] / N) * (rho * eta[0] + math.sqrt(1.0 - rho * rho) * eta[1])
+    qv_star = np.einsum("bi,bi->b", s_1, s_2)
+    z_star = (qv_star - jwc.jwc_pair_entry(s_1, s_2, CFG.resolve(N))) / qv_star
+    return r_1, r_2, ic, z_star
 
 
 def test_critical_value():
@@ -76,7 +96,8 @@ def test_quiet_day_accepts():
     assert not out.inconclusive
     assert out.classification == "no_discontinuity"
     # bootstrap centering reflects the estimator's partition deficit nbar_G/n_S
-    assert out.mean_z_star == pytest.approx((536 / 5) / 540, abs=0.05)
+    z_star = _rebuild(0, (), 199, j_1, j_2)[3]
+    assert float(np.mean(z_star)) == pytest.approx((536 / 5) / 540, abs=0.05)
 
 
 def test_common_jump_rejects_as_co_jump():
@@ -113,30 +134,22 @@ def test_rejection_matches_p_value():
 def test_statistic_deterministic():
     a, _, _ = _run_day(0, [(0, 200, 0.05), (1, 200, 0.06)])
     b, _, _ = _run_day(0, [(0, 200, 0.05), (1, 200, 0.06)])
-    assert a.z == b.z
-    assert a.p_value == b.p_value
-    assert a.mean_z_star == b.mean_z_star
-    assert a.var_z_star == b.var_z_star
+    assert a == b
 
 
 def test_statistic_null_is_one_draw_of_shape_2_b_n():
-    """bootstrap_statistic(seed=s) uses default_rng(s).standard_normal((2, B, N))."""
-    b_reps, seed = 150, 2024
-    out, j_1, j_2 = _run_day(seed, [(0, 200, 0.05)], b_reps=b_reps)
-    r_1, r_2 = bootstrap.simulate_null_day(1e-4, 1.44e-4, 0.5, N, np.random.default_rng(seed))
-    r_1[200] += 0.05
-    adjusted = np.vstack([jumps.adjust_returns(r_1, j_1), jumps.adjust_returns(r_2, j_2)])
-    ic = jwc.jwc_integrated_covariance(adjusted, CFG).values
-    rho = min(0.999, max(-0.999, ic[0, 1] / math.sqrt(ic[0, 0] * ic[1, 1])))
-    eta = np.random.default_rng(seed).standard_normal((2, b_reps, N))
-    s_1 = math.sqrt(ic[0, 0] / N) * eta[0]
-    s_2 = math.sqrt(ic[1, 1] / N) * (rho * eta[0] + math.sqrt(1.0 - rho * rho) * eta[1])
-    qv_star = np.einsum("bi,bi->b", s_1, s_2)
-    z_star = (qv_star - jwc.jwc_pair_entry(s_1, s_2, CFG.resolve(N))) / qv_star
+    """bootstrap_statistic(seed=s) uses default_rng(s).standard_normal((2, B, N)).
+
+    Z is studentized by the moments of that draw's Z*, bit for bit.
+    """
+    b_reps, seed, spec = 150, 2024, [(0, 200, 0.05)]
+    out, j_1, j_2 = _run_day(seed, spec, b_reps=b_reps)
+    r_1, r_2, ic, z_star = _rebuild(seed, spec, b_reps, j_1, j_2)
+    qv = jumps.realized_covariance(r_1, r_2)
+    mean, sd = float(np.mean(z_star)), float(np.std(z_star, ddof=1))
     assert out.seed == seed
-    assert out.mean_z_star == float(np.mean(z_star))
-    sd = float(np.std(z_star, ddof=1))
-    assert out.var_z_star == sd * sd
+    assert out.z == ((qv - ic[0, 1]) / qv - mean) / sd
+    assert mean == pytest.approx((536 / 5) / 540, abs=0.05)
 
 
 def test_minimum_replications_enforced():
@@ -149,8 +162,8 @@ def test_zero_qv_inconclusive():
     zero = np.zeros(n)
     j = jumps.JumpSeries(n=n, jump_indices=np.empty(0, dtype=int),
                          jump_sizes=np.zeros(n), threshold=0.0, degenerate=True)
-    ic = jwc.jwc_integrated_covariance(np.vstack([zero, zero]), jwc.JwcConfig(g_spacing=5))
-    out = bootstrap.bootstrap_statistic(zero, zero, j, j, ic, b_reps=150)
+    ic = jwc.jwc_integrated_covariance(np.vstack([zero, zero]), CFG)
+    out = bootstrap.bootstrap_statistic(zero, zero, j, j, ic.values, CFG, b_reps=150)
     assert out.inconclusive
     assert not out.rejected
     assert math.isnan(out.z) and math.isnan(out.p_value)
@@ -166,32 +179,15 @@ def test_zero_diagonal_inconclusive():
     # one leg fully suppressed: its IC diagonal is exactly zero
     ic = jwc.jwc_integrated_covariance(np.vstack([np.zeros(N), r_2]), CFG)
     assert ic.values[0, 0] == 0.0
-    out = bootstrap.bootstrap_statistic(r_1, r_2, j, j, ic, b_reps=150)
+    out = bootstrap.bootstrap_statistic(r_1, r_2, j, j, ic.values, CFG, b_reps=150)
     assert out.inconclusive
-
-
-def test_select_ic_star_branches():
-    def outcome(z, inconclusive=False):
-        return bootstrap.TestOutcome(
-            date=None, pair=("a", "b"), z=z, p_value=0.5, rejected=False,
-            mean_z_star=0.0, var_z_star=1.0, b_reps=999, alpha=0.05, seed=0,
-            classification="no_discontinuity", inconclusive=inconclusive,
-        )
-
-    qv, robust = 2.0, 1.5
-    assert bootstrap.select_ic_star(outcome(0.0), qv, robust) == qv
-    assert bootstrap.select_ic_star(outcome(10.0), qv, robust) == robust
-    assert bootstrap.select_ic_star(outcome(-10.0), qv, robust) == robust
-    crit = bootstrap.critical_value(0.05)
-    assert bootstrap.select_ic_star(outcome(crit), qv, robust) == qv  # boundary accepts
-    assert bootstrap.select_ic_star(outcome(float("nan"), inconclusive=True), qv, robust) == robust
 
 
 def test_outcome_classification_validated():
     with pytest.raises(ValueError, match="classification"):
         bootstrap.TestOutcome(
             date=None, pair=("a", "b"), z=0.0, p_value=1.0, rejected=False,
-            mean_z_star=0.0, var_z_star=1.0, b_reps=999, alpha=0.05, seed=0,
+            b_reps=999, alpha=0.05, seed=0,
             classification="maybe",
         )
 

@@ -180,6 +180,29 @@ def test_non_real_config_value_rejected(capsys, tmp_path, key, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "estimator, text",
+    [({"g_spacing": 300}, "G=300"), ({"g_spacing": 0}, "G=0"),
+     ({"g_spacing": 5, "s_spacing": 5}, "smaller than G"),
+     ({"c_n": 0}, "c_n"), ({"c_n": -1}, "c_n"), ({"c_n": "1e400"}, "c_n"),
+     ({"c_n": "NaN"}, "c_n")],
+    ids=["g_spacing=300", "g_spacing=0", "s_spacing=g_spacing", "c_n=0", "c_n=-1",
+         "c_n=1e400", "c_n=NaN"],
+)
+def test_estimator_that_cannot_run_on_the_session_rejected(capsys, tmp_path, estimator, text):
+    """An estimator the 540-interval session cannot run exits 3 before any stage."""
+    raw = json.loads(_write_config(tmp_path).read_text())
+    raw["estimator"] = estimator
+    cfg = tmp_path / "bad.json"
+    # a quoted c_n is written as the bare JSON number it spells
+    cfg.write_text(re.sub(r'"c_n": "([^"]+)"', r'"c_n": \1', json.dumps(raw)))
+    assert cli.main(["simulate", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    msg = _stderr_json(capsys)
+    assert msg["error"] == "config"
+    assert "estimator" in msg["message"] and text in msg["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_integer_real_config_value_accepted(tmp_path):
     raw = json.loads(_write_config(tmp_path).read_text())
     raw["estimator"]["c_n"] = 2
@@ -459,13 +482,23 @@ def test_report_on_empty_decompositions(capsys, tmp_path):
     assert not (out / "manifest.json").exists()
 
 
-def test_decompose_when_every_day_fails(capsys, tmp_path):
-    """Panels simulated for TU and FV, decomposed for a renamed instrument."""
+def _fail_days(monkeypatch, *days):
+    """Make process_day raise on the given days of March 2017 (a --jobs 1 run)."""
+    real = pipeline.process_day
+
+    def process_day(panel, *args):
+        if panel.date.day in days:
+            raise ValueError(f"no estimate on {panel.date}")
+        return real(panel, *args)
+
+    monkeypatch.setattr(pipeline, "process_day", process_day)
+
+
+def test_decompose_when_every_day_fails(capsys, tmp_path, monkeypatch):
     cfg = _write_config(tmp_path)
     assert cli.main(["simulate", "--config", str(cfg)]) == cli.EXIT_OK
-    renamed = _write_config(tmp_path, name="renamed.json", instruments=["TU", "US"],
-                            pairs=[["TU", "US"]])
-    assert cli.main(["decompose", "--config", str(renamed)]) == cli.EXIT_NUMERICAL
+    _fail_days(monkeypatch, 13, 14, 15)
+    assert cli.main(["decompose", "--config", str(cfg)]) == cli.EXIT_NUMERICAL
     msg = _stderr_json(capsys)
     assert msg["error"] == "numerical"
     assert msg["message"].startswith("all 3 days failed")
@@ -474,16 +507,14 @@ def test_decompose_when_every_day_fails(capsys, tmp_path):
     failures = list(csv.DictReader(open(out / "failures.csv", newline="")))
     assert [r["date"] for r in failures] == ["2017-03-13", "2017-03-14", "2017-03-15"]
     assert (out / "decompositions.csv").exists()
-    assert cli.main(["report", "--config", str(renamed)]) == cli.EXIT_IO
+    assert cli.main(["report", "--config", str(cfg)]) == cli.EXIT_IO
     assert "no rows" in _stderr_json(capsys)["message"]
 
 
-def test_decompose_with_one_failed_day_succeeds(tmp_path):
+def test_decompose_with_one_failed_day_succeeds(tmp_path, monkeypatch):
     cfg = _write_config(tmp_path)
     assert cli.main(["simulate", "--config", str(cfg)]) == cli.EXIT_OK
-    bad = tmp_path / "out" / "panels" / "panel_2017-03-14.csv"
-    lines = bad.read_text().splitlines(keepends=True)
-    bad.write_text(lines[0].replace(",FV", ",US") + "".join(lines[1:]))
+    _fail_days(monkeypatch, 14)
     assert cli.main(["decompose", "--config", str(cfg)]) == cli.EXIT_OK
     out = tmp_path / "out"
     failures = list(csv.DictReader(open(out / "failures.csv", newline="")))
@@ -505,6 +536,38 @@ def test_decompose_refuses_panel_with_mixed_dates(capsys, tmp_path):
     assert msg["error"] == "config"
     assert "panel_2017-03-14.csv" in msg["message"]
     assert "date" in msg["message"]
+
+
+@pytest.mark.parametrize("where", ["config", "panel"])
+def test_decompose_refuses_panels_of_other_instruments(capsys, tmp_path, where):
+    """Panels of TU and FV under a config naming US, or one panel naming US."""
+    cfg = _write_config(tmp_path)
+    assert cli.main(["simulate", "--config", str(cfg)]) == cli.EXIT_OK
+    if where == "config":
+        cfg = _write_config(tmp_path, name="renamed.json", instruments=["TU", "US"],
+                            pairs=[["TU", "US"]])
+        name = "panel_2017-03-13.csv"
+    else:
+        _edit_panel(tmp_path, 0, lambda text: text.replace(",FV", ",US"))
+        name = "panel_2017-03-14.csv"
+    assert cli.main(["decompose", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    msg = _stderr_json(capsys)
+    assert msg["error"] == "config"
+    assert name in msg["message"] and "instruments" in msg["message"]
+    assert not (tmp_path / "out" / "decompositions.csv").exists()
+
+
+def test_decompose_refuses_panel_dated_unlike_its_file(capsys, tmp_path):
+    """panel_2017-03-13.csv holding the rows of 2017-03-14 would test that day twice."""
+    cfg = _write_config(tmp_path)
+    assert cli.main(["simulate", "--config", str(cfg)]) == cli.EXIT_OK
+    path = tmp_path / "out" / "panels" / "panel_2017-03-13.csv"
+    path.write_text(path.read_text().replace("2017-03-13", "2017-03-14"))
+    assert cli.main(["decompose", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    msg = _stderr_json(capsys)
+    assert msg["error"] == "config"
+    assert "panel_2017-03-13.csv" in msg["message"] and "2017-03-14" in msg["message"]
+    assert not (tmp_path / "out" / "decompositions.csv").exists()
 
 
 def test_report_requires_decomposition_outputs(capsys, tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cojump import jumps, jwc, pipeline, sim
-from cojump.ticks import SessionSpec
+from cojump.ticks import ReturnPanel, SessionSpec
 
 SPEC = SessionSpec(dt.time(7, 0), dt.time(16, 0), "America/Chicago", 60)
 EST = jwc.JwcConfig(g_spacing=5)
@@ -90,8 +90,31 @@ def test_co_jump_day_record(two_leg, tmp_path):
     assert [(r["index"], r["time"]) for r in rows] == [("270", "11:30:00")]
     assert event.sizes == (panel.series("TU")[270], panel.series("FV")[270])
     # rejected day: continuous part switches to the jump-robust estimate
-    assert rec.ic == two_leg[1].ic.values[0, 1]
+    js = two_leg[1].jump_series
+    adjusted = np.vstack([jumps.adjust_returns(panel.series(n), js[n]) for n in panel.instruments])
+    assert rec.ic == jwc.jwc_integrated_covariance(adjusted, EST).values[0, 1]
     assert rec.ic != rec.qv
+
+
+def test_inconclusive_day_record():
+    """A floored IC diagonal leaves the test without a verdict: robust entry, no corr_cont."""
+    legs = np.vstack([
+        np.tile([1e-3, -1e-3], 270),  # slow-grid blocks cancel: negative two-scale variance
+        np.random.default_rng(5).standard_normal(540) * 1e-3,
+    ])
+    est = jwc.JwcConfig(g_spacing=2)
+    ic = jwc.jwc_integrated_covariance(legs, est)
+    assert bool(ic.floored[0])
+    day = pipeline.process_day(
+        ReturnPanel(date=START, instruments=["TU", "FV"], returns=legs),
+        [("TU", "FV")], est, b_reps=150, alpha=0.05, seed=0,
+    )
+    assert all(js.count == 0 for js in day.jump_series.values())
+    rec = day.decomps[0]
+    assert rec.inconclusive and not rec.rejected
+    assert rec.ic == ic.values[0, 1]
+    assert rec.ic != rec.qv
+    assert np.isnan(rec.corr_cont) and np.isnan(rec.z)
 
 
 def test_disjoint_day_record(two_leg):

@@ -1,0 +1,36 @@
+"""Source guard: every public definition under src/cojump is reached from src/."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "cojump"
+# the reference transform: only tests call it, to check the closed forms against
+EXEMPT_MODULES = {"modwt"}
+
+
+def _names(node) -> Counter:
+    """How often each name is read as a Name or an attribute inside ``node``."""
+    return Counter(
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    )
+
+
+def test_every_public_definition_is_reached_from_src():
+    """A public top-level function or class that only tests reach is dead code."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    used = sum((_names(tree) for tree in trees.values()), Counter())
+    checked, unreached = [], []
+    for module, tree in trees.items():
+        if module in EXEMPT_MODULES:
+            continue
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            checked.append(f"{module}.{node.name}")
+            if used[node.name] - _names(node)[node.name] <= 0:
+                unreached.append(checked[-1])
+    assert "pipeline.process_day" in checked
+    assert unreached == [], f"reached from no src/ code outside their own body: {unreached}"

@@ -407,8 +407,6 @@ def cmd_report(config: RunConfig) -> int:
             if np.isfinite(r.corr_total) and np.isfinite(r.corr_cont)
         ]
         try:
-            if len(mask) < 3:
-                raise events.DegenerateFit("fewer than 3 usable correlation days")
             res = events.correlation_impact_regression(
                 [m[0] for m in mask], [m[1] for m in mask]
             )
@@ -425,7 +423,7 @@ def cmd_report(config: RunConfig) -> int:
         x = [1.0 if r.date in news_dates else 0.0 for r in recs]
         try:
             res = events.announcement_logit(y, x)
-        except (events.DegenerateFit, ValueError):
+        except events.DegenerateFit:
             res = None
         rows5.append((pair, res))
     events.write_logit_table(rows5, os.path.join(config.output, "announcement_logit.csv"))

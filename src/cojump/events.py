@@ -10,12 +10,13 @@ Announcements enter at the level of the day, as a set of dates, and a
 co-jump's intraday moment as the grid index of its interval; the
 histogram turns indices into wall-clock bins through the session alone.
 
-Regressions are solved by hand on purpose: OLS in exact integer
-arithmetic with an HC0 sandwich, the logit by iteratively reweighted
-least squares with ``math.fsum`` sums, both cross-checked in the test
-suite against independent routes. Every 2x2 system is solved in closed
-form and no value passes through BLAS or LAPACK, so the report bytes do
-not depend on which BLAS kernel the machine selects.
+Both fits are computed by hand on purpose: OLS in exact integer
+arithmetic with an HC0 sandwich, and the logit, which its one binary
+regressor saturates, as the empirical log-odds of its 2x2 table of
+integer cell counts (the saturated-model MLE; Agresti, *Categorical
+Data Analysis*, ch. 5). Both are cross-checked in the test suite
+against independent routes. No value passes through BLAS or LAPACK, so
+the report bytes do not depend on which BLAS kernel the machine selects.
 """
 
 from __future__ import annotations
@@ -132,8 +133,9 @@ def correlation_impact_regression(total_corr, cont_corr) -> RegressionResult:
     does not depend on the BLAS kernel or on summation order, and a
     tightly clustered regressor (an ill-conditioned X'X) costs no
     accuracy. R-squared is Sxy^2 / (Sxx * Syy), which equals 1 - SSR/SST.
-    A singular sandwich (all residual weight at one regressor value)
-    leaves the Wald statistic undefined and raises ``DegenerateFit``.
+    Fewer than 3 observations, a constant regressor or a singular
+    sandwich (all residual weight at one regressor value, which leaves
+    the Wald statistic undefined) raise ``DegenerateFit``.
     """
     y = np.asarray(total_corr, dtype=float)
     x = np.asarray(cont_corr, dtype=float)
@@ -141,7 +143,7 @@ def correlation_impact_regression(total_corr, cont_corr) -> RegressionResult:
         raise ValueError("need two equal-length daily series")
     n = y.size
     if n < 3:
-        raise ValueError("need at least 3 paired observations")
+        raise DegenerateFit("need at least 3 paired observations")
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(x))):
         raise ValueError("series must be finite")
     (xi, yi), unit = _scaled_ints(x, y)
@@ -209,81 +211,55 @@ class LogitResult:
     se_beta1: float
     pseudo_r_squared: float
     loglik: float
-    n_iter: int
 
 
-def _logit_loglik(y: np.ndarray, p: np.ndarray) -> float:
-    eps = 1e-300
-    return math.fsum((y * np.log(p + eps) + (1.0 - y) * np.log(1.0 - p + eps)).tolist())
-
-
-def _weighted_moments(x: np.ndarray, w: np.ndarray) -> tuple:
-    """Entries of X'WX for the design [1, x], each a ``math.fsum``."""
-    wx = w * x
-    return math.fsum(w.tolist()), math.fsum(wx.tolist()), math.fsum((wx * x).tolist())
+def _share_loglik(*counts: int) -> float:
+    """Sum of k * log(k / n) over positive cell counts k with total n."""
+    total = sum(counts)
+    return math.fsum(k * math.log(k / total) for k in counts)
 
 
 def announcement_logit(cojump_indicator, news_indicator) -> LogitResult:
-    """Logistic fit of the daily co-jump indicator on a news indicator.
+    """Logistic fit of the daily co-jump indicator on a 0/1 news indicator.
 
-    Maximum likelihood by iteratively reweighted least squares, stopped
-    when the log-likelihood moves less than 1e-10 (at most 100 sweeps).
-    McFadden's 1 - l/l0 is reported as the pseudo R-squared. Binary
-    regressors are screened for empty outcome cells first, since those
-    push a coefficient to infinity. X'WX and X'Wz are assembled with
-    ``math.fsum`` and each 2x2 system is solved in closed form, so the
-    fit does not depend on the BLAS kernel.
+    One binary regressor saturates the logit, so its maximum likelihood
+    estimate is the pair of empirical cell log-odds (Agresti,
+    *Categorical Data Analysis*, ch. 5). For (co-jump, no co-jump) counts
+    (a, b) on quiet days and (c, d) on news days: beta0 = log(a/b),
+    beta1 = log(c/d) - log(a/b), se(beta0)^2 = 1/a + 1/b and
+    se(beta1)^2 = 1/a + 1/b + 1/c + 1/d. An empty cell pushes a
+    coefficient to infinity and raises ``CompleteSeparation``.
+
+    McFadden's 1 - l/l0 is reported as the pseudo R-squared, computed as
+    (l - l0) / -l0 with l - l0 = sum k log(k n / (row * column)) over the
+    cells, so it is exactly 0 when news and quiet days share one rate.
     """
     y = np.asarray(cojump_indicator, dtype=float)
     x = np.asarray(news_indicator, dtype=float)
     if y.shape != x.shape or y.ndim != 1:
         raise ValueError("need two equal-length daily indicator series")
-    if not (set(np.unique(y)) <= {0.0, 1.0}):
-        raise ValueError("outcome must be 0/1")
-    if y.min() == y.max():
-        raise ValueError("both outcome classes must be present")
-    if x.min() == x.max():
+    for name, v in (("outcome", y), ("news indicator", x)):
+        if not set(np.unique(v)) <= {0.0, 1.0}:
+            raise ValueError(f"{name} must be 0/1")
+    b, a, d, c = np.bincount((2.0 * x + y).astype(int), minlength=4).tolist()
+    quiet, news, cojump, calm = a + b, c + d, a + c, b + d
+    if not (cojump and calm):
+        raise DegenerateFit("both outcome classes must be present")
+    if not (quiet and news):
         raise CompleteSeparation("news indicator is constant; no contrast")
-    if set(np.unique(x)) <= {0.0, 1.0}:
-        for xv in (0.0, 1.0):
-            sub = y[x == xv]
-            if sub.size and (sub.min() == sub.max()):
-                raise CompleteSeparation(
-                    f"outcome is constant ({int(sub[0])}) on the news={int(xv)} cell"
-                )
-    n = y.size
-    beta0 = beta1 = 0.0
-    ll_old = _logit_loglik(y, np.full(n, 0.5))
-    n_iter = 0
-    for n_iter in range(1, 101):
-        eta = beta0 + beta1 * x
-        p = 1.0 / (1.0 + np.exp(-eta))
-        w = p * (1.0 - p)
-        # Newton step in IRLS form: working response z = eta + (y-p)/w.
-        wz = w * eta + (y - p)
-        s0, s1, s2 = _weighted_moments(x, w)
-        t0, t1 = math.fsum(wz.tolist()), math.fsum((wz * x).tolist())
-        det = s0 * s2 - s1 * s1
-        beta0, beta1 = (s2 * t0 - s1 * t1) / det, (s0 * t1 - s1 * t0) / det
-        ll_new = _logit_loglik(y, 1.0 / (1.0 + np.exp(-(beta0 + beta1 * x))))
-        if abs(ll_new - ll_old) < 1e-10:
-            ll_old = ll_new
-            break
-        ll_old = ll_new
-    p = 1.0 / (1.0 + np.exp(-(beta0 + beta1 * x)))
-    s0, s1, s2 = _weighted_moments(x, p * (1.0 - p))
-    det = s0 * s2 - s1 * s1
-    p_null = float(y.mean())
-    ll_null = _logit_loglik(y, np.full(n, p_null))
-    pseudo = 1.0 - ll_old / ll_null if ll_null != 0.0 else 0.0
+    for xv, (yes, no) in enumerate(((a, b), (c, d))):
+        if not (yes and no):
+            raise CompleteSeparation(f"outcome is constant ({int(yes > 0)}) on the news={xv} cell")
+    cells = ((a, quiet, cojump), (b, quiet, calm), (c, news, cojump), (d, news, calm))
+    gain = math.fsum(k * math.log(k * (quiet + news) / (row * col)) for k, row, col in cells)
+    beta0 = math.log(a / b)
     return LogitResult(
         beta0=beta0,
-        beta1=beta1,
-        se_beta0=math.sqrt(s2 / det),
-        se_beta1=math.sqrt(s0 / det),
-        pseudo_r_squared=float(pseudo),
-        loglik=float(ll_old),
-        n_iter=n_iter,
+        beta1=math.log(c / d) - beta0,
+        se_beta0=math.sqrt(quiet / (a * b)),
+        se_beta1=math.sqrt(Fraction(quiet, a * b) + Fraction(news, c * d)),
+        pseudo_r_squared=gain / -_share_loglik(cojump, calm),
+        loglik=_share_loglik(a, b) + _share_loglik(c, d),
     )
 
 

@@ -712,6 +712,25 @@ def test_decompositions_with_short_row_is_io_error(capsys, full_run, keep):
     assert cli.main(["report", "--config", str(cfg)]) == cli.EXIT_OK
 
 
+def test_degenerate_fits_leave_blank_rows(full_run):
+    """A pair without a co-jump day, or with under 3 finite correlation days, gets a blank row."""
+    tmp_path, cfg = full_run
+    out = tmp_path / "out"
+    path = out / "decompositions.csv"
+    rows = list(csv.DictReader(open(path, newline="")))
+    for row in rows:
+        if row["classification"] == "co_jump":
+            row.update(classification="disjoint_only", cj="0.0")
+    rows[2]["corr_total"] = "nan"
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    assert cli.main(["report", "--config", str(cfg)]) == cli.EXIT_OK
+    assert (out / "announcement_logit.csv").read_text().splitlines()[1:] == ["TU-FV,,,,,"]
+    assert (out / "correlation_regression.csv").read_text().splitlines()[1:] == ["TU-FV,,,,"]
+
+
 def test_crashed_worker_day_is_rerun_serially(tmp_path, monkeypatch):
     """A day whose worker process dies reruns in the main process: --jobs 2 equals --jobs 1."""
     cfg = _write_config(tmp_path)

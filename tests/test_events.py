@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cojump import events as ev
 from cojump.ticks import SessionSpec
@@ -246,6 +246,36 @@ def test_logit_separation_and_validation():
         ev.announcement_logit(np.ones_like(y), x)
     with pytest.raises(ValueError, match="equal-length"):
         ev.announcement_logit(y, x[:-1])
+
+
+def test_logit_rejects_non_binary_regressor():
+    y, x = _indicator_panel(0.5, 0.1)
+    with pytest.raises(ValueError, match="news indicator must be 0/1"):
+        ev.announcement_logit(y, 2.0 * x)
+
+
+def _cells(a, b, c, d):
+    """Indicator series with (co-jump, no co-jump) counts (a, b) quiet and (c, d) news."""
+    y = [1.0] * a + [0.0] * b + [1.0] * c + [0.0] * d
+    return y, [0.0] * (a + b) + [1.0] * (c + d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(*[st.integers(1, 500)] * 4)
+@example(2, 3, 4, 6)  # equal rates: 1 - l/l0 summed naively is -2.2e-16 here
+def test_logit_closed_form_matches_cells(a, b, c, d):
+    res = ev.announcement_logit(*_cells(a, b, c, d))
+    # fitted probabilities reproduce both cell frequencies
+    for eta, share in ((res.beta0, a / (a + b)), (res.beta0 + res.beta1, c / (c + d))):
+        assert abs(1.0 / (1.0 + math.exp(-eta)) - share) <= 1e-12
+    # se^2 is the diagonal of the inverse cellwise information n p (1 - p)
+    w0, w1 = Fraction(a * b, a + b), Fraction(c * d, c + d)
+    i00, i01, i11 = w0 + w1, w1, w1
+    det = i00 * i11 - i01 * i01
+    for se, var in ((res.se_beta0, i11 / det), (res.se_beta1, i00 / det)):
+        assert abs(Fraction(se * se) - var) <= Fraction(1e-12) * var
+    assert 0.0 <= res.pseudo_r_squared < 1.0
+    assert res.loglik <= 0.0
 
 
 SPEC = SessionSpec(dt.time(7, 0), dt.time(16, 0), TZ, 300)

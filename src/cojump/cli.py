@@ -398,6 +398,7 @@ def cmd_report(config: RunConfig) -> int:
         events.cj_qv_summary(decomps), os.path.join(config.output, "cj_qv_share.csv")
     )
 
+    degenerate = []
     rows4 = []
     for pair in sorted(by_pair):
         recs = by_pair[pair]
@@ -410,8 +411,9 @@ def cmd_report(config: RunConfig) -> int:
             res = events.correlation_impact_regression(
                 [m[0] for m in mask], [m[1] for m in mask]
             )
-        except events.DegenerateFit:
+        except events.DegenerateFit as exc:
             res = None
+            degenerate.append(["correlation_regression", "-".join(pair), str(exc)])
         rows4.append((pair, res))
     events.write_regression_table(rows4, os.path.join(config.output, "correlation_regression.csv"))
 
@@ -423,8 +425,9 @@ def cmd_report(config: RunConfig) -> int:
         x = [1.0 if r.date in news_dates else 0.0 for r in recs]
         try:
             res = events.announcement_logit(y, x)
-        except events.DegenerateFit:
+        except events.DegenerateFit as exc:
             res = None
+            degenerate.append(["announcement_logit", "-".join(pair), str(exc)])
         rows5.append((pair, res))
     events.write_logit_table(rows5, os.path.join(config.output, "announcement_logit.csv"))
 
@@ -444,6 +447,9 @@ def cmd_report(config: RunConfig) -> int:
     )
     events.write_histogram(bin_starts, counts, os.path.join(config.output, "histogram.csv"))
 
+    for table, pair, reason in sorted(degenerate):
+        fields = {"warning": "degenerate_fit", "table": table, "pair": pair, "message": reason}
+        sys.stderr.write(json.dumps(fields, sort_keys=True) + "\n")
     inputs = {}
     for p in (dec_path, ev_path, tuple_path):
         if os.path.exists(p):
@@ -455,6 +461,7 @@ def cmd_report(config: RunConfig) -> int:
         "seed": config.seed,
         "alpha": config.alpha,
         "b_reps": config.b_reps,
+        "degenerate_fits": sorted(degenerate),
     }
     with open(os.path.join(config.output, "manifest.json"), "w") as handle:
         json.dump(manifest, handle, sort_keys=True, indent=2)

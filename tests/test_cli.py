@@ -398,6 +398,10 @@ def test_pipeline_end_to_end(full_run):
     assert manifest["seed"] == 0
     assert manifest["b_reps"] == 150
     assert set(manifest["inputs"]) == {"decompositions.csv", "events.csv", "tuple_days.csv"}
+    # the one co-jump day is the one news day, so no quiet day co-jumps: the blank row is recorded
+    assert manifest["degenerate_fits"] == [
+        ["announcement_logit", "TU-FV", "outcome is constant (0) on the news=0 cell"]
+    ]
 
     # every table reads back: plain cells, floats as their shortest round-trip repr
     for row in csv.DictReader(open(out / "truth.csv", newline="")):
@@ -712,9 +716,10 @@ def test_decompositions_with_short_row_is_io_error(capsys, full_run, keep):
     assert cli.main(["report", "--config", str(cfg)]) == cli.EXIT_OK
 
 
-def test_degenerate_fits_leave_blank_rows(full_run):
+def test_degenerate_fits_leave_blank_rows(capsys, full_run):
     """A pair without a co-jump day, or with under 3 finite correlation days, gets a blank row."""
     tmp_path, cfg = full_run
+    capsys.readouterr()
     out = tmp_path / "out"
     path = out / "decompositions.csv"
     rows = list(csv.DictReader(open(path, newline="")))
@@ -729,6 +734,14 @@ def test_degenerate_fits_leave_blank_rows(full_run):
     assert cli.main(["report", "--config", str(cfg)]) == cli.EXIT_OK
     assert (out / "announcement_logit.csv").read_text().splitlines()[1:] == ["TU-FV,,,,,"]
     assert (out / "correlation_regression.csv").read_text().splitlines()[1:] == ["TU-FV,,,,"]
+    expected = [
+        ["announcement_logit", "TU-FV", "both outcome classes must be present"],
+        ["correlation_regression", "TU-FV", "need at least 3 paired observations"],
+    ]
+    assert json.loads((out / "manifest.json").read_text())["degenerate_fits"] == expected
+    warnings = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert [[w["table"], w["pair"], w["message"]] for w in warnings] == expected
+    assert {w["warning"] for w in warnings} == {"degenerate_fit"}
 
 
 def test_crashed_worker_day_is_rerun_serially(tmp_path, monkeypatch):

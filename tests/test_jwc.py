@@ -7,6 +7,7 @@ value of the same formula.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -236,17 +237,58 @@ def test_diagonal_floor_flag():
     assert bool(ic.floored[0])
 
 
-def test_batched_pair_entry_matches_loop():
-    cfg = jwc.JwcConfig(g_spacing=6)
+# 5 rows fit one row block; the second batch spans two full blocks and a partial one
+@pytest.mark.parametrize("b", [5, 2 * (2**15 // 128) + 7])
+@pytest.mark.parametrize("g", [6, 9, 40])
+def test_batched_pair_entry_matches_loop(g, b):
+    cfg = jwc.JwcConfig(g_spacing=g)
     res = cfg.resolve(128)
     rng = seeded("batch")
-    r1 = rng.standard_normal((5, 128))
-    r2 = rng.standard_normal((5, 128))
+    r1 = rng.standard_normal((b, 128))
+    r2 = rng.standard_normal((b, 128))
     batched = jwc.jwc_pair_entry(r1, r2, res)
-    assert batched.shape == (5,)
-    for k in range(5):
+    assert batched.shape == (b,)
+    for k in range(b):
         single = jwc.jwc_pair_entry(r1[k], r2[k], res)
         assert float(batched[k]) == pytest.approx(float(single), rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [540, 541])
+@pytest.mark.parametrize("g", [2, 3, 9, 66])
+def test_batched_pair_entry_within_ulps_of_exact_two_scale(g, n):
+    """Each row of a 3-row batch within 32 ulps of the exact rational value.
+
+    The rows are the first three opposite-peak days of the matrix test,
+    drawn at length N; these G and N give every set of head and tail
+    lengths, and windows of 8 or more returns. Their sums of absolute
+    block products are at most 225 times the result; on rows where that
+    ratio is in the thousands, both estimators drift past 32 ulps.
+    """
+    t = np.arange(n) / n
+    vol = np.vstack([np.exp(-5.0 * t), np.exp(-5.0 * (1.0 - t))])
+    days = [1e-3 * vol * seeded("exact", k).standard_normal((2, n)) for k in range(3)]
+    r = np.stack(days, axis=1)
+    entries = jwc.jwc_pair_entry(r[0], r[1], jwc.JwcConfig(g_spacing=g).resolve(n))
+    worst = 0.0
+    for entry, r1, r2 in zip(entries, r[0], r[1]):
+        exact = exact_two_scale(r1, r2, g)
+        err = abs(Fraction(float(entry)) - exact)
+        worst = max(worst, float(err) / math.ulp(float(exact)))
+    assert worst <= 32.0, f"{worst:.1f} ulps"
+
+
+@pytest.mark.parametrize("g", [5, 66])
+def test_pair_entry_peak_memory_stays_blocked(g):
+    """A bootstrap-sized (999, 540) batch peaks at 2 MiB or less of numpy temporaries."""
+    r1, r2 = seeded("memory", g).standard_normal((2, 999, 540))
+    res = jwc.JwcConfig(g_spacing=g).resolve(540)
+    tracemalloc.start()
+    try:
+        jwc.jwc_pair_entry(r1, r2, res)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 # --- Monte Carlo calibration examples (frozen master seeds) ---

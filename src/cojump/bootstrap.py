@@ -11,9 +11,11 @@ with the same estimator configuration, and the day's Z is studentized
 by the bootstrap moments and referred to the standard normal.
 
 Randomness is one stream per day-pair: the integer ``seed`` (recorded
-in ``outcomes.csv``) starts one Generator, whose single
-``standard_normal((2, B, N))`` draw holds all B replications, so the
-seed alone reproduces a day-pair's null.
+in ``outcomes.csv``) starts one Generator, whose ``standard_normal((2,
+B, N))`` stream holds all B replications, so the seed alone reproduces
+a day-pair's null. The stream is consumed as leg 1 whole, then leg 2 in
+row blocks, each block going through the estimator before the next is
+drawn; the numbers are those of the one whole draw, bit for bit.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ from .ticks import write_csv
 CLASSIFICATIONS = ("no_discontinuity", "co_jump", "disjoint_only")
 
 _NORMAL = NormalDist()
+
+# Returns per block of null days: a block and the estimator's temporaries stay cache-sized.
+BLOCK_RETURNS = 2**15
 
 
 def critical_value(alpha: float) -> float:
@@ -61,25 +66,36 @@ class TestOutcome:
 
 
 def simulate_null_day(ic_diag_1: float, ic_diag_2: float, rho_hat: float, n: int | tuple, seed):
-    """Synthetic no-jump days matched to estimated scales.
+    """Synthetic no-jump days matched to estimated scales, in row blocks.
 
-    Returns an (r_1, r_2) pair of return series with interval variance
-    IC_ll / N and cross correlation rho_hat, deterministic under the
-    seed (an int, SeedSequence, or Generator). ``n`` is N for one day
-    or a (B, N) shape for B days, drawn as one ``standard_normal((2, B,
-    N))`` and correlated and scaled in place.
+    Returns an iterator of (r_1, r_2) pairs of return series with
+    interval variance IC_ll / N and cross correlation rho_hat,
+    deterministic under the seed (an int, SeedSequence, or Generator).
+    ``n`` is N for one day, given as one pair, or a (B, N) shape for B
+    days, given in blocks of ``max(1, BLOCK_RETURNS // N)`` rows. Leg 1
+    is drawn whole here, then leg 2 block by block from the same
+    Generator as the iterator advances, which is the
+    ``standard_normal((2, B, N))`` stream bit for bit.
     """
     if ic_diag_1 < 0 or ic_diag_2 < 0:
         raise ValueError("IC diagonals must be non-negative")
     if not abs(rho_hat) <= 1.0:
         raise ValueError("|rho_hat| must not exceed 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    shape = np.atleast_1d(n)
-    r_1, r_2 = rng.standard_normal((2, *shape))
+    r_1 = rng.standard_normal(n)
+    n_returns = r_1.shape[-1]
+    scales = (math.sqrt(ic_diag_1 / n_returns), math.sqrt(ic_diag_2 / n_returns))
+    rows = max(1, BLOCK_RETURNS // n_returns) if r_1.ndim > 1 else n_returns
+    return (_correlate(rng, r_1[i:i + rows], rho_hat, *scales) for i in range(0, len(r_1), rows))
+
+
+def _correlate(rng, r_1, rho_hat, scale_1, scale_2):
+    """Leg 2 of one block drawn next, then both legs correlated and scaled in place."""
+    r_2 = rng.standard_normal(r_1.shape)
     r_2 *= math.sqrt(max(0.0, 1.0 - rho_hat * rho_hat))
     r_2 += rho_hat * r_1
-    r_2 *= math.sqrt(ic_diag_2 / shape[-1])
-    r_1 *= math.sqrt(ic_diag_1 / shape[-1])
+    r_2 *= scale_2
+    r_1 *= scale_1
     return r_1, r_2
 
 
@@ -143,10 +159,12 @@ def bootstrap_statistic(
     rho_hat = ic_val / math.sqrt(diag_1 * diag_2)
     rho_hat = min(0.999, max(-0.999, rho_hat))
 
-    r_1, r_2 = simulate_null_day(diag_1, diag_2, rho_hat, (b_reps, n), seed)
-
-    qv_star = np.einsum("bi,bi->b", r_1, r_2)
-    ic_star = jwc.jwc_pair_entry(r_1, r_2, estimator.resolve(n))
+    res = estimator.resolve(n)
+    qv_star, ic_star = [], []
+    for r_1, r_2 in simulate_null_day(diag_1, diag_2, rho_hat, (b_reps, n), seed):
+        qv_star.append(np.einsum("bi,bi->b", r_1, r_2))
+        ic_star.append(jwc.jwc_pair_entry(r_1, r_2, res))
+    qv_star, ic_star = np.concatenate(qv_star), np.concatenate(ic_star)
     z_star = (qv_star - ic_star) / qv_star
     mean_z = float(np.mean(z_star))
     sd_z = float(np.std(z_star, ddof=1))

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import datetime as dt
 import glob
-import hashlib
 import itertools
 import json
 import math
@@ -366,11 +365,15 @@ def cmd_decompose(config: RunConfig) -> int:
 
 
 def _config_hash(config: RunConfig) -> str:
+    import hashlib  # loads OpenSSL, as numpy.random does: only stages drawing nothing (ingest) save it
+
     canon = json.dumps(config.raw, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
 def _file_hash(path: str) -> str:
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
         for chunk in iter(lambda: handle.read(65536), b""):

@@ -34,9 +34,10 @@ W_k[s+k], and P and T the prefix and suffix sums of length L. Dropping
 the partial end blocks would shrink the average daily coverage by
 (G-1)/N and bias the combination low by far more than its nominal
 (1 - nbar_G/n_S) factor at desk-scale G. One kernel serves the day's
-matrix and the bootstrap's batches, taken in row blocks of about 2**15
-returns so the temporaries stay cache-sized. No wavelet filter,
-boundary rule or depth enters the number.
+matrix and the bootstrap's batches; the bootstrap hands it one row
+block of about 2**15 returns at a time, so the temporaries stay
+cache-sized. No wavelet filter, boundary rule or depth enters the
+number.
 """
 
 from __future__ import annotations
@@ -156,11 +157,6 @@ def jwc_pair_entry(r_1: np.ndarray, r_2: np.ndarray, res: ResolvedJwc) -> np.nda
     """Single covariance entry for batched return pairs of shape (..., N).
 
     Used by the bootstrap, which needs only one matrix entry per
-    replication; the batch goes through the kernel in row blocks.
+    replication and passes its null days one row block at a time.
     """
-    shape = np.broadcast_shapes(np.shape(r_1), np.shape(r_2))
-    flat_1, flat_2 = (np.broadcast_to(r, shape).reshape(-1, res.n) for r in (r_1, r_2))
-    rows = max(1, 2**15 // res.n)
-    starts = range(0, len(flat_1), rows)
-    blocks = [_two_scale(flat_1[i:i + rows], flat_2[i:i + rows], res) for i in starts]
-    return np.concatenate(blocks).reshape(shape[:-1])[()]
+    return _two_scale(np.asarray(r_1, dtype=float), np.asarray(r_2, dtype=float), res)

@@ -19,8 +19,6 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import itertools
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -194,6 +192,8 @@ def process_panels(
         for panel in sorted(panels, key=lambda p: p.date)
     ]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool is used
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_run_one_safe, task) for task in tasks]
             outs = [_result_or_rerun(future, task) for future, task in zip(futures, tasks)]
@@ -217,6 +217,8 @@ def _run_one_safe(args):
 
 
 def _result_or_rerun(future, task):
+    from concurrent.futures.process import BrokenProcessPool
+
     try:
         return future.result()
     except BrokenProcessPool:  # a worker died; every day it took down runs again serially

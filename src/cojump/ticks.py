@@ -93,10 +93,11 @@ class SessionSpec:
         A ``step`` in seconds labels a coarser cut of the session instead.
         """
         step = step or self.sampling_interval
-        base = dt.datetime.combine(_EPOCH.date(), self.session_start)
+        start = self.session_start
+        base = start.hour * 3600 + start.minute * 60 + start.second
         return [
-            (base + dt.timedelta(seconds=i * step)).strftime("%H:%M:%S")
-            for i in range(self.session_seconds // step)
+            f"{t // 3600:02d}:{t // 60 % 60:02d}:{t % 60:02d}"
+            for t in range(base, base + self.session_seconds // step * step, step)
         ]
 
     def grid_us(self, date: dt.date) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,9 +15,9 @@ CFG = jwc.JwcConfig(g_spacing=5)
 
 def _run_day(seed, jump_spec=(), b_reps=199):
     """One synthetic day-pair through detection, IC, and the test."""
-    r_1, r_2 = bootstrap.simulate_null_day(
+    r_1, r_2 = next(bootstrap.simulate_null_day(
         1e-4, 1.44e-4, 0.5, N, np.random.default_rng(seed)
-    )
+    ))
     r_1, r_2 = r_1.copy(), r_2.copy()
     for leg, idx, size in jump_spec:
         (r_1 if leg == 0 else r_2)[idx] += size
@@ -35,7 +36,7 @@ def _rebuild(seed, jump_spec, b_reps, j_1, j_2):
     Z* is rebuilt from default_rng(seed).standard_normal((2, B, N)), the
     one draw the statistic's seed stands for.
     """
-    r_1, r_2 = bootstrap.simulate_null_day(1e-4, 1.44e-4, 0.5, N, np.random.default_rng(seed))
+    r_1, r_2 = next(bootstrap.simulate_null_day(1e-4, 1.44e-4, 0.5, N, np.random.default_rng(seed)))
     for leg, idx, size in jump_spec:
         (r_1 if leg == 0 else r_2)[idx] += size
     adjusted = np.vstack([jumps.adjust_returns(r_1, j_1), jumps.adjust_returns(r_2, j_2)])
@@ -58,22 +59,61 @@ def test_critical_value():
 
 
 def test_null_day_rho_one_proportional():
-    r_1, r_2 = bootstrap.simulate_null_day(1e-4, 4e-4, 1.0, 64, 3)
+    r_1, r_2 = next(bootstrap.simulate_null_day(1e-4, 4e-4, 1.0, 64, 3))
     assert r_2 == pytest.approx(2.0 * r_1, rel=1e-12)
 
 
 def test_null_day_zero_diag_zero_series():
-    r_1, r_2 = bootstrap.simulate_null_day(0.0, 1e-4, 0.3, 64, 3)
+    r_1, r_2 = next(bootstrap.simulate_null_day(0.0, 1e-4, 0.3, 64, 3))
     assert np.all(r_1 == 0.0)
     assert np.any(r_2 != 0.0)
 
 
 def test_null_day_moments():
     rng = np.random.default_rng(77)
-    r_1, r_2 = bootstrap.simulate_null_day(1e-4, 1.44e-4, 0.6, 100_000, rng)
+    r_1, r_2 = next(bootstrap.simulate_null_day(1e-4, 1.44e-4, 0.6, 100_000, rng))
     assert np.corrcoef(r_1, r_2)[0, 1] == pytest.approx(0.6, abs=0.01)
     assert float(np.var(r_1)) * 100_000 == pytest.approx(1e-4, rel=0.02)
     assert float(np.var(r_2)) * 100_000 == pytest.approx(1.44e-4, rel=0.02)
+
+
+# B = 999 at N = 540 is 16 blocks of 60 rows and one of 39
+@pytest.mark.parametrize("shape, rows", [
+    ((999, 540), [60] * 16 + [39]),
+    ((100, 64), [100]),
+    (100_000, [100_000]),
+], ids=["b999-n540", "b100-n64", "one-day-n100000"])
+def test_null_blocks_are_one_whole_draw_bit_for_bit(shape, rows):
+    """Stacked, the blocks equal one standard_normal((2, B, N)) correlated and scaled in place."""
+    diag_1, diag_2, rho, seed = 1e-4, 1.44e-4, -0.37, 11
+    blocks = list(bootstrap.simulate_null_day(diag_1, diag_2, rho, shape, seed))
+    assert [len(r_1) for r_1, _ in blocks] == rows
+    r_1, r_2 = np.random.default_rng(seed).standard_normal((2, *np.atleast_1d(shape)))
+    n = r_1.shape[-1]
+    r_2 *= math.sqrt(1.0 - rho * rho)
+    r_2 += rho * r_1
+    r_2 *= math.sqrt(diag_2 / n)
+    r_1 *= math.sqrt(diag_1 / n)
+    for leg, expected in enumerate((r_1, r_2)):
+        assert np.array_equal(np.concatenate([block[leg] for block in blocks]), expected)
+
+
+@pytest.mark.parametrize("g", [5, pytest.param(None, id="default")])
+def test_statistic_peak_memory_stays_blocked(g):
+    """One B = 999, N = 540 test peaks at 7 MiB or less: leg 1 whole and one block at a time."""
+    cfg = jwc.JwcConfig(g_spacing=g)
+    r_1, r_2 = next(bootstrap.simulate_null_day(1e-4, 1.44e-4, 0.5, N, 5))
+    j_1, j_2 = jumps.haar_detect(r_1), jumps.haar_detect(r_2)
+    adjusted = np.vstack([jumps.adjust_returns(r_1, j_1), jumps.adjust_returns(r_2, j_2)])
+    ic = jwc.jwc_integrated_covariance(adjusted, cfg).values
+    tracemalloc.start()
+    try:
+        out = bootstrap.bootstrap_statistic(r_1, r_2, j_1, j_2, ic, cfg, b_reps=999, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not out.inconclusive
+    assert peak <= 7 * 2**20, f"{peak / 2**20:.2f} MiB"
 
 
 def test_null_day_validation():
@@ -84,8 +124,8 @@ def test_null_day_validation():
 
 
 def test_null_day_deterministic():
-    a = bootstrap.simulate_null_day(1e-4, 2e-4, 0.4, 32, 123)
-    b = bootstrap.simulate_null_day(1e-4, 2e-4, 0.4, 32, 123)
+    a = next(bootstrap.simulate_null_day(1e-4, 2e-4, 0.4, 32, 123))
+    b = next(bootstrap.simulate_null_day(1e-4, 2e-4, 0.4, 32, 123))
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 

@@ -1,6 +1,9 @@
 """Source guard: every public definition under src/cojump is reached from src/."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -34,3 +37,13 @@ def test_every_public_definition_is_reached_from_src():
                 unreached.append(checked[-1])
     assert "pipeline.process_day" in checked
     assert unreached == [], f"reached from no src/ code outside their own body: {unreached}"
+
+
+def test_cli_import_loads_no_process_pool_or_openssl():
+    """``import cojump.cli`` leaves the process pool and OpenSSL to the stages that use them."""
+    modules = ["concurrent.futures.process", "multiprocessing", "_hashlib"]
+    probe = f"import sys, cojump.cli; print([m for m in {modules!r} if m in sys.modules])"
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

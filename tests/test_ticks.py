@@ -81,6 +81,26 @@ def test_grid_labels_across_dst_switches(date):
     assert berlin.grid_labels() == ["01:00:00", "01:15:00", "01:30:00", "01:45:00"]
 
 
+@pytest.mark.parametrize("start, end, interval, step", [
+    ("07:00", "16:00", 60, 0),
+    ("00:00", "23:59", 1, 0),
+    ("09:30:15", "15:45:45", 15, 0),
+    ("08:20:07", "08:59:59", 2, 0),
+    ("07:00", "16:00", 300, 1800),
+    ("09:30:15", "15:45:45", 15, 420),
+])
+def test_grid_labels_match_datetime_formatting(start, end, interval, step):
+    """Integer-second labels equal datetime + timedelta formatted with strftime."""
+    spec = _spec(start, end, interval)
+    width = step or interval
+    base = dt.datetime.combine(dt.date(1970, 1, 1), spec.session_start)
+    expected = [
+        (base + dt.timedelta(seconds=i * width)).strftime("%H:%M:%S")
+        for i in range(spec.session_seconds // width)
+    ]
+    assert spec.grid_labels(step) == expected
+
+
 def test_session_spec_validation():
     with pytest.raises(ValueError, match="precede"):
         _spec("10:00", "09:00")

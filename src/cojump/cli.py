@@ -263,7 +263,7 @@ def _emit_error(kind: str, message: str) -> None:
 
 
 def cmd_ingest(config: RunConfig) -> int:
-    """Parse ticks, build per-day return panels, write the drop log."""
+    """Parse ticks, build per-day return panels, write the drop log and tick counts."""
     missing = [n for n in config.instruments if n not in config.tick_sources]
     if missing:
         raise ConfigError(f"no tick source for instruments: {', '.join(missing)}")
@@ -278,6 +278,9 @@ def cmd_ingest(config: RunConfig) -> int:
         path = os.path.join(out, f"panel_{panel.date.isoformat()}.csv")
         ticks.write_panel_csv(panel, path, config.session)
     ticks.write_drop_log(drop_log, os.path.join(config.output, "drop_log.csv"))
+    counts = [(name, s.total_rows, s.rejected) for name, s in series.items()]
+    ticks.write_csv(os.path.join(config.output, "tick_counts.csv"),
+                    ["instrument", "rows", "rejected"], counts)
     if not panels:
         raise OSError(f"ingest kept no day: {len(drop_log)} dates dropped, see drop_log.csv")
     return EXIT_OK

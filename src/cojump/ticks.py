@@ -23,11 +23,13 @@ import csv
 import datetime as dt
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from zoneinfo import ZoneInfo
 
 import numpy as np
 
 LOW_TRADE_BIN_SECONDS = 300  # the thin-day rule is always judged on 5-min bins
+PARSE_BLOCK_ROWS = 4096  # records per block; a block's accepted trades become numpy arrays
 _EPOCH = dt.datetime(1970, 1, 1)
 _US = dt.timedelta(microseconds=1)
 _DAY_US = 86_400_000_000
@@ -176,15 +178,17 @@ def parse_ticks(path, schema: dict, spec: SessionSpec, instrument: str = "") -> 
     are converted to it. Rows that fail to parse, lack a field, or
     carry a price outside (0, inf), a negative volume or one too large
     for an integer are rejected and counted. Blank lines are skipped
-    and not counted; diagnostics number the records from line 2.
+    and not counted; diagnostics number the records from line 2. Accepted
+    trades are held in numpy blocks of at most ``PARSE_BLOCK_ROWS``, 16
+    bytes each, and a file already in wall-clock order is not re-sorted.
     """
     for role in ("timestamp", "price"):
         if role not in schema:
             raise ValueError(f"schema must name a {role} column")
     tz = spec.tzinfo()
     fromisoformat = dt.datetime.fromisoformat
-    times = []
-    prices = []
+    time_blocks = []
+    price_blocks = []
     rejected = 0
     diagnostics = []
     try:
@@ -202,35 +206,49 @@ def parse_ticks(path, schema: dict, spec: SessionSpec, instrument: str = "") -> 
         i_price = column.get(schema["price"], width)
         vol_col = schema.get("volume")
         i_vol = column.get(vol_col, width) if vol_col else None
-        lineno = 1
-        for lineno, row in enumerate(filter(None, reader), start=2):
-            if len(row) != width:
-                # a short row reads "" for its missing fields; extra fields are ignored
-                row = (row + [""] * width)[:width]
-            try:
-                stamp = fromisoformat(row[i_stamp].strip())
-                if stamp.tzinfo is not None:
-                    stamp = stamp.astimezone(tz).replace(tzinfo=None)
-                price = float(row[i_price])
-                volume = 0 if i_vol is None else int(float(row[i_vol]))
-            except (IndexError, OverflowError, ValueError) as exc:
-                rejected += 1
-                diagnostics.append(f"line {lineno}: {exc}")
-                continue
-            if not 0.0 < price < math.inf or volume < 0:
-                rejected += 1
-                diagnostics.append(f"line {lineno}: invalid price/volume {price}/{volume}")
-                continue
-            times.append((stamp - _EPOCH) // _US)
-            prices.append(price)
-    if not times:
+        records = enumerate(filter(None, reader), start=2)
+        lineno = block_end = 1
+        while lineno == block_end:  # a block that came up short was the last
+            block_end += PARSE_BLOCK_ROWS
+            times = []
+            prices = []
+            for lineno, row in islice(records, PARSE_BLOCK_ROWS):
+                if len(row) != width:
+                    # a short row reads "" for its missing fields; extra fields are ignored
+                    row = (row + [""] * width)[:width]
+                try:
+                    stamp = fromisoformat(row[i_stamp].strip())
+                    if stamp.tzinfo is not None:
+                        stamp = stamp.astimezone(tz).replace(tzinfo=None)
+                    price = float(row[i_price])
+                    volume = 0 if i_vol is None else int(float(row[i_vol]))
+                except (IndexError, OverflowError, ValueError) as exc:
+                    rejected += 1
+                    diagnostics.append(f"line {lineno}: {exc}")
+                    continue
+                if not 0.0 < price < math.inf or volume < 0:
+                    rejected += 1
+                    diagnostics.append(f"line {lineno}: invalid price/volume {price}/{volume}")
+                    continue
+                times.append((stamp - _EPOCH) // _US)
+                prices.append(price)
+            time_blocks.append(np.array(times, dtype=np.int64))
+            price_blocks.append(np.array(prices, dtype=np.float64))
+    # each list of blocks is freed once joined, so at most one copy of a column is doubled
+    times = np.concatenate(time_blocks)
+    del time_blocks
+    if not times.size:
         raise ZeroValidRows(f"{path}: no valid tick rows ({rejected} rejected)")
-    times = np.array(times, dtype=np.int64)
-    order = np.argsort(times, kind="stable")  # equal stamps keep their file order
+    prices = np.concatenate(price_blocks)
+    del price_blocks
+    if np.any(times[1:] < times[:-1]):  # a stable sort of non-decreasing times changes nothing
+        order = np.argsort(times, kind="stable")  # equal stamps keep their file order
+        times = times[order]
+        prices = prices[order]
     return TickSeries(
         instrument=instrument,
-        times=times[order],
-        prices=np.array(prices)[order],
+        times=times,
+        prices=prices,
         rejected=rejected,
         total_rows=lineno - 1,
         diagnostics=diagnostics,

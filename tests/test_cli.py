@@ -298,6 +298,19 @@ def test_ingest_rejects_non_finite_price_and_overflowing_volume(tmp_path):
         tmp_path / "clean" / "drop_log.csv").read_bytes()
 
 
+def test_ingest_writes_tick_counts(tmp_path):
+    """tick_counts.csv gives each instrument's non-blank records and rejected rows."""
+    cfg = _write_tick_config(tmp_path)
+    with open(tmp_path / "tu.csv", "a") as handle:
+        handle.write("2017-03-13 07:01:00,nan,1\n\nnot a time,100,1\n"
+                     "2017-03-14 09:00:00,101.0,-1\n")
+    assert cli.main(["ingest", "--config", str(cfg)]) == cli.EXIT_OK
+    out = tmp_path / "out"
+    assert sorted(os.listdir(out)) == ["drop_log.csv", "panels", "tick_counts.csv"]
+    assert (out / "tick_counts.csv").read_text() == (
+        "instrument,rows,rejected\nTU,2163,3\nFV,2160,0\n")
+
+
 def test_ingest_that_keeps_no_day_fails(capsys, tmp_path):
     cfg = _write_tick_config(
         tmp_path, calendar={"excluded_dates": ["2017-03-13", "2017-03-14"]}

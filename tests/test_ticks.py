@@ -2,11 +2,14 @@
 
 import csv
 import datetime as dt
+import gc
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cojump import ticks as tk
@@ -313,13 +316,23 @@ def _tick_files(draw):
     return header, lines, quoting
 
 
-@settings(max_examples=300, deadline=None)
-@given(_tick_files())
-def test_parse_ticks_matches_dictreader_oracle(tmp_path_factory, case):
-    """The streamed reader and the DictReader loop agree on every finite input:
-    blank, short, long and quoted rows, duplicated headers and bad fields."""
+@st.composite
+def _unordered_tick_files(draw):
+    """Trades written out of wall-clock order, with repeated stamps and some rejected rows,
+    so that parse_ticks has to sort."""
+    stamps = draw(st.lists(st.integers(0, 3 * 86_400 - 1), min_size=2, max_size=16))
+    assume(stamps != sorted(stamps))
+    lines = []
+    for k, second in enumerate(stamps):
+        stamp = dt.datetime(2017, 11, 4) + dt.timedelta(seconds=second)
+        lines.append([stamp.isoformat(draw(st.sampled_from(["T", " "]))), f"{100 + k / 8}", "1"])
+        if draw(st.booleans()):
+            lines.append([stamp.isoformat(), "n/a", "1"])
+    return ["ts", "px", "vol"], lines, csv.QUOTE_MINIMAL
+
+
+def _write_case(path, case):
     header, lines, quoting = case
-    path = tmp_path_factory.mktemp("ticks") / "ticks.csv"
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, quoting=quoting, lineterminator="\n")
         writer.writerow(header)
@@ -328,8 +341,87 @@ def test_parse_ticks_matches_dictreader_oracle(tmp_path_factory, case):
                 handle.write("\n")
             else:
                 writer.writerow(row)
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tick_files() | _unordered_tick_files())
+def test_parse_ticks_matches_dictreader_oracle(tmp_path_factory, case):
+    """The streamed reader and the DictReader loop agree on every finite input:
+    blank, short, long and quoted rows, duplicated headers, bad fields and
+    files out of wall-clock order."""
+    path = _write_case(tmp_path_factory.mktemp("ticks") / "ticks.csv", case)
     schema = {"timestamp": "ts", "price": "px", "volume": "vol"}
     assert _outcome(tk.parse_ticks, path, schema) == _outcome(_dictreader_parse, path, schema)
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3])
+@settings(max_examples=150, deadline=None)
+@given(case=_tick_files() | _unordered_tick_files())
+def test_parse_ticks_matches_dictreader_oracle_across_block_edges(tmp_path_factory, block_rows,
+                                                                   case):
+    """Blocks of one, two and three records give the oracle's series, counts and diagnostics."""
+    path = _write_case(tmp_path_factory.mktemp("ticks") / "ticks.csv", case)
+    schema = {"timestamp": "ts", "price": "px", "volume": "vol"}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tk, "PARSE_BLOCK_ROWS", block_rows)
+        outcome = _outcome(tk.parse_ticks, path, schema)
+    assert outcome == _outcome(_dictreader_parse, path, schema)
+
+
+def _second_rows(n):
+    """``n`` in-order trades one second apart from 2017-03-15 00:00."""
+    start = dt.datetime(2017, 3, 15)
+    return [f"{(start + dt.timedelta(seconds=k)).isoformat()},{100 + k % 997 / 64},1"
+            for k in range(n)]
+
+
+@pytest.mark.parametrize("block_rows", [3, None], ids=["3", "default"])
+def test_parse_ticks_file_of_whole_blocks(tmp_path, monkeypatch, block_rows):
+    """A record count that is an exact multiple of the block size ends the loop
+    with every record parsed."""
+    if block_rows:
+        monkeypatch.setattr(tk, "PARSE_BLOCK_ROWS", block_rows)
+    n = 2 * tk.PARSE_BLOCK_ROWS
+    series = tk.parse_ticks(_tick_file(tmp_path, _second_rows(n)), SCHEMA, _spec())
+    assert series.total_rows == n and series.rejected == 0
+    start = _wall_us(dt.datetime(2017, 3, 15))
+    assert series.times.tolist() == [start + k * 1_000_000 for k in range(n)]
+    assert series.prices.tolist() == [100 + k % 997 / 64 for k in range(n)]
+
+
+@pytest.mark.parametrize("block_rows", [2, None], ids=["2", "default"])
+def test_parse_ticks_all_rejected_across_blocks(tmp_path, monkeypatch, block_rows):
+    """ZeroValidRows counts the rejected rows of every block, not of the last one."""
+    if block_rows:
+        monkeypatch.setattr(tk, "PARSE_BLOCK_ROWS", block_rows)
+    n = 3 * tk.PARSE_BLOCK_ROWS + 1
+    path = _tick_file(tmp_path, ["2017-03-15 13:00:01,n/a,1"] * n)
+    with pytest.raises(tk.ZeroValidRows, match=rf"\({n} rejected\)"):
+        tk.parse_ticks(path, SCHEMA, _spec())
+
+
+@pytest.mark.parametrize("shuffled, bound", [(False, 32), (True, 48)],
+                         ids=["in-order", "shuffled"])
+def test_parse_ticks_peak_memory_per_row(tmp_path, shuffled, bound):
+    """Accepted trades are held at 16 bytes each while the file is read, so the
+    peak of Python and numpy allocations stays near the result's 16 bytes per
+    row; a sort adds the order and the gathered copies."""
+    n = 100_000
+    rows = _second_rows(n)
+    if shuffled:
+        random.Random(0).shuffle(rows)
+    path = _tick_file(tmp_path, rows)
+    del rows
+    gc.collect()
+    tracemalloc.start()
+    try:
+        series = tk.parse_ticks(path, SCHEMA, _spec())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert series.total_rows == n and series.times.size == n
+    assert peak / n <= bound, f"peak {peak / n:.1f} B per row"
 
 
 def test_last_tick_sampling_rule():

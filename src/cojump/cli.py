@@ -35,9 +35,6 @@ EXIT_IO = 2
 EXIT_CONFIG = 3
 EXIT_NUMERICAL = 4
 
-_NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
-
-
 class ConfigError(ValueError):
     """The run configuration is invalid."""
 
@@ -63,140 +60,166 @@ class RunConfig:
     raw: dict = field(default_factory=dict)
 
 
-def _parse_time(text: str) -> dt.time:
-    return dt.time.fromisoformat(text)
+REQUIRED = object()  # the default of a key that must be given
 
 
-def _announcement_dates(block) -> frozenset | None:
-    """The dates of the announcement events, or None without a block.
-
-    An event is ``[date, time, timezone]`` or a dict with those keys.
-    Only the date is read: the report tables link co-jumps to
-    announcements by day, so an event's time and timezone and the
-    block's ``windows`` are accepted and change no output.
-    """
-    if not block:
-        return None
-    return frozenset(
-        dt.date.fromisoformat(e["date"] if isinstance(e, dict) else e[0])
-        for e in block.get("events", [])
-    )
+def _integer(low: int):
+    """A reader of integers of at least ``low``; a bool, a fraction or a string is refused."""
+    def read(value, path):
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        if type(value) is not int or value < low:
+            raise ConfigError(f"{path} must be an integer of at least {low}, got {value!r}")
+        return value
+    return read
 
 
-def _integer(key: str, value) -> int:
-    """An integer config value; a bool, a fraction or a string is a ConfigError."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if type(value) is not int:
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
+def _real(low: float, high: float):
+    """A reader of numbers strictly between ``low`` and ``high``; a bool or a string is refused."""
+    def read(value, path):
+        if type(value) not in (int, float) or not low < value < high:
+            raise ConfigError(f"{path} must be a number in ({low}, {high}), got {value!r}")
+        return float(value)
+    return read
+
+
+def _string(what: str, pattern: str = ""):
+    """A reader of strings, of those ``pattern`` matches in full if given; ``what`` names them."""
+    def read(value, path):
+        if not isinstance(value, str) or pattern and not re.fullmatch(pattern, value):
+            raise ConfigError(f"{path}: {what}, got {value!r}")
+        return value
+    return read
+
+
+def _iso(kind):
+    """A reader of ISO 8601 strings as ``kind``, dt.date or dt.time."""
+    def read(value, path):
+        try:
+            return kind.fromisoformat(value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{path} must be an ISO {kind.__name__}, got {value!r}") from None
+    return read
+
+
+def _unread(value, path):
+    """Accepted so that configs written for earlier versions keep running; changes no output."""
     return value
 
 
-def _real(key: str, value) -> float:
-    """A real config value; a bool or a string is a ConfigError."""
-    if type(value) not in (int, float):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
+def _event(value, path):
+    """An announcement's date; the event is [date, time, timezone] or an object of EVENT's keys."""
+    if isinstance(value, list):
+        value = dict(zip(EVENT, value))
+    return _read(EVENT, value, path, {})["date"]
+
+
+# Every config key. A block maps each key to (spec, default); the spec is a
+# reader, a block, or [spec] for a list read item by item, and a block keyed
+# "<name>" gives any key that one entry. A missing key takes its default,
+# which is read like a given value unless it is None.
+_text = _string("must be a string")
+_name = _string("instrument names must match [A-Za-z0-9_]+", r"[A-Za-z0-9_]+")
+_column = _string("schema column names must be strings")
+EVENT = {"date": (_iso(dt.date), REQUIRED), "time": (_unread, None), "timezone": (_unread, None)}
+SCHEMA = {"timestamp": (_column, REQUIRED), "price": (_column, REQUIRED), "volume": (_column, None)}
+CONFIG = {
+    "session": ({"start": (_iso(dt.time), REQUIRED), "end": (_iso(dt.time), REQUIRED),
+                 "timezone": (_text, REQUIRED), "sampling_seconds": (_integer(1), REQUIRED)},
+                REQUIRED),
+    "instruments": ([_name], REQUIRED),
+    "pairs": ([[_name]], []),
+    "tuples": ([[_name]], []),
+    "scenario": (_text, None),
+    "ticks": ({"<name>": ({"path": (_text, REQUIRED), "schema": (SCHEMA, REQUIRED)}, None)}, {}),
+    "calendar": ({"excluded_dates": ([_iso(dt.date)], []),  # TradingCalendar caps the threshold
+                  "low_trade_threshold": (_real(0.0, math.inf), 0.6)}, {}),
+    "announcements": ({"events": ([_event], []), "windows": (_unread, None)}, None),
+    "estimator": ({"c_n": (_real(0.0, math.inf), 1.0), "s_spacing": (_integer(0), 1),
+                   "g_spacing": (_integer(0), None)}, {}),  # _validate: S and G against N
+    "bootstrap": ({"b_reps": (_integer(100), 999), "alpha": (_real(0.0, 1.0), 0.05)}, {}),
+    "report": ({"histogram_bin_minutes": (_integer(1), 30)}, {}),
+    "seed": (_integer(0), 0),
+    "jobs": (_integer(1), 1),
+    "start_date": (_iso(dt.date), "2017-01-02"),
+    "output": (_text, "out"),
+}
+
+
+def _read(spec, value, path: str, flags: dict):
+    """``value`` read through ``spec`` at the dotted ``path``; ``flags`` replace values by path."""
+    if callable(spec):
+        return spec(value, path)
+    kind = list if isinstance(spec, list) else dict
+    if not isinstance(value, kind):
+        what = "a list" if kind is list else "an object"
+        raise ConfigError(f"{path or 'the config'} must be {what}, got {value!r}")
+    if kind is list:
+        return [_read(spec[0], item, f"{path}[{i}]", flags) for i, item in enumerate(value)]
+    if "<name>" in spec:
+        spec = dict.fromkeys(value, spec["<name>"])
+    prefix = f"{path}." if path else ""
+    unknown = sorted(set(value) - set(spec))
+    if unknown:
+        raise ConfigError(f"unknown config key {prefix}{unknown[0]}")
+    block = {}
+    for key, (reader, default) in spec.items():
+        item = flags.get(prefix + key, value.get(key, default))
+        if item is REQUIRED:
+            raise ConfigError(f"missing config key {prefix}{key}")
+        if item is not None or default is not None:  # an unset optional key stays None
+            item = _read(reader, item, prefix + key, flags)
+        block[key] = item
+    return block
 
 
 def load_config(path: str, overrides: dict) -> RunConfig:
-    """Parse and validate the JSON run configuration."""
+    """Parse and validate the JSON run configuration.
+
+    ``overrides`` maps dotted config keys to flag values; each not None replaces the file's.
+    """
     try:
         with open(path) as handle:
             raw = json.load(handle)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    base = os.path.dirname(os.path.abspath(path))
-
-    def resolve(p):
-        return p if os.path.isabs(p) else os.path.join(base, p)
-
-    def override(key, value):
-        return overrides[key] if overrides.get(key) is not None else value
-
+    base = os.path.dirname(os.path.abspath(path))  # joined to an absolute path, base drops out
+    c = _read(CONFIG, raw, "", {k: v for k, v in overrides.items() if v is not None})
+    ses, cal, ann = c["session"], c["calendar"], c["announcements"]
     try:
-        ses = raw["session"]
-        session = ticks.SessionSpec(
-            session_start=_parse_time(ses["start"]),
-            session_end=_parse_time(ses["end"]),
-            timezone=ses["timezone"],
-            sampling_interval=_integer("session.sampling_seconds", ses["sampling_seconds"]),
-        )
-        instruments = list(raw["instruments"])
-        pairs = [tuple(p) for p in raw.get("pairs", [])]
-        tuples = [tuple(t) for t in raw.get("tuples", [])]
-        cal_block = raw.get("calendar", {})
-        calendar = ticks.TradingCalendar(
-            excluded_dates=frozenset(
-                dt.date.fromisoformat(d) for d in cal_block.get("excluded_dates", [])
-            ),
-            low_trade_threshold=_real(
-                "calendar.low_trade_threshold", cal_block.get("low_trade_threshold", 0.60)
-            ),
-        )
-        announcements = _announcement_dates(raw.get("announcements"))
-        est_block = dict(raw.get("estimator", {}))
-        # keys of earlier versions that changed no output number
-        removed = sorted({"filters", "boundary", "levels"} & set(est_block))
-        if removed:
-            raise ConfigError(
-                f"{path}: estimator keys {removed} are no longer accepted: the "
-                "two-scale estimate does not depend on a wavelet filter, boundary or depth"
-            )
-        g_spacing = est_block.get("g_spacing")
-        estimator = jwc.JwcConfig(
-            c_n=_real("estimator.c_n", est_block.get("c_n", 1.0)),
-            s_spacing=_integer("estimator.s_spacing", est_block.get("s_spacing", 1)),
-            g_spacing=None if g_spacing is None else _integer("estimator.g_spacing", g_spacing),
-        )
-        if "detection" in raw:
-            raise ConfigError(
-                f"{path}: the 'detection' block is no longer accepted: jump detection "
-                "always thresholds the Haar level-1 coefficients"
-            )
-        boot = raw.get("bootstrap", {})
-        config = RunConfig(
-            session=session,
-            instruments=instruments,
-            pairs=pairs,
-            tuples=tuples,
-            calendar=calendar,
-            announcements=announcements,
-            tick_sources={
-                name: {"path": resolve(src["path"]), "schema": dict(src["schema"])}
-                for name, src in raw.get("ticks", {}).items()
-            },
-            scenario_path=resolve(raw["scenario"]) if "scenario" in raw else None,
-            estimator=estimator,
-            b_reps=_integer(
-                "bootstrap.b_reps", override("bootstrap_reps", boot.get("b_reps", 999))
-            ),
-            alpha=_real("bootstrap.alpha", override("alpha", boot.get("alpha", 0.05))),
-            seed=_integer("seed", override("seed", raw.get("seed", 0))),
-            jobs=_integer("jobs", override("jobs", raw.get("jobs", 1))),
-            output=resolve(overrides.get("output") or raw.get("output", "out")),
-            histogram_bin_minutes=_integer(
-                "report.histogram_bin_minutes",
-                raw.get("report", {}).get("histogram_bin_minutes", 30),
-            ),
-            start_date=dt.date.fromisoformat(raw.get("start_date", "2017-01-02")),
-            raw=raw,
-        )
-    except ConfigError:
-        raise
-    except (LookupError, TypeError, ValueError) as exc:
+        session = ticks.SessionSpec(*ses.values())  # the table's order
+        calendar = ticks.TradingCalendar(frozenset(cal["excluded_dates"]),
+                                         cal["low_trade_threshold"])
+    except (LookupError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    config = RunConfig(
+        session=session,
+        instruments=c["instruments"],
+        pairs=[tuple(p) for p in c["pairs"]],
+        tuples=[tuple(t) for t in c["tuples"]],
+        calendar=calendar,
+        announcements=None if ann is None else frozenset(ann["events"]),
+        tick_sources={name: {**src, "path": os.path.join(base, src["path"])}
+                      for name, src in c["ticks"].items()},
+        scenario_path=None if c["scenario"] is None else os.path.join(base, c["scenario"]),
+        estimator=jwc.JwcConfig(**c["estimator"]),
+        **c["bootstrap"],  # b_reps and alpha
+        seed=c["seed"],
+        jobs=c["jobs"],
+        output=os.path.join(base, c["output"]),
+        histogram_bin_minutes=c["report"]["histogram_bin_minutes"],
+        start_date=c["start_date"],
+        raw=raw,
+    )
     _validate(config)
     return config
 
 
 def _validate(config: RunConfig) -> None:
-    if not config.instruments:
-        raise ConfigError("no instruments declared")
-    for name in config.instruments:
-        if not _NAME_RE.match(name):
-            raise ConfigError(f"instrument name {name!r} must match [A-Za-z0-9_]+")
+    """The checks that span several keys: pairs, tuples, estimator, histogram, files."""
     declared = set(config.instruments)
+    if not declared or len(declared) < len(config.instruments):
+        raise ConfigError(f"instruments must be distinct and not empty, got {config.instruments}")
     seen_pairs = set()
     for pair in config.pairs:
         if len(pair) != 2 or pair[0] == pair[1] or not set(pair) <= declared:
@@ -206,9 +229,8 @@ def _validate(config: RunConfig) -> None:
         seen_pairs.add(frozenset(pair))
     for members in config.tuples:
         if len(members) < 2 or len(set(members)) != len(members) or not set(members) <= declared:
-            raise ConfigError(
-                f"tuple {members} must name two or more distinct declared instruments"
-            )
+            raise ConfigError(f"tuple {members} must name two or more distinct "
+                              "declared instruments")
         missing = [
             f"{a}-{b}"
             for a, b in itertools.combinations(members, 2)
@@ -219,34 +241,15 @@ def _validate(config: RunConfig) -> None:
                 f"tuple {'-'.join(members)} is labelled only when every member pair is "
                 f"tested; pairs not configured: {', '.join(missing)}"
             )
-    if not 0.0 < config.alpha < 1.0:
-        raise ConfigError("alpha must lie in (0, 1)")
-    if config.b_reps < 100:
-        raise ConfigError("bootstrap b_reps must be at least 100")
-    if config.jobs < 1:
-        raise ConfigError("jobs must be positive")
-    if config.seed < 0:
-        raise ConfigError("seed must be non-negative")
-    if not 0.0 < config.estimator.c_n < math.inf:
-        raise ConfigError(f"estimator.c_n must be positive and finite, got {config.estimator.c_n}")
     try:
         config.estimator.resolve(config.session.n_intervals)
     except ValueError as exc:
         raise ConfigError(f"estimator: {exc}") from exc
-    width = config.histogram_bin_minutes * 60
-    if width <= 0 or config.session.session_seconds % width:
-        raise ConfigError("report.histogram_bin_minutes must be positive and divide the session")
+    if config.session.session_seconds % (config.histogram_bin_minutes * 60):
+        raise ConfigError("report.histogram_bin_minutes must divide the session")
     for name, src in config.tick_sources.items():
         if name not in declared:
-            raise ConfigError(f"tick source {name!r} is not a declared instrument")
-        unknown = sorted(set(src["schema"]) - {"timestamp", "price", "volume"})
-        if unknown:
-            raise ConfigError(
-                f"tick source {name!r}: unknown schema roles {unknown} "
-                "(the roles are timestamp, price and volume)"
-            )
-        if not all(isinstance(c, str) for c in src["schema"].values()):
-            raise ConfigError(f"tick source {name!r}: schema column names must be strings")
+            raise ConfigError(f"ticks.{name}: tick source of no declared instrument")
         # missing referenced files are I/O failures, not config failures
         if not os.path.exists(src["path"]):
             raise FileNotFoundError(f"tick file for {name} not found: {src['path']}")
@@ -491,12 +494,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in COMMANDS.items():
         p = sub.add_parser(name, help=fn.__doc__)
-        p.add_argument("--config", default=None, help=f"config JSON (default: ${ENV_CONFIG})")
-        p.add_argument("--seed", type=int, default=None, help="master seed override")
-        p.add_argument("--alpha", type=float, default=None, help="test level override")
-        p.add_argument("--bootstrap-reps", type=int, default=None, help="replication override")
-        p.add_argument("--jobs", type=int, default=None, help="worker process count")
-        p.add_argument("--output", default=None, help="output directory override")
+        p.add_argument("--config", help=f"config JSON (default: ${ENV_CONFIG})")
+        # each override's dest is the config key it replaces
+        p.add_argument("--seed", type=int, help="master seed override")
+        p.add_argument("--alpha", dest="bootstrap.alpha", type=float, help="test level override")
+        p.add_argument("--bootstrap-reps", dest="bootstrap.b_reps", type=int,
+                       help="replication override")
+        p.add_argument("--jobs", type=int, help="worker process count")
+        p.add_argument("--output", help="output directory override")
     return parser
 
 
@@ -509,13 +514,7 @@ def main(argv=None) -> int:
     if not os.path.exists(config_path):
         _emit_error("io", f"config file not found: {config_path}")
         return EXIT_IO
-    overrides = {
-        "seed": args.seed,
-        "alpha": args.alpha,
-        "bootstrap_reps": args.bootstrap_reps,
-        "jobs": args.jobs,
-        "output": args.output,
-    }
+    overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     try:
         config = load_config(config_path, overrides)
     except ConfigError as exc:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from zoneinfo import ZoneInfo
 
@@ -123,7 +123,6 @@ class TickSeries:
     prices: np.ndarray
     rejected: int = 0
     total_rows: int = 0
-    diagnostics: list = field(default_factory=list)
 
     def dates(self) -> list:
         days = np.unique(self.times // _DAY_US)
@@ -178,9 +177,9 @@ def parse_ticks(path, schema: dict, spec: SessionSpec, instrument: str = "") -> 
     are converted to it. Rows that fail to parse, lack a field, or
     carry a price outside (0, inf), a negative volume or one too large
     for an integer are rejected and counted. Blank lines are skipped
-    and not counted; diagnostics number the records from line 2. Accepted
-    trades are held in numpy blocks of at most ``PARSE_BLOCK_ROWS``, 16
-    bytes each, and a file already in wall-clock order is not re-sorted.
+    and not counted. Accepted trades are held in numpy blocks of at most
+    ``PARSE_BLOCK_ROWS``, 16 bytes each, and a file already in wall-clock
+    order is not re-sorted.
     """
     for role in ("timestamp", "price"):
         if role not in schema:
@@ -190,7 +189,6 @@ def parse_ticks(path, schema: dict, spec: SessionSpec, instrument: str = "") -> 
     time_blocks = []
     price_blocks = []
     rejected = 0
-    diagnostics = []
     try:
         handle = open(path, newline="")
     except OSError as exc:
@@ -222,13 +220,11 @@ def parse_ticks(path, schema: dict, spec: SessionSpec, instrument: str = "") -> 
                         stamp = stamp.astimezone(tz).replace(tzinfo=None)
                     price = float(row[i_price])
                     volume = 0 if i_vol is None else int(float(row[i_vol]))
-                except (IndexError, OverflowError, ValueError) as exc:
+                except (IndexError, OverflowError, ValueError):
                     rejected += 1
-                    diagnostics.append(f"line {lineno}: {exc}")
                     continue
                 if not 0.0 < price < math.inf or volume < 0:
                     rejected += 1
-                    diagnostics.append(f"line {lineno}: invalid price/volume {price}/{volume}")
                     continue
                 times.append((stamp - _EPOCH) // _US)
                 prices.append(price)
@@ -251,7 +247,6 @@ def parse_ticks(path, schema: dict, spec: SessionSpec, instrument: str = "") -> 
         prices=prices,
         rejected=rejected,
         total_rows=lineno - 1,
-        diagnostics=diagnostics,
     )
 
 

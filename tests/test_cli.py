@@ -791,3 +791,139 @@ def test_readme_config_example_loads(tmp_path):
     config = cli.load_config(str(tmp_path / "config.json"), {})
     assert config.announcements == {dt.date(2017, 3, 15), dt.date(2017, 5, 3)}
     assert config.instruments == ["TU", "FV", "TY"]
+
+
+@pytest.mark.parametrize("role", ["timestamp", "price"])
+def test_schema_without_timestamp_or_price_rejected_on_load(capsys, tmp_path, role):
+    """A schema missing a required role exits 3 when the config loads, before any tick is read."""
+    (tmp_path / "tu.csv").write_text("t,p,v\n2017-03-13 07:00:01,100.0,1\n")
+    schema = {"timestamp": "t", "price": "p", "volume": "v"}
+    del schema[role]
+    cfg = _write_config(
+        tmp_path, instruments=["TU"], pairs=[],
+        ticks={"TU": {"path": "tu.csv", "schema": schema}},
+    )
+    assert cli.main(["ingest", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    msg = _stderr_json(capsys)
+    assert msg["error"] == "config"
+    assert f"ticks.TU.schema.{role}" in msg["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def _set(raw, key, value):
+    """``raw`` with the dotted ``key`` set to ``value``, creating blocks on the way."""
+    *blocks, last = key.split(".")
+    target = raw
+    for block in blocks:
+        target = target.setdefault(block, {})
+    target[last] = value
+    return raw
+
+
+@pytest.mark.parametrize("instruments", [[], ["TU", "TU"]], ids=["none", "repeated"])
+def test_empty_or_repeated_instruments_rejected(capsys, tmp_path, instruments):
+    """A repeated name would label two panel columns alike; decompose would read only one."""
+    cfg = _write_config(tmp_path, instruments=instruments, pairs=[])
+    assert cli.main(["simulate", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    msg = _stderr_json(capsys)
+    assert msg["error"] == "config" and "instruments" in msg["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("instruments", "TU"), ("pairs", "TU"), ("tuples", "TU"),
+     ("calendar.excluded_dates", "2017-03-14"), ("announcements.events", "2017-03-14")],
+)
+def test_string_where_a_list_is_read_rejected(capsys, tmp_path, key, value):
+    """A string is not read as the list of its characters: it exits 3 and names the key."""
+    raw = _set(json.loads(_write_config(tmp_path).read_text()), key, value)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(raw))
+    assert cli.main(["simulate", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    msg = _stderr_json(capsys)
+    assert msg["error"] == "config"
+    assert f"{key} must be a list" in msg["message"]
+    assert not (tmp_path / "out").exists()
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def _readme_example():
+    """The README's config example, with the accepted but unread ``announcements.windows``."""
+    raw = json.loads(re.search(r"```json\n(.*?)```", README, re.S).group(1))
+    raw["announcements"]["windows"] = [[0, 30]]
+    return raw
+
+
+def _key_paths(node, path=()):
+    """The path (keys and list indices) of every object key in a JSON tree."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield path + (key,)
+            yield from _key_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _key_paths(value, path + (i,))
+
+
+def _dotted(path):
+    return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)[1:]
+
+
+@pytest.mark.parametrize("path", list(_key_paths(_readme_example())), ids=_dotted)
+def test_misspelled_config_key_rejected(capsys, tmp_path, path):
+    """Every key of the README example, misspelled by one doubled character, exits 3 naming it."""
+    raw = _readme_example()
+    (tmp_path / raw["scenario"]).write_text(SCENARIO)
+    (tmp_path / raw["ticks"]["TU"]["path"]).write_text("ts,px,vol\n")
+    *parents, key = path
+    block = raw
+    for step in parents:
+        block = block[step]
+    block[key + key[-1]] = block.pop(key)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(raw))
+    assert cli.main(["report", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    msg = _stderr_json(capsys)
+    assert msg["error"] == "config"
+    assert _dotted((*parents, key + key[-1])) in msg["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda raw: raw.update(bootstrp=raw.pop("bootstrap")), "bootstrp"),
+    (lambda raw: raw["estimator"].update(g_spacinng=7), "estimator.g_spacinng"),
+], ids=["bootstrp", "g_spacinng"])
+def test_golden_config_with_a_misspelled_key_rejected(capsys, tmp_path, edit, key):
+    """A misspelled block or key no longer runs another experiment with exit 0."""
+    raw = json.loads((Path(__file__).parent / "golden" / "config.json").read_text())
+    edit(raw)
+    (tmp_path / "scenario.txt").write_text(SCENARIO)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(raw))
+    assert cli.main(["simulate", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    assert _stderr_json(capsys)["message"] == f"unknown config key {key}"
+
+
+def _table_leaves(table, prefix=""):
+    """(dotted key, default) of every leaf of a config table; "<name>" stands for any name."""
+    for key, (spec, default) in table.items():
+        if isinstance(spec, dict):
+            yield from _table_leaves(spec, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", default
+
+
+def test_readme_config_reference_lists_every_key_and_default():
+    """The README's config reference and the loader's table name the same keys and defaults."""
+    reference = README.split("| key | default | value |\n")[1].split("\n\n")[0]
+    rows = dict(re.findall(r"^\| `([^`]+)` \| ([^|]+?) \|", reference, re.M))
+
+    def cell(default):
+        if default is cli.REQUIRED:
+            return "required"
+        return "unset" if default is None else f"`{json.dumps(default)}`"
+
+    assert rows == {key: cell(default) for key, default in _table_leaves(cli.CONFIG)}

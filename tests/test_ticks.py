@@ -145,7 +145,6 @@ def test_parse_ticks_rejects_bad_rows(tmp_path):
     assert series.rejected == 3
     assert len(series.times) == 2
     assert len(series.times) + series.rejected == series.total_rows
-    assert len(series.diagnostics) == 3
 
 
 def test_parse_ticks_rejects_short_rows(tmp_path):
@@ -154,7 +153,6 @@ def test_parse_ticks_rejects_short_rows(tmp_path):
     series = tk.parse_ticks(path, {"timestamp": "ts", "price": "px", "volume": "vol"}, _spec())
     assert series.total_rows == 2 and series.rejected == 1
     assert series.prices.tolist() == [100.0]
-    assert len(series.diagnostics) == 1 and series.diagnostics[0].startswith("line 3:")
 
 
 def test_parse_ticks_sorts_and_schema_validation(tmp_path):
@@ -209,13 +207,6 @@ def test_parse_ticks_rejects_non_finite_prices_and_overflowing_volumes(tmp_path)
     series = tk.parse_ticks(path, SCHEMA, _spec())
     assert series.total_rows == 6 and series.rejected == 5
     assert series.prices.tolist() == [124.5]
-    assert series.diagnostics == [
-        "line 2: invalid price/volume nan/1",
-        "line 3: invalid price/volume inf/1",
-        "line 4: invalid price/volume -inf/1",
-        "line 5: invalid price/volume inf/1",
-        "line 6: cannot convert float infinity to integer",
-    ]
 
 
 def test_parse_ticks_rejects_offset_stamps_outside_the_calendar(tmp_path):
@@ -224,7 +215,8 @@ def test_parse_ticks_rejects_offset_stamps_outside_the_calendar(tmp_path):
         tmp_path, ["0001-01-01T00:30:00+01:00,100,1", "2017-03-15 13:00:01,100,1"]
     )
     series = tk.parse_ticks(path, SCHEMA, _spec())
-    assert series.rejected == 1 and series.diagnostics == ["line 2: date value out of range"]
+    assert series.total_rows == 2 and series.rejected == 1
+    assert series.prices.tolist() == [100.0]
 
 
 def _dictreader_parse(path, schema, spec):
@@ -235,22 +227,20 @@ def _dictreader_parse(path, schema, spec):
     """
     tz = spec.tzinfo()
     vol_col = schema.get("volume")
-    times, prices, diagnostics = [], [], []
+    times, prices = [], []
     rejected = total = 0
     with open(path, newline="") as handle:
-        for lineno, row in enumerate(csv.DictReader(handle, restval=""), start=2):
+        for row in csv.DictReader(handle, restval=""):
             total += 1
             try:
                 stamp = dt.datetime.fromisoformat(row[schema["timestamp"]].strip())
                 price = float(row[schema["price"]])
                 volume = int(float(row[vol_col])) if vol_col else 0
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError):
                 rejected += 1
-                diagnostics.append(f"line {lineno}: {exc}")
                 continue
             if price <= 0.0 or volume < 0:
                 rejected += 1
-                diagnostics.append(f"line {lineno}: invalid price/volume {price}/{volume}")
                 continue
             if stamp.tzinfo is not None:
                 stamp = stamp.astimezone(tz).replace(tzinfo=None)
@@ -260,7 +250,7 @@ def _dictreader_parse(path, schema, spec):
         raise tk.ZeroValidRows(f"{path}: no valid tick rows ({rejected} rejected)")
     order = np.argsort(np.array(times, dtype=np.int64), kind="stable")
     return tk.TickSeries("", np.array(times, dtype=np.int64)[order], np.array(prices)[order],
-                         rejected, total, diagnostics)
+                         rejected, total)
 
 
 def _outcome(parse, path, schema):
@@ -268,8 +258,7 @@ def _outcome(parse, path, schema):
         s = parse(path, schema, _spec())
     except tk.ZeroValidRows as exc:
         return str(exc)
-    return (s.times.dtype, s.times.tolist(), s.prices.tobytes(), s.rejected, s.total_rows,
-            s.diagnostics)
+    return s.times.dtype, s.times.tolist(), s.prices.tobytes(), s.rejected, s.total_rows
 
 
 _HEADERS = (  # the schema reads ts, px and vol
@@ -360,7 +349,7 @@ def test_parse_ticks_matches_dictreader_oracle(tmp_path_factory, case):
 @given(case=_tick_files() | _unordered_tick_files())
 def test_parse_ticks_matches_dictreader_oracle_across_block_edges(tmp_path_factory, block_rows,
                                                                    case):
-    """Blocks of one, two and three records give the oracle's series, counts and diagnostics."""
+    """Blocks of one, two and three records give the oracle's series and counts."""
     path = _write_case(tmp_path_factory.mktemp("ticks") / "ticks.csv", case)
     schema = {"timestamp": "ts", "price": "px", "volume": "vol"}
     with pytest.MonkeyPatch.context() as patch:

@@ -102,6 +102,16 @@ def _iso(kind):
     return read
 
 
+def _zone(value, path):
+    """A reader of IANA time zone names."""
+    from zoneinfo import ZoneInfo  # loaded with ticks already
+    name = _text(value, path)
+    try:
+        return ZoneInfo(name).key
+    except (LookupError, OSError, ValueError):
+        raise ConfigError(f"{path}: no time zone is named {name!r}") from None
+
+
 def _unread(value, path):
     """Accepted so that configs written for earlier versions keep running; changes no output."""
     return value
@@ -125,7 +135,7 @@ EVENT = {"date": (_iso(dt.date), REQUIRED), "time": (_unread, None), "timezone":
 SCHEMA = {"timestamp": (_column, REQUIRED), "price": (_column, REQUIRED), "volume": (_column, None)}
 CONFIG = {
     "session": ({"start": (_iso(dt.time), REQUIRED), "end": (_iso(dt.time), REQUIRED),
-                 "timezone": (_text, REQUIRED), "sampling_seconds": (_integer(1), REQUIRED)},
+                 "timezone": (_zone, REQUIRED), "sampling_seconds": (_integer(1), REQUIRED)},
                 REQUIRED),
     "instruments": ([_name], REQUIRED),
     "pairs": ([[_name]], []),
@@ -188,10 +198,14 @@ def load_config(path: str, overrides: dict) -> RunConfig:
     ses, cal, ann = c["session"], c["calendar"], c["announcements"]
     try:
         session = ticks.SessionSpec(*ses.values())  # the table's order
+    except ValueError as exc:  # the zone passed its reader: the window or the grid step is bad
+        key = "session.end" if ses["start"] >= ses["end"] else "session.sampling_seconds"
+        raise ConfigError(f"{key}: {exc}") from None
+    try:
         calendar = ticks.TradingCalendar(frozenset(cal["excluded_dates"]),
                                          cal["low_trade_threshold"])
-    except (LookupError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    except ValueError as exc:  # the message opens with the key's last part
+        raise ConfigError(f"calendar.{exc}") from None
     config = RunConfig(
         session=session,
         instruments=c["instruments"],

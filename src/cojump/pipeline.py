@@ -227,20 +227,23 @@ def _result_or_rerun(future, task):
 
 def _read_csv(path, columns: list, convert) -> list:
     """``convert`` of each row of an intermediate CSV; bad files raise MalformedFile."""
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, [])
-        missing = [c for c in columns if c not in header]
-        if missing:
-            raise MalformedFile(f"{path}: missing columns {missing}")
-        out = []
-        for row in filter(None, reader):  # blank lines are no records
-            try:
-                if len(row) < len(header):
-                    raise ValueError(f"{len(row)} fields where the header has {len(header)}")
-                out.append(convert(dict(zip(header, row))))
-            except (TypeError, ValueError) as exc:
-                raise MalformedFile(f"{path}: line {reader.line_num}: {exc}") from exc
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, [])
+            missing = [c for c in columns if c not in header]
+            if missing:
+                raise MalformedFile(f"{path}: missing columns {missing}")
+            out = []
+            for row in filter(None, reader):  # blank lines are no records
+                try:
+                    if len(row) < len(header):
+                        raise ValueError(f"{len(row)} fields where the header has {len(header)}")
+                    out.append(convert(dict(zip(header, row))))
+                except (TypeError, ValueError) as exc:
+                    raise MalformedFile(f"{path}: line {reader.line_num}: {exc}") from exc
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise MalformedFile(f"{path}: {exc}") from exc
     return out
 
 

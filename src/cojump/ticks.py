@@ -23,16 +23,20 @@ import csv
 import datetime as dt
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from zoneinfo import ZoneInfo
 
 import numpy as np
 
 LOW_TRADE_BIN_SECONDS = 300  # the thin-day rule is always judged on 5-min bins
-PARSE_BLOCK_ROWS = 4096  # records per block; a block's accepted trades become numpy arrays
+PARSE_BLOCK_ROWS = 2048  # lines read at a time by parse_ticks
+# parse_ticks copies accepted trades into arrays of this many rows: one small array per
+# block, placed among the block's temporaries, kept their freed heap from being returned
+_KEEP_ROWS = 1 << 16
 _EPOCH = dt.datetime(1970, 1, 1)
 _US = dt.timedelta(microseconds=1)
 _DAY_US = 86_400_000_000
+_STAMP_FORM = np.frombuffer(b"0000-00-00T00:00:00", np.uint8)  # a 0 stands for any digit
 
 
 def _wall_us(stamp: dt.datetime) -> int:
@@ -67,11 +71,11 @@ class SessionSpec:
 
     def __post_init__(self):
         if self.session_start >= self.session_end:
-            raise ValueError("session_start must precede session_end")
-        if self.sampling_interval <= 0:
-            raise ValueError("sampling_interval must be positive")
-        if self.session_seconds % self.sampling_interval != 0:
-            raise ValueError("sampling_interval must divide the session length")
+            raise ValueError(f"the session start {self.session_start} must precede "
+                             f"its end {self.session_end}")
+        if self.sampling_interval <= 0 or self.session_seconds % self.sampling_interval:
+            raise ValueError(f"the grid step of {self.sampling_interval} s must divide "
+                             f"the session length of {self.session_seconds} s")
         ZoneInfo(self.timezone)  # fail fast on unknown zone names
 
     @property
@@ -142,7 +146,8 @@ class TradingCalendar:
 
     def __post_init__(self):
         if not (0.0 < self.low_trade_threshold <= 1.0):
-            raise ValueError("low_trade_threshold must lie in (0, 1]")
+            raise ValueError(
+                f"low_trade_threshold must lie in (0, 1], got {self.low_trade_threshold}")
 
 
 @dataclass
@@ -168,8 +173,54 @@ class ReturnPanel:
         return self.returns[self.instruments.index(instrument)]
 
 
+def _floats(texts: list) -> np.ndarray:
+    """``float()`` of each text, NaN where ``float()`` refuses it."""
+    values, rest = [], iter(texts)
+    while True:
+        try:
+            values.extend(map(float, rest))
+            return np.array(values, dtype=np.float64)
+        except ValueError:  # the refused text is consumed: it reads NaN
+            values.append(math.nan)
+
+
+def _stamp_wall_us(raw: np.ndarray):
+    """(ok, wall-clock microseconds) of 19-byte stamps, one per row of ``raw``: ok where
+    a stamp has the form YYYY-MM-DDTHH:MM:SS and names a real date and clock time."""
+    delta = np.subtract(raw.T, _STAMP_FORM[:, None], order="C")  # a digit's value, 0 at a mark
+    ok = (delta <= np.where(_STAMP_FORM == 48, 9, 0)[:, None]).all(0)
+    y, mo, d, h, mi, s = (  # garbage where not ok
+        sum(delta[k].astype(np.int64) * 10 ** (b - 1 - k) for k in range(a, b))
+        for a, b in ((0, 4), (5, 7), (8, 10), (11, 13), (14, 16), (17, 19)))
+    month = (y - 1970).astype("datetime64[Y]").astype("datetime64[M]") + (mo - 1)
+    day = month.astype("datetime64[D]").astype(np.int64) + (d - 1)
+    ok &= (y >= 1) & (mo >= 1) & (mo <= 12) & (d >= 1) & (h < 24) & (mi < 60) & (s < 60)
+    ok &= day < (month + 1).astype("datetime64[D]").astype(np.int64)  # 02-29 of common years
+    return ok, (((day * 24 + h) * 60 + mi) * 60 + s) * 1_000_000
+
+
+def _clean_block(text: str, width: int):
+    """(text, bytes, cuts) of a block of lines that the column path may read, else None:
+    one with no carriage return whose lines that are not blank have ``width`` fields and
+    fit csv's field size limit. The text comes back without blank lines and ending in a
+    line end; ``cuts`` are the offsets in its bytes of the "," or "\\n" after each field."""
+    if "\r" in text:
+        return None
+    if text[0] == "\n" or "\n\n" in text:  # blank lines are no records
+        text = "".join(line + "\n" for line in text.split("\n") if line)
+    elif text[-1] != "\n":
+        text += "\n"
+    data = np.frombuffer(text.encode(), np.uint8)
+    cuts = np.flatnonzero((data == 44) | (data == 10))
+    lines = np.flatnonzero(data[cuts] == 10)  # every width-th cut, if each line has width fields
+    if np.array_equal(lines, np.arange(width - 1, cuts.size, width)) and (
+            not lines.size or np.diff(cuts[lines], prepend=-1).max() <= csv.field_size_limit()):
+        return text, data, cuts
+    return None
+
+
 def parse_ticks(path, schema: dict, spec: SessionSpec, instrument: str = "") -> TickSeries:
-    """Parse one instrument's trades from a CSV file in one streamed pass.
+    """Parse one instrument's trades from a UTF-8 CSV file in one streamed pass.
 
     ``schema`` maps the roles "timestamp", "price" and optionally
     "volume" to column names in the file's header. Naive timestamps are
@@ -177,66 +228,139 @@ def parse_ticks(path, schema: dict, spec: SessionSpec, instrument: str = "") -> 
     are converted to it. Rows that fail to parse, lack a field, or
     carry a price outside (0, inf), a negative volume or one too large
     for an integer are rejected and counted. Blank lines are skipped
-    and not counted. Accepted trades are held in numpy blocks of at most
-    ``PARSE_BLOCK_ROWS``, 16 bytes each, and a file already in wall-clock
-    order is not re-sorted.
+    and not counted. A file that is not UTF-8, or has a field longer
+    than ``csv.field_size_limit()``, raises MalformedFile.
+
+    The file is read in blocks of ``PARSE_BLOCK_ROWS`` lines. A block
+    that ``_clean_block`` passes is converted a column at a time (a stamp
+    not of the form YYYY-MM-DDTHH:MM:SS on its own); every other block,
+    and the rest of the file after the first quote, is read row by row by
+    ``csv.reader``. Both paths give the same arrays and counts. Accepted
+    trades are copied into arrays of ``_KEEP_ROWS``, 16 bytes each, and a
+    file already in wall-clock order is not re-sorted.
     """
     for role in ("timestamp", "price"):
         if role not in schema:
             raise ValueError(f"schema must name a {role} column")
     tz = spec.tzinfo()
     fromisoformat = dt.datetime.fromisoformat
-    time_blocks = []
-    price_blocks = []
-    rejected = 0
+    time_chunks = [np.empty(_KEEP_ROWS, np.int64)]
+    price_chunks = [np.empty(_KEEP_ROWS, np.float64)]
+    filled = rejected = total = 0
+
+    def keep(times: np.ndarray, prices: np.ndarray) -> None:
+        nonlocal filled
+        if filled + times.size > time_chunks[-1].size:  # the last chunk keeps what it holds
+            time_chunks[-1], price_chunks[-1] = time_chunks[-1][:filled], price_chunks[-1][:filled]
+            time_chunks.append(np.empty(max(_KEEP_ROWS, times.size), np.int64))
+            price_chunks.append(np.empty(time_chunks[-1].size, np.float64))
+            filled = 0
+        time_chunks[-1][filled : filled + times.size] = times
+        price_chunks[-1][filled : filled + times.size] = prices
+        filled += times.size
+
+    def wall_us(text: str) -> int:
+        stamp = fromisoformat(text.strip())
+        if stamp.tzinfo is not None:
+            stamp = stamp.astimezone(tz).replace(tzinfo=None)
+        return (stamp - _EPOCH) // _US
+
+    def parse_rows(rows) -> int:
+        """The per-row path over csv records; returns how many it read."""
+        nonlocal rejected, total
+        times = []
+        prices = []
+        count = 0
+        for count, row in enumerate(rows, start=1):
+            if len(row) != width:
+                # a short row reads "" for its missing fields; extra fields are ignored
+                row = (row + [""] * width)[:width]
+            try:
+                stamp = wall_us(row[i_stamp])
+                price = float(row[i_price])
+                volume = 0 if i_vol is None else int(float(row[i_vol]))
+            except (IndexError, OverflowError, ValueError):
+                rejected += 1
+                continue
+            if not 0.0 < price < math.inf or volume < 0:
+                rejected += 1
+                continue
+            times.append(stamp)
+            prices.append(price)
+        total += count
+        keep(np.array(times, dtype=np.int64), np.array(prices, dtype=np.float64))
+        return count
+
+    def parse_columns(text: str, lines: list) -> bool:
+        """The column path over one block: False, reading nothing, unless ``_clean_block``
+        passes the block, whose lines are then cleared to free them."""
+        nonlocal rejected, total
+        block = max(i_stamp, i_price, i_vol or 0) < width and _clean_block(text, width)
+        if not block:
+            return False
+        lines.clear()
+        text, data, cuts = block
+        del block
+        n = cuts.size // width
+        starts = np.append(-1, cuts)[i_stamp::width][:n] + 1  # each stamp's first byte
+        strict = cuts[i_stamp::width] - starts == _STAMP_FORM.size
+        times = np.zeros(n, np.int64)
+        if data.size >= _STAMP_FORM.size:
+            windows = np.lib.stride_tricks.sliding_window_view(data, _STAMP_FORM.size)
+            good, times[strict] = _stamp_wall_us(windows[starts[strict]])
+            strict[strict] = good
+        del data, cuts, starts
+        fields = text.replace("\n", ",").split(",")
+        prices = _floats(fields[i_price : n * width : width])
+        ok = (0.0 < prices) & (prices < math.inf)
+        if i_vol is not None:  # int(float(v)) >= 0 exactly when -1 < v < inf
+            volumes = _floats(fields[i_vol : n * width : width])
+            ok &= (-1.0 < volumes) & (volumes < math.inf)
+        for k in np.flatnonzero(ok & ~strict).tolist():  # every other stamp, one at a time
+            try:
+                times[k] = wall_us(fields[k * width + i_stamp])
+            except (OverflowError, ValueError):
+                ok[k] = False
+        rejected += n - int(np.count_nonzero(ok))
+        total += n
+        keep(times[ok], prices[ok])
+        return True
+
     try:
-        handle = open(path, newline="")
+        handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise OSError(f"cannot read tick file {path}: {exc}") from exc
     with handle:
-        reader = csv.reader(handle)
-        header = next(reader, [])
-        width = len(header)
-        # the last column of a duplicated name wins; a column missing from
-        # the header reads past the end of every row, so every row is rejected
-        column = {name: i for i, name in enumerate(header)}
-        i_stamp = column.get(schema["timestamp"], width)
-        i_price = column.get(schema["price"], width)
-        vol_col = schema.get("volume")
-        i_vol = column.get(vol_col, width) if vol_col else None
-        records = enumerate(filter(None, reader), start=2)
-        lineno = block_end = 1
-        while lineno == block_end:  # a block that came up short was the last
-            block_end += PARSE_BLOCK_ROWS
-            times = []
-            prices = []
-            for lineno, row in islice(records, PARSE_BLOCK_ROWS):
-                if len(row) != width:
-                    # a short row reads "" for its missing fields; extra fields are ignored
-                    row = (row + [""] * width)[:width]
-                try:
-                    stamp = fromisoformat(row[i_stamp].strip())
-                    if stamp.tzinfo is not None:
-                        stamp = stamp.astimezone(tz).replace(tzinfo=None)
-                    price = float(row[i_price])
-                    volume = 0 if i_vol is None else int(float(row[i_vol]))
-                except (IndexError, OverflowError, ValueError):
-                    rejected += 1
-                    continue
-                if not 0.0 < price < math.inf or volume < 0:
-                    rejected += 1
-                    continue
-                times.append((stamp - _EPOCH) // _US)
-                prices.append(price)
-            time_blocks.append(np.array(times, dtype=np.int64))
-            price_blocks.append(np.array(prices, dtype=np.float64))
-    # each list of blocks is freed once joined, so at most one copy of a column is doubled
-    times = np.concatenate(time_blocks)
-    del time_blocks
+        try:
+            header = next(csv.reader(handle), [])
+            width = len(header)
+            # the last column of a duplicated name wins; a column missing from
+            # the header reads past the end of every row, so every row is rejected
+            column = {name: i for i, name in enumerate(header)}
+            i_stamp = column.get(schema["timestamp"], width)
+            i_price = column.get(schema["price"], width)
+            vol_col = schema.get("volume")
+            i_vol = column.get(vol_col, width) if vol_col else None
+            while lines := list(islice(handle, PARSE_BLOCK_ROWS)):
+                text = "".join(lines)
+                if '"' in text:  # a quoted field can span lines: csv reads the rest
+                    records = filter(None, csv.reader(chain(lines, handle)))
+                    while parse_rows(islice(records, PARSE_BLOCK_ROWS)) == PARSE_BLOCK_ROWS:
+                        pass
+                    break
+                if not parse_columns(text, lines):
+                    parse_rows(filter(None, csv.reader(lines)))
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise MalformedFile(f"{path}: {exc}") from exc
+    time_chunks[-1] = time_chunks[-1][:filled]
+    price_chunks[-1] = price_chunks[-1][:filled]
+    # each list of chunks is freed once joined, so at most one copy of a column is doubled
+    times = np.concatenate(time_chunks)
+    del time_chunks
     if not times.size:
         raise ZeroValidRows(f"{path}: no valid tick rows ({rejected} rejected)")
-    prices = np.concatenate(price_blocks)
-    del price_blocks
+    prices = np.concatenate(price_chunks)
+    del price_chunks
     if np.any(times[1:] < times[:-1]):  # a stable sort of non-decreasing times changes nothing
         order = np.argsort(times, kind="stable")  # equal stamps keep their file order
         times = times[order]
@@ -246,7 +370,7 @@ def parse_ticks(path, schema: dict, spec: SessionSpec, instrument: str = "") -> 
         times=times,
         prices=prices,
         rejected=rejected,
-        total_rows=lineno - 1,
+        total_rows=total,
     )
 
 
@@ -359,10 +483,13 @@ def read_panel_csv(path, spec: SessionSpec) -> ReturnPanel:
     A file that does not parse raises MalformedFile; a parseable panel
     of another date layout or session raises SessionMismatch.
     """
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, [])
-        rows = list(reader)
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, [])
+            rows = list(reader)
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise MalformedFile(f"{path}: {exc}") from exc
     if header[:2] != ["date", "grid_time"]:
         raise MalformedFile(f"{path}: not a panel file")
     if not rows:

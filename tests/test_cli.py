@@ -847,6 +847,56 @@ def test_string_where_a_list_is_read_rejected(capsys, tmp_path, key, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "key, value, text",
+    [("session.timezone", "Nowhere/Zone", "no time zone"),
+     ("session.timezone", "../zoneinfo", "no time zone"),
+     ("session.end", "06:30", "must precede"),
+     ("session.sampling_seconds", 7, "grid step of 7 s"),
+     ("calendar.low_trade_threshold", 1.5, "(0, 1], got 1.5")],
+)
+def test_session_and_calendar_errors_name_the_key(capsys, tmp_path, key, value, text):
+    """A zone, window, grid step or threshold the session or calendar refuses exits 3
+    naming its dotted key, never a name that is in no config."""
+    raw = _set(json.loads(_write_config(tmp_path).read_text()), key, value)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(raw))
+    assert cli.main(["simulate", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    msg = _stderr_json(capsys)
+    assert msg["error"] == "config"
+    assert msg["message"].startswith(key) and text in msg["message"]
+    assert "sampling_interval" not in msg["message"] and "bad.json" not in msg["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_tick_field_over_the_csv_limit_is_io_error(capsys, tmp_path):
+    """A field longer than csv's field size limit exits 2 naming the file, also on a
+    line whose block would otherwise be converted as columns."""
+    cfg = _write_tick_config(tmp_path)
+    rows = (tmp_path / "tu.csv").read_text().splitlines()
+    rows[5] = rows[5].rsplit(",", 1)[0] + "," + "1" * (csv.field_size_limit() + 1)
+    (tmp_path / "tu.csv").write_text("\n".join(rows) + "\n")
+    assert cli.main(["ingest", "--config", str(cfg)]) == cli.EXIT_IO
+    assert "field larger than field limit" in _io_error_message(capsys, "tu.csv")
+
+
+@pytest.mark.parametrize("where", ["ticks", "panel", "decompositions"])
+def test_file_that_is_not_utf8_is_io_error(capsys, tmp_path, where):
+    """A byte that is not UTF-8 in a tick, panel or decompositions file exits 2 naming it."""
+    stage, cfg = "ingest", _write_tick_config(tmp_path)
+    path = tmp_path / "tu.csv"
+    if where != "ticks":
+        stage = "decompose" if where == "panel" else "report"
+        for done in ("simulate", "decompose")[: 1 + (where != "panel")]:
+            assert cli.main([done, "--config", str(cfg)]) == cli.EXIT_OK
+        path = (tmp_path / "out" / "panels" / "panel_2017-03-14.csv" if where == "panel"
+                else tmp_path / "out" / "decompositions.csv")
+    data = path.read_bytes()
+    path.write_bytes(data[:-20] + b"\xff" + data[-20:])
+    assert cli.main([stage, "--config", str(cfg)]) == cli.EXIT_IO
+    assert "can't decode byte 0xff" in _io_error_message(capsys, path.name)
+
+
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
 

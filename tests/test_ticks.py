@@ -6,10 +6,11 @@ import gc
 import math
 import random
 import tracemalloc
+from zoneinfo import ZoneInfo
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cojump import ticks as tk
@@ -388,6 +389,141 @@ def test_parse_ticks_all_rejected_across_blocks(tmp_path, monkeypatch, block_row
     path = _tick_file(tmp_path, ["2017-03-15 13:00:01,n/a,1"] * n)
     with pytest.raises(tk.ZeroValidRows, match=rf"\({n} rejected\)"):
         tk.parse_ticks(path, SCHEMA, _spec())
+
+
+def _rule_parse(path, schema, spec):
+    """The DictReader oracle with the rules it lacks: a price outside (0, inf), a volume
+    that int() refuses and an offset stamp whose conversion leaves the calendar are
+    rejected rows."""
+    tz = spec.tzinfo()
+    vol_col = schema.get("volume")
+    times, prices = [], []
+    rejected = total = 0
+    with open(path, newline="", encoding="utf-8") as handle:
+        for row in csv.DictReader(handle, restval=""):
+            total += 1
+            try:
+                stamp = dt.datetime.fromisoformat(row[schema["timestamp"]].strip())
+                if stamp.tzinfo is not None:
+                    stamp = stamp.astimezone(tz)
+                price = float(row[schema["price"]])
+                volume = int(float(row[vol_col])) if vol_col else 0
+            except (OverflowError, ValueError):
+                rejected += 1
+                continue
+            if not 0.0 < price < math.inf or volume < 0:
+                rejected += 1
+                continue
+            times.append(_wall_us(stamp))
+            prices.append(price)
+    if not times:
+        raise tk.ZeroValidRows(f"{path}: no valid tick rows ({rejected} rejected)")
+    order = np.argsort(np.array(times, dtype=np.int64), kind="stable")
+    return tk.TickSeries("", np.array(times, dtype=np.int64)[order], np.array(prices)[order],
+                         rejected, total)
+
+
+_EDGE_FIELDS = {
+    "ts": ["2017-11-05T01:30:00-05:00", "2017-11-05T07:30:00+00:00", "2017-11-05",
+           "2017-11-05T24:00:00", "2016-02-29T10:00:00", "2017-02-29T10:00:00",
+           "2000-02-29T10:00:00", "1900-02-29T10:00:00", " 2017-11-05T10:00:00",
+           "2017-11-05T10:00:00 ", "\uff12\uff10\uff11\uff17-11-05T10:00:00",
+           "2017-11-05T10:00:0\u0665", "2017-11-05 10:00:00", "2017-11-05T10:00:00.5",
+           "0000-01-01T00:00:00", "0001-01-01T00:00:00", "9999-12-31T23:59:59",
+           "0001-01-01T00:30:00+01:00", "2017-13-01T00:00:00", "2017-00-01T00:00:00",
+           "2017-11-31T00:00:00", "2017-11-00T00:00:00", "2017-11-05T23:59:60",
+           "2017-11-05T10:60:00", "2017-11-05t10:00:00", "2017/11/05T10:00:00", "x" * 19],
+    "px": ["nan", "inf", "-inf", "1e400", "-0.5", "1_0", " 100 ", "\uff11\uff10\uff10", "0",
+           "", "n/a", "1e2", "+7", "1e-400"],
+    "vol": ["nan", "inf", "-inf", "1e400", "-0.5", "-1", "-0.9999", "1_0", " 5 ",
+            "\uff15", "", "x", "1e18", "-0"],
+    "note": ["", "\u00e9t\u00e9"],
+}
+
+
+@st.composite
+def _mixed_tick_files(draw):
+    """Clean rows, some of them reaching past one block, with edge rows mixed in."""
+    header = draw(st.sampled_from([["ts", "px", "vol"], ["vol", "ts", "px"],
+                                   ["px", "note", "ts", "vol"]]))
+    n = draw(st.sampled_from([1, 5, tk.PARSE_BLOCK_ROWS - 1, tk.PARSE_BLOCK_ROWS + 3]))
+    start = dt.datetime(2017, 11, 4, 22)
+    clean = {"ts": lambda k: (start + dt.timedelta(seconds=7 * k)).isoformat(),
+             "px": lambda k: f"{100 + k % 89 / 16}", "vol": lambda k: str(k % 50), "note": str}
+    lines = [[clean[name](k) for name in header] for k in range(n)]
+    edits = st.sampled_from([(header.index(name), value) for name in header
+                             for value in _EDGE_FIELDS[name]])
+    for column, value in draw(st.lists(edits, min_size=1, max_size=40)):
+        lines[draw(st.integers(0, n - 1))][column] = value
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, n - 1))
+        # a blank, a short or a long line
+        lines[k] = draw(st.sampled_from([[], lines[k][:-1], lines[k] + ["7"]]))
+    ends = [draw(st.sampled_from(["\n", "\n", "\r\n"]))] * (len(lines) + 1)
+    if draw(st.booleans()):  # one line ended by a lone carriage return
+        ends[draw(st.integers(0, len(lines)))] = "\r"
+    if draw(st.booleans()):
+        ends[-1] = ""  # no line end after the last line
+    return "".join(",".join(line) + end for line, end in zip([header, *lines], ends))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_mixed_tick_files())
+@example(case="ts,px,vol\n2017-11-05T01:00:00,100\r7,1\n2017-11-05T01:00:01,101,1\n")
+def test_parse_ticks_column_path_matches_dictreader_oracle(tmp_path_factory, case):
+    """Blocks whose clean rows take the column path and whose edge rows (non-finite,
+    overflowing, padded or non-ASCII numbers, offset, date-only, impossible or
+    non-ASCII stamps, leap days, short, long and blank lines, carriage returns) take
+    either path give the DictReader oracle's series and counts. A lone carriage
+    return ends a record even where the next line would complete its fields."""
+    path = tmp_path_factory.mktemp("ticks") / "ticks.csv"
+    path.write_bytes(case.encode())
+    schema = {"timestamp": "ts", "price": "px", "volume": "vol"}
+    assert _outcome(tk.parse_ticks, path, schema) == _outcome(_rule_parse, path, schema)
+
+
+def test_parse_ticks_same_series_when_no_block_qualifies(tmp_path, monkeypatch):
+    """On five-second ticks across a DST switch with offset stamps and malformed rows,
+    refusing every block to the column path changes no bit of the series or counts."""
+    rng = random.Random(3)
+    lines = []
+    for k in range(3 * tk.PARSE_BLOCK_ROWS + 17):
+        stamp = dt.datetime(2017, 3, 11, 20) + dt.timedelta(seconds=5 * k + rng.randrange(5))
+        text = stamp.isoformat()
+        if rng.random() < 0.1:  # an explicit offset, local or UTC
+            local = stamp.replace(tzinfo=ZoneInfo(TZ))
+            text = local.isoformat() if rng.random() < 0.5 else local.astimezone(
+                dt.timezone.utc).isoformat()
+        lines.append(f"{text},{100 + rng.random():.6f},{rng.randrange(1, 50)}")
+        if rng.random() < 0.01:
+            bad = stamp.date().isoformat()
+            lines.append(rng.choice([f"{bad}T25:61:00,100.0,1", f"{bad}T12:00:00,n/a,1",
+                                     f"{bad}T12:00:00,0.0,1", f"{bad}T12:00:00,100.0,-5"]))
+    path = _tick_file(tmp_path, lines)
+    gate = tk._clean_block
+    verdicts = []
+    monkeypatch.setattr(tk, "_clean_block",
+                        lambda *args: verdicts.append(gate(*args)) or verdicts[-1])
+    columns = tk.parse_ticks(path, SCHEMA, _spec())
+    assert len(verdicts) == 4 and None not in verdicts  # every block took the column path
+    monkeypatch.setattr(tk, "_clean_block", lambda *args: None)
+    rows = tk.parse_ticks(path, SCHEMA, _spec())
+    assert columns.rejected > 0
+    assert (columns.times.tobytes(), columns.prices.tobytes(), columns.rejected,
+            columns.total_rows) == (rows.times.tobytes(), rows.prices.tobytes(), rows.rejected,
+                                    rows.total_rows)
+
+
+def test_parse_ticks_keeps_trades_across_chunks(tmp_path, monkeypatch):
+    """Accepted trades copied into many small chunks, some blocks larger than a chunk,
+    join into the oracle's series."""
+    monkeypatch.setattr(tk, "_KEEP_ROWS", 5)
+    monkeypatch.setattr(tk, "PARSE_BLOCK_ROWS", 7)
+    rows = _second_rows(100)
+    rows[3::11] = ["2017-03-15T01:00:00,n/a,1"] * len(rows[3::11])
+    path = _tick_file(tmp_path, rows, header="ts,px,vol")
+    schema = {"timestamp": "ts", "price": "px", "volume": "vol"}
+    assert _outcome(tk.parse_ticks, path, schema) == _outcome(_dictreader_parse, path, schema)
 
 
 @pytest.mark.parametrize("shuffled, bound", [(False, 32), (True, 48)],

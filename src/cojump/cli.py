@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__, bootstrap, events, jwc, pipeline, sim, ticks
+from . import __version__, jwc, ticks  # each stage imports the rest of what it runs
 
 ENV_CONFIG = "COJUMP_CONFIG"
 
@@ -305,6 +305,7 @@ def cmd_ingest(config: RunConfig) -> int:
 
 def cmd_simulate(config: RunConfig) -> int:
     """Simulate a scenario into panel files plus a ground-truth record."""
+    from . import sim
     if config.scenario_path is None:
         raise ConfigError("simulate requires a 'scenario' path in the config")
     scenario = sim.read_scenario(config.scenario_path)
@@ -353,6 +354,7 @@ def _load_panels(config: RunConfig) -> list:
 
 def cmd_decompose(config: RunConfig) -> int:
     """Detect, estimate, and test every day; write decomposition files."""
+    from . import bootstrap, pipeline
     if not config.pairs:
         raise ConfigError("decompose requires at least one pair")
     panels = _load_panels(config)
@@ -403,6 +405,7 @@ def _file_hash(path: str) -> str:
 
 def cmd_report(config: RunConfig) -> int:
     """Aggregate decompositions into the summary tables and manifest."""
+    from . import events, pipeline
     dec_path = os.path.join(config.output, "decompositions.csv")
     ev_path = os.path.join(config.output, "events.csv")
     tuple_path = os.path.join(config.output, "tuple_days.csv")

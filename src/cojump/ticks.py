@@ -37,6 +37,10 @@ _EPOCH = dt.datetime(1970, 1, 1)
 _US = dt.timedelta(microseconds=1)
 _DAY_US = 86_400_000_000
 _STAMP_FORM = np.frombuffer(b"0000-00-00T00:00:00", np.uint8)  # a 0 stands for any digit
+_OFFSET_FORM = np.frombuffer(b"+00:00", np.uint8)  # a sign reads 0 or 2: "," ends a field
+# UTC instants, in microseconds from _EPOCH, that every zone maps inside datetime's range
+_UTC_SPAN = ((dt.datetime.min - _EPOCH) // _US + 2 * _DAY_US,
+             (dt.datetime.max - _EPOCH) // _US - 2 * _DAY_US)
 
 
 def _wall_us(stamp: dt.datetime) -> int:
@@ -199,6 +203,23 @@ def _stamp_wall_us(raw: np.ndarray):
     return ok, (((day * 24 + h) * 60 + mi) * 60 + s) * 1_000_000
 
 
+def _offset_us(raw: np.ndarray):
+    """(ok, microseconds east of UTC) of ±HH:MM suffixes, one per row of ``raw``: ok where
+    ``fromisoformat`` takes one, which is under 24 hours (MM may pass 59)."""
+    delta = np.subtract(raw.T, _OFFSET_FORM[:, None], order="C")
+    minutes = (delta[1] * 10 + delta[2]).astype(np.int64) * 60 + delta[4] * 10 + delta[5]
+    ok = (delta <= np.array([2, 9, 9, 0, 9, 9])[:, None]).all(0)
+    return ok & (minutes < 1440), (1 - delta[0].astype(np.int64)) * minutes * 60_000_000
+
+
+def _zone_wall_us(utc: np.ndarray, tz: ZoneInfo) -> np.ndarray:
+    """Wall clock in ``tz`` of whole-second UTC microseconds inside ``_UTC_SPAN``, each
+    distinct second's offset (whole seconds) from the ``fromutc`` that ``astimezone`` calls."""
+    secs, where = np.unique(utc // 1_000_000, return_inverse=True)
+    offsets = [dt.datetime.fromtimestamp(s, tz).utcoffset().total_seconds() for s in secs.tolist()]
+    return utc + (np.array(offsets) * 1e6).astype(np.int64)[where]
+
+
 def _clean_block(text: str, width: int):
     """(text, bytes, cuts) of a block of lines that the column path may read, else None:
     one with no carriage return whose lines that are not blank have ``width`` fields and
@@ -232,12 +253,14 @@ def parse_ticks(path, schema: dict, spec: SessionSpec, instrument: str = "") -> 
     than ``csv.field_size_limit()``, raises MalformedFile.
 
     The file is read in blocks of ``PARSE_BLOCK_ROWS`` lines. A block
-    that ``_clean_block`` passes is converted a column at a time (a stamp
-    not of the form YYYY-MM-DDTHH:MM:SS on its own); every other block,
-    and the rest of the file after the first quote, is read row by row by
-    ``csv.reader``. Both paths give the same arrays and counts. Accepted
-    trades are copied into arrays of ``_KEEP_ROWS``, 16 bytes each, and a
-    file already in wall-clock order is not re-sorted.
+    that ``_clean_block`` passes is converted a column at a time. Stamps
+    of the form YYYY-MM-DDTHH:MM:SS, bare or followed by +HH:MM or -HH:MM,
+    are decoded from the bytes; every other stamp, and one whose UTC
+    instant lies within two days of datetime's range, is read on its own.
+    Every other block, and the rest of the file after the first quote, is
+    read row by row by ``csv.reader``. Both paths give the same arrays and
+    counts. Accepted trades are copied into arrays of ``_KEEP_ROWS``, 16
+    bytes each, and a file already in wall-clock order is not re-sorted.
     """
     for role in ("timestamp", "price"):
         if role not in schema:
@@ -303,20 +326,31 @@ def parse_ticks(path, schema: dict, spec: SessionSpec, instrument: str = "") -> 
         del block
         n = cuts.size // width
         starts = np.append(-1, cuts)[i_stamp::width][:n] + 1  # each stamp's first byte
-        strict = cuts[i_stamp::width] - starts == _STAMP_FORM.size
+        sizes = cuts[i_stamp::width] - starts
+        bare, suffix = _STAMP_FORM.size, _OFFSET_FORM.size
+        bulk = np.flatnonzero((sizes == bare) | (sizes == bare + suffix))
+        decoded = np.zeros(n, bool)
         times = np.zeros(n, np.int64)
-        if data.size >= _STAMP_FORM.size:
-            windows = np.lib.stride_tricks.sliding_window_view(data, _STAMP_FORM.size)
-            good, times[strict] = _stamp_wall_us(windows[starts[strict]])
-            strict[strict] = good
-        del data, cuts, starts
+        if bulk.size:
+            windows = np.lib.stride_tricks.sliding_window_view
+            good, wall = _stamp_wall_us(windows(data, bare)[starts[bulk]])
+            zoned = np.flatnonzero(sizes[bulk] == bare + suffix)
+            if zoned.size:
+                known, offset = _offset_us(windows(data, suffix)[starts[bulk[zoned]] + bare])
+                utc = wall[zoned] - offset
+                known &= good[zoned] & (_UTC_SPAN[0] <= utc) & (utc <= _UTC_SPAN[1])
+                good[zoned] = known
+                wall[zoned[known]] = _zone_wall_us(utc[known], tz)
+            times[bulk] = wall
+            decoded[bulk] = good
+        del data, cuts, starts, sizes
         fields = text.replace("\n", ",").split(",")
         prices = _floats(fields[i_price : n * width : width])
         ok = (0.0 < prices) & (prices < math.inf)
         if i_vol is not None:  # int(float(v)) >= 0 exactly when -1 < v < inf
             volumes = _floats(fields[i_vol : n * width : width])
             ok &= (-1.0 < volumes) & (volumes < math.inf)
-        for k in np.flatnonzero(ok & ~strict).tolist():  # every other stamp, one at a time
+        for k in np.flatnonzero(ok & ~decoded).tolist():  # every other stamp, one at a time
             try:
                 times[k] = wall_us(fields[k * width + i_stamp])
             except (OverflowError, ValueError):

@@ -40,8 +40,10 @@ def test_every_public_definition_is_reached_from_src():
 
 
 def test_cli_import_loads_no_process_pool_or_openssl():
-    """``import cojump.cli`` leaves the process pool and OpenSSL to the stages that use them."""
-    modules = ["concurrent.futures.process", "multiprocessing", "_hashlib"]
+    """``import cojump.cli`` leaves the process pool, OpenSSL and the modules of the
+    stages after ingest to the stages that use them."""
+    modules = ["concurrent.futures.process", "multiprocessing", "_hashlib", "cojump.bootstrap",
+               "cojump.events", "cojump.pipeline", "cojump.sim"]
     probe = f"import sys, cojump.cli; print([m for m in {modules!r} if m in sys.modules])"
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},

@@ -432,7 +432,11 @@ _EDGE_FIELDS = {
            "0000-01-01T00:00:00", "0001-01-01T00:00:00", "9999-12-31T23:59:59",
            "0001-01-01T00:30:00+01:00", "2017-13-01T00:00:00", "2017-00-01T00:00:00",
            "2017-11-31T00:00:00", "2017-11-00T00:00:00", "2017-11-05T23:59:60",
-           "2017-11-05T10:60:00", "2017-11-05t10:00:00", "2017/11/05T10:00:00", "x" * 19],
+           "2017-11-05T10:60:00", "2017-11-05t10:00:00", "2017/11/05T10:00:00", "x" * 19,
+           "2017-11-05T10:00:00+00:60", "2017-11-05T10:00:00+23:59", "2017-11-05T10:00:00-23:59",
+           "2017-11-05T10:00:00+24:00", "2017-11-05T10:00:00-00:00", "2017-11-05T10:00:00Z",
+           "2017-11-05T10:00:00+0530", "2017-11-05T10:00:00.5+01:00",
+           "9999-12-31T23:30:00-01:00", "2017-11-05T06:30:00+00:00"],
     "px": ["nan", "inf", "-inf", "1e400", "-0.5", "1_0", " 100 ", "\uff11\uff10\uff10", "0",
            "", "n/a", "1e2", "+7", "1e-400"],
     "vol": ["nan", "inf", "-inf", "1e400", "-0.5", "-1", "-0.9999", "1_0", " 5 ",
@@ -470,6 +474,7 @@ def _mixed_tick_files(draw):
 @settings(max_examples=150, deadline=None)
 @given(case=_mixed_tick_files())
 @example(case="ts,px,vol\n2017-11-05T01:00:00,100\r7,1\n2017-11-05T01:00:01,101,1\n")
+@example(case="ts,px,vol\n" + "".join(f"{ts},100,1\n" for ts in _EDGE_FIELDS["ts"]))
 def test_parse_ticks_column_path_matches_dictreader_oracle(tmp_path_factory, case):
     """Blocks whose clean rows take the column path and whose edge rows (non-finite,
     overflowing, padded or non-ASCII numbers, offset, date-only, impossible or
@@ -512,6 +517,37 @@ def test_parse_ticks_same_series_when_no_block_qualifies(tmp_path, monkeypatch):
     assert (columns.times.tobytes(), columns.prices.tobytes(), columns.rejected,
             columns.total_rows) == (rows.times.tobytes(), rows.prices.tobytes(), rows.rejected,
                                     rows.total_rows)
+
+
+@pytest.mark.parametrize("zone", ["Europe/London", "Australia/Lord_Howe", "Asia/Kathmandu",
+                                  "America/St_Johns"])
+def test_parse_ticks_offset_stamps_match_astimezone_near_transitions(tmp_path, monkeypatch,
+                                                                      zone):
+    """Offset stamps of every UTC second within an hour of a zone's 2017 transitions
+    (or of 2017's first instant, where it has none), written with offsets of whole hours,
+    half hours and odd minutes, are all decoded in bulk and give the oracle's series."""
+    tz = ZoneInfo(zone)
+    hours = [dt.datetime(2017, 1, 1, tzinfo=dt.timezone.utc) + dt.timedelta(hours=k)
+             for k in range(365 * 24)]
+    moves = [b for a, b in zip(hours, hours[1:]) if a.astimezone(tz).utcoffset()
+             != b.astimezone(tz).utcoffset()] or hours[:1]
+    suffixes = [dt.timedelta(minutes=m) for m in (0, 60, -150, 345, 811, -839)]
+    rows = []
+    for k, instant in enumerate(m + dt.timedelta(seconds=s) for m in moves
+                                for s in range(-3600, 3600)):
+        shift = dt.timezone(suffixes[k % len(suffixes)])
+        rows.append(f"{instant.astimezone(shift).isoformat()},{100 + k % 97 / 8},1")
+    path = _tick_file(tmp_path, rows)
+    spec = tk.SessionSpec(dt.time(9), dt.time(10), zone, 60)
+    convert, converted = tk._zone_wall_us, []
+    monkeypatch.setattr(tk, "_zone_wall_us",
+                        lambda utc, tz: converted.append(utc.size) or convert(utc, tz))
+    series = tk.parse_ticks(path, SCHEMA, spec)
+    oracle = _rule_parse(path, SCHEMA, spec)
+    assert len(moves) == (1 if zone == "Asia/Kathmandu" else 2)
+    assert sum(converted) == len(rows) == series.total_rows and series.rejected == 0
+    assert (series.times.tolist(), series.prices.tobytes()) == (oracle.times.tolist(),
+                                                                oracle.prices.tobytes())
 
 
 def test_parse_ticks_keeps_trades_across_chunks(tmp_path, monkeypatch):

@@ -189,9 +189,9 @@ def load_config(path: str, overrides: dict) -> RunConfig:
     ``overrides`` maps dotted config keys to flag values; each not None replaces the file's.
     """
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             raw = json.load(handle)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON is UTF-8
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     base = os.path.dirname(os.path.abspath(path))  # joined to an absolute path, base drops out
     c = _read(CONFIG, raw, "", {k: v for k, v in overrides.items() if v is not None})

@@ -234,33 +234,38 @@ def read_scenario(path) -> SimScenario:
 
     One ``key = value`` pair per line; '#' starts a comment. ``sigma``
     and ``mu`` take comma-separated per-leg values; each ``jump`` line
-    adds one (day, index, sizes...) tuple and may repeat. A line that does
-    not parse raises MalformedFile naming the file and line.
+    adds one (day, index, sizes...) tuple and may repeat. A file that is not
+    UTF-8 raises MalformedFile naming it, and a line that does not parse one
+    naming the file and line.
     """
     fields: dict = {}
     jumps = []
-    with open(path) as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, eq, value = (part.strip() for part in line.partition("="))
-            try:
-                if not eq:
-                    raise ValueError("expected key = value")
-                if key == "jump":
-                    parts = [p.strip() for p in value.split(",")]
-                    jumps.append(
-                        tuple([int(parts[0]), int(parts[1])] + [float(p) for p in parts[2:]])
-                    )
-                elif key in ("sigma", "mu"):
-                    fields[key] = tuple(float(p) for p in value.split(","))
-                elif key in _SCALAR_KEYS:
-                    fields[key] = _SCALAR_KEYS[key](value)
-                else:
-                    raise ValueError(f"unknown key {key!r}")
-            except (IndexError, ValueError) as exc:
-                raise MalformedFile(f"{path}:{lineno}: {exc}") from exc
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise MalformedFile(f"{path}: {exc}") from exc
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, value = (part.strip() for part in line.partition("="))
+        try:
+            if not eq:
+                raise ValueError("expected key = value")
+            if key == "jump":
+                parts = [p.strip() for p in value.split(",")]
+                jumps.append(
+                    tuple([int(parts[0]), int(parts[1])] + [float(p) for p in parts[2:]])
+                )
+            elif key in ("sigma", "mu"):
+                fields[key] = tuple(float(p) for p in value.split(","))
+            elif key in _SCALAR_KEYS:
+                fields[key] = _SCALAR_KEYS[key](value)
+            else:
+                raise ValueError(f"unknown key {key!r}")
+        except (IndexError, ValueError) as exc:
+            raise MalformedFile(f"{path}:{lineno}: {exc}") from exc
     if "sigma" not in fields:
         raise MalformedFile(f"{path}: sigma is required")
     return SimScenario(jumps=tuple(jumps), **fields)

@@ -220,8 +220,30 @@ def _zone_wall_us(utc: np.ndarray, tz: ZoneInfo) -> np.ndarray:
     return utc + (np.array(offsets) * 1e6).astype(np.int64)[where]
 
 
+def _bulk_wall_us(data: np.ndarray, starts: np.ndarray, sizes: np.ndarray, tz: ZoneInfo):
+    """(decoded, wall clock in ``tz``) of the stamps that are ``sizes[k]`` bytes of ``data`` at
+    ``starts[k]``: YYYY-MM-DDTHH:MM:SS, bare or ±HH:MM with a UTC instant in ``_UTC_SPAN``."""
+    bare, suffix = _STAMP_FORM.size, _OFFSET_FORM.size
+    bulk = np.flatnonzero((sizes == bare) | (sizes == bare + suffix))
+    decoded = np.zeros(sizes.size, bool)
+    times = np.zeros(sizes.size, np.int64)
+    if bulk.size:
+        windows = np.lib.stride_tricks.sliding_window_view
+        good, wall = _stamp_wall_us(windows(data, bare)[starts[bulk]])
+        zoned = np.flatnonzero(sizes[bulk] == bare + suffix)
+        if zoned.size:
+            known, offset = _offset_us(windows(data, suffix)[starts[bulk[zoned]] + bare])
+            utc = wall[zoned] - offset
+            known &= good[zoned] & (_UTC_SPAN[0] <= utc) & (utc <= _UTC_SPAN[1])
+            good[zoned] = known
+            wall[zoned[known]] = _zone_wall_us(utc[known], tz)
+        times[bulk] = wall
+        decoded[bulk] = good
+    return decoded, times
+
+
 def _clean_block(text: str, width: int):
-    """(text, bytes, cuts) of a block of lines that the column path may read, else None:
+    """(text, bytes, cuts) of a block of lines that str.split may cut into fields, else None:
     one with no carriage return whose lines that are not blank have ``width`` fields and
     fit csv's field size limit. The text comes back without blank lines and ending in a
     line end; ``cuts`` are the offsets in its bytes of the "," or "\\n" after each field."""
@@ -252,27 +274,41 @@ def parse_ticks(path, schema: dict, spec: SessionSpec, instrument: str = "") -> 
     and not counted. A file that is not UTF-8, or has a field longer
     than ``csv.field_size_limit()``, raises MalformedFile.
 
-    The file is read in blocks of ``PARSE_BLOCK_ROWS`` lines. A block
-    that ``_clean_block`` passes is converted a column at a time. Stamps
-    of the form YYYY-MM-DDTHH:MM:SS, bare or followed by +HH:MM or -HH:MM,
-    are decoded from the bytes; every other stamp, and one whose UTC
-    instant lies within two days of datetime's range, is read on its own.
-    Every other block, and the rest of the file after the first quote, is
-    read row by row by ``csv.reader``. Both paths give the same arrays and
-    counts. Accepted trades are copied into arrays of ``_KEEP_ROWS``, 16
-    bytes each, and a file already in wall-clock order is not re-sorted.
+    The file is read in blocks of ``PARSE_BLOCK_ROWS`` lines. Two splitters
+    cut them into text columns, ``str.split`` a block that ``_clean_block``
+    passes and ``csv.reader`` the others and the rest of the file after the
+    first quote, and one conversion turns the columns into trades, stamps
+    through ``_bulk_wall_us`` or else one at a time. Accepted trades are copied
+    into arrays of ``_KEEP_ROWS``; a file in wall-clock order is not re-sorted.
     """
     for role in ("timestamp", "price"):
         if role not in schema:
             raise ValueError(f"schema must name a {role} column")
     tz = spec.tzinfo()
-    fromisoformat = dt.datetime.fromisoformat
     time_chunks = [np.empty(_KEEP_ROWS, np.int64)]
     price_chunks = [np.empty(_KEEP_ROWS, np.float64)]
     filled = rejected = total = 0
 
-    def keep(times: np.ndarray, prices: np.ndarray) -> None:
-        nonlocal filled
+    def convert(decoded, times, stamps: list, prices: list, volumes=None) -> None:
+        """Keep and count a block's trades from its text columns and ``_bulk_wall_us``."""
+        nonlocal filled, rejected, total
+        n = len(stamps)
+        prices = _floats(prices)
+        ok = (0.0 < prices) & (prices < math.inf)
+        if volumes is not None:  # int(float(v)) >= 0 exactly when -1 < v < inf
+            volumes = _floats(volumes)
+            ok &= (-1.0 < volumes) & (volumes < math.inf)
+        for k in np.flatnonzero(ok & ~decoded).tolist():  # every other stamp, one at a time
+            try:
+                stamp = dt.datetime.fromisoformat(stamps[k].strip())
+                if stamp.tzinfo is not None:
+                    stamp = stamp.astimezone(tz).replace(tzinfo=None)
+                times[k] = (stamp - _EPOCH) // _US
+            except (OverflowError, ValueError):
+                ok[k] = False
+        rejected += n - int(np.count_nonzero(ok))
+        total += n
+        times, prices = times[ok], prices[ok]
         if filled + times.size > time_chunks[-1].size:  # the last chunk keeps what it holds
             time_chunks[-1], price_chunks[-1] = time_chunks[-1][:filled], price_chunks[-1][:filled]
             time_chunks.append(np.empty(max(_KEEP_ROWS, times.size), np.int64))
@@ -282,83 +318,34 @@ def parse_ticks(path, schema: dict, spec: SessionSpec, instrument: str = "") -> 
         price_chunks[-1][filled : filled + times.size] = prices
         filled += times.size
 
-    def wall_us(text: str) -> int:
-        stamp = fromisoformat(text.strip())
-        if stamp.tzinfo is not None:
-            stamp = stamp.astimezone(tz).replace(tzinfo=None)
-        return (stamp - _EPOCH) // _US
-
-    def parse_rows(rows) -> int:
-        """The per-row path over csv records; returns how many it read."""
-        nonlocal rejected, total
-        times = []
-        prices = []
-        count = 0
-        for count, row in enumerate(rows, start=1):
-            if len(row) != width:
-                # a short row reads "" for its missing fields; extra fields are ignored
-                row = (row + [""] * width)[:width]
-            try:
-                stamp = wall_us(row[i_stamp])
-                price = float(row[i_price])
-                volume = 0 if i_vol is None else int(float(row[i_vol]))
-            except (IndexError, OverflowError, ValueError):
-                rejected += 1
-                continue
-            if not 0.0 < price < math.inf or volume < 0:
-                rejected += 1
-                continue
-            times.append(stamp)
-            prices.append(price)
-        total += count
-        keep(np.array(times, dtype=np.int64), np.array(prices, dtype=np.float64))
-        return count
-
-    def parse_columns(text: str, lines: list) -> bool:
-        """The column path over one block: False, reading nothing, unless ``_clean_block``
-        passes the block, whose lines are then cleared to free them."""
-        nonlocal rejected, total
-        block = max(i_stamp, i_price, i_vol or 0) < width and _clean_block(text, width)
+    def split_block(text: str, lines: list) -> None:
+        """The str.split splitter where ``_clean_block`` passes the block, else csv.reader's."""
+        block = complete and _clean_block(text, width)
         if not block:
-            return False
-        lines.clear()
+            split_records(filter(None, csv.reader(lines)))
+            return
+        lines.clear()  # frees them
         text, data, cuts = block
         del block
-        n = cuts.size // width
-        starts = np.append(-1, cuts)[i_stamp::width][:n] + 1  # each stamp's first byte
-        sizes = cuts[i_stamp::width] - starts
-        bare, suffix = _STAMP_FORM.size, _OFFSET_FORM.size
-        bulk = np.flatnonzero((sizes == bare) | (sizes == bare + suffix))
-        decoded = np.zeros(n, bool)
-        times = np.zeros(n, np.int64)
-        if bulk.size:
-            windows = np.lib.stride_tricks.sliding_window_view
-            good, wall = _stamp_wall_us(windows(data, bare)[starts[bulk]])
-            zoned = np.flatnonzero(sizes[bulk] == bare + suffix)
-            if zoned.size:
-                known, offset = _offset_us(windows(data, suffix)[starts[bulk[zoned]] + bare])
-                utc = wall[zoned] - offset
-                known &= good[zoned] & (_UTC_SPAN[0] <= utc) & (utc <= _UTC_SPAN[1])
-                good[zoned] = known
-                wall[zoned[known]] = _zone_wall_us(utc[known], tz)
-            times[bulk] = wall
-            decoded[bulk] = good
-        del data, cuts, starts, sizes
-        fields = text.replace("\n", ",").split(",")
-        prices = _floats(fields[i_price : n * width : width])
-        ok = (0.0 < prices) & (prices < math.inf)
-        if i_vol is not None:  # int(float(v)) >= 0 exactly when -1 < v < inf
-            volumes = _floats(fields[i_vol : n * width : width])
-            ok &= (-1.0 < volumes) & (volumes < math.inf)
-        for k in np.flatnonzero(ok & ~decoded).tolist():  # every other stamp, one at a time
-            try:
-                times[k] = wall_us(fields[k * width + i_stamp])
-            except (OverflowError, ValueError):
-                ok[k] = False
-        rejected += n - int(np.count_nonzero(ok))
-        total += n
-        keep(times[ok], prices[ok])
-        return True
+        starts = np.append(-1, cuts[:-1])[roles[0]::width] + 1  # each stamp's first byte
+        decoded, times = _bulk_wall_us(data, starts, cuts[roles[0]::width] - starts, tz)
+        del data, cuts, starts  # before the fields are split: ingest's peak RSS is lower
+        fields = text.replace("\n", ",").split(",")  # and "" after the last line end
+        convert(decoded, times, *(fields[i:-1:width] for i in roles))
+
+    def split_records(records) -> int:
+        """The csv.reader splitter: extra fields are ignored, missing ones read ""."""
+        rows = list(records)
+        if not complete or set(map(len, rows)) - {width}:  # width fields, then a "" column
+            rows = [(row + [""] * width)[:width] + [""] for row in rows]
+        stamps, *others = ([row[i] for row in rows] for i in roles)
+        data = np.frombuffer("\n".join([*stamps, ""]).encode(), np.uint8)
+        ends = np.flatnonzero(data == 10)
+        starts = np.append(0, ends + 1)[:-1]
+        # a stamp that holds a line end sends every stamp of the block to be read on its own
+        sizes = ends - starts if ends.size == len(stamps) else np.zeros(len(stamps), np.int64)
+        convert(*_bulk_wall_us(data, starts, sizes, tz), stamps, *others)
+        return len(stamps)
 
     try:
         handle = open(path, newline="", encoding="utf-8")
@@ -369,25 +356,23 @@ def parse_ticks(path, schema: dict, spec: SessionSpec, instrument: str = "") -> 
             header = next(csv.reader(handle), [])
             width = len(header)
             # the last column of a duplicated name wins; a column missing from
-            # the header reads past the end of every row, so every row is rejected
+            # the header reads "" in every row, so every row is rejected
             column = {name: i for i, name in enumerate(header)}
-            i_stamp = column.get(schema["timestamp"], width)
-            i_price = column.get(schema["price"], width)
-            vol_col = schema.get("volume")
-            i_vol = column.get(vol_col, width) if vol_col else None
+            roles = [column.get(schema[role], width) for role in ("timestamp", "price")]
+            if schema.get("volume"):
+                roles.append(column.get(schema["volume"], width))
+            complete = max(roles) < width  # the header names every column of the schema
             while lines := list(islice(handle, PARSE_BLOCK_ROWS)):
                 text = "".join(lines)
                 if '"' in text:  # a quoted field can span lines: csv reads the rest
                     records = filter(None, csv.reader(chain(lines, handle)))
-                    while parse_rows(islice(records, PARSE_BLOCK_ROWS)) == PARSE_BLOCK_ROWS:
+                    while split_records(islice(records, PARSE_BLOCK_ROWS)) == PARSE_BLOCK_ROWS:
                         pass
                     break
-                if not parse_columns(text, lines):
-                    parse_rows(filter(None, csv.reader(lines)))
+                split_block(text, lines)
         except (csv.Error, UnicodeDecodeError) as exc:
             raise MalformedFile(f"{path}: {exc}") from exc
-    time_chunks[-1] = time_chunks[-1][:filled]
-    price_chunks[-1] = price_chunks[-1][:filled]
+    time_chunks[-1], price_chunks[-1] = time_chunks[-1][:filled], price_chunks[-1][:filled]
     # each list of chunks is freed once joined, so at most one copy of a column is doubled
     times = np.concatenate(time_chunks)
     del time_chunks

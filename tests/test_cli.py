@@ -5,6 +5,8 @@ import datetime as dt
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -895,6 +897,48 @@ def test_file_that_is_not_utf8_is_io_error(capsys, tmp_path, where):
     path.write_bytes(data[:-20] + b"\xff" + data[-20:])
     assert cli.main([stage, "--config", str(cfg)]) == cli.EXIT_IO
     assert "can't decode byte 0xff" in _io_error_message(capsys, path.name)
+
+
+def test_config_that_is_not_utf8_is_config_error(capsys, tmp_path):
+    """A latin-1 copy of the golden config with a non-ASCII output exits 3 naming the file."""
+    raw = json.loads((Path(__file__).parent / "golden" / "config.json").read_text())
+    raw["output"] = "r\u00e9sultats"
+    cfg = tmp_path / "latin1.json"
+    cfg.write_bytes(json.dumps(raw, ensure_ascii=False).encode("latin-1"))
+    assert cli.main(["simulate", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    msg = _stderr_json(capsys)
+    assert msg["error"] == "config"
+    assert "latin1.json" in msg["message"] and "can't decode byte 0xe9" in msg["message"]
+
+
+def test_scenario_that_is_not_utf8_is_io_error(capsys, tmp_path):
+    """A latin-1 byte in a scenario comment exits 2 naming the file, not 4 (numerical)."""
+    cfg = _write_config(tmp_path)
+    (tmp_path / "scenario.txt").write_bytes(SCENARIO.replace("# day 1", "# caf\u00e9, day 1")
+                                            .encode("latin-1"))
+    assert cli.main(["simulate", "--config", str(cfg)]) == cli.EXIT_IO
+    assert "can't decode byte 0xe9" in _io_error_message(capsys, "scenario.txt")
+    assert not (tmp_path / "out" / "panels").exists()
+
+
+def test_utf8_config_runs_under_an_ascii_locale(tmp_path):
+    """A UTF-8 config naming a non-ASCII tick column is read as UTF-8 where the locale's
+    encoding is ASCII, and ingest finds the column in the UTF-8 tick files."""
+    raw = json.loads(_write_tick_config(tmp_path).read_text())
+    for name in ("TU", "FV"):
+        raw["ticks"][name]["schema"]["price"] = "prix \u00e9"
+        path = tmp_path / raw["ticks"][name]["path"]
+        path.write_bytes(path.read_bytes().replace(b"t,p,v", "t,prix \u00e9,v".encode(), 1))
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(json.dumps(raw, ensure_ascii=False).encode())
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-m", "cojump.cli", "ingest", "--config", str(cfg)],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == cli.EXIT_OK, out.stderr
+    panels = sorted(os.listdir(tmp_path / "out" / "panels"))
+    assert panels == ["panel_2017-03-13.csv", "panel_2017-03-14.csv"]
 
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -550,6 +550,49 @@ def test_parse_ticks_offset_stamps_match_astimezone_near_transitions(tmp_path, m
                                                                 oracle.prices.tobytes())
 
 
+def test_parse_ticks_quoted_and_crlf_files_decode_offset_stamps_in_bulk(tmp_path, monkeypatch):
+    """One tick file written with "\\n" line ends, with csv.QUOTE_ALL and with "\\r\\n" line
+    ends gives the same series and counts all three ways, and every offset stamp of each
+    copy is converted in bulk, though only the first copy's blocks pass _clean_block."""
+    rows, zoned = [["time", "px", "vol"]], 0
+    for k in range(2 * tk.PARSE_BLOCK_ROWS + 17):
+        stamp = dt.datetime(2017, 11, 4, 22) + dt.timedelta(seconds=5 * k)
+        text = stamp.isoformat()
+        if k % 3 == 0:  # an explicit offset, across the fall-back switch
+            text, zoned = stamp.replace(tzinfo=ZoneInfo(TZ)).isoformat(), zoned + 1
+        rows.append([text, "n/a" if k % 101 == 0 else f"{100 + k % 89 / 16}", str(k % 7)])
+    convert, converted = tk._zone_wall_us, []
+    monkeypatch.setattr(tk, "_zone_wall_us",
+                        lambda utc, tz: converted.append(utc.size) or convert(utc, tz))
+    outcomes = []
+    for name, options in [("lf", {"lineterminator": "\n"}),
+                          ("quoted", {"lineterminator": "\n", "quoting": csv.QUOTE_ALL}),
+                          ("crlf", {})]:
+        path = tmp_path / f"{name}.csv"
+        with open(path, "w", newline="") as handle:
+            csv.writer(handle, **options).writerows(rows)
+        converted.clear()
+        series = tk.parse_ticks(path, SCHEMA, _spec())
+        assert sum(converted) == zoned, name
+        outcomes.append((series.times.tobytes(), series.prices.tobytes(), series.rejected,
+                         series.total_rows))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert outcomes[0][2:] == (len(rows[1::101]), len(rows) - 1)
+
+
+def test_parse_ticks_stamp_holding_a_line_end(tmp_path):
+    """A quoted stamp that holds a line end sends every stamp of its block to be read on
+    its own, and the block gives the oracle's series and counts."""
+    path = tmp_path / "ticks.csv"
+    with open(path, "w", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows([
+            ["time", "px", "vol"], ["2017-11-05T01:30:00-05:00", "100", "1"],
+            ["2017-11-05T01:40:00\n", "101", "1"], ["2017-11-05T06:50:00+00:00", "102", "1"],
+            ["2017-11-05\nT01:55:00", "103", "1"], ["2017-11-05T02:00:00", "104", "1"]])
+    assert _outcome(tk.parse_ticks, path, SCHEMA) == _outcome(_rule_parse, path, SCHEMA)
+    assert tk.parse_ticks(path, SCHEMA, _spec()).total_rows == 5
+
+
 def test_parse_ticks_keeps_trades_across_chunks(tmp_path, monkeypatch):
     """Accepted trades copied into many small chunks, some blocks larger than a chunk,
     join into the oracle's series."""

@@ -100,7 +100,8 @@ def _correlate(rng, r_1, rho_hat, scale_1, scale_2):
 
 
 def _classify(rejected: bool, jumps_1: JumpSeries, jumps_2: JumpSeries) -> str:
-    if rejected and np.intersect1d(jumps_1.jump_indices, jumps_2.jump_indices).size > 0:
+    if rejected and not set(jumps_1.jump_indices.tolist()).isdisjoint(
+            jumps_2.jump_indices.tolist()):
         return "co_jump"
     if rejected and (jumps_1.count > 0 or jumps_2.count > 0):
         return "disjoint_only"

@@ -549,6 +549,9 @@ def main(argv=None) -> int:
     except (OSError, ticks.MalformedFile) as exc:
         _emit_error("io", str(exc))
         return EXIT_IO
+    except UnicodeEncodeError as exc:  # a path that the filesystem encoding cannot write
+        _emit_error("io", f"cannot write {exc.object!r} in the {exc.encoding} encoding: {exc.reason}")
+        return EXIT_IO
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
         _emit_error("numerical", f"{type(exc).__name__}: {exc}")
         return EXIT_NUMERICAL

@@ -239,7 +239,7 @@ def announcement_logit(cojump_indicator, news_indicator) -> LogitResult:
     if y.shape != x.shape or y.ndim != 1:
         raise ValueError("need two equal-length daily indicator series")
     for name, v in (("outcome", y), ("news indicator", x)):
-        if not set(np.unique(v)) <= {0.0, 1.0}:
+        if not set(v.tolist()) <= {0.0, 1.0}:
             raise ValueError(f"{name} must be 0/1")
     b, a, d, c = np.bincount((2.0 * x + y).astype(int), minlength=4).tolist()
     quiet, news, cojump, calm = a + b, c + d, a + c, b + d

@@ -57,7 +57,9 @@ def universal_threshold(w1: np.ndarray) -> float:
     n = w1.size
     if n < 2:
         raise ValueError("need at least 2 coefficients")
-    return math.sqrt(2.0) * float(np.median(np.abs(w1))) * math.sqrt(2.0 * math.log(n)) / MAD_NORMAL
+    ranked = np.sort(np.abs(w1), axis=None)  # np.median's NaN check would load numpy.ma
+    median = math.nan if np.isnan(ranked[-1]) else float(ranked[(n - 1) // 2 : n // 2 + 1].mean())
+    return math.sqrt(2.0) * median * math.sqrt(2.0 * math.log(n)) / MAD_NORMAL
 
 
 def detect_jumps(returns: np.ndarray, w1: np.ndarray, threshold: float) -> JumpSeries:
@@ -115,7 +117,8 @@ def cojump_variation(jumps_1: JumpSeries, jumps_2: JumpSeries):
     """
     if jumps_1.n != jumps_2.n:
         raise ValueError("jump series live on different grids")
-    common = np.intersect1d(jumps_1.jump_indices, jumps_2.jump_indices)
+    shared = set(jumps_1.jump_indices.tolist()).intersection(jumps_2.jump_indices.tolist())
+    common = np.array(sorted(shared), dtype=int)
     cj = float((jumps_1.jump_sizes[common] * jumps_2.jump_sizes[common]).sum())
     return cj, common
 

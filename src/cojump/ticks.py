@@ -6,7 +6,8 @@ of wall-clock stamps per instrument, cut into session dates, filtered
 by a trading calendar, sampled by the last-tick rule onto an evenly
 spaced price grid, and differenced into log-return panels: one row per
 interval, one column per instrument. ``write_csv`` writes every output
-table of the package, panels included, in one layout.
+table of the package but the panels, which ``write_panel_csv`` writes in
+the same layout.
 
 Grid convention: a session of length T seconds sampled every s seconds
 yields N = T/s return intervals and N + 1 grid instants t_0..t_N.
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import functools
 import math
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -100,20 +102,24 @@ class SessionSpec:
     def grid_labels(self, step: int = 0) -> list[str]:
         """Wall-clock "HH:MM:SS" of the N interval left endpoints, the same on every date.
 
-        A ``step`` in seconds labels a coarser cut of the session instead.
+        A ``step`` in seconds labels a coarser cut of the session instead. The
+        labels are built once per cut, and each call returns a new list.
         """
         step = step or self.sampling_interval
         start = self.session_start
         base = start.hour * 3600 + start.minute * 60 + start.second
-        return [
-            f"{t // 3600:02d}:{t // 60 % 60:02d}:{t % 60:02d}"
-            for t in range(base, base + self.session_seconds // step * step, step)
-        ]
+        return list(_labels(base, base + self.session_seconds // step * step, step))
 
     def grid_us(self, date: dt.date) -> np.ndarray:
         """The N + 1 grid instants of one date as wall-clock microseconds (see TickSeries)."""
         start = _wall_us(dt.datetime.combine(date, self.session_start))
         return start + self.sampling_interval * 1_000_000 * np.arange(self.n_intervals + 1)
+
+
+@functools.lru_cache(maxsize=8)
+def _labels(start: int, stop: int, step: int) -> tuple:
+    """"HH:MM:SS" of the seconds of the day in ``range(start, stop, step)``."""
+    return tuple(f"{t // 3600:02d}:{t // 60 % 60:02d}:{t % 60:02d}" for t in range(start, stop, step))
 
 
 @dataclass
@@ -133,8 +139,13 @@ class TickSeries:
     total_rows: int = 0
 
     def dates(self) -> list:
-        days = np.unique(self.times // _DAY_US)
-        return [_EPOCH.date() + dt.timedelta(days=int(d)) for d in days]
+        """The dates that hold a trade, found by one search per date in the sorted times."""
+        days, k = [], 0
+        while k < self.times.size:
+            day = int(self.times[k]) // _DAY_US
+            days.append(_EPOCH.date() + dt.timedelta(days=day))
+            k = int(np.searchsorted(self.times, (day + 1) * _DAY_US))
+        return days
 
     def day(self, date: dt.date):
         """(times, prices) of the trades whose wall-clock date is ``date``."""
@@ -416,7 +427,7 @@ def trade_fraction(ticks: TickSeries, spec: SessionSpec, date: dt.date) -> float
     times, _ = ticks.day(date)
     offsets = times[(times > start) & (times <= end)] - start
     bins = np.minimum(n_bins - 1, offsets // (LOW_TRADE_BIN_SECONDS * 1_000_000))
-    return len(np.unique(bins)) / n_bins
+    return np.count_nonzero(np.diff(bins, prepend=-1)) / n_bins  # bins are sorted and >= 0
 
 
 def build_panel(price_grids: dict, date: dt.date, spec: SessionSpec) -> ReturnPanel:
@@ -490,10 +501,14 @@ def write_csv(path, header: list, rows) -> None:
 
 
 def write_panel_csv(panel: ReturnPanel, path, spec: SessionSpec) -> None:
-    """One day's returns: date, interval left endpoint, one column per leg."""
-    date = panel.date.isoformat()  # once per file: a date object would be str()-ed per row
-    rows = ([date, t, *r] for t, r in zip(spec.grid_labels(), panel.returns.T.tolist()))
-    write_csv(path, ["date", "grid_time", *panel.instruments], rows)
+    """One day's returns: date, interval left endpoint, one column per leg, in the bytes
+    of ``write_csv``: its writer writes the header, and each row is joined as one line,
+    since an ISO date, an "HH:MM:SS" label and float reprs are cells it never quotes."""
+    date = panel.date.isoformat()
+    with open(path, "w", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerow(["date", "grid_time", *panel.instruments])
+        handle.writelines(",".join([date, label, *map(repr, row)]) + "\n"
+                          for label, row in zip(spec.grid_labels(), panel.returns.T.tolist()))
 
 
 def read_panel_csv(path, spec: SessionSpec) -> ReturnPanel:

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cojump import bootstrap, jumps, jwc
 
@@ -221,6 +223,22 @@ def test_zero_diagonal_inconclusive():
     assert ic.values[0, 0] == 0.0
     out = bootstrap.bootstrap_statistic(r_1, r_2, j, j, ic.values, CFG, b_reps=150)
     assert out.inconclusive
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.booleans(), st.sets(st.integers(0, 15)), st.sets(st.integers(0, 15)))
+def test_classify_matches_intersect1d(rejected, indices_1, indices_2):
+    """A rejection with a shared index is a co-jump exactly where np.intersect1d is non-empty."""
+    a, b = (jumps.JumpSeries(n=16, jump_indices=sorted(idx),
+                             jump_sizes=[0.01 if i in idx else 0.0 for i in range(16)],
+                             threshold=0.001) for idx in (indices_1, indices_2))
+    if not rejected:
+        expected = "no_discontinuity"
+    elif np.intersect1d(a.jump_indices, b.jump_indices).size > 0:
+        expected = "co_jump"
+    else:
+        expected = "disjoint_only" if a.count or b.count else "no_discontinuity"
+    assert bootstrap._classify(rejected, a, b) == expected
 
 
 def test_outcome_classification_validated():

@@ -941,6 +941,21 @@ def test_utf8_config_runs_under_an_ascii_locale(tmp_path):
     assert panels == ["panel_2017-03-13.csv", "panel_2017-03-14.csv"]
 
 
+def test_output_path_the_filesystem_cannot_encode_is_io_error(tmp_path):
+    """An output directory whose name the ASCII filesystem encoding cannot write exits 2
+    naming it, not 4 as a numerical failure."""
+    cfg = _write_config(tmp_path, output="r\u00e9sultats")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-m", "cojump.cli", "simulate", "--config", str(cfg)],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == cli.EXIT_IO, out.stderr
+    error = json.loads(out.stderr)
+    assert error["error"] == "io"
+    assert str(tmp_path / "r\u00e9sultats") in error["message"]
+
+
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
 

@@ -233,6 +233,23 @@ def test_logit_standard_errors_closed_form():
     assert res.se_beta1 == pytest.approx(math.sqrt(cov[1, 1]), rel=1e-6)
 
 
+@pytest.mark.parametrize("value", [0.0, -0.0, 1.0, 2.0, 0.5, -1.0, math.nan, math.inf])
+def test_logit_indicator_check_matches_np_unique(value):
+    """An indicator is refused exactly when np.unique finds a value other than 0 and 1:
+    NaN and 2.0 are refused, -0.0 is a 0."""
+    y, x = _indicator_panel(0.5, 0.1)
+    edited = y.copy()
+    edited[3] = value
+    refused = not set(np.unique(edited)) <= {0.0, 1.0}
+    for name, args in (("outcome", (edited, x)), ("news indicator", (y, edited))):
+        try:
+            ev.announcement_logit(*args)
+            message = ""
+        except ValueError as exc:
+            message = str(exc)
+        assert (message == f"{name} must be 0/1") == refused
+
+
 def test_logit_separation_and_validation():
     y, x = _indicator_panel(0.5, 0.1)
     with pytest.raises(ev.CompleteSeparation, match="constant"):

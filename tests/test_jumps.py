@@ -43,6 +43,20 @@ def test_threshold_all_zero_degenerate():
     assert out.count == 0
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([0.0, -0.0, 5e-324]),
+                min_size=2, max_size=40))
+def test_threshold_median_matches_np_median(values):
+    """The median is np.median's, bit for bit: odd and even lengths, ties, signed
+    zeros, infinities, and NaN, which makes the threshold NaN."""
+    w1 = np.array(values)
+    with np.errstate(over="ignore"):  # the mean of two middle values near the largest float
+        expected = (math.sqrt(2.0) * float(np.median(np.abs(w1)))
+                    * math.sqrt(2.0 * math.log(w1.size)) / jumps.MAD_NORMAL)
+        got = jumps.universal_threshold(w1)
+    assert got == expected or (math.isnan(got) and math.isnan(expected))
+
+
 def test_threshold_needs_two_points():
     with pytest.raises(ValueError, match="at least 2"):
         jumps.universal_threshold(np.array([1.0]))
@@ -219,6 +233,20 @@ def test_disjoint_jump_immunity():
     for size in (0.01, 1.0, 100.0):
         a = _series(64, {40: size})
         assert jumps.cojump_variation(a, b)[0] == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.integers(0, 47)), st.sets(st.integers(0, 47)))
+def test_cojump_variation_matches_intersect1d(indices_1, indices_2):
+    """The shared indices are np.intersect1d's, values, dtype and order, and CJ sums
+    the size products over them."""
+    a = _series(48, {i: 0.001 * (i + 1) for i in indices_1})
+    b = _series(48, {i: -0.002 * (i + 1) for i in indices_2})
+    expected = np.intersect1d(a.jump_indices, b.jump_indices)
+    cj, common = jumps.cojump_variation(a, b)
+    assert common.dtype == expected.dtype
+    assert common.tolist() == expected.tolist()
+    assert cj == float((a.jump_sizes[expected] * b.jump_sizes[expected]).sum())
 
 
 @settings(max_examples=25, deadline=None)

@@ -49,3 +49,19 @@ def test_cli_import_loads_no_process_pool_or_openssl():
     out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_no_stage_loads_numpy_ma(tmp_path):
+    """No stage loads numpy.ma: np.unique without return_inverse, np.intersect1d and
+    np.median import it (14 ms and 0.45 MiB) for arrays of a few elements."""
+    from test_cli import _write_tick_config  # ticks and a scenario for the same two legs
+
+    cfg = str(_write_tick_config(tmp_path))
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    for stage in (["ingest"], ["simulate"], ["decompose", "--jobs", "1"], ["report"]):
+        probe = ("import sys; from cojump import cli; "
+                 f"code = cli.main({[*stage, '--config', cfg]!r}); "
+                 "print(code, 'numpy.ma' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["0", "False"], (stage, out.stdout, out.stderr)

@@ -105,6 +105,22 @@ def test_grid_labels_match_datetime_formatting(start, end, interval, step):
     assert spec.grid_labels(step) == expected
 
 
+def test_grid_labels_are_a_fresh_list_per_call():
+    """Labels are built once per session and step, but a caller that edits its list
+    does not change what the next call returns."""
+    spec = _spec("07:00", "16:00", 300)
+    first = spec.grid_labels()
+    expected = list(first)
+    first[0] = "edited"
+    first.append("appended")
+    coarse = spec.grid_labels(1800)
+    coarse.clear()
+    assert spec.grid_labels() == expected
+    assert spec.grid_labels() is not spec.grid_labels()
+    assert _spec("07:00", "16:00", 300).grid_labels() == expected
+    assert spec.grid_labels(1800)[:3] == ["07:00:00", "07:30:00", "08:00:00"]
+
+
 def test_session_spec_validation():
     with pytest.raises(ValueError, match="precede"):
         _spec("10:00", "09:00")
@@ -697,6 +713,28 @@ def test_array_sampling_matches_per_tick_loops():
         assert tk.trade_fraction(series, spec, date) == len(hit) / 12
 
 
+_DAY = 86_400_000_000
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-3 * _DAY, 40 * _DAY), max_size=60)
+       | st.lists(st.sampled_from([-_DAY - 1, -_DAY, -1, 0, 1, _DAY - 1, _DAY]), max_size=8))
+def test_dates_and_trade_fraction_match_np_unique(stamps):
+    """dates() and trade_fraction count the distinct values of their sorted arrays as
+    np.unique did: days before 1970, stamps on and next to midnight, empty series."""
+    times = np.sort(np.array(stamps, dtype=np.int64))
+    series = tk.TickSeries("X", times, np.ones(times.size))
+    expected = [dt.date(1970, 1, 1) + dt.timedelta(days=int(d)) for d in np.unique(times // _DAY)]
+    assert series.dates() == expected
+    spec = _spec("00:00", "23:00", 60)
+    for date in [*expected, dt.date(1970, 1, 1)]:
+        grid = spec.grid_us(date)
+        day, _ = series.day(date)
+        offsets = day[(day > grid[0]) & (day <= grid[-1])] - grid[0]
+        bins = np.minimum(275, offsets // 300_000_000)
+        assert tk.trade_fraction(series, spec, date) == len(np.unique(bins)) / 276
+
+
 def test_log_return_definition():
     date = dt.date(2017, 3, 15)
     spec = _spec(interval=3600)  # one interval
@@ -814,6 +852,44 @@ def test_panel_csv_roundtrip(tmp_path):
     assert header == ["date", "grid_time", "X", "Y"]
     with pytest.raises(tk.MalformedFile, match="not a panel file"):
         tk.read_panel_csv(__file__, spec)
+
+
+def _write_csv_panel(panel, path, spec):
+    """The panel writer as it was: every row through ``write_csv``."""
+    date = panel.date.isoformat()
+    rows = ([date, t, *r] for t, r in zip(spec.grid_labels(), panel.returns.T.tolist()))
+    tk.write_csv(path, ["date", "grid_time", *panel.instruments], rows)
+
+
+_EDGE_RETURNS = [0.0, -0.0, 5e-324, -5e-324, 2.5e-308, 1e-05, -1e-05, 1e16, -1e16,
+                 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@st.composite
+def _panels(draw):
+    interval = draw(st.sampled_from([3600, 900, 300, 60]))
+    names = draw(st.lists(st.from_regex(r"[A-Za-z0-9_]{1,4}", fullmatch=True), max_size=3))
+    values = st.sampled_from(_EDGE_RETURNS) | st.floats(allow_nan=False, allow_infinity=False)
+    n = 3600 // interval
+    returns = draw(st.lists(st.lists(values, min_size=n, max_size=n),
+                            min_size=len(names), max_size=len(names)))
+    date = draw(st.dates())
+    return _spec(interval=interval), tk.ReturnPanel(date, names, np.array(returns).reshape(-1, n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_panels())
+@example((_spec(interval=900), tk.ReturnPanel(dt.date(2017, 3, 15), ["TU", "FV", "TY"],
+                                              np.array(_EDGE_RETURNS + [1.0]).reshape(3, 4))))
+@example((_spec(interval=3600), tk.ReturnPanel(dt.date(1, 1, 1), [], np.empty((0, 1)))))
+def test_write_panel_csv_matches_write_csv(tmp_path_factory, case):
+    """A panel written line by line has the bytes of the same rows through write_csv:
+    signed zeros, subnormals, the largest float, no legs and years before 1000."""
+    spec, panel = case
+    folder = tmp_path_factory.mktemp("panel")
+    tk.write_panel_csv(panel, folder / "lines.csv", spec)
+    _write_csv_panel(panel, folder / "rows.csv", spec)
+    assert (folder / "lines.csv").read_bytes() == (folder / "rows.csv").read_bytes()
 
 
 @pytest.mark.parametrize("start, end, interval", [("10:00", "11:00", 900), ("09:00", "10:00", 600)])

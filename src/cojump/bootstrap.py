@@ -28,7 +28,6 @@ import numpy as np
 
 from . import jwc
 from .jumps import JumpSeries, realized_covariance
-from .ticks import write_csv
 
 CLASSIFICATIONS = ("no_discontinuity", "co_jump", "disjoint_only")
 
@@ -187,15 +186,3 @@ def bootstrap_statistic(
         classification=_classify(rejected, jumps_1, jumps_2),
     )
 
-
-def write_outcomes(outcomes, path) -> None:
-    """Test-outcome CSV: one row per day and pair."""
-    write_csv(
-        path,
-        ["date", "pair", "Z", "p", "rejected", "classification", "B", "alpha", "seed"],
-        (
-            [o.date, "-".join(o.pair), o.z, o.p_value, int(o.rejected), o.classification,
-             o.b_reps, o.alpha, o.seed]
-            for o in outcomes
-        ),
-    )

@@ -275,6 +275,17 @@ def _panels_dir(config: RunConfig) -> str:
     return os.path.join(config.output, "panels")
 
 
+def _write_panels(config: RunConfig, panels: list) -> None:
+    """Each panel as panels/panel_<date>.csv, in place of every panel file of an earlier run."""
+    out = _panels_dir(config)
+    os.makedirs(out, exist_ok=True)
+    for stale in glob.glob(os.path.join(glob.escape(out), "panel_*.csv")):
+        os.remove(stale)
+    for panel in panels:
+        ticks.write_panel_csv(panel, os.path.join(out, f"panel_{panel.date.isoformat()}.csv"),
+                              config.session)
+
+
 def _emit_error(kind: str, message: str) -> None:
     sys.stderr.write(json.dumps({"error": kind, "message": message}, sort_keys=True) + "\n")
 
@@ -289,11 +300,7 @@ def cmd_ingest(config: RunConfig) -> int:
         src = config.tick_sources[name]
         series[name] = ticks.parse_ticks(src["path"], src["schema"], config.session, name)
     panels, drop_log = ticks.build_panels(series, config.session, config.calendar)
-    out = _panels_dir(config)
-    os.makedirs(out, exist_ok=True)
-    for panel in panels:
-        path = os.path.join(out, f"panel_{panel.date.isoformat()}.csv")
-        ticks.write_panel_csv(panel, path, config.session)
+    _write_panels(config, panels)
     ticks.write_drop_log(drop_log, os.path.join(config.output, "drop_log.csv"))
     counts = [(name, s.total_rows, s.rejected) for name, s in series.items()]
     ticks.write_csv(os.path.join(config.output, "tick_counts.csv"),
@@ -313,13 +320,12 @@ def cmd_simulate(config: RunConfig) -> int:
         raise ConfigError(
             f"scenario has {scenario.d} legs but {len(config.instruments)} instruments declared"
         )
+    if scenario.n_intervals != config.session.n_intervals:
+        raise ConfigError(f"scenario has {scenario.n_intervals} intervals a day but the session "
+                          f"has {config.session.n_intervals}")
     days = sim.simulate(scenario)
     panels = sim.panels_from_sim(days, config.instruments, config.session, config.start_date)
-    out = _panels_dir(config)
-    os.makedirs(out, exist_ok=True)
-    for panel in panels:
-        path = os.path.join(out, f"panel_{panel.date.isoformat()}.csv")
-        ticks.write_panel_csv(panel, path, config.session)
+    _write_panels(config, panels)
     rows = []
     for day, panel in zip(days, panels):
         truth = sim.true_decomposition(day)
@@ -354,7 +360,7 @@ def _load_panels(config: RunConfig) -> list:
 
 def cmd_decompose(config: RunConfig) -> int:
     """Detect, estimate, and test every day; write decomposition files."""
-    from . import bootstrap, pipeline
+    from . import pipeline
     if not config.pairs:
         raise ConfigError("decompose requires at least one pair")
     panels = _load_panels(config)
@@ -368,14 +374,7 @@ def cmd_decompose(config: RunConfig) -> int:
         tuples=config.tuples,
         jobs=config.jobs,
     )
-    os.makedirs(config.output, exist_ok=True)
-    pipeline.write_decompositions(results, os.path.join(config.output, "decompositions.csv"))
-    pipeline.write_events_csv(results, os.path.join(config.output, "events.csv"), config.session)
-    pipeline.write_jump_report(results, os.path.join(config.output, "jumps.csv"), config.session)
-    pipeline.write_tuple_labels(results, os.path.join(config.output, "tuple_days.csv"))
-    pipeline.write_failures(failures, os.path.join(config.output, "failures.csv"))
-    outcomes = [res.outcomes[pair] for res in results for pair in sorted(res.outcomes)]
-    bootstrap.write_outcomes(outcomes, os.path.join(config.output, "outcomes.csv"))
+    pipeline.write_tables(results, failures, config.output, config.session)
     if not results:
         date, message = failures[0]
         _emit_error(
@@ -425,37 +424,28 @@ def cmd_report(config: RunConfig) -> int:
     )
 
     degenerate = []
-    rows4 = []
-    for pair in sorted(by_pair):
-        recs = by_pair[pair]
-        mask = [
-            (r.corr_total, r.corr_cont)
-            for r in recs
-            if np.isfinite(r.corr_total) and np.isfinite(r.corr_cont)
-        ]
-        try:
-            res = events.correlation_impact_regression(
-                [m[0] for m in mask], [m[1] for m in mask]
-            )
-        except events.DegenerateFit as exc:
-            res = None
-            degenerate.append(["correlation_regression", "-".join(pair), str(exc)])
-        rows4.append((pair, res))
-    events.write_regression_table(rows4, os.path.join(config.output, "correlation_regression.csv"))
-
-    rows5 = []
+    fits = {"correlation_regression": [], "announcement_logit": []}
     news_dates = config.announcements or frozenset()
-    for pair in sorted(by_pair):
-        recs = sorted(by_pair[pair], key=lambda r: r.date)
-        y = [1.0 if r.classification == "co_jump" else 0.0 for r in recs]
-        x = [1.0 if r.date in news_dates else 0.0 for r in recs]
-        try:
-            res = events.announcement_logit(y, x)
-        except events.DegenerateFit as exc:
-            res = None
-            degenerate.append(["announcement_logit", "-".join(pair), str(exc)])
-        rows5.append((pair, res))
-    events.write_logit_table(rows5, os.path.join(config.output, "announcement_logit.csv"))
+    for pair in sorted(by_pair):  # both fits are exact sums, so the rows' order is free
+        recs = by_pair[pair]
+        finite = [r for r in recs if np.isfinite(r.corr_total) and np.isfinite(r.corr_cont)]
+        for table, fit, args in (
+            ("correlation_regression", events.correlation_impact_regression,
+             ([r.corr_total for r in finite], [r.corr_cont for r in finite])),
+            ("announcement_logit", events.announcement_logit,
+             ([1.0 if r.classification == "co_jump" else 0.0 for r in recs],
+              [1.0 if r.date in news_dates else 0.0 for r in recs])),
+        ):
+            try:
+                res = fit(*args)
+            except events.DegenerateFit as exc:
+                res = None
+                degenerate.append([table, "-".join(pair), str(exc)])
+            fits[table].append((pair, res))
+    events.write_regression_table(fits["correlation_regression"],
+                                  os.path.join(config.output, "correlation_regression.csv"))
+    events.write_logit_table(fits["announcement_logit"],
+                             os.path.join(config.output, "announcement_logit.csv"))
 
     sample_dates = sorted({r.date for r in decomps})
     rows6 = []

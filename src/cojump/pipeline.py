@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import itertools
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -247,32 +248,56 @@ def _read_csv(path, columns: list, convert) -> list:
     return out
 
 
-_DECOMP_COLUMNS = (
-    "date pair qv ic cj z p rejected inconclusive classification corr_total corr_cont".split()
-)
-_EVENT_COLUMNS = ["date", "pair", "index", "time", "size_1", "size_2"]
-_TUPLE_COLUMNS = ["date", "tuple", "label"]
+_TABLES = {  # each table of a decompose run: its file name and header
+    "decompositions.csv": ["date", "pair", "qv", "ic", "cj", "z", "p", "rejected", "inconclusive",
+                           "classification", "corr_total", "corr_cont"],
+    "events.csv": ["date", "pair", "index", "time", "size_1", "size_2"],
+    "jumps.csv": ["date", "instrument", "index", "time", "size"],
+    "tuple_days.csv": ["date", "tuple", "label"],
+    "failures.csv": ["date", "error"],
+    "outcomes.csv": ["date", "pair", "Z", "p", "rejected", "classification", "B", "alpha", "seed"],
+}
 
 
-def write_decompositions(results: list, path) -> None:
-    """Per-day, per-pair decomposition CSV, sorted by date then pair."""
-    rows = sorted((rec for res in results for rec in res.decomps), key=lambda r: (r.date, r.pair))
-    write_csv(
-        path,
-        _DECOMP_COLUMNS,
-        (
-            [r.date.isoformat(), "-".join(r.pair), r.qv, r.ic, r.cj, r.z, r.p_value,
-             int(r.rejected), int(r.inconclusive), r.classification, r.corr_total, r.corr_cont]
-            for r in rows
-        ),
-    )
+def write_tables(results, failures: list, out, spec: SessionSpec) -> None:
+    """The six tables of a decompose run, written into the directory ``out`` in one pass.
+
+    ``results`` come one per date in date order, as ``process_panels`` returns
+    them, so a table sorted by date and then by a key within the day needs each
+    day's rows sorted alone: by pair (decompositions, outcomes), pair and index
+    (events), instrument and index (jumps) or tuple (tuple_days). ``failures.csv``
+    keeps the order of ``failures``.
+    """
+    labels = spec.grid_labels()
+    rows = {name: [] for name in _TABLES}
+    for res in results:
+        date = res.date.isoformat()
+        rows["decompositions.csv"] += (
+            [date, "-".join(r.pair), r.qv, r.ic, r.cj, r.z, r.p_value, int(r.rejected),
+             int(r.inconclusive), r.classification, r.corr_total, r.corr_cont]
+            for r in sorted(res.decomps, key=lambda r: r.pair))
+        rows["events.csv"] += sorted(
+            [date, "-".join(r.pair), ev.index, labels[ev.index], *ev.sizes]
+            for r in res.decomps for ev in r.events)
+        rows["jumps.csv"] += sorted(
+            [date, name, idx, labels[idx], js.jump_sizes[idx]]
+            for name, js in res.jump_series.items() for idx in js.jump_indices.tolist())
+        rows["tuple_days.csv"] += sorted(
+            [date, "-".join(members), label] for members, label in res.tuple_labels.items())
+        rows["outcomes.csv"] += (
+            [date, "-".join(pair), o.z, o.p_value, int(o.rejected), o.classification,
+             o.b_reps, o.alpha, o.seed]
+            for pair, o in sorted(res.outcomes.items()))
+    rows["failures.csv"] = [(date.isoformat(), message) for date, message in failures]
+    for name, header in _TABLES.items():
+        write_csv(os.path.join(out, name), header, rows[name])
 
 
 def read_decompositions(path) -> list:
     """Rebuild DayDecomposition records (events live in events.csv)."""
     return _read_csv(
         path,
-        _DECOMP_COLUMNS,
+        _TABLES["decompositions.csv"],
         lambda row: events.DayDecomposition(
             date=dt.date.fromisoformat(row["date"]),
             pair=tuple(row["pair"].split("-")),
@@ -289,21 +314,6 @@ def read_decompositions(path) -> list:
             inconclusive=bool(int(row["inconclusive"])),
         ),
     )
-
-
-def write_events_csv(results: list, path, spec: SessionSpec) -> None:
-    """Co-jump event rows: date, pair, index, interval start, sizes."""
-    labels = spec.grid_labels()
-    rows = sorted(
-        (
-            [rec.date.isoformat(), "-".join(rec.pair), ev.index, labels[ev.index], *ev.sizes]
-            for res in results
-            for rec in res.decomps
-            for ev in rec.events
-        ),
-        key=lambda r: r[:3],
-    )
-    write_csv(path, _EVENT_COLUMNS, rows)
 
 
 def read_events_csv(path, spec: SessionSpec) -> list:
@@ -326,42 +336,14 @@ def read_events_csv(path, spec: SessionSpec) -> list:
             "sizes": (float(row["size_1"]), float(row["size_2"])),
         }
 
-    return _read_csv(path, _EVENT_COLUMNS, convert)
-
-
-def write_jump_report(results: list, path, spec: SessionSpec) -> None:
-    """Per-instrument jump rows: date, instrument, index, interval start, size."""
-    labels = spec.grid_labels()
-    rows = sorted(
-        (
-            [res.date.isoformat(), name, idx, labels[idx], js.jump_sizes[idx]]
-            for res in results
-            for name, js in sorted(res.jump_series.items())
-            for idx in js.jump_indices.tolist()
-        ),
-        key=lambda r: r[:3],
-    )
-    write_csv(path, ["date", "instrument", "index", "time", "size"], rows)
-
-
-def write_tuple_labels(results: list, path) -> None:
-    rows = sorted(
-        [res.date.isoformat(), "-".join(members), label]
-        for res in results
-        for members, label in res.tuple_labels.items()
-    )
-    write_csv(path, _TUPLE_COLUMNS, rows)
+    return _read_csv(path, _TABLES["events.csv"], convert)
 
 
 def read_tuple_labels(path) -> dict:
     """Maps tuple name -> {date: label}."""
     out: dict = {}
-    for name, date, label in _read_csv(
-        path, _TUPLE_COLUMNS, lambda r: (r["tuple"], dt.date.fromisoformat(r["date"]), r["label"])
-    ):
+    rows = _read_csv(path, _TABLES["tuple_days.csv"],
+                     lambda r: (r["tuple"], dt.date.fromisoformat(r["date"]), r["label"]))
+    for name, date, label in rows:
         out.setdefault(name, {})[date] = label
     return out
-
-
-def write_failures(failures: list, path) -> None:
-    write_csv(path, ["date", "error"], [(date.isoformat(), message) for date, message in failures])

@@ -72,6 +72,8 @@ class SimScenario:
             raise ValueError("need at least one day")
         if not abs(self.rho) <= 1.0:
             raise ValueError("|rho| must not exceed 1")
+        if d >= 3 and self.rho != 1.0:
+            _cholesky(self.rho, d)
         if any(s < 0 for s in self.sigma) or self.noise_sd < 0:
             raise ValueError("scales must be non-negative")
         if self.vol_pattern not in VOL_PATTERNS:
@@ -112,6 +114,16 @@ def volatility_pattern(scenario: SimScenario) -> np.ndarray:
     return raw / math.sqrt(float(np.mean(raw**2)))
 
 
+def _cholesky(rho: float, d: int) -> np.ndarray:
+    """Cholesky factor of the d x d equicorrelation matrix; ValueError if it has none."""
+    corr = np.full((d, d), rho)
+    np.fill_diagonal(corr, 1.0)
+    try:
+        return np.linalg.cholesky(corr)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"rho={rho} is not a valid equicorrelation for d={d}") from exc
+
+
 def _correlate(eta: np.ndarray, rho: float, d: int) -> np.ndarray:
     if d == 1:
         return eta
@@ -122,12 +134,7 @@ def _correlate(eta: np.ndarray, rho: float, d: int) -> np.ndarray:
         return out
     if rho == 1.0:
         return np.broadcast_to(eta[:1], eta.shape).copy()
-    corr = np.full((d, d), rho)
-    np.fill_diagonal(corr, 1.0)
-    try:
-        chol = np.linalg.cholesky(corr)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"rho={rho} is not a valid equicorrelation for d={d}") from exc
+    chol = _cholesky(rho, d)
     # Row i is chol[i, 0] * eta[0] + ... + chol[i, i] * eta[i], summed
     # left to right elementwise: a matrix product would hand the sum to
     # the BLAS kernel, whose order and FMA use vary between machines.
@@ -235,8 +242,8 @@ def read_scenario(path) -> SimScenario:
     One ``key = value`` pair per line; '#' starts a comment. ``sigma``
     and ``mu`` take comma-separated per-leg values; each ``jump`` line
     adds one (day, index, sizes...) tuple and may repeat. A file that is not
-    UTF-8 raises MalformedFile naming it, and a line that does not parse one
-    naming the file and line.
+    UTF-8 or whose values make no scenario raises MalformedFile naming it, and
+    a line that does not parse one naming the file and line.
     """
     fields: dict = {}
     jumps = []
@@ -268,4 +275,7 @@ def read_scenario(path) -> SimScenario:
             raise MalformedFile(f"{path}:{lineno}: {exc}") from exc
     if "sigma" not in fields:
         raise MalformedFile(f"{path}: sigma is required")
-    return SimScenario(jumps=tuple(jumps), **fields)
+    try:
+        return SimScenario(jumps=tuple(jumps), **fields)
+    except ValueError as exc:  # a value out of range, or values that do not fit together
+        raise MalformedFile(f"{path}: {exc}") from exc

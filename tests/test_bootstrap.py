@@ -1,6 +1,7 @@
 """Discontinuity test: null simulation, studentized statistic, classification."""
 
 import csv
+import datetime as dt
 import math
 import tracemalloc
 
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cojump import bootstrap, jumps, jwc
+from cojump import bootstrap, jumps, jwc, pipeline
+from cojump.ticks import SessionSpec
 
 N = 540
 CFG = jwc.JwcConfig(g_spacing=5)
@@ -251,14 +253,16 @@ def test_outcome_classification_validated():
 
 
 def test_write_outcomes_schema(tmp_path):
+    """outcomes.csv as decompose writes it: one row per day and pair."""
     out, _, _ = _run_day(0, [(0, 200, 0.05), (1, 200, 0.06)])
-    out.date = "2026-01-05"
-    out.pair = ("AAA", "BBB")
     quiet, _, _ = _run_day(0)
-    quiet.date = "2026-01-06"
-    quiet.pair = ("AAA", "BBB")
+    days = [
+        pipeline.DayResult(date=dt.date(2026, 1, day), jump_series={},
+                           outcomes={("AAA", "BBB"): outcome}, decomps=[])
+        for day, outcome in ((5, out), (6, quiet))
+    ]
+    pipeline.write_tables(days, [], tmp_path, SessionSpec(dt.time(7), dt.time(16), "UTC", 60))
     path = tmp_path / "outcomes.csv"
-    bootstrap.write_outcomes([out, quiet], path)
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))
     assert rows[0] == ["date", "pair", "Z", "p", "rejected", "classification", "B", "alpha", "seed"]

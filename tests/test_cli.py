@@ -255,6 +255,16 @@ def test_scenario_leg_mismatch(capsys, tmp_path):
     assert "legs" in _stderr_json(capsys)["message"]
 
 
+def test_scenario_interval_mismatch_exits_before_simulating(capsys, tmp_path):
+    """A 540-interval scenario under a 270-interval session writes no panel."""
+    cfg = _write_config(tmp_path, session=dict(SESSION, sampling_seconds=120))
+    assert cli.main(["simulate", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    msg = _stderr_json(capsys)
+    assert msg["error"] == "config"
+    assert "540 intervals" in msg["message"] and "270" in msg["message"]
+    assert not list(tmp_path.glob("out/panels/*"))
+
+
 def _write_tick_config(tmp_path, **extra):
     """Two instruments trading every 30 s through 2017-03-13 and 2017-03-14."""
     rows = ["t,p,v"]
@@ -280,6 +290,28 @@ def test_ingest_writes_panels_and_drop_log(tmp_path):
     panels = sorted(os.listdir(tmp_path / "out" / "panels"))
     assert panels == ["panel_2017-03-13.csv", "panel_2017-03-14.csv"]
     assert (tmp_path / "out" / "drop_log.csv").exists()
+
+
+@pytest.mark.parametrize("stage", ["ingest", "simulate"])
+def test_rerun_replaces_every_panel(tmp_path, stage):
+    """A rerun that keeps fewer days leaves no panel of the earlier run for decompose
+    to read; a file in panels/ that is no panel stays."""
+    if stage == "ingest":
+        first, rerun = _write_tick_config(tmp_path), _write_tick_config(
+            tmp_path, name="rerun.json", calendar={"excluded_dates": ["2017-03-14"]})
+        kept = ["panel_2017-03-13.csv"]
+    else:
+        first, rerun = _write_config(tmp_path), _write_config(
+            tmp_path, name="rerun.json", start_date="2017-03-20")
+        kept = ["panel_2017-03-20.csv", "panel_2017-03-21.csv", "panel_2017-03-22.csv"]
+    panels = tmp_path / "out" / "panels"
+    assert cli.main([stage, "--config", str(first)]) == cli.EXIT_OK
+    (panels / "notes.txt").write_text("not a panel\n")
+    assert cli.main([stage, "--config", str(rerun)]) == cli.EXIT_OK
+    assert sorted(os.listdir(panels)) == ["notes.txt", *kept]
+    assert cli.main(["decompose", "--config", str(rerun)]) == cli.EXIT_OK
+    rows = list(csv.DictReader(open(tmp_path / "out" / "outcomes.csv", newline="")))
+    assert [f"panel_{r['date']}.csv" for r in rows] == kept
 
 
 def test_ingest_rejects_non_finite_price_and_overflowing_volume(tmp_path):
@@ -705,6 +737,25 @@ def test_scenario_line_without_equals_is_io_error(capsys, tmp_path):
     (tmp_path / "scenario.txt").write_text(SCENARIO.replace("rho = 0.6", "rho 0.6"))
     assert cli.main(["simulate", "--config", str(cfg)]) == cli.EXIT_IO
     assert "key = value" in _io_error_message(capsys, "scenario.txt:4")
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (("rho = 0.6", "rho = 1.5"), "|rho| must not exceed 1"),
+    (("jump = 2, 400", "jump = 3, 400"), "outside the panel"),
+    (("sigma = 0.01, 0.012\nrho = 0.6", "sigma = 0.01, 0.012, 0.011\nrho = -0.9"),
+     "not a valid equicorrelation"),
+], ids=["rho", "jump_day", "equicorrelation"])
+def test_scenario_value_that_makes_no_scenario_is_io_error(capsys, tmp_path, edit, reason):
+    """A value out of range, or values that do not fit together, exit 2 naming the file."""
+    legs = ["TU", "FV", "TY"] if reason.startswith("not a valid") else ["TU", "FV"]
+    cfg = _write_config(tmp_path, instruments=legs)
+    scenario = SCENARIO.replace(*edit)
+    if len(legs) == 3:
+        scenario = "\n".join(line for line in scenario.split("\n") if "jump" not in line)
+    (tmp_path / "scenario.txt").write_text(scenario)
+    assert cli.main(["simulate", "--config", str(cfg)]) == cli.EXIT_IO
+    assert reason in _io_error_message(capsys, "scenario.txt")
+    assert not list(tmp_path.glob("out/panels/*"))
 
 
 def test_decompositions_without_ic_column_is_io_error(capsys, full_run):

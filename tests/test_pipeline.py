@@ -2,12 +2,14 @@
 
 import csv
 import datetime as dt
+from pathlib import Path
 
 import numpy as np
 import pytest
+from test_cli import _fail_days, _write_config
 
-from cojump import jumps, jwc, pipeline, sim
-from cojump.ticks import ReturnPanel, SessionSpec
+from cojump import cli, jumps, jwc, pipeline, sim
+from cojump.ticks import ReturnPanel, SessionSpec, write_csv
 
 SPEC = SessionSpec(dt.time(7, 0), dt.time(16, 0), "America/Chicago", 60)
 EST = jwc.JwcConfig(g_spacing=5)
@@ -85,7 +87,7 @@ def test_co_jump_day_record(two_leg, tmp_path):
     assert len(rec.events) == 1
     event = rec.events[0]
     assert event.index == 270
-    pipeline.write_events_csv(two_leg, tmp_path / "events.csv", SPEC)
+    pipeline.write_tables(two_leg, [], tmp_path, SPEC)
     rows = list(csv.DictReader(open(tmp_path / "events.csv", newline="")))
     assert [(r["index"], r["time"]) for r in rows] == [("270", "11:30:00")]
     assert event.sizes == (panel.series("TU")[270], panel.series("FV")[270])
@@ -261,9 +263,8 @@ def test_failures_same_serial_and_parallel():
 
 
 def test_decomposition_csv_roundtrip(two_leg, tmp_path):
-    path = tmp_path / "decomps.csv"
-    pipeline.write_decompositions(two_leg, path)
-    back = pipeline.read_decompositions(path)
+    pipeline.write_tables(two_leg, [], tmp_path, SPEC)
+    back = pipeline.read_decompositions(tmp_path / "decompositions.csv")
     flat = [rec for day in two_leg for rec in day.decomps]
     flat.sort(key=lambda r: (r.date, r.pair))
     assert len(back) == len(flat)
@@ -276,9 +277,8 @@ def test_decomposition_csv_roundtrip(two_leg, tmp_path):
 
 
 def test_events_csv_roundtrip(two_leg, tmp_path):
-    path = tmp_path / "events.csv"
-    pipeline.write_events_csv(two_leg, path, SPEC)
-    rows = pipeline.read_events_csv(path, SPEC)
+    pipeline.write_tables(two_leg, [], tmp_path, SPEC)
+    rows = pipeline.read_events_csv(tmp_path / "events.csv", SPEC)
     assert len(rows) == 1
     row = rows[0]
     assert row["date"] == START + dt.timedelta(days=1)
@@ -290,9 +290,8 @@ def test_events_csv_roundtrip(two_leg, tmp_path):
 
 
 def test_jump_report_roundtrip(two_leg, tmp_path):
-    path = tmp_path / "jumps.csv"
-    pipeline.write_jump_report(two_leg, path, SPEC)
-    with open(path, newline="") as handle:
+    pipeline.write_tables(two_leg, [], tmp_path, SPEC)
+    with open(tmp_path / "jumps.csv", newline="") as handle:
         rows = [
             {
                 "date": dt.date.fromisoformat(row["date"]),
@@ -324,15 +323,83 @@ def test_tuple_labels_csv_roundtrip(tmp_path):
         panels, prs, EST, b_reps=150, alpha=0.05, seed=0,
         tuples=[("TU", "FV", "TY")],
     )
-    path = tmp_path / "tuples.csv"
-    pipeline.write_tuple_labels(results, path)
-    back = pipeline.read_tuple_labels(path)
+    pipeline.write_tables(results, [], tmp_path, SPEC)
+    back = pipeline.read_tuple_labels(tmp_path / "tuple_days.csv")
     assert back == {"TU-FV-TY": {START: "Rotation"}}
 
 
 def test_failures_csv(tmp_path):
-    path = tmp_path / "failures.csv"
-    pipeline.write_failures([(START, "ValueError: boom")], path)
-    rows = list(csv.reader(open(path, newline="")))
+    pipeline.write_tables([], [(START, "ValueError: boom")], tmp_path, SPEC)
+    rows = list(csv.reader(open(tmp_path / "failures.csv", newline="")))
     assert rows == [["date", "error"], ["2017-03-13", "ValueError: boom"]]
 
+
+
+def _per_table_writers(results, failures, out, spec):
+    """decompose's six tables as six writers wrote them, each sorting the whole run's rows."""
+    labels = spec.grid_labels()
+    decomps = sorted((rec for res in results for rec in res.decomps), key=lambda r: (r.date, r.pair))
+    write_csv(
+        out / "decompositions.csv",
+        "date pair qv ic cj z p rejected inconclusive classification corr_total corr_cont".split(),
+        ([r.date.isoformat(), "-".join(r.pair), r.qv, r.ic, r.cj, r.z, r.p_value,
+          int(r.rejected), int(r.inconclusive), r.classification, r.corr_total, r.corr_cont]
+         for r in decomps),
+    )
+    events = sorted(
+        ([rec.date.isoformat(), "-".join(rec.pair), ev.index, labels[ev.index], *ev.sizes]
+         for res in results for rec in res.decomps for ev in rec.events),
+        key=lambda r: r[:3],
+    )
+    write_csv(out / "events.csv", ["date", "pair", "index", "time", "size_1", "size_2"], events)
+    jump_rows = sorted(
+        ([res.date.isoformat(), name, idx, labels[idx], js.jump_sizes[idx]]
+         for res in results
+         for name, js in sorted(res.jump_series.items())
+         for idx in js.jump_indices.tolist()),
+        key=lambda r: r[:3],
+    )
+    write_csv(out / "jumps.csv", ["date", "instrument", "index", "time", "size"], jump_rows)
+    write_csv(out / "tuple_days.csv", ["date", "tuple", "label"], sorted(
+        [res.date.isoformat(), "-".join(members), label]
+        for res in results for members, label in res.tuple_labels.items()))
+    write_csv(out / "failures.csv", ["date", "error"],
+              [(date.isoformat(), message) for date, message in failures])
+    outcomes = [res.outcomes[pair] for res in results for pair in sorted(res.outcomes)]
+    write_csv(
+        out / "outcomes.csv",
+        ["date", "pair", "Z", "p", "rejected", "classification", "B", "alpha", "seed"],
+        ([o.date, "-".join(o.pair), o.z, o.p_value, int(o.rejected), o.classification,
+          o.b_reps, o.alpha, o.seed] for o in outcomes),
+    )
+
+
+@pytest.mark.parametrize("run", ["golden", "two_leg"])
+def test_write_tables_matches_the_per_table_writers(tmp_path, monkeypatch, run):
+    """One pass that sorts each day's rows writes the bytes of six writers that each
+    sort the whole run: on the golden run, and on a two-leg run with a failed day,
+    a disjoint-jump day and a tuple label."""
+    if run == "golden":
+        cfg = Path(__file__).parent / "golden" / "config.json"
+    else:
+        cfg = _write_config(tmp_path, tuples=[["TU", "FV"]])
+        _fail_days(monkeypatch, 13)
+    calls = []
+    write_tables = pipeline.write_tables
+    monkeypatch.setattr(pipeline, "write_tables", lambda *args: calls.append(args))
+    for stage in ("simulate", "decompose"):
+        assert cli.main([stage, "--config", str(cfg), "--output", str(tmp_path / "out")]) == 0
+    [(results, failures, _, spec)] = calls
+    if run == "two_leg":
+        assert [date for date, _ in failures] == [START]
+        assert [rec.classification for res in results for rec in res.decomps] == [
+            "co_jump", "disjoint_only"]
+        assert [res.tuple_labels for res in results] == [{("TU", "FV"): "UpShift"}, {}]
+    for folder, write in (("one_pass", write_tables), ("per_table", _per_table_writers)):
+        (tmp_path / folder).mkdir()
+        write(results, failures, tmp_path / folder, spec)
+    for name in ("decompositions.csv", "events.csv", "jumps.csv", "tuple_days.csv",
+                 "failures.csv", "outcomes.csv"):
+        one_pass = (tmp_path / "one_pass" / name).read_bytes()
+        assert one_pass == (tmp_path / "per_table" / name).read_bytes(), name
+        assert one_pass.count(b"\n") > 1 or name == "failures.csv" and run == "golden", name

@@ -343,7 +343,7 @@ def cmd_simulate(config: RunConfig) -> int:
 
 def _load_panels(config: RunConfig) -> list:
     """Every panel file; one of another date or instrument set raises SessionMismatch."""
-    paths = sorted(glob.glob(os.path.join(_panels_dir(config), "panel_*.csv")))
+    paths = sorted(glob.glob(os.path.join(glob.escape(_panels_dir(config)), "panel_*.csv")))
     if not paths:
         raise OSError(f"no panel files under {_panels_dir(config)}")
     panels = [ticks.read_panel_csv(p, config.session) for p in paths]

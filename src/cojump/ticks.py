@@ -1,13 +1,14 @@
 """Tick ingestion and synchronization onto regular intraday return grids.
 
 Raw trades arrive as CSV rows with user-named columns. They are parsed
-with the session's IANA timezone (never guessed) into one sorted array
-of wall-clock stamps per instrument, cut into session dates, filtered
-by a trading calendar, sampled by the last-tick rule onto an evenly
+with the session's IANA timezone (never guessed) into wall-clock stamps,
+reduced block by block per instrument and date to what the last-tick
+rule and the thin-day rule read (``TickDays``: no trade is held and no
+file is sorted), filtered by a trading calendar, sampled onto an evenly
 spaced price grid, and differenced into log-return panels: one row per
 interval, one column per instrument. ``write_csv`` writes every output
-table of the package but the panels, which ``write_panel_csv`` writes in
-the same layout.
+table of the package but the panels, which ``write_panel_csv`` writes
+in the same layout.
 
 Grid convention: a session of length T seconds sampled every s seconds
 yields N = T/s return intervals and N + 1 grid instants t_0..t_N.
@@ -24,7 +25,7 @@ import csv
 import datetime as dt
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, islice
 from zoneinfo import ZoneInfo
 
@@ -32,9 +33,7 @@ import numpy as np
 
 LOW_TRADE_BIN_SECONDS = 300  # the thin-day rule is always judged on 5-min bins
 PARSE_BLOCK_ROWS = 2048  # lines read at a time by parse_ticks
-# parse_ticks copies accepted trades into arrays of this many rows: one small array per
-# block, placed among the block's temporaries, kept their freed heap from being returned
-_KEEP_ROWS = 1 << 16
+_NO_TRADE = np.iinfo(np.int64).min  # the stamp of no trade: before every real one
 _EPOCH = dt.datetime(1970, 1, 1)
 _US = dt.timedelta(microseconds=1)
 _DAY_US = 86_400_000_000
@@ -111,7 +110,7 @@ class SessionSpec:
         return list(_labels(base, base + self.session_seconds // step * step, step))
 
     def grid_us(self, date: dt.date) -> np.ndarray:
-        """The N + 1 grid instants of one date as wall-clock microseconds (see TickSeries)."""
+        """The N + 1 grid instants of one date as wall-clock microseconds (see TickDays)."""
         start = _wall_us(dt.datetime.combine(date, self.session_start))
         return start + self.sampling_interval * 1_000_000 * np.arange(self.n_intervals + 1)
 
@@ -122,36 +121,64 @@ def _labels(start: int, stop: int, step: int) -> tuple:
     return tuple(f"{t // 3600:02d}:{t // 60 % 60:02d}:{t % 60:02d}" for t in range(start, stop, step))
 
 
-@dataclass
-class TickSeries:
-    """Parsed trades of one instrument, ordered by session wall clock.
+class _Day:
+    """One date's trades of one instrument on the grid t_0..t_N: ``last_*[j]`` is the latest
+    trade at or before t_j (none: ``_NO_TRADE``), ``first_*`` the earliest trade and ``bins``
+    the 5-minute bins of (t_0, t_N] that hold a trade."""
 
-    ``times`` holds int64 wall-clock microseconds in the session
-    timezone (microseconds since 1970-01-01 00:00 on that clock, not a
-    UTC epoch), sorted, with equal stamps in file order; ``prices`` is
-    aligned with it.
+    __slots__ = ("first_us", "first_price", "last_us", "last_price", "bins")
+
+    def __init__(self, spec: SessionSpec):
+        self.first_us, self.first_price = math.inf, math.nan
+        self.last_us = np.full(spec.n_intervals + 1, _NO_TRADE)
+        self.last_price = np.zeros(spec.n_intervals + 1)
+        self.bins = np.zeros(max(1, spec.session_seconds // LOW_TRADE_BIN_SECONDS), bool)
+
+
+@dataclass
+class TickDays:
+    """Parsed trades of one instrument: ``days`` maps each date of the session wall clock
+    that holds a trade to its ``_Day`` on the grid of ``spec``.
+
+    A stamp is int64 wall-clock microseconds in the session timezone
+    (microseconds since 1970-01-01 00:00 on that clock, not a UTC epoch).
+    Trades order by stamp, equal stamps by file order: ``add`` takes the
+    blocks in file order and sorts only a block that is out of order.
     """
 
     instrument: str
-    times: np.ndarray
-    prices: np.ndarray
+    spec: SessionSpec
+    days: dict = field(default_factory=dict)
     rejected: int = 0
     total_rows: int = 0
 
-    def dates(self) -> list:
-        """The dates that hold a trade, found by one search per date in the sorted times."""
-        days, k = [], 0
-        while k < self.times.size:
-            day = int(self.times[k]) // _DAY_US
-            days.append(_EPOCH.date() + dt.timedelta(days=day))
-            k = int(np.searchsorted(self.times, (day + 1) * _DAY_US))
-        return days
+    def add(self, times: np.ndarray, prices: np.ndarray, rows: int) -> None:
+        """Reduce the trades kept from a block of ``rows`` records, given in file order."""
+        self.total_rows += rows
+        self.rejected += rows - times.size
+        if np.any(times[1:] < times[:-1]):  # the stable sort keeps equal stamps in file order
+            order = np.argsort(times, kind="stable")
+            times, prices = times[order], prices[order]
+        k = 0
+        while k < times.size:  # one run of trades per date
+            day = int(times[k]) // _DAY_US
+            end = int(np.searchsorted(times, (day + 1) * _DAY_US))
+            self._add_day(_EPOCH.date() + dt.timedelta(days=day), times[k:end], prices[k:end])
+            k = end
 
-    def day(self, date: dt.date):
-        """(times, prices) of the trades whose wall-clock date is ``date``."""
-        lo = _wall_us(dt.datetime.combine(date, dt.time()))
-        a, b = np.searchsorted(self.times, [lo, lo + _DAY_US])
-        return self.times[a:b], self.prices[a:b]
+    def _add_day(self, date: dt.date, times: np.ndarray, prices: np.ndarray) -> None:
+        """Fold one date's sorted trades, later in the file than any before, into its _Day."""
+        grid = self.spec.grid_us(date)
+        if date not in self.days:
+            self.days[date] = _Day(self.spec)
+        day = self.days[date]
+        if times[0] < day.first_us:  # an equal stamp read earlier stays first
+            day.first_us, day.first_price = times[0], prices[0]
+        last = np.searchsorted(times, grid, side="right") - 1  # the latest at or before, or -1
+        later = (last >= 0) & (times[last] >= day.last_us)  # an equal stamp read later wins
+        day.last_us[later], day.last_price[later] = times[last[later]], prices[last[later]]
+        bins = (times[last[0] + 1 : last[-1] + 1] - grid[0]) // (LOW_TRADE_BIN_SECONDS * 1_000_000)
+        day.bins[np.minimum(day.bins.size - 1, bins)] = True
 
 
 @dataclass(frozen=True)
@@ -273,37 +300,12 @@ def _clean_block(text: str, width: int):
     return None
 
 
-def parse_ticks(path, schema: dict, spec: SessionSpec, instrument: str = "") -> TickSeries:
-    """Parse one instrument's trades from a UTF-8 CSV file in one streamed pass.
+def _trades(path, schema: dict, tz: ZoneInfo):
+    """Yield (wall-clock microseconds, prices, records read) of each block of a tick file:
+    the trades kept from its records, in file order (see parse_ticks)."""
 
-    ``schema`` maps the roles "timestamp", "price" and optionally
-    "volume" to column names in the file's header. Naive timestamps are
-    read as wall clock in the session timezone, stamps with an offset
-    are converted to it. Rows that fail to parse, lack a field, or
-    carry a price outside (0, inf), a negative volume or one too large
-    for an integer are rejected and counted. Blank lines are skipped
-    and not counted. A file that is not UTF-8, or has a field longer
-    than ``csv.field_size_limit()``, raises MalformedFile.
-
-    The file is read in blocks of ``PARSE_BLOCK_ROWS`` lines. Two splitters
-    cut them into text columns, ``str.split`` a block that ``_clean_block``
-    passes and ``csv.reader`` the others and the rest of the file after the
-    first quote, and one conversion turns the columns into trades, stamps
-    through ``_bulk_wall_us`` or else one at a time. Accepted trades are copied
-    into arrays of ``_KEEP_ROWS``; a file in wall-clock order is not re-sorted.
-    """
-    for role in ("timestamp", "price"):
-        if role not in schema:
-            raise ValueError(f"schema must name a {role} column")
-    tz = spec.tzinfo()
-    time_chunks = [np.empty(_KEEP_ROWS, np.int64)]
-    price_chunks = [np.empty(_KEEP_ROWS, np.float64)]
-    filled = rejected = total = 0
-
-    def convert(decoded, times, stamps: list, prices: list, volumes=None) -> None:
-        """Keep and count a block's trades from its text columns and ``_bulk_wall_us``."""
-        nonlocal filled, rejected, total
-        n = len(stamps)
+    def convert(decoded, times, stamps: list, prices: list, volumes=None):
+        """A block's trades from its text columns and ``_bulk_wall_us``."""
         prices = _floats(prices)
         ok = (0.0 < prices) & (prices < math.inf)
         if volumes is not None:  # int(float(v)) >= 0 exactly when -1 < v < inf
@@ -317,24 +319,13 @@ def parse_ticks(path, schema: dict, spec: SessionSpec, instrument: str = "") -> 
                 times[k] = (stamp - _EPOCH) // _US
             except (OverflowError, ValueError):
                 ok[k] = False
-        rejected += n - int(np.count_nonzero(ok))
-        total += n
-        times, prices = times[ok], prices[ok]
-        if filled + times.size > time_chunks[-1].size:  # the last chunk keeps what it holds
-            time_chunks[-1], price_chunks[-1] = time_chunks[-1][:filled], price_chunks[-1][:filled]
-            time_chunks.append(np.empty(max(_KEEP_ROWS, times.size), np.int64))
-            price_chunks.append(np.empty(time_chunks[-1].size, np.float64))
-            filled = 0
-        time_chunks[-1][filled : filled + times.size] = times
-        price_chunks[-1][filled : filled + times.size] = prices
-        filled += times.size
+        return times[ok], prices[ok], len(stamps)
 
-    def split_block(text: str, lines: list) -> None:
+    def split_block(text: str, lines: list):
         """The str.split splitter where ``_clean_block`` passes the block, else csv.reader's."""
         block = complete and _clean_block(text, width)
         if not block:
-            split_records(filter(None, csv.reader(lines)))
-            return
+            return split_records(filter(None, csv.reader(lines)))
         lines.clear()  # frees them
         text, data, cuts = block
         del block
@@ -342,9 +333,9 @@ def parse_ticks(path, schema: dict, spec: SessionSpec, instrument: str = "") -> 
         decoded, times = _bulk_wall_us(data, starts, cuts[roles[0]::width] - starts, tz)
         del data, cuts, starts  # before the fields are split: ingest's peak RSS is lower
         fields = text.replace("\n", ",").split(",")  # and "" after the last line end
-        convert(decoded, times, *(fields[i:-1:width] for i in roles))
+        return convert(decoded, times, *(fields[i:-1:width] for i in roles))
 
-    def split_records(records) -> int:
+    def split_records(records):
         """The csv.reader splitter: extra fields are ignored, missing ones read ""."""
         rows = list(records)
         if not complete or set(map(len, rows)) - {width}:  # width fields, then a "" column
@@ -355,8 +346,7 @@ def parse_ticks(path, schema: dict, spec: SessionSpec, instrument: str = "") -> 
         starts = np.append(0, ends + 1)[:-1]
         # a stamp that holds a line end sends every stamp of the block to be read on its own
         sizes = ends - starts if ends.size == len(stamps) else np.zeros(len(stamps), np.int64)
-        convert(*_bulk_wall_us(data, starts, sizes, tz), stamps, *others)
-        return len(stamps)
+        return convert(*_bulk_wall_us(data, starts, sizes, tz), stamps, *others)
 
     try:
         handle = open(path, newline="", encoding="utf-8")
@@ -377,34 +367,52 @@ def parse_ticks(path, schema: dict, spec: SessionSpec, instrument: str = "") -> 
                 text = "".join(lines)
                 if '"' in text:  # a quoted field can span lines: csv reads the rest
                     records = filter(None, csv.reader(chain(lines, handle)))
-                    while split_records(islice(records, PARSE_BLOCK_ROWS)) == PARSE_BLOCK_ROWS:
-                        pass
+                    while (block := split_records(islice(records, PARSE_BLOCK_ROWS)))[2]:
+                        yield block
                     break
-                split_block(text, lines)
+                yield split_block(text, lines)
         except (csv.Error, UnicodeDecodeError) as exc:
             raise MalformedFile(f"{path}: {exc}") from exc
-    time_chunks[-1], price_chunks[-1] = time_chunks[-1][:filled], price_chunks[-1][:filled]
-    # each list of chunks is freed once joined, so at most one copy of a column is doubled
-    times = np.concatenate(time_chunks)
-    del time_chunks
-    if not times.size:
-        raise ZeroValidRows(f"{path}: no valid tick rows ({rejected} rejected)")
-    prices = np.concatenate(price_chunks)
-    del price_chunks
-    if np.any(times[1:] < times[:-1]):  # a stable sort of non-decreasing times changes nothing
-        order = np.argsort(times, kind="stable")  # equal stamps keep their file order
-        times = times[order]
-        prices = prices[order]
-    return TickSeries(
-        instrument=instrument,
-        times=times,
-        prices=prices,
-        rejected=rejected,
-        total_rows=total,
-    )
 
 
-def sample_last_tick(ticks: TickSeries, spec: SessionSpec, date: dt.date) -> np.ndarray:
+def parse_ticks(path, schema: dict, spec: SessionSpec, instrument: str = "") -> TickDays:
+    """Parse one instrument's trades from a UTF-8 CSV file in one streamed pass.
+
+    ``schema`` maps the roles "timestamp", "price" and optionally
+    "volume" to column names in the file's header. Naive timestamps are
+    read as wall clock in the session timezone, stamps with an offset
+    are converted to it. Rows that fail to parse, lack a field, or
+    carry a price outside (0, inf), a negative volume or one too large
+    for an integer are rejected and counted. Blank lines are skipped
+    and not counted. A file that is not UTF-8, or has a field longer
+    than ``csv.field_size_limit()``, raises MalformedFile.
+
+    The file is read in blocks of ``PARSE_BLOCK_ROWS`` lines. Two splitters
+    cut them into text columns, ``str.split`` a block that ``_clean_block``
+    passes and ``csv.reader`` the others and the rest of the file after the
+    first quote, and one conversion turns the columns into trades, stamps
+    through ``_bulk_wall_us`` or else one at a time (``_trades``). Each block's
+    trades are reduced per date by ``TickDays.add`` and dropped: no file is sorted.
+    """
+    for role in ("timestamp", "price"):
+        if role not in schema:
+            raise ValueError(f"schema must name a {role} column")
+    reduced = TickDays(instrument, spec)
+    for times, prices, rows in _trades(path, schema, spec.tzinfo()):
+        reduced.add(times, prices, rows)
+    if not reduced.days:
+        raise ZeroValidRows(f"{path}: no valid tick rows ({reduced.rejected} rejected)")
+    return reduced
+
+
+def _reduced(ticks: TickDays, spec: SessionSpec, date: dt.date):
+    """The _Day of ``date``, None if it holds no trade; ``spec`` is the one reduced onto."""
+    if spec != ticks.spec:
+        raise ValueError(f"{ticks.instrument}: the trades were reduced onto another session")
+    return ticks.days.get(date)
+
+
+def sample_last_tick(ticks: TickDays, spec: SessionSpec, date: dt.date) -> np.ndarray:
     """Last-tick sampling of one day onto the session grid.
 
     Returns N + 1 prices where grid point t holds the last trade of the
@@ -412,22 +420,16 @@ def sample_last_tick(ticks: TickSeries, spec: SessionSpec, date: dt.date) -> np.
     back-filled with that first price. Raises DayUnusable when no trade
     falls inside [session_start, session_end].
     """
-    grid = spec.grid_us(date)
-    times, prices = ticks.day(date)
-    if not np.any((times >= grid[0]) & (times <= grid[-1])):
+    day = _reduced(ticks, spec, date)
+    if day is None or day.last_us[-1] < spec.grid_us(date)[0]:  # no trade in [t_0, t_N]
         raise DayUnusable(f"{ticks.instrument} {date}: no session trades")
-    return prices[np.maximum(np.searchsorted(times, grid, side="right") - 1, 0)]
+    return np.where(day.last_us > _NO_TRADE, day.last_price, day.first_price)
 
 
-def trade_fraction(ticks: TickSeries, spec: SessionSpec, date: dt.date) -> float:
+def trade_fraction(ticks: TickDays, spec: SessionSpec, date: dt.date) -> float:
     """Fraction of the session's 5-minute bins containing at least one trade."""
-    grid = spec.grid_us(date)
-    start, end = grid[0], grid[-1]
-    n_bins = max(1, spec.session_seconds // LOW_TRADE_BIN_SECONDS)
-    times, _ = ticks.day(date)
-    offsets = times[(times > start) & (times <= end)] - start
-    bins = np.minimum(n_bins - 1, offsets // (LOW_TRADE_BIN_SECONDS * 1_000_000))
-    return np.count_nonzero(np.diff(bins, prepend=-1)) / n_bins  # bins are sorted and >= 0
+    day = _reduced(ticks, spec, date)
+    return 0.0 if day is None else np.count_nonzero(day.bins) / day.bins.size
 
 
 def build_panel(price_grids: dict, date: dt.date, spec: SessionSpec) -> ReturnPanel:
@@ -453,14 +455,14 @@ def build_panels(tick_series: dict, spec: SessionSpec, calendar: TradingCalendar
     falls below the low-trade threshold (thin days are only discarded
     if all legs are thin).
     """
-    all_dates = sorted({d for s in tick_series.values() for d in s.dates()})
+    all_dates = sorted({d for s in tick_series.values() for d in s.days})
     panels = []
     drop_log = []
     for date in all_dates:
         if date in calendar.excluded_dates:
             drop_log.append((date, "excluded_date"))
             continue
-        missing = [n for n, s in tick_series.items() if not s.day(date)[0].size]
+        missing = [n for n, s in tick_series.items() if date not in s.days]
         if missing:
             drop_log.append((date, f"missing_instrument:{','.join(sorted(missing))}"))
             continue
@@ -468,16 +470,10 @@ def build_panels(tick_series: dict, spec: SessionSpec, calendar: TradingCalendar
         if all(f < calendar.low_trade_threshold for f in fractions.values()):
             drop_log.append((date, "low_trade"))
             continue
-        grids = {}
-        unusable = None
-        for name, series in tick_series.items():
-            try:
-                grids[name] = sample_last_tick(series, spec, date)
-            except DayUnusable as exc:
-                unusable = str(exc)
-                break
-        if unusable is not None:
-            drop_log.append((date, f"unusable:{unusable}"))
+        try:  # the first unusable instrument names the date's drop
+            grids = {n: sample_last_tick(s, spec, date) for n, s in tick_series.items()}
+        except DayUnusable as exc:
+            drop_log.append((date, f"unusable:{exc}"))
             continue
         panels.append(build_panel(grids, date, spec))
     return panels, drop_log

@@ -314,6 +314,15 @@ def test_rerun_replaces_every_panel(tmp_path, stage):
     assert [f"panel_{r['date']}.csv" for r in rows] == kept
 
 
+def test_output_path_with_glob_metacharacters(tmp_path):
+    """decompose finds the panels that simulate wrote under an output path that glob
+    would read as a pattern."""
+    cfg = _write_config(tmp_path)
+    for stage in ("simulate", "decompose"):
+        assert cli.main([stage, "--config", str(cfg), "--output", "gl[1]"]) == cli.EXIT_OK
+    assert (tmp_path / "gl[1]" / "outcomes.csv").exists()
+
+
 def test_ingest_rejects_non_finite_price_and_overflowing_volume(tmp_path):
     """A nan price as the last tick at a grid instant, or a volume of 1e400,
     is a rejected row; the panels equal those of the file without them."""

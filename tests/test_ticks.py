@@ -6,6 +6,7 @@ import gc
 import math
 import random
 import tracemalloc
+from dataclasses import dataclass
 from zoneinfo import ZoneInfo
 
 import numpy as np
@@ -34,6 +35,7 @@ def _tick_file(tmp_path, rows, header="time,px,vol", name="ticks.csv"):
 
 
 SCHEMA = {"timestamp": "time", "price": "px", "volume": "vol"}
+_DAY = 86_400_000_000
 
 
 def _wall_us(stamp):
@@ -42,12 +44,141 @@ def _wall_us(stamp):
 
 
 def _series(recs, instrument="X"):
+    """The reduction of (wall-clock microseconds, price) records, handed over sorted."""
     recs = sorted(recs)
-    return tk.TickSeries(
-        instrument=instrument,
-        times=np.array([t for t, _ in recs], dtype=np.int64),
-        prices=np.array([p for _, p in recs]),
-    )
+    reduced = tk.TickDays(instrument, _spec())
+    reduced.add(np.array([t for t, _ in recs], dtype=np.int64),
+                np.array([p for _, p in recs], dtype=float), len(recs))
+    return reduced
+
+
+# The held-tick path that TickDays replaced, kept as its oracle: every kept trade in
+# one array sorted by wall clock (equal stamps in file order), cut into dates by
+# searches, sampled by searchsorted and filtered into panels.
+
+
+@dataclass
+class _Held:
+    """A parsed tick file as the held-tick parser returned it."""
+
+    instrument: str
+    times: np.ndarray
+    prices: np.ndarray
+    rejected: int = 0
+    total_rows: int = 0
+
+
+def _held_parse(path, schema, spec, instrument=""):
+    """Every trade that parse_ticks' converter keeps, joined and sorted stably."""
+    blocks = list(tk._trades(path, schema, spec.tzinfo()))
+    total = sum(rows for _, _, rows in blocks)
+    times = np.concatenate([np.empty(0, np.int64), *(t for t, _, _ in blocks)])
+    prices = np.concatenate([np.empty(0), *(p for _, p, _ in blocks)])
+    if not times.size:
+        raise tk.ZeroValidRows(f"{path}: no valid tick rows ({total} rejected)")
+    order = np.argsort(times, kind="stable")
+    return _Held(instrument, times[order], prices[order], total - times.size, total)
+
+
+def _held_dates(series):
+    """The dates that hold a trade, found by one search per date in the sorted times."""
+    days, k = [], 0
+    while k < series.times.size:
+        day = int(series.times[k]) // _DAY
+        days.append(dt.date(1970, 1, 1) + dt.timedelta(days=day))
+        k = int(np.searchsorted(series.times, (day + 1) * _DAY))
+    return days
+
+
+def _held_day(series, date):
+    """(times, prices) of the trades whose wall-clock date is ``date``."""
+    lo = _wall_us(dt.datetime.combine(date, dt.time()))
+    a, b = np.searchsorted(series.times, [lo, lo + _DAY])
+    return series.times[a:b], series.prices[a:b]
+
+
+def _held_sample(series, spec, date):
+    grid = spec.grid_us(date)
+    times, prices = _held_day(series, date)
+    if not np.any((times >= grid[0]) & (times <= grid[-1])):
+        raise tk.DayUnusable(f"{series.instrument} {date}: no session trades")
+    return prices[np.maximum(np.searchsorted(times, grid, side="right") - 1, 0)]
+
+
+def _held_fraction(series, spec, date):
+    grid = spec.grid_us(date)
+    start, end = grid[0], grid[-1]
+    n_bins = max(1, spec.session_seconds // tk.LOW_TRADE_BIN_SECONDS)
+    times, _ = _held_day(series, date)
+    offsets = times[(times > start) & (times <= end)] - start
+    bins = np.minimum(n_bins - 1, offsets // (tk.LOW_TRADE_BIN_SECONDS * 1_000_000))
+    return np.count_nonzero(np.diff(bins, prepend=-1)) / n_bins
+
+
+def _held_panels(tick_series, spec, calendar):
+    all_dates = sorted({d for s in tick_series.values() for d in _held_dates(s)})
+    panels = []
+    drop_log = []
+    for date in all_dates:
+        if date in calendar.excluded_dates:
+            drop_log.append((date, "excluded_date"))
+            continue
+        missing = [n for n, s in tick_series.items() if not _held_day(s, date)[0].size]
+        if missing:
+            drop_log.append((date, f"missing_instrument:{','.join(sorted(missing))}"))
+            continue
+        fractions = {n: _held_fraction(s, spec, date) for n, s in tick_series.items()}
+        if all(f < calendar.low_trade_threshold for f in fractions.values()):
+            drop_log.append((date, "low_trade"))
+            continue
+        grids = {}
+        unusable = None
+        for name, series in tick_series.items():
+            try:
+                grids[name] = _held_sample(series, spec, date)
+            except tk.DayUnusable as exc:
+                unusable = str(exc)
+                break
+        if unusable is not None:
+            drop_log.append((date, f"unusable:{unusable}"))
+            continue
+        panels.append(tk.build_panel(grids, date, spec))
+    return panels, drop_log
+
+
+def _sampled(sample, series, spec, date):
+    """The bytes of a date's sampled grid, or the DayUnusable message."""
+    try:
+        return sample(series, spec, date).tobytes()
+    except tk.DayUnusable as exc:
+        return str(exc)
+
+
+def _parse(path, schema=SCHEMA, spec=None, instrument=""):
+    """parse_ticks' trades as the held-tick parser returned them: the blocks handed to
+    TickDays.add, joined and sorted stably, with the counts of the reduction. Each date's
+    reduction samples and counts bins as the held trades do."""
+    spec = spec or _spec()
+    blocks, add = [], tk.TickDays.add
+
+    def recorded(reduced, times, prices, rows):
+        blocks.append((times, prices))
+        add(reduced, times, prices, rows)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tk.TickDays, "add", recorded)
+        reduced = tk.parse_ticks(path, schema, spec, instrument)
+    times = np.concatenate([t for t, _ in blocks])
+    order = np.argsort(times, kind="stable")
+    series = _Held(reduced.instrument, times[order],
+                   np.concatenate([p for _, p in blocks])[order], reduced.rejected,
+                   reduced.total_rows)
+    assert sorted(reduced.days) == _held_dates(series)
+    for date in reduced.days:
+        assert _sampled(tk.sample_last_tick, reduced, spec, date) == _sampled(
+            _held_sample, series, spec, date)
+        assert tk.trade_fraction(reduced, spec, date) == _held_fraction(series, spec, date)
+    return series
 
 
 def _rec(stamp, price):
@@ -132,7 +263,7 @@ def test_session_spec_validation():
 
 def test_parse_ticks_field_mapping(tmp_path):
     path = _tick_file(tmp_path, ["2017-03-15 13:00:01,124.53125,12"])
-    series = tk.parse_ticks(path, SCHEMA, _spec(), instrument="ZN")
+    series = _parse(path, SCHEMA, _spec(), instrument="ZN")
     assert series.total_rows == 1 and series.rejected == 0
     assert series.prices.tolist() == [124.53125]
     assert series.times.dtype == np.int64
@@ -157,7 +288,7 @@ def test_parse_ticks_rejects_bad_rows(tmp_path):
             "2017-03-15 13:00:04,131.0,7",
         ],
     )
-    series = tk.parse_ticks(path, SCHEMA, _spec(), instrument="ZN")
+    series = _parse(path, SCHEMA, _spec(), instrument="ZN")
     assert series.total_rows == 5
     assert series.rejected == 3
     assert len(series.times) == 2
@@ -167,7 +298,7 @@ def test_parse_ticks_rejects_bad_rows(tmp_path):
 def test_parse_ticks_rejects_short_rows(tmp_path):
     """A row without its timestamp field is rejected, not a crash."""
     path = _tick_file(tmp_path, ["100.0,5,2017-03-15T09:00:01", "100.5,3"], header="px,vol,ts")
-    series = tk.parse_ticks(path, {"timestamp": "ts", "price": "px", "volume": "vol"}, _spec())
+    series = _parse(path, {"timestamp": "ts", "price": "px", "volume": "vol"}, _spec())
     assert series.total_rows == 2 and series.rejected == 1
     assert series.prices.tolist() == [100.0]
 
@@ -177,7 +308,7 @@ def test_parse_ticks_sorts_and_schema_validation(tmp_path):
         tmp_path,
         ["2017-03-15 13:00:05,10,1", "2017-03-15 13:00:01,11,1"],
     )
-    series = tk.parse_ticks(path, SCHEMA, _spec())
+    series = _parse(path, SCHEMA, _spec())
     assert series.times.tolist() == sorted(series.times.tolist())
     assert series.prices.tolist() == [11.0, 10.0]
     with pytest.raises(ValueError, match="price"):
@@ -199,14 +330,14 @@ def test_parse_ticks_orders_by_session_wall_clock(tmp_path):
             "2017-11-06T05:59:59+00:00,5,1",  # 23:59:59 CST on Nov 5
         ],
     )
-    series = tk.parse_ticks(path, SCHEMA, _spec())
+    series = _parse(path, SCHEMA, _spec())
     assert series.prices.tolist() == [1.0, 3.0, 4.0, 2.0, 5.0]
     at = dt.datetime(2017, 11, 5, 1, 30)
     assert series.times[:3].tolist() == [_wall_us(at)] * 3
-    assert series.dates() == [dt.date(2017, 11, 5)]
-    _, prices = series.day(dt.date(2017, 11, 5))
+    assert _held_dates(series) == [dt.date(2017, 11, 5)]
+    _, prices = _held_day(series, dt.date(2017, 11, 5))
     assert prices.tolist() == [1.0, 3.0, 4.0, 2.0, 5.0]
-    assert series.day(dt.date(2017, 11, 6))[0].size == 0
+    assert _held_day(series, dt.date(2017, 11, 6))[0].size == 0
 
 
 def test_parse_ticks_rejects_non_finite_prices_and_overflowing_volumes(tmp_path):
@@ -221,7 +352,7 @@ def test_parse_ticks_rejects_non_finite_prices_and_overflowing_volumes(tmp_path)
             "2017-03-15 13:00:06,124.5,3",
         ],
     )
-    series = tk.parse_ticks(path, SCHEMA, _spec())
+    series = _parse(path, SCHEMA, _spec())
     assert series.total_rows == 6 and series.rejected == 5
     assert series.prices.tolist() == [124.5]
 
@@ -231,7 +362,7 @@ def test_parse_ticks_rejects_offset_stamps_outside_the_calendar(tmp_path):
     path = _tick_file(
         tmp_path, ["0001-01-01T00:30:00+01:00,100,1", "2017-03-15 13:00:01,100,1"]
     )
-    series = tk.parse_ticks(path, SCHEMA, _spec())
+    series = _parse(path, SCHEMA, _spec())
     assert series.total_rows == 2 and series.rejected == 1
     assert series.prices.tolist() == [100.0]
 
@@ -266,8 +397,8 @@ def _dictreader_parse(path, schema, spec):
     if not times:
         raise tk.ZeroValidRows(f"{path}: no valid tick rows ({rejected} rejected)")
     order = np.argsort(np.array(times, dtype=np.int64), kind="stable")
-    return tk.TickSeries("", np.array(times, dtype=np.int64)[order], np.array(prices)[order],
-                         rejected, total)
+    return _Held("", np.array(times, dtype=np.int64)[order], np.array(prices)[order],
+                 rejected, total)
 
 
 def _outcome(parse, path, schema):
@@ -358,7 +489,7 @@ def test_parse_ticks_matches_dictreader_oracle(tmp_path_factory, case):
     files out of wall-clock order."""
     path = _write_case(tmp_path_factory.mktemp("ticks") / "ticks.csv", case)
     schema = {"timestamp": "ts", "price": "px", "volume": "vol"}
-    assert _outcome(tk.parse_ticks, path, schema) == _outcome(_dictreader_parse, path, schema)
+    assert _outcome(_parse, path, schema) == _outcome(_dictreader_parse, path, schema)
 
 
 @pytest.mark.parametrize("block_rows", [1, 2, 3])
@@ -371,7 +502,7 @@ def test_parse_ticks_matches_dictreader_oracle_across_block_edges(tmp_path_facto
     schema = {"timestamp": "ts", "price": "px", "volume": "vol"}
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tk, "PARSE_BLOCK_ROWS", block_rows)
-        outcome = _outcome(tk.parse_ticks, path, schema)
+        outcome = _outcome(_parse, path, schema)
     assert outcome == _outcome(_dictreader_parse, path, schema)
 
 
@@ -389,7 +520,7 @@ def test_parse_ticks_file_of_whole_blocks(tmp_path, monkeypatch, block_rows):
     if block_rows:
         monkeypatch.setattr(tk, "PARSE_BLOCK_ROWS", block_rows)
     n = 2 * tk.PARSE_BLOCK_ROWS
-    series = tk.parse_ticks(_tick_file(tmp_path, _second_rows(n)), SCHEMA, _spec())
+    series = _parse(_tick_file(tmp_path, _second_rows(n)), SCHEMA, _spec())
     assert series.total_rows == n and series.rejected == 0
     start = _wall_us(dt.datetime(2017, 3, 15))
     assert series.times.tolist() == [start + k * 1_000_000 for k in range(n)]
@@ -435,8 +566,8 @@ def _rule_parse(path, schema, spec):
     if not times:
         raise tk.ZeroValidRows(f"{path}: no valid tick rows ({rejected} rejected)")
     order = np.argsort(np.array(times, dtype=np.int64), kind="stable")
-    return tk.TickSeries("", np.array(times, dtype=np.int64)[order], np.array(prices)[order],
-                         rejected, total)
+    return _Held("", np.array(times, dtype=np.int64)[order], np.array(prices)[order],
+                 rejected, total)
 
 
 _EDGE_FIELDS = {
@@ -500,7 +631,7 @@ def test_parse_ticks_column_path_matches_dictreader_oracle(tmp_path_factory, cas
     path = tmp_path_factory.mktemp("ticks") / "ticks.csv"
     path.write_bytes(case.encode())
     schema = {"timestamp": "ts", "price": "px", "volume": "vol"}
-    assert _outcome(tk.parse_ticks, path, schema) == _outcome(_rule_parse, path, schema)
+    assert _outcome(_parse, path, schema) == _outcome(_rule_parse, path, schema)
 
 
 def test_parse_ticks_same_series_when_no_block_qualifies(tmp_path, monkeypatch):
@@ -525,10 +656,10 @@ def test_parse_ticks_same_series_when_no_block_qualifies(tmp_path, monkeypatch):
     verdicts = []
     monkeypatch.setattr(tk, "_clean_block",
                         lambda *args: verdicts.append(gate(*args)) or verdicts[-1])
-    columns = tk.parse_ticks(path, SCHEMA, _spec())
+    columns = _parse(path, SCHEMA, _spec())
     assert len(verdicts) == 4 and None not in verdicts  # every block took the column path
     monkeypatch.setattr(tk, "_clean_block", lambda *args: None)
-    rows = tk.parse_ticks(path, SCHEMA, _spec())
+    rows = _parse(path, SCHEMA, _spec())
     assert columns.rejected > 0
     assert (columns.times.tobytes(), columns.prices.tobytes(), columns.rejected,
             columns.total_rows) == (rows.times.tobytes(), rows.prices.tobytes(), rows.rejected,
@@ -558,7 +689,7 @@ def test_parse_ticks_offset_stamps_match_astimezone_near_transitions(tmp_path, m
     convert, converted = tk._zone_wall_us, []
     monkeypatch.setattr(tk, "_zone_wall_us",
                         lambda utc, tz: converted.append(utc.size) or convert(utc, tz))
-    series = tk.parse_ticks(path, SCHEMA, spec)
+    series = _parse(path, SCHEMA, spec)
     oracle = _rule_parse(path, SCHEMA, spec)
     assert len(moves) == (1 if zone == "Asia/Kathmandu" else 2)
     assert sum(converted) == len(rows) == series.total_rows and series.rejected == 0
@@ -588,7 +719,7 @@ def test_parse_ticks_quoted_and_crlf_files_decode_offset_stamps_in_bulk(tmp_path
         with open(path, "w", newline="") as handle:
             csv.writer(handle, **options).writerows(rows)
         converted.clear()
-        series = tk.parse_ticks(path, SCHEMA, _spec())
+        series = _parse(path, SCHEMA, _spec())
         assert sum(converted) == zoned, name
         outcomes.append((series.times.tobytes(), series.prices.tobytes(), series.rejected,
                          series.total_rows))
@@ -605,43 +736,45 @@ def test_parse_ticks_stamp_holding_a_line_end(tmp_path):
             ["time", "px", "vol"], ["2017-11-05T01:30:00-05:00", "100", "1"],
             ["2017-11-05T01:40:00\n", "101", "1"], ["2017-11-05T06:50:00+00:00", "102", "1"],
             ["2017-11-05\nT01:55:00", "103", "1"], ["2017-11-05T02:00:00", "104", "1"]])
-    assert _outcome(tk.parse_ticks, path, SCHEMA) == _outcome(_rule_parse, path, SCHEMA)
+    assert _outcome(_parse, path, SCHEMA) == _outcome(_rule_parse, path, SCHEMA)
     assert tk.parse_ticks(path, SCHEMA, _spec()).total_rows == 5
 
 
-def test_parse_ticks_keeps_trades_across_chunks(tmp_path, monkeypatch):
-    """Accepted trades copied into many small chunks, some blocks larger than a chunk,
-    join into the oracle's series."""
-    monkeypatch.setattr(tk, "_KEEP_ROWS", 5)
+def test_parse_ticks_reduces_trades_across_blocks(tmp_path, monkeypatch):
+    """Trades reduced seven records at a time, rejected rows among them, give the
+    oracle's series, and each date's reduction samples as the held trades do."""
     monkeypatch.setattr(tk, "PARSE_BLOCK_ROWS", 7)
-    rows = _second_rows(100)
-    rows[3::11] = ["2017-03-15T01:00:00,n/a,1"] * len(rows[3::11])
+    start = dt.datetime(2017, 3, 15, 8, 40)
+    rows = [f"{(start + dt.timedelta(seconds=47 * k)).isoformat()},{100 + k % 89 / 16},1"
+            for k in range(200)]
+    rows[3::11] = ["2017-03-15T09:30:00,n/a,1"] * len(rows[3::11])
     path = _tick_file(tmp_path, rows, header="ts,px,vol")
     schema = {"timestamp": "ts", "price": "px", "volume": "vol"}
-    assert _outcome(tk.parse_ticks, path, schema) == _outcome(_dictreader_parse, path, schema)
+    assert _outcome(_parse, path, schema) == _outcome(_dictreader_parse, path, schema)
 
 
-@pytest.mark.parametrize("shuffled, bound", [(False, 32), (True, 48)],
-                         ids=["in-order", "shuffled"])
-def test_parse_ticks_peak_memory_per_row(tmp_path, shuffled, bound):
-    """Accepted trades are held at 16 bytes each while the file is read, so the
-    peak of Python and numpy allocations stays near the result's 16 bytes per
-    row; a sort adds the order and the gathered copies."""
-    n = 100_000
-    rows = _second_rows(n)
-    if shuffled:
-        random.Random(0).shuffle(rows)
-    path = _tick_file(tmp_path, rows)
-    del rows
-    gc.collect()
-    tracemalloc.start()
-    try:
-        series = tk.parse_ticks(path, SCHEMA, _spec())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert series.total_rows == n and series.times.size == n
-    assert peak / n <= bound, f"peak {peak / n:.1f} B per row"
+@pytest.mark.parametrize("shuffled", [False, True], ids=["in-order", "shuffled"])
+def test_parse_ticks_peak_memory_per_row(tmp_path, shuffled):
+    """No trade is held once its block is read, in or out of wall-clock order: the
+    peak of Python and numpy allocations while parsing 4n rows stays within 64 KiB
+    of the peak at n rows, and under the 32 bytes per row that held trades took."""
+    peaks = []
+    for n in (50_000, 200_000):
+        rows = _second_rows(n)
+        if shuffled:
+            random.Random(0).shuffle(rows)
+        path = _tick_file(tmp_path, rows, name=f"{n}.csv")
+        del rows
+        gc.collect()
+        tracemalloc.start()
+        try:
+            series = tk.parse_ticks(path, SCHEMA, _spec())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert series.total_rows == n and series.rejected == 0
+        assert peaks[-1] / n <= 32, f"peak {peaks[-1] / n:.1f} B per row"
+    assert peaks[1] - peaks[0] <= 64 << 10, f"peaks {peaks}"
 
 
 def test_last_tick_sampling_rule():
@@ -675,6 +808,15 @@ def test_no_session_trades_unusable():
         tk.sample_last_tick(_series(recs), _spec(), date)
 
 
+def test_reduction_is_read_under_its_own_session():
+    """Trades reduced onto one grid are not sampled or binned under another session."""
+    date = dt.date(2017, 3, 15)
+    series = _series([_rec("2017-03-15 09:00:30", 101.5)])
+    for read in (tk.sample_last_tick, tk.trade_fraction):
+        with pytest.raises(ValueError, match="another session"):
+            read(series, _spec(interval=300), date)
+
+
 def test_sampling_idempotent_on_gridded_series():
     date = dt.date(2017, 3, 15)
     spec = _spec()
@@ -686,7 +828,8 @@ def test_sampling_idempotent_on_gridded_series():
 
 
 def test_array_sampling_matches_per_tick_loops():
-    """day, sample_last_tick and trade_fraction equal the per-tick loops they replaced."""
+    """The held trades' day cut, sample_last_tick and trade_fraction equal the per-tick
+    loops they replaced."""
     rng = np.random.default_rng(3)
     spec = _spec(interval=60)
     day0 = dt.date(2017, 3, 14)
@@ -695,10 +838,13 @@ def test_array_sampling_matches_per_tick_loops():
     secs[::3] -= secs[::3] % 60  # some trades sit exactly on a grid instant
     edges = [k * 86_400 + h * 3600 for k in range(3) for h in (9, 10)]  # session bounds
     times = np.sort(midnight + np.repeat(np.append(secs, edges), 2) * 1_000_000)  # with ties
-    series = tk.TickSeries("X", times, rng.uniform(99.0, 101.0, times.size))
+    held = _Held("X", times, rng.uniform(99.0, 101.0, times.size))
+    series = tk.TickDays("X", spec)
+    series.add(held.times, held.prices, times.size)
+    assert sorted(series.days) == [day0 + dt.timedelta(days=k) for k in range(3)]
     for k in range(3):
         date = day0 + dt.timedelta(days=k)
-        day = [(t, p) for t, p in zip(series.times.tolist(), series.prices.tolist())
+        day = [(t, p) for t, p in zip(held.times.tolist(), held.prices.tolist())
                if (t - midnight) // 86_400_000_000 == k]
         grid = spec.grid_us(date).tolist()
         expected, last, idx = [], None, 0
@@ -708,28 +854,26 @@ def test_array_sampling_matches_per_tick_loops():
                 idx += 1
             expected.append(day[0][1] if last is None else last)
         hit = {min(11, (t - grid[0]) // 300_000_000) for t, _ in day if grid[0] < t <= grid[-1]}
-        assert series.day(date)[1].tolist() == [p for _, p in day]
+        assert _held_day(held, date)[1].tolist() == [p for _, p in day]
         assert tk.sample_last_tick(series, spec, date).tolist() == expected
         assert tk.trade_fraction(series, spec, date) == len(hit) / 12
-
-
-_DAY = 86_400_000_000
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(-3 * _DAY, 40 * _DAY), max_size=60)
        | st.lists(st.sampled_from([-_DAY - 1, -_DAY, -1, 0, 1, _DAY - 1, _DAY]), max_size=8))
 def test_dates_and_trade_fraction_match_np_unique(stamps):
-    """dates() and trade_fraction count the distinct values of their sorted arrays as
-    np.unique did: days before 1970, stamps on and next to midnight, empty series."""
+    """The reduction's dates and trade_fraction count the distinct values of sorted arrays
+    as np.unique did: days before 1970, stamps on and next to midnight, no trades."""
     times = np.sort(np.array(stamps, dtype=np.int64))
-    series = tk.TickSeries("X", times, np.ones(times.size))
-    expected = [dt.date(1970, 1, 1) + dt.timedelta(days=int(d)) for d in np.unique(times // _DAY)]
-    assert series.dates() == expected
     spec = _spec("00:00", "23:00", 60)
+    series = tk.TickDays("X", spec)
+    series.add(times, np.ones(times.size), times.size)
+    expected = [dt.date(1970, 1, 1) + dt.timedelta(days=int(d)) for d in np.unique(times // _DAY)]
+    assert sorted(series.days) == expected
     for date in [*expected, dt.date(1970, 1, 1)]:
         grid = spec.grid_us(date)
-        day, _ = series.day(date)
+        day = times[times // _DAY == (date - dt.date(1970, 1, 1)).days]
         offsets = day[(day > grid[0]) & (day <= grid[-1])] - grid[0]
         bins = np.minimum(275, offsets // 300_000_000)
         assert tk.trade_fraction(series, spec, date) == len(np.unique(bins)) / 276
@@ -828,6 +972,104 @@ def test_thin_day_kept_when_one_leg_active():
     panels, drop_log = tk.build_panels({"X": x, "Y": y}, spec, cal)
     assert len(panels) == 1
     assert drop_log == []
+
+
+# Trades around Chicago's 02:00 switches: the session 00:30-03:30 (N = 12, 36 five-minute
+# bins) holds the hour that 2017-03-12 skips and the one that 2017-11-05 repeats.
+_ORACLE_SPEC = _spec("00:30", "03:30", 900)
+_ORACLE_DATES = [dt.date(2017, 3, 10), dt.date(2017, 3, 12), dt.date(2017, 3, 13),
+                 dt.date(2017, 11, 5)]
+_GRID_SECONDS = [1800 + 900 * k for k in range(13)]
+_SECONDS = {  # seconds of the day by what a date holds for one instrument
+    "absent": st.nothing(),
+    "outside": st.integers(0, 1799) | st.integers(12_601, 18_000),  # before open, after close
+    "open": st.integers(0, 1800) | st.just(1800),  # the one session trade, if any, at the open
+    "thin": st.integers(1800, 2700) | st.sampled_from([1800, 1805, 2700]),
+    "dense": st.integers(0, 18_000) | st.sampled_from(_GRID_SECONDS + [1805, 9000, 9001]),
+}
+
+
+@st.composite
+def _oracle_trades(draw):
+    """One instrument's rows as (date, second of the day, price text, stamp form)."""
+    rows = []
+    for date in _ORACLE_DATES:
+        kind = draw(st.sampled_from(list(_SECONDS)))
+        for _ in range(0 if kind == "absent" else draw(st.integers(1, 14))):
+            price = draw(st.sampled_from(["99.5", "100", "100.25", "101.0625", "n/a"]))
+            form = draw(st.sampled_from(["naive", "naive", "local", "folded", "utc"]))
+            rows.append((date, draw(_SECONDS[kind]), price, form))
+    order = draw(st.sampled_from(["drawn", "sorted", "shuffled"]))
+    if order == "sorted":
+        rows.sort(key=lambda row: row[:2])
+    elif order == "shuffled":
+        rows = draw(st.permutations(rows))
+    return rows
+
+
+def _oracle_line(date, second, price, form):
+    wall = dt.datetime.combine(date, dt.time()) + dt.timedelta(seconds=second)
+    if form == "naive":
+        return f"{wall.isoformat()},{price},1"
+    local = wall.replace(tzinfo=ZoneInfo(TZ), fold=int(form == "folded"))
+    stamp = local.astimezone(dt.timezone.utc) if form == "utc" else local
+    return f"{stamp.isoformat()},{price},1"
+
+
+def _oracle_outcome(parse, build, paths, calendar):
+    """The panels' dates, legs and return bytes and the drop log, or ZeroValidRows."""
+    try:
+        series = {name: parse(path, SCHEMA, _ORACLE_SPEC, name) for name, path in paths.items()}
+    except tk.ZeroValidRows as exc:
+        return str(exc)
+    panels, drop_log = build(series, _ORACLE_SPEC, calendar)
+    return [(p.date, p.instruments, p.returns.tobytes()) for p in panels], drop_log
+
+
+_ORACLE_EXAMPLE = (  # every kind of date, and equal stamps within and across blocks of 3
+    3, set(), 0.02,
+    {"A": [(_ORACLE_DATES[0], 2000, "100", "naive"), (_ORACLE_DATES[0], 2700, "101.0625", "utc"),
+           (_ORACLE_DATES[0], 1805, "99.5", "naive"), (_ORACLE_DATES[0], 1805, "100.25", "local"),
+           (_ORACLE_DATES[0], 3600, "n/a", "naive"), (_ORACLE_DATES[0], 3600, "100", "naive"),
+           (_ORACLE_DATES[0], 3600, "101.0625", "utc"), (_ORACLE_DATES[0], 12_700, "99.5", "naive"),
+           (_ORACLE_DATES[1], 100, "100", "naive"), (_ORACLE_DATES[1], 13_000, "101.0625", "utc"),
+           (_ORACLE_DATES[2], 4000, "100.25", "naive"),
+           (_ORACLE_DATES[3], 5400, "100", "folded"), (_ORACLE_DATES[3], 5400, "99.5", "local"),
+           (_ORACLE_DATES[3], 1800, "101.0625", "naive")],
+     "B": [(_ORACLE_DATES[3], 12_600, "100.25", "naive"), (_ORACLE_DATES[0], 9000, "100", "naive"),
+           (_ORACLE_DATES[0], 1800, "100.25", "utc"), (_ORACLE_DATES[3], 0, "99.5", "naive"),
+           (_ORACLE_DATES[1], 3600, "100", "local"), (_ORACLE_DATES[3], 7200, "101.0625", "local")]},
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.tuples(st.sampled_from([1, 2, 3, 7, tk.PARSE_BLOCK_ROWS]),
+                      st.sets(st.sampled_from(_ORACLE_DATES), max_size=1),
+                      st.sampled_from([0.02, 0.1, 0.3]),
+                      st.fixed_dictionaries({"A": _oracle_trades(), "B": _oracle_trades()})))
+@example(case=_ORACLE_EXAMPLE)
+@example(case=(2, set(), 0.02, {"A": [(_ORACLE_DATES[0], 1800, "100", "naive"),
+                                      (_ORACLE_DATES[0], 900, "101.0625", "naive"),
+                                      (_ORACLE_DATES[1], 1800, "99.5", "naive")],
+                                "B": [(_ORACLE_DATES[0], 3600, "100", "naive"),
+                                      (_ORACLE_DATES[1], 600, "100", "naive"),
+                                      (_ORACLE_DATES[1], 1800, "100.25", "naive")]}))
+def test_build_panels_matches_held_tick_oracle(tmp_path_factory, case):
+    """Panels and drop log from the per-date reduction equal, bit for bit, those of the
+    held-tick path on drawn files: rows in, out of and shuffled from wall-clock order,
+    equal stamps within and across blocks, trades before the open, after the close and
+    on grid instants (a date whose one session trade is at the open included), offset stamps on both DST switch dates, thin dates, dates with
+    out-of-session trades only and dates that one instrument lacks."""
+    block_rows, excluded, threshold, trades = case
+    folder = tmp_path_factory.mktemp("oracle")
+    paths = {name: _tick_file(folder, [_oracle_line(*row) for row in rows], name=f"{name}.csv")
+             for name, rows in trades.items()}
+    calendar = tk.TradingCalendar(frozenset(excluded), threshold)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tk, "PARSE_BLOCK_ROWS", block_rows)
+        reduced = _oracle_outcome(tk.parse_ticks, tk.build_panels, paths, calendar)
+        held = _oracle_outcome(_held_parse, _held_panels, paths, calendar)
+    assert reduced == held
 
 
 def test_calendar_threshold_validation():

@@ -405,79 +405,32 @@ def _file_hash(path: str) -> str:
 def cmd_report(config: RunConfig) -> int:
     """Aggregate decompositions into the summary tables and manifest."""
     from . import events, pipeline
-    dec_path = os.path.join(config.output, "decompositions.csv")
-    ev_path = os.path.join(config.output, "events.csv")
-    tuple_path = os.path.join(config.output, "tuple_days.csv")
-    for p in (dec_path, ev_path):
+    paths = [os.path.join(config.output, name)
+             for name in ("decompositions.csv", "events.csv", "tuple_days.csv")]
+    for p in paths:
         if not os.path.exists(p):
             raise OSError(f"missing decomposition output: {p}")
+    dec_path, ev_path, tuple_path = paths
     decomps = pipeline.read_decompositions(dec_path)
     if not decomps:
         raise OSError(f"{dec_path} has no rows: decompose processed no day")
     event_rows = pipeline.read_events_csv(ev_path, config.session)
-    by_pair: dict = {}
-    for rec in decomps:
-        by_pair.setdefault(rec.pair, []).append(rec)
-
-    events.write_cj_qv_table(
-        events.cj_qv_summary(decomps), os.path.join(config.output, "cj_qv_share.csv")
+    degenerate = events.write_report(
+        config.output, decomps, [row["index"] for row in event_rows],
+        pipeline.read_tuple_labels(tuple_path), config.announcements, config.session,
+        config.histogram_bin_minutes,
     )
-
-    degenerate = []
-    fits = {"correlation_regression": [], "announcement_logit": []}
-    news_dates = config.announcements or frozenset()
-    for pair in sorted(by_pair):  # both fits are exact sums, so the rows' order is free
-        recs = by_pair[pair]
-        finite = [r for r in recs if np.isfinite(r.corr_total) and np.isfinite(r.corr_cont)]
-        for table, fit, args in (
-            ("correlation_regression", events.correlation_impact_regression,
-             ([r.corr_total for r in finite], [r.corr_cont for r in finite])),
-            ("announcement_logit", events.announcement_logit,
-             ([1.0 if r.classification == "co_jump" else 0.0 for r in recs],
-              [1.0 if r.date in news_dates else 0.0 for r in recs])),
-        ):
-            try:
-                res = fit(*args)
-            except events.DegenerateFit as exc:
-                res = None
-                degenerate.append([table, "-".join(pair), str(exc)])
-            fits[table].append((pair, res))
-    events.write_regression_table(fits["correlation_regression"],
-                                  os.path.join(config.output, "correlation_regression.csv"))
-    events.write_logit_table(fits["announcement_logit"],
-                             os.path.join(config.output, "announcement_logit.csv"))
-
-    sample_dates = sorted({r.date for r in decomps})
-    rows6 = []
-    if config.announcements is not None and os.path.exists(tuple_path):
-        labels_by_tuple = pipeline.read_tuple_labels(tuple_path)
-        for name in sorted(labels_by_tuple):
-            table = events.shift_rotation_table(
-                labels_by_tuple[name], config.announcements, sample_dates
-            )
-            rows6.append((name, table))
-    events.write_shift_rotation_table(rows6, os.path.join(config.output, "shift_rotation.csv"))
-
-    bin_starts, counts = events.intraday_histogram(
-        [row["index"] for row in event_rows], config.histogram_bin_minutes, config.session
-    )
-    events.write_histogram(bin_starts, counts, os.path.join(config.output, "histogram.csv"))
-
-    for table, pair, reason in sorted(degenerate):
+    for table, pair, reason in degenerate:
         fields = {"warning": "degenerate_fit", "table": table, "pair": pair, "message": reason}
         sys.stderr.write(json.dumps(fields, sort_keys=True) + "\n")
-    inputs = {}
-    for p in (dec_path, ev_path, tuple_path):
-        if os.path.exists(p):
-            inputs[os.path.basename(p)] = _file_hash(p)
     manifest = {
         "config_hash": _config_hash(config),
-        "inputs": inputs,
+        "inputs": {os.path.basename(p): _file_hash(p) for p in paths},
         "package_version": __version__,
         "seed": config.seed,
         "alpha": config.alpha,
         "b_reps": config.b_reps,
-        "degenerate_fits": sorted(degenerate),
+        "degenerate_fits": degenerate,
     }
     with open(os.path.join(config.output, "manifest.json"), "w") as handle:
         json.dump(manifest, handle, sort_keys=True, indent=2)

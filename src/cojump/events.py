@@ -9,6 +9,8 @@ by announcement status.
 Announcements enter at the level of the day, as a set of dates, and a
 co-jump's intraday moment as the grid index of its interval; the
 histogram turns indices into wall-clock bins through the session alone.
+``write_report`` builds the rows of all five tables, declared once in
+``_TABLES``, before it writes any of them.
 
 Both fits are computed by hand on purpose: OLS in exact integer
 arithmetic with an HC0 sandwich, and the logit, which its one binary
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import datetime as dt
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -347,51 +350,64 @@ def shift_rotation_table(day_labels: dict, announcement_dates, sample_dates) -> 
     return rows
 
 
-def write_cj_qv_table(rows: list, path) -> None:
-    """Co-jump share table: pair, days_cj, qv_total, pct_cj_qv."""
-    write_csv(
-        path,
-        ["pair", "days_cj", "qv_total", "pct_cj_qv"],
-        (["-".join(r["pair"]), r["days_cj"], r["qv_total"], r["pct_cj_qv"]] for r in rows),
-    )
+_TABLES = {  # each table of a report run: its file name and header
+    "cj_qv_share.csv": ["pair", "days_cj", "qv_total", "pct_cj_qv"],
+    "correlation_regression.csv": ["pair", "alpha", "beta", "r_squared", "wald_p"],
+    "announcement_logit.csv": ["pair", "beta0", "beta1", "se_beta0", "se_beta1",
+                               "pseudo_r_squared"],
+    "shift_rotation.csv": ["tuple", "segment", "n_rotation", "pct_rotation", "n_up_shift",
+                           "pct_up_shift", "n_down_shift", "pct_down_shift", "n_days_cj",
+                           "pct_days_cj", "n_segment_days"],
+    "histogram.csv": ["bin_start", "count"],
+}
 
 
-def _fit_rows(rows: list, fields: tuple):
-    """One row per (pair, fit); a fit of None (degenerate) leaves its cells blank."""
-    for pair, res in rows:
-        yield ["-".join(pair), *(None if res is None else getattr(res, f) for f in fields)]
+def write_report(out, decomps: list, event_indices: list, labels_by_tuple: dict, announcements,
+                 spec: SessionSpec, bin_minutes: int) -> list:
+    """The five tables of a report run, written into the directory ``out`` once every row is built.
 
-
-def write_regression_table(rows: list, path) -> None:
-    """Correlation regression table: pair, alpha, beta, r_squared, wald_p."""
-    fields = ("alpha", "beta", "r_squared", "wald_p")
-    write_csv(path, ["pair", *fields], _fit_rows(rows, fields))
-
-
-def write_logit_table(rows: list, path) -> None:
-    """Announcement logit table: pair, beta0, beta1, ses, pseudo R2."""
-    fields = ("beta0", "beta1", "se_beta0", "se_beta1", "pseudo_r_squared")
-    write_csv(path, ["pair", *fields], _fit_rows(rows, fields))
-
-
-_SHIFT_ROTATION_FIELDS = (
-    "segment n_rotation pct_rotation n_up_shift pct_up_shift n_down_shift pct_down_shift "
-    "n_days_cj pct_days_cj n_segment_days"
-).split()
-
-
-def write_shift_rotation_table(rows_by_tuple: list, path) -> None:
-    """Shift/rotation table keyed by instrument tuple and segment."""
-    write_csv(
-        path,
-        ["tuple", *_SHIFT_ROTATION_FIELDS],
-        (
-            [name, *(r[f] for f in _SHIFT_ROTATION_FIELDS)]
-            for name, rows in rows_by_tuple
-            for r in rows
-        ),
-    )
+    ``announcements`` is the set of news dates, or None without an announcements block: the
+    logit then has no news day and shift_rotation.csv no row. A fit with no defined solution
+    leaves its row's cells blank; returns the sorted [table, pair, message] list of those fits.
+    """
+    by_pair: dict = {}
+    for rec in decomps:
+        by_pair.setdefault(rec.pair, []).append(rec)
+    rows = {name: [] for name in _TABLES if name != "histogram.csv"}
+    rows["cj_qv_share.csv"] = [["-".join(r["pair"]), r["days_cj"], r["qv_total"], r["pct_cj_qv"]]
+                               for r in cj_qv_summary(decomps)]
+    degenerate = []
+    news_dates = announcements or frozenset()
+    for pair in sorted(by_pair):  # both fits are exact sums, so the rows' order is free
+        recs = by_pair[pair]
+        finite = [r for r in recs if np.isfinite(r.corr_total) and np.isfinite(r.corr_cont)]
+        for table, fit, args in (
+            ("correlation_regression", correlation_impact_regression,
+             ([r.corr_total for r in finite], [r.corr_cont for r in finite])),
+            ("announcement_logit", announcement_logit,
+             ([1.0 if r.classification == "co_jump" else 0.0 for r in recs],
+              [1.0 if r.date in news_dates else 0.0 for r in recs])),
+        ):
+            header = _TABLES[f"{table}.csv"]
+            try:
+                res = fit(*args)
+                cells = [getattr(res, f) for f in header[1:]]
+            except DegenerateFit as exc:
+                cells = [None] * (len(header) - 1)
+                degenerate.append([table, "-".join(pair), str(exc)])
+            rows[f"{table}.csv"].append(["-".join(pair), *cells])
+    if announcements is not None:
+        sample_dates = sorted({r.date for r in decomps})
+        for name in sorted(labels_by_tuple):
+            rows["shift_rotation.csv"] += (
+                [name, *(r[f] for f in _TABLES["shift_rotation.csv"][1:])]
+                for r in shift_rotation_table(labels_by_tuple[name], announcements, sample_dates))
+    bin_starts, counts = intraday_histogram(event_indices, bin_minutes, spec)
+    for name, table in rows.items():
+        write_csv(os.path.join(out, name), _TABLES[name], table)
+    write_histogram(bin_starts, counts, os.path.join(out, "histogram.csv"))
+    return sorted(degenerate)
 
 
 def write_histogram(bin_starts: list, counts, path) -> None:
-    write_csv(path, ["bin_start", "count"], ([t, int(c)] for t, c in zip(bin_starts, counts)))
+    write_csv(path, _TABLES["histogram.csv"], ([t, int(c)] for t, c in zip(bin_starts, counts)))

@@ -534,6 +534,7 @@ def test_report_on_empty_decompositions(capsys, tmp_path):
         "corr_total,corr_cont\n"
     )
     (out / "events.csv").write_text("date,pair,index,time,size_1,size_2\n")
+    (out / "tuple_days.csv").write_text("date,tuple,label\n")
     assert cli.main(["report", "--config", str(cfg)]) == cli.EXIT_IO
     msg = _stderr_json(capsys)
     assert msg["error"] == "io"
@@ -694,20 +695,48 @@ REPORT_FILES = ("cj_qv_share.csv", "correlation_regression.csv", "announcement_l
                 "shift_rotation.csv", "histogram.csv", "manifest.json")
 
 
+def _report_fails_before_any_table(capsys, full_run, name, edit, config=None):
+    """``edit`` one intermediate of a finished run and delete its report files: report
+    exits 2 naming the file and writes no report file. Returns the error message."""
+    tmp_path, cfg = full_run
+    out = tmp_path / "out"
+    edit(out / name)
+    for table in REPORT_FILES:
+        (out / table).unlink()
+    assert cli.main(["report", "--config", str(config or cfg)]) == cli.EXIT_IO
+    message = _io_error_message(capsys, name)
+    assert not any((out / table).exists() for table in REPORT_FILES)
+    return message
+
+
 @pytest.mark.parametrize("column, value", [("index", "9999"), ("index", "-1"),
                                            ("time", "11:31:00")])
 def test_event_off_the_session_grid_is_io_error(capsys, full_run, column, value):
     """An events.csv row off the grid fails report with exit 2 before any table is written."""
-    tmp_path, cfg = full_run
-    out = tmp_path / "out"
-    rows = list(csv.reader(open(out / "events.csv", newline="")))
-    rows[1][rows[0].index(column)] = value
-    (out / "events.csv").write_text("".join(",".join(r) + "\n" for r in rows))
-    for name in REPORT_FILES:
-        (out / name).unlink()
-    assert cli.main(["report", "--config", str(cfg)]) == cli.EXIT_IO
-    assert "not an interval of the session" in _io_error_message(capsys, "events.csv")
-    assert not any((out / name).exists() for name in REPORT_FILES)
+    def edit(path):
+        rows = list(csv.reader(open(path, newline="")))
+        rows[1][rows[0].index(column)] = value
+        path.write_text("".join(",".join(r) + "\n" for r in rows))
+
+    message = _report_fails_before_any_table(capsys, full_run, "events.csv", edit)
+    assert "not an interval of the session" in message
+
+
+@pytest.mark.parametrize("announcements", [True, False], ids=["news", "no_news"])
+@pytest.mark.parametrize("fault", ["missing", "no_label"])
+def test_unreadable_tuple_days_is_io_error(capsys, full_run, announcements, fault):
+    """tuple_days.csv is required and read, with or without announcements, before any
+    table is written."""
+    def edit(path):
+        if fault == "missing":
+            path.unlink()
+        else:
+            path.write_text(path.read_text().replace(",label", ",kind", 1))
+
+    config = None if announcements else _write_config(full_run[0], "quiet.json", announcements=None)
+    message = _report_fails_before_any_table(capsys, full_run, "tuple_days.csv", edit, config)
+    assert ("missing decomposition output" if fault == "missing"
+            else "missing columns ['label']") in message
 
 
 def _edit_panel(tmp_path, line, edit):

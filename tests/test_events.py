@@ -4,13 +4,16 @@ import csv
 import datetime as dt
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cojump import events as ev
-from cojump.ticks import SessionSpec
+from test_cli import _fail_days, _write_config
+
+from cojump import cli, events as ev
+from cojump.ticks import SessionSpec, write_csv
 
 TZ = "America/Chicago"
 
@@ -397,40 +400,7 @@ def test_shift_rotation_table_empty_and_errors():
         )
 
 
-def test_table_writers_schemas(tmp_path):
-    d = dt.date(2017, 3, 15)
-    summary = ev.cj_qv_summary([_cj_day(d, 10, (0.01, 0.02), qv=0.004)])
-    path = tmp_path / "t3.csv"
-    ev.write_cj_qv_table(summary, path)
-    rows = list(csv.reader(open(path, newline="")))
-    assert rows[0] == ["pair", "days_cj", "qv_total", "pct_cj_qv"]
-    assert rows[1][0] == "A-B"
-
-    x = np.linspace(0.1, 0.9, 20)
-    rng = np.random.default_rng(1)
-    res = ev.correlation_impact_regression(x + rng.standard_normal(20) * 0.01, x)
-    path = tmp_path / "t4.csv"
-    ev.write_regression_table([(("A", "B"), res), (("A", "C"), None)], path)
-    rows = list(csv.reader(open(path, newline="")))
-    assert rows[0] == ["pair", "alpha", "beta", "r_squared", "wald_p"]
-    assert float(rows[1][2]) == res.beta
-    assert rows[2] == ["A-C", "", "", "", ""]
-
-    y, xn = _indicator_panel(0.5, 0.1)
-    logit = ev.announcement_logit(y, xn)
-    path = tmp_path / "t5.csv"
-    ev.write_logit_table([(("A", "B"), logit)], path)
-    rows = list(csv.reader(open(path, newline="")))
-    assert rows[0] == ["pair", "beta0", "beta1", "se_beta0", "se_beta1", "pseudo_r_squared"]
-    assert float(rows[1][1]) == logit.beta0
-
-    table = ev.shift_rotation_table({d: "UpShift"}, {d}, [d])
-    path = tmp_path / "t6.csv"
-    ev.write_shift_rotation_table([("A-B", table)], path)
-    rows = list(csv.reader(open(path, newline="")))
-    assert rows[0][:4] == ["tuple", "segment", "n_rotation", "pct_rotation"]
-    assert rows[1][0] == "A-B"
-
+def test_write_histogram_schema(tmp_path):
     starts, counts = ev.intraday_histogram([_index(9, 1)], 30, SPEC)
     path = tmp_path / "hist.csv"
     ev.write_histogram(starts, counts, path)
@@ -438,3 +408,104 @@ def test_table_writers_schemas(tmp_path):
     assert rows[0] == ["bin_start", "count"]
     assert rows[1][0] == "07:00:00"
     assert sum(int(r[1]) for r in rows[1:]) == 1
+
+
+def _per_table_writers(out, decomps, event_indices, labels_by_tuple, announcements, spec,
+                       bin_minutes):
+    """report's five tables as four per-table writers and write_histogram wrote them, each
+    table written before the next one's rows are built."""
+    def fit_rows(rows, fields):
+        for pair, res in rows:
+            yield ["-".join(pair), *(None if res is None else getattr(res, f) for f in fields)]
+
+    write_csv(out / "cj_qv_share.csv", ["pair", "days_cj", "qv_total", "pct_cj_qv"],
+              (["-".join(r["pair"]), r["days_cj"], r["qv_total"], r["pct_cj_qv"]]
+               for r in ev.cj_qv_summary(decomps)))
+    by_pair: dict = {}
+    for rec in decomps:
+        by_pair.setdefault(rec.pair, []).append(rec)
+    degenerate = []
+    fits = {"correlation_regression": [], "announcement_logit": []}
+    news_dates = announcements or frozenset()
+    for pair in sorted(by_pair):
+        recs = by_pair[pair]
+        finite = [r for r in recs if np.isfinite(r.corr_total) and np.isfinite(r.corr_cont)]
+        for table, fit, args in (
+            ("correlation_regression", ev.correlation_impact_regression,
+             ([r.corr_total for r in finite], [r.corr_cont for r in finite])),
+            ("announcement_logit", ev.announcement_logit,
+             ([1.0 if r.classification == "co_jump" else 0.0 for r in recs],
+              [1.0 if r.date in news_dates else 0.0 for r in recs])),
+        ):
+            try:
+                res = fit(*args)
+            except ev.DegenerateFit as exc:
+                res = None
+                degenerate.append([table, "-".join(pair), str(exc)])
+            fits[table].append((pair, res))
+    fields = ("alpha", "beta", "r_squared", "wald_p")
+    write_csv(out / "correlation_regression.csv", ["pair", *fields],
+              fit_rows(fits["correlation_regression"], fields))
+    fields = ("beta0", "beta1", "se_beta0", "se_beta1", "pseudo_r_squared")
+    write_csv(out / "announcement_logit.csv", ["pair", *fields],
+              fit_rows(fits["announcement_logit"], fields))
+    sample_dates = sorted({r.date for r in decomps})
+    rows_by_tuple = []
+    if announcements is not None:
+        for name in sorted(labels_by_tuple):
+            rows_by_tuple.append((name, ev.shift_rotation_table(
+                labels_by_tuple[name], announcements, sample_dates)))
+    fields = ("segment n_rotation pct_rotation n_up_shift pct_up_shift n_down_shift "
+              "pct_down_shift n_days_cj pct_days_cj n_segment_days").split()
+    write_csv(out / "shift_rotation.csv", ["tuple", *fields],
+              ([name, *(r[f] for f in fields)] for name, rows in rows_by_tuple for r in rows))
+    bin_starts, counts = ev.intraday_histogram(event_indices, bin_minutes, spec)
+    ev.write_histogram(bin_starts, counts, out / "histogram.csv")
+    return sorted(degenerate)
+
+
+@pytest.mark.parametrize("run", ["golden", "two_leg"])
+def test_write_report_matches_the_per_table_writers(tmp_path, monkeypatch, run):
+    """One writer that writes once every row is built writes the bytes of the per-table
+    writers: on the golden run, and on a two-leg run with a failed day (two days left, so
+    both fits are degenerate), no tuple and no announcements block."""
+    if run == "golden":
+        cfg = Path(__file__).parent / "golden" / "config.json"
+    else:
+        cfg = _write_config(tmp_path, announcements=None)
+        _fail_days(monkeypatch, 13)
+    calls = []
+    write_report = ev.write_report
+    monkeypatch.setattr(ev, "write_report", lambda *args: calls.append(args) or [])
+    for stage in ("simulate", "decompose", "report"):
+        assert cli.main([stage, "--config", str(cfg), "--output", str(tmp_path / "out")]) == 0
+    [(_, *args)] = calls
+    results = {}
+    for folder, write in (("one_pass", write_report), ("per_table", _per_table_writers)):
+        (tmp_path / folder).mkdir()
+        results[folder] = write(tmp_path / folder, *args)
+    assert results["one_pass"] == results["per_table"]
+    headers = {
+        "cj_qv_share.csv": ["pair", "days_cj", "qv_total", "pct_cj_qv"],
+        "correlation_regression.csv": ["pair", "alpha", "beta", "r_squared", "wald_p"],
+        "announcement_logit.csv": ["pair", "beta0", "beta1", "se_beta0", "se_beta1",
+                                   "pseudo_r_squared"],
+        "shift_rotation.csv": ["tuple", "segment", "n_rotation", "pct_rotation"],
+        "histogram.csv": ["bin_start", "count"],
+    }
+    for name, header in headers.items():
+        one_pass = (tmp_path / "one_pass" / name).read_bytes()
+        assert one_pass == (tmp_path / "per_table" / name).read_bytes(), name
+        rows = list(csv.reader(one_pass.decode().splitlines()))
+        assert rows[0][:len(header)] == header, name
+        assert len(rows) > 1 or name == "shift_rotation.csv" and run == "two_leg", name
+    if run == "golden":
+        assert results["one_pass"] == []
+        return
+    assert results["one_pass"] == [
+        ["announcement_logit", "TU-FV", "news indicator is constant; no contrast"],
+        ["correlation_regression", "TU-FV", "need at least 3 paired observations"],
+    ]
+    for name, blank in (("correlation_regression.csv", "TU-FV,,,,"),
+                        ("announcement_logit.csv", "TU-FV,,,,,")):
+        assert (tmp_path / "one_pass" / name).read_text().splitlines()[1:] == [blank]

@@ -48,8 +48,6 @@ def critical_value(alpha: float) -> float:
 class TestOutcome:
     """Result of the discontinuity test for one day and pair."""
 
-    date: object
-    pair: tuple
     z: float
     p_value: float
     rejected: bool
@@ -107,10 +105,8 @@ def _classify(rejected: bool, jumps_1: JumpSeries, jumps_2: JumpSeries) -> str:
     return "no_discontinuity"
 
 
-def _inconclusive(date, pair, b_reps, alpha, seed) -> TestOutcome:
+def _inconclusive(b_reps, alpha, seed) -> TestOutcome:
     return TestOutcome(
-        date=date,
-        pair=pair,
         z=float("nan"),
         p_value=float("nan"),
         rejected=False,
@@ -132,8 +128,6 @@ def bootstrap_statistic(
     b_reps: int = 999,
     alpha: float = 0.05,
     seed: int = 0,
-    date=None,
-    pair: tuple = ("1", "2"),
 ) -> TestOutcome:
     """Test one day's pair for a discontinuity.
 
@@ -154,7 +148,7 @@ def bootstrap_statistic(
     diag_1 = float(ic_pair[0, 0])
     diag_2 = float(ic_pair[1, 1])
     if qv == 0.0 or diag_1 <= 0.0 or diag_2 <= 0.0:
-        return _inconclusive(date, pair, b_reps, alpha, seed)
+        return _inconclusive(b_reps, alpha, seed)
 
     rho_hat = ic_val / math.sqrt(diag_1 * diag_2)
     rho_hat = min(0.999, max(-0.999, rho_hat))
@@ -169,14 +163,12 @@ def bootstrap_statistic(
     mean_z = float(np.mean(z_star))
     sd_z = float(np.std(z_star, ddof=1))
     if sd_z == 0.0 or not math.isfinite(sd_z):
-        return _inconclusive(date, pair, b_reps, alpha, seed)
+        return _inconclusive(b_reps, alpha, seed)
 
     z = ((qv - ic_val) / qv - mean_z) / sd_z
     p_value = 2.0 * (1.0 - _NORMAL.cdf(abs(z)))
     rejected = abs(z) > critical_value(alpha)
     return TestOutcome(
-        date=date,
-        pair=pair,
         z=float(z),
         p_value=float(p_value),
         rejected=bool(rejected),

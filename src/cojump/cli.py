@@ -275,15 +275,15 @@ def _panels_dir(config: RunConfig) -> str:
     return os.path.join(config.output, "panels")
 
 
-def _write_panels(config: RunConfig, panels: list) -> None:
-    """Each panel as panels/panel_<date>.csv, in place of every panel file of an earlier run."""
+def _panel_writer(config: RunConfig):
+    """A writer of one panel as panels/panel_<date>.csv, made once every panel file of an
+    earlier run is removed."""
     out = _panels_dir(config)
     os.makedirs(out, exist_ok=True)
     for stale in glob.glob(os.path.join(glob.escape(out), "panel_*.csv")):
         os.remove(stale)
-    for panel in panels:
-        ticks.write_panel_csv(panel, os.path.join(out, f"panel_{panel.date.isoformat()}.csv"),
-                              config.session)
+    return lambda panel: ticks.write_panel_csv(
+        panel, os.path.join(out, f"panel_{panel.date.isoformat()}.csv"), config.session)
 
 
 def _emit_error(kind: str, message: str) -> None:
@@ -300,7 +300,9 @@ def cmd_ingest(config: RunConfig) -> int:
         src = config.tick_sources[name]
         series[name] = ticks.parse_ticks(src["path"], src["schema"], config.session, name)
     panels, drop_log = ticks.build_panels(series, config.session, config.calendar)
-    _write_panels(config, panels)
+    write_panel = _panel_writer(config)
+    for panel in panels:
+        write_panel(panel)
     ticks.write_drop_log(drop_log, os.path.join(config.output, "drop_log.csv"))
     counts = [(name, s.total_rows, s.rejected) for name, s in series.items()]
     ticks.write_csv(os.path.join(config.output, "tick_counts.csv"),
@@ -311,7 +313,8 @@ def cmd_ingest(config: RunConfig) -> int:
 
 
 def cmd_simulate(config: RunConfig) -> int:
-    """Simulate a scenario into panel files plus a ground-truth record."""
+    """Simulate a scenario into panel files plus a ground-truth record, writing each day as
+    it is drawn."""
     from . import sim
     if config.scenario_path is None:
         raise ConfigError("simulate requires a 'scenario' path in the config")
@@ -323,21 +326,21 @@ def cmd_simulate(config: RunConfig) -> int:
     if scenario.n_intervals != config.session.n_intervals:
         raise ConfigError(f"scenario has {scenario.n_intervals} intervals a day but the session "
                           f"has {config.session.n_intervals}")
-    days = sim.simulate(scenario)
-    panels = sim.panels_from_sim(days, config.instruments, config.session, config.start_date)
-    _write_panels(config, panels)
-    rows = []
-    for day, panel in zip(days, panels):
-        truth = sim.true_decomposition(day)
-        date = panel.date.isoformat()
-        rows += [
-            [date, f"{a}-{b}", truth["IC"][i, j], truth["CJ"][i, j], truth["QV"][i, j]]
-            for i, a in enumerate(config.instruments)
-            for j, b in enumerate(config.instruments)
-            if j >= i
-        ]
-    truth_path = os.path.join(config.output, "truth.csv")
-    ticks.write_csv(truth_path, ["date", "entry", "ic", "cj", "qv"], rows)
+    write_panel = _panel_writer(config)
+    names = config.instruments
+    entries = [(i, j, f"{a}-{b}")
+               for i, a in enumerate(names) for j, b in enumerate(names) if j >= i]
+
+    def truth_rows():  # each day is written and dropped before the next one is drawn
+        dates = sim.business_dates(config.start_date, scenario.n_days)
+        for date, day in zip(dates, sim.simulate(scenario)):
+            write_panel(ticks.ReturnPanel(date, names, day.observed))
+            qv = day.true_ic + day.true_cj
+            yield from ([date.isoformat(), entry, day.true_ic[i, j], day.true_cj[i, j], qv[i, j]]
+                        for i, j, entry in entries)
+
+    ticks.write_csv(os.path.join(config.output, "truth.csv"), ["date", "entry", "ic", "cj", "qv"],
+                    truth_rows())
     return EXIT_OK
 
 

@@ -367,8 +367,9 @@ def write_report(out, decomps: list, event_indices: list, labels_by_tuple: dict,
     """The five tables of a report run, written into the directory ``out`` once every row is built.
 
     ``announcements`` is the set of news dates, or None without an announcements block: the
-    logit then has no news day and shift_rotation.csv no row. A fit with no defined solution
-    leaves its row's cells blank; returns the sorted [table, pair, message] list of those fits.
+    logit then has no news day, and shift_rotation.csv counts every sample day as a
+    non_announcement day. A fit with no defined solution leaves its row's cells blank;
+    returns the sorted [table, pair, message] list of those fits.
     """
     by_pair: dict = {}
     for rec in decomps:
@@ -396,12 +397,11 @@ def write_report(out, decomps: list, event_indices: list, labels_by_tuple: dict,
                 cells = [None] * (len(header) - 1)
                 degenerate.append([table, "-".join(pair), str(exc)])
             rows[f"{table}.csv"].append(["-".join(pair), *cells])
-    if announcements is not None:
-        sample_dates = sorted({r.date for r in decomps})
-        for name in sorted(labels_by_tuple):
-            rows["shift_rotation.csv"] += (
-                [name, *(r[f] for f in _TABLES["shift_rotation.csv"][1:])]
-                for r in shift_rotation_table(labels_by_tuple[name], announcements, sample_dates))
+    sample_dates = sorted({r.date for r in decomps})
+    for name in sorted(labels_by_tuple):
+        rows["shift_rotation.csv"] += (
+            [name, *(r[f] for f in _TABLES["shift_rotation.csv"][1:])]
+            for r in shift_rotation_table(labels_by_tuple[name], news_dates, sample_dates))
     bin_starts, counts = intraday_histogram(event_indices, bin_minutes, spec)
     for name, table in rows.items():
         write_csv(os.path.join(out, name), _TABLES[name], table)

@@ -100,8 +100,6 @@ def process_day(
             b_reps=b_reps,
             alpha=alpha,
             seed=pair_seed(seed, panel.date, k),
-            date=panel.date,
-            pair=pair,
         )
         outcomes[pair] = outcome
         cj_raw, common = jumps.cojump_variation(jump_series[a], jump_series[b])

@@ -17,17 +17,21 @@ Randomness: numpy's PCG64 generator seeded through SeedSequence. The
 scenario seed spawns one child stream per day, in day order, so results
 do not depend on scheduling. Per day the draw order is fixed: the
 (d, N) diffusion normals first, then the (d, N + 1) noise levels.
+
+``simulate`` yields the days one at a time and draws each only when it
+is reached, so a consumer that writes each day and drops it, as the
+``simulate`` stage does, holds one day whatever the scenario's length.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .ticks import MalformedFile, ReturnPanel, SessionSpec
+from .ticks import MalformedFile
 
 VOL_PATTERNS = ("flat", "u_shape")
 
@@ -147,8 +151,9 @@ def _correlate(eta: np.ndarray, rho: float, d: int) -> np.ndarray:
     return out
 
 
-def simulate(scenario: SimScenario) -> list:
-    """All days of a scenario, deterministic under the scenario seed."""
+def simulate(scenario: SimScenario):
+    """The days of a scenario in day order, each drawn as the iterator reaches it;
+    deterministic under the scenario seed."""
     n, d = scenario.n_intervals, scenario.d
     sigma = np.asarray(scenario.sigma)
     mu = np.asarray(scenario.mu)
@@ -164,10 +169,9 @@ def simulate(scenario: SimScenario) -> list:
     for j in scenario.jumps:
         by_day.setdefault(int(j[0]), []).append(j)
 
-    children = np.random.SeedSequence(scenario.seed).spawn(scenario.n_days)
-    days = []
+    root = np.random.SeedSequence(scenario.seed)
     for k in range(scenario.n_days):
-        rng = np.random.default_rng(children[k])
+        rng = np.random.default_rng(root.spawn(1)[0])  # spawn(n_days)[k], spawned as it is drawn
         eta = rng.standard_normal((d, n))
         noise = rng.standard_normal((d, n + 1)) * scenario.noise_sd
         latent = mu[:, None] + scale * _correlate(eta, scenario.rho, d)
@@ -177,24 +181,16 @@ def simulate(scenario: SimScenario) -> list:
         observed = latent + jump_vectors
         if scenario.noise_sd > 0.0:
             observed = observed + np.diff(noise, axis=1)
-        days.append(
-            SimDay(
-                day_index=k,
-                observed=observed,
-                latent=latent,
-                jump_vectors=jump_vectors,
-                true_ic=ic.copy(),
-                true_cj=np.array(
-                    [[math.fsum((a * b).tolist()) for b in jump_vectors] for a in jump_vectors]
-                ),
-            )
+        yield SimDay(
+            day_index=k,
+            observed=observed,
+            latent=latent,
+            jump_vectors=jump_vectors,
+            true_ic=ic.copy(),
+            true_cj=np.array(
+                [[math.fsum((a * b).tolist()) for b in jump_vectors] for a in jump_vectors]
+            ),
         )
-    return days
-
-
-def true_decomposition(day: SimDay) -> dict:
-    """Ground-truth IC, CJ and their sum QV for one simulated day."""
-    return {"IC": day.true_ic, "CJ": day.true_cj, "QV": day.true_ic + day.true_cj}
 
 
 def business_dates(start: dt.date, count: int) -> list:
@@ -206,24 +202,6 @@ def business_dates(start: dt.date, count: int) -> list:
             out.append(current)
         current += dt.timedelta(days=1)
     return out
-
-
-def panels_from_sim(
-    days: list,
-    instruments: list,
-    spec: SessionSpec,
-    start_date: dt.date,
-) -> list:
-    """Wrap simulated days as return panels on real calendar dates."""
-    if days and len(instruments) != days[0].observed.shape[0]:
-        raise ValueError("one instrument name per simulated leg required")
-    if days and days[0].observed.shape[1] != spec.n_intervals:
-        raise ValueError("session grid does not match the scenario's interval count")
-    dates = business_dates(start_date, len(days))
-    return [
-        ReturnPanel(date=dates[k], instruments=list(instruments), returns=day.observed)
-        for k, day in enumerate(days)
-    ]
 
 
 _SCALAR_KEYS = {

@@ -194,7 +194,7 @@ def test_integrated_covariance_consistency():
         n_intervals=540, n_days=500, sigma=(s, s), mu=0.0, rho=0.8,
         noise_sd=s / math.sqrt(540), jumps=(), seed=0, vol_pattern="flat",
     )
-    days = sim.simulate(sc)
+    days = list(sim.simulate(sc))
     truth = 0.8 * s * s
     offs = np.array([
         jwc.jwc_integrated_covariance(day.observed, cfg).values[0, 1]
@@ -283,7 +283,7 @@ def _power_study(common: bool, n_seeds: int = 1000, b_reps: int = 999):
             noise_sd=0.0, jumps=((0, 270, jump1, jump2),),
             seed=int(seeds[k]) % (2 ** 63), vol_pattern="flat",
         )
-        out, j1, j2 = _day_statistic(sim.simulate(sc)[0], cfg, b_reps, int(seeds[k]))
+        out, j1, j2 = _day_statistic(next(sim.simulate(sc)), cfg, b_reps, int(seeds[k]))
         if out.classification == "co_jump":
             n_cj += 1
             cj, _ = jumps.cojump_variation(j1, j2)

@@ -246,7 +246,7 @@ def test_classify_matches_intersect1d(rejected, indices_1, indices_2):
 def test_outcome_classification_validated():
     with pytest.raises(ValueError, match="classification"):
         bootstrap.TestOutcome(
-            date=None, pair=("a", "b"), z=0.0, p_value=1.0, rejected=False,
+            z=0.0, p_value=1.0, rejected=False,
             b_reps=999, alpha=0.05, seed=0,
             classification="maybe",
         )

@@ -7,11 +7,13 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cojump import cli, pipeline
+from cojump import cli, pipeline, sim, ticks
 
 SESSION = {"start": "07:00", "end": "16:00", "timezone": "America/Chicago",
            "sampling_seconds": 60}
@@ -263,6 +265,45 @@ def test_scenario_interval_mismatch_exits_before_simulating(capsys, tmp_path):
     assert msg["error"] == "config"
     assert "540 intervals" in msg["message"] and "270" in msg["message"]
     assert not list(tmp_path.glob("out/panels/*"))
+
+
+def test_simulate_writes_day_k_as_the_panel_of_the_kth_weekday(tmp_path):
+    """From a Friday, the three days land on Friday, Monday and Tuesday; day k's panel holds
+    its observed returns bit for bit, legs in the config's order (TU before FV)."""
+    cfg = _write_config(tmp_path, start_date="2017-03-17")
+    assert cli.main(["simulate", "--config", str(cfg)]) == cli.EXIT_OK
+    dates = ["2017-03-17", "2017-03-20", "2017-03-21"]
+    panels = tmp_path / "out" / "panels"
+    assert sorted(os.listdir(panels)) == [f"panel_{d}.csv" for d in dates]
+    session = cli.load_config(str(cfg), {}).session
+    days = sim.simulate(sim.read_scenario(tmp_path / "scenario.txt"))
+    for date, day in zip(dates, days, strict=True):
+        panel = ticks.read_panel_csv(panels / f"panel_{date}.csv", session)
+        assert panel.instruments == ["TU", "FV"]
+        assert np.array_equal(panel.returns, day.observed)
+
+
+def _simulate_peak(tmp_path, n_days):
+    """The traced peak of one simulate run of the two-leg scenario at ``n_days``, in bytes
+    over the memory held before it."""
+    cfg = _write_config(tmp_path)
+    (tmp_path / "scenario.txt").write_text(SCENARIO.replace("n_days = 3", f"n_days = {n_days}"))
+    tracemalloc.reset_peak()
+    held = tracemalloc.get_traced_memory()[0]
+    assert cli.main(["simulate", "--config", str(cfg)]) == cli.EXIT_OK
+    return tracemalloc.get_traced_memory()[1] - held
+
+
+def test_simulate_memory_stays_flat_in_days(tmp_path):
+    """simulate holds one day at a time: at 200 days it peaks within 64 KiB of its peak at
+    10 days, where holding every day would add about 30 KiB a day."""
+    tracemalloc.start()
+    try:
+        _simulate_peak(tmp_path, 10)  # imports and first-call caches
+        short, long = _simulate_peak(tmp_path, 10), _simulate_peak(tmp_path, 200)
+    finally:
+        tracemalloc.stop()
+    assert long - short < 64 * 1024, (short, long)
 
 
 def _write_tick_config(tmp_path, **extra):
@@ -818,6 +859,21 @@ def test_decompositions_with_short_row_is_io_error(capsys, full_run, keep):
     assert "line 3: " in _io_error_message(capsys, "decompositions.csv")
     path.write_text("\n\n".join(",".join(r) for r in rows[:2]) + "\n\n")
     assert cli.main(["report", "--config", str(cfg)]) == cli.EXIT_OK
+
+
+def test_shift_rotation_without_announcements_counts_every_day_as_quiet(tmp_path):
+    """Without an announcements block the tuple still gets its two rows: no announcement
+    day, and every processed day a non_announcement day."""
+    cfg = _write_config(tmp_path, announcements=None, tuples=[["TU", "FV"]])
+    for stage in ("simulate", "decompose", "report"):
+        assert cli.main([stage, "--config", str(cfg)]) == cli.EXIT_OK
+    out = tmp_path / "out"
+    processed = list(csv.DictReader(open(out / "decompositions.csv", newline="")))
+    rows = list(csv.DictReader(open(out / "shift_rotation.csv", newline="")))
+    assert [(r["tuple"], r["segment"]) for r in rows] == [
+        ("TU-FV", "announcement"), ("TU-FV", "non_announcement")]
+    assert rows[0]["n_segment_days"] == "0"
+    assert int(rows[1]["n_segment_days"]) == len(processed) == 3
 
 
 def test_degenerate_fits_leave_blank_rows(capsys, full_run):

@@ -16,13 +16,20 @@ EST = jwc.JwcConfig(g_spacing=5)
 START = dt.date(2017, 3, 13)
 
 
+def _panels(sc, names, start=START):
+    """The scenario's days as return panels on the weekdays from ``start``, as simulate
+    writes them."""
+    return [ReturnPanel(date, names, day.observed)
+            for date, day in zip(sim.business_dates(start, sc.n_days), sim.simulate(sc))]
+
+
 def _two_leg_panels():
     """Day 0 quiet, day 1 common jump at 270, day 2 disjoint jumps."""
     sc = sim.SimScenario(
         n_intervals=540, n_days=3, sigma=(0.01, 0.012), rho=0.6, seed=100,
         jumps=((1, 270, 0.1, 0.12), (2, 100, 0.1, 0.0), (2, 400, 0.0, -0.12)),
     )
-    return sim.panels_from_sim(sim.simulate(sc), ["TU", "FV"], SPEC, START)
+    return _panels(sc, ["TU", "FV"])
 
 
 def _run_two_leg(jobs=1, b_reps=150, seed=0):
@@ -134,7 +141,7 @@ def test_three_leg_tuple_rotation():
         n_intervals=540, n_days=1, sigma=(0.01, 0.012, 0.011), rho=0.6, seed=200,
         jumps=((0, 270, 0.1, 0.12, -0.11),),
     )
-    panels = sim.panels_from_sim(sim.simulate(sc), ["TU", "FV", "TY"], SPEC, START)
+    panels = _panels(sc, ["TU", "FV", "TY"])
     prs = [("TU", "FV"), ("TU", "TY"), ("FV", "TY")]
     results, failures = pipeline.process_panels(
         panels, prs, EST, b_reps=150, alpha=0.05, seed=0,
@@ -154,7 +161,7 @@ def test_tuple_label_requires_all_pairs():
         n_intervals=540, n_days=1, sigma=(0.01, 0.012, 0.011), rho=0.6, seed=200,
         jumps=((0, 270, 0.1, 0.12, 0.0),),  # third leg does not jump
     )
-    panels = sim.panels_from_sim(sim.simulate(sc), ["TU", "FV", "TY"], SPEC, START)
+    panels = _panels(sc, ["TU", "FV", "TY"])
     prs = [("TU", "FV"), ("TU", "TY"), ("FV", "TY")]
     results, failures = pipeline.process_panels(
         panels, prs, EST, b_reps=150, alpha=0.05, seed=0,
@@ -194,7 +201,7 @@ def test_rerun_subset_keeps_each_days_test():
         n_intervals=540, n_days=4, sigma=(0.01, 0.012, 0.011), rho=0.6, seed=300,
         jumps=((1, 270, 0.1, 0.12, 0.0), (3, 100, 0.0, 0.0, 0.11)),
     )
-    panels = sim.panels_from_sim(sim.simulate(sc), ["TU", "FV", "TY"], SPEC, START)
+    panels = _panels(sc, ["TU", "FV", "TY"])
     prs = [("TU", "FV"), ("TU", "TY"), ("FV", "TY")]
 
     def run(days, jobs):
@@ -231,9 +238,7 @@ def _panels_with_short_day():
     panels = _two_leg_panels()
     # a short day cannot supply a single coarse return at this spacing
     bad = sim.SimScenario(n_intervals=8, n_days=1, sigma=(0.01, 0.012), seed=3)
-    spec8 = SessionSpec(dt.time(7, 0), dt.time(7, 8), "America/Chicago", 60)
-    short_panel = sim.panels_from_sim(sim.simulate(bad), ["TU", "FV"], spec8,
-                                      START + dt.timedelta(days=40))[0]
+    short_panel = _panels(bad, ["TU", "FV"], START + dt.timedelta(days=40))[0]
     panels.insert(1, short_panel)
     return panels, short_panel
 
@@ -317,7 +322,7 @@ def test_tuple_labels_csv_roundtrip(tmp_path):
         n_intervals=540, n_days=1, sigma=(0.01, 0.012, 0.011), rho=0.6, seed=200,
         jumps=((0, 270, 0.1, 0.12, -0.11),),
     )
-    panels = sim.panels_from_sim(sim.simulate(sc), ["TU", "FV", "TY"], SPEC, START)
+    panels = _panels(sc, ["TU", "FV", "TY"])
     prs = [("TU", "FV"), ("TU", "TY"), ("FV", "TY")]
     results, _ = pipeline.process_panels(
         panels, prs, EST, b_reps=150, alpha=0.05, seed=0,
@@ -365,12 +370,13 @@ def _per_table_writers(results, failures, out, spec):
         for res in results for members, label in res.tuple_labels.items()))
     write_csv(out / "failures.csv", ["date", "error"],
               [(date.isoformat(), message) for date, message in failures])
-    outcomes = [res.outcomes[pair] for res in results for pair in sorted(res.outcomes)]
+    outcomes = [(res.date, pair, res.outcomes[pair])
+                for res in results for pair in sorted(res.outcomes)]
     write_csv(
         out / "outcomes.csv",
         ["date", "pair", "Z", "p", "rejected", "classification", "B", "alpha", "seed"],
-        ([o.date, "-".join(o.pair), o.z, o.p_value, int(o.rejected), o.classification,
-          o.b_reps, o.alpha, o.seed] for o in outcomes),
+        ([date, "-".join(pair), o.z, o.p_value, int(o.rejected), o.classification,
+          o.b_reps, o.alpha, o.seed] for date, pair, o in outcomes),
     )
 
 

@@ -6,16 +6,6 @@ import numpy as np
 import pytest
 
 from cojump import sim
-from cojump.ticks import SessionSpec
-
-
-def _spec(n=12):
-    return SessionSpec(
-        session_start=dt.time(8, 0),
-        session_end=dt.time(10, 0),
-        timezone="UTC",
-        sampling_interval=7200 // n,
-    )
 
 
 def test_degenerate_diffusion_all_zero():
@@ -33,7 +23,7 @@ def test_rho_one_identical_series():
 
 def test_rho_minus_one_mirrored():
     sc = sim.SimScenario(n_intervals=64, n_days=1, sigma=(0.01, 0.01), rho=-1.0, seed=5)
-    day = sim.simulate(sc)[0]
+    day = next(sim.simulate(sc))
     assert day.observed[0] == pytest.approx(-day.observed[1], rel=1e-12)
 
 
@@ -42,7 +32,7 @@ def test_interval_covariance_million_pairs():
     n, n_days = 540, 1852  # just over 1e6 intervals
     rho, s1, s2 = 0.6, 0.01, 0.012
     sc = sim.SimScenario(n_intervals=n, n_days=n_days, sigma=(s1, s2), rho=rho, seed=11)
-    days = sim.simulate(sc)
+    days = list(sim.simulate(sc))
     r1 = np.concatenate([d.observed[0] for d in days])
     r2 = np.concatenate([d.observed[1] for d in days])
     assert r1.size >= 1_000_000
@@ -56,8 +46,8 @@ def test_true_decomposition_closed_forms():
         n_intervals=32, n_days=1, sigma=(0.02, 0.03), rho=0.5,
         jumps=((0, 7, 0.004, 0.003),), seed=1,
     )
-    day = sim.simulate(sc)[0]
-    parts = sim.true_decomposition(day)
+    day = next(sim.simulate(sc))
+    parts = {"IC": day.true_ic, "CJ": day.true_cj, "QV": day.true_ic + day.true_cj}
     assert parts["IC"][0, 0] == pytest.approx(0.02**2, rel=1e-12)
     assert parts["IC"][1, 1] == pytest.approx(0.03**2, rel=1e-12)
     assert parts["IC"][0, 1] == pytest.approx(0.5 * 0.02 * 0.03, rel=1e-12)
@@ -68,8 +58,8 @@ def test_true_decomposition_closed_forms():
 
 def test_no_jumps_qv_equals_ic():
     sc = sim.SimScenario(n_intervals=16, n_days=1, sigma=(0.01,))
-    day = sim.simulate(sc)[0]
-    parts = sim.true_decomposition(day)
+    day = next(sim.simulate(sc))
+    parts = {"IC": day.true_ic, "CJ": day.true_cj, "QV": day.true_ic + day.true_cj}
     assert np.array_equal(parts["QV"], parts["IC"])
     assert np.all(day.true_cj == 0.0)
 
@@ -80,8 +70,8 @@ def test_jump_additivity_same_seed():
         n_intervals=64, n_days=2, sigma=(0.01, 0.01), rho=0.3, seed=9,
         jumps=((1, 10, 0.05, -0.02),),
     )
-    plain = sim.simulate(base)
-    with_jumps = sim.simulate(jumpy)
+    plain = list(sim.simulate(base))
+    with_jumps = list(sim.simulate(jumpy))
     assert np.array_equal(with_jumps[0].observed, plain[0].observed)
     delta = with_jumps[1].observed - plain[1].observed
     expected = np.zeros_like(delta)
@@ -93,7 +83,7 @@ def test_jump_additivity_same_seed():
 def test_noise_enters_as_first_difference():
     quiet = sim.SimScenario(n_intervals=32, n_days=1, sigma=(0.01,), seed=3)
     noisy = sim.SimScenario(n_intervals=32, n_days=1, sigma=(0.01,), seed=3, noise_sd=1e-4)
-    diff = sim.simulate(noisy)[0].observed - sim.simulate(quiet)[0].observed
+    diff = next(sim.simulate(noisy)).observed - next(sim.simulate(quiet)).observed
     # noise differences telescope: the day's total is the end minus start level
     assert abs(diff.sum()) < 1e-3
     assert np.std(diff) > 0.5e-4
@@ -112,8 +102,8 @@ def test_seed_determinism_bitwise():
 def test_day_streams_independent_of_day_count():
     short = sim.SimScenario(n_intervals=32, n_days=2, sigma=(0.01,), seed=13)
     long = sim.SimScenario(n_intervals=32, n_days=5, sigma=(0.01,), seed=13)
-    a = sim.simulate(short)
-    b = sim.simulate(long)
+    a = list(sim.simulate(short))
+    b = list(sim.simulate(long))
     for k in range(2):
         assert np.array_equal(a[k].observed, b[k].observed)
 
@@ -121,8 +111,8 @@ def test_day_streams_independent_of_day_count():
 def test_u_shape_pattern_preserves_ic():
     flat = sim.SimScenario(n_intervals=540, n_days=1, sigma=(0.01,), vol_pattern="flat")
     ushape = sim.SimScenario(n_intervals=540, n_days=1, sigma=(0.01,), vol_pattern="u_shape")
-    assert sim.simulate(ushape)[0].true_ic[0, 0] == pytest.approx(
-        sim.simulate(flat)[0].true_ic[0, 0], rel=1e-12
+    assert next(sim.simulate(ushape)).true_ic[0, 0] == pytest.approx(
+        next(sim.simulate(flat)).true_ic[0, 0], rel=1e-12
     )
     pat = sim.volatility_pattern(ushape)
     assert float(np.mean(pat**2)) == pytest.approx(1.0, rel=1e-12)
@@ -154,7 +144,7 @@ def test_scenario_validation():
 
 def test_equicorrelation_beyond_two_legs():
     sc = sim.SimScenario(n_intervals=540, n_days=60, sigma=(0.01, 0.01, 0.01), rho=0.7, seed=2)
-    days = sim.simulate(sc)
+    days = list(sim.simulate(sc))
     r = np.hstack([d.observed for d in days])
     c = np.corrcoef(r)
     off = c[~np.eye(3, dtype=bool)]
@@ -168,20 +158,6 @@ def test_business_dates_skip_weekends():
     assert dates == [
         dt.date(2026, 1, 2), dt.date(2026, 1, 5), dt.date(2026, 1, 6), dt.date(2026, 1, 7)
     ]
-
-
-def test_panels_from_sim_wraps_days():
-    sc = sim.SimScenario(n_intervals=12, n_days=2, sigma=(0.01, 0.02), seed=4)
-    days = sim.simulate(sc)
-    panels = sim.panels_from_sim(days, ["AAA", "BBB"], _spec(12), dt.date(2026, 1, 5))
-    assert [p.date for p in panels] == [dt.date(2026, 1, 5), dt.date(2026, 1, 6)]
-    assert panels[0].instruments == ["AAA", "BBB"]
-    assert np.array_equal(panels[1].returns, days[1].observed)
-    assert panels[0].n_intervals == 12
-    with pytest.raises(ValueError, match="per simulated leg"):
-        sim.panels_from_sim(days, ["AAA"], _spec(12), dt.date(2026, 1, 5))
-    with pytest.raises(ValueError, match="does not match"):
-        sim.panels_from_sim(days, ["AAA", "BBB"], _spec(6), dt.date(2026, 1, 5))
 
 
 def test_scenario_file_roundtrip(tmp_path):

@@ -8,10 +8,10 @@ Subpackage map:
   r_i / 2, and jump adjustment
 - jwc: jump wavelet covariance estimator, as the two-scale realized covariance
 - sim: correlated diffusion-with-jumps panel simulator
-- bootstrap: wild bootstrap discontinuity test and day classification
+- bootstrap: wild bootstrap discontinuity test
 - ticks: tick ingestion, grid sampling, and return panel construction
 - events: decomposition summaries, regressions, and event tables
-- pipeline: per-day orchestration from panels to report tables
+- pipeline: per-day orchestration and day-pair labels, from panels to report tables
 - cli: command-line entry point
 """
 

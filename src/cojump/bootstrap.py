@@ -8,7 +8,8 @@ away. The null distribution is simulated: B synthetic no-jump days are
 drawn from correlated normals matched to the day's estimated IC
 diagonals and correlation, the same statistic Z* is computed on each
 with the same estimator configuration, and the day's Z is studentized
-by the bootstrap moments and referred to the standard normal.
+by the bootstrap moments and referred to the standard normal. The test
+gives the verdict alone; ``pipeline`` labels the day from its jumps.
 
 Randomness is one stream per day-pair: the integer ``seed`` (recorded
 in ``outcomes.csv``) starts one Generator, whose ``standard_normal((2,
@@ -27,9 +28,7 @@ from statistics import NormalDist
 import numpy as np
 
 from . import jwc
-from .jumps import JumpSeries, realized_covariance
-
-CLASSIFICATIONS = ("no_discontinuity", "co_jump", "disjoint_only")
+from .jumps import realized_covariance
 
 _NORMAL = NormalDist()
 
@@ -54,12 +53,7 @@ class TestOutcome:
     b_reps: int
     alpha: float
     seed: int
-    classification: str
     inconclusive: bool = False
-
-    def __post_init__(self):
-        if self.classification not in CLASSIFICATIONS:
-            raise ValueError(f"unknown classification {self.classification!r}")
 
 
 def simulate_null_day(ic_diag_1: float, ic_diag_2: float, rho_hat: float, n: int | tuple, seed):
@@ -96,15 +90,6 @@ def _correlate(rng, r_1, rho_hat, scale_1, scale_2):
     return r_1, r_2
 
 
-def _classify(rejected: bool, jumps_1: JumpSeries, jumps_2: JumpSeries) -> str:
-    if rejected and not set(jumps_1.jump_indices.tolist()).isdisjoint(
-            jumps_2.jump_indices.tolist()):
-        return "co_jump"
-    if rejected and (jumps_1.count > 0 or jumps_2.count > 0):
-        return "disjoint_only"
-    return "no_discontinuity"
-
-
 def _inconclusive(b_reps, alpha, seed) -> TestOutcome:
     return TestOutcome(
         z=float("nan"),
@@ -113,7 +98,6 @@ def _inconclusive(b_reps, alpha, seed) -> TestOutcome:
         b_reps=b_reps,
         alpha=alpha,
         seed=seed,
-        classification="no_discontinuity",
         inconclusive=True,
     )
 
@@ -121,8 +105,6 @@ def _inconclusive(b_reps, alpha, seed) -> TestOutcome:
 def bootstrap_statistic(
     raw_1: np.ndarray,
     raw_2: np.ndarray,
-    jumps_1: JumpSeries,
-    jumps_2: JumpSeries,
     ic_pair: np.ndarray,
     estimator: jwc.JwcConfig,
     b_reps: int = 999,
@@ -175,6 +157,5 @@ def bootstrap_statistic(
         b_reps=b_reps,
         alpha=alpha,
         seed=seed,
-        classification=_classify(rejected, jumps_1, jumps_2),
     )
 

@@ -334,8 +334,10 @@ def cmd_simulate(config: RunConfig) -> int:
     def truth_rows():  # each day is written and dropped before the next one is drawn
         dates = sim.business_dates(config.start_date, scenario.n_days)
         for date, day in zip(dates, sim.simulate(scenario)):
+            qv = day.true_ic + day.true_cj  # finite only where IC and CJ both are
+            if not np.isfinite(qv).all():
+                raise OverflowError(f"simulated day {date}: its true IC, CJ or QV is not finite")
             write_panel(ticks.ReturnPanel(date, names, day.observed))
-            qv = day.true_ic + day.true_cj
             yield from ([date.isoformat(), entry, day.true_ic[i, j], day.true_cj[i, j], qv[i, j]]
                         for i, j, entry in entries)
 

@@ -2,7 +2,8 @@
 
 For each day: detect jumps per instrument, adjust returns, estimate the
 integrated covariance matrix on the adjusted panel, then test each
-configured pair for a discontinuity and assemble its decomposition.
+configured pair for a discontinuity, label it from the verdict and the
+pair's shared jump indices (``classify``), and assemble its decomposition.
 Multi-asset tuples are labeled as common-jump days only when every
 constituent pair rejects and all members share a jump index.
 
@@ -58,6 +59,14 @@ def _corr(num: float, den_1: float, den_2: float) -> float:
     return min(1.0, max(-1.0, raw))
 
 
+def classify(rejected: bool, common: np.ndarray, jumps_a, jumps_b) -> str:
+    """A pair's day label: a rejection with a shared jump index (``common``) is a co-jump,
+    one with jumps none of which are shared is disjoint, any other day has no discontinuity."""
+    if rejected and common.size:
+        return "co_jump"
+    return "disjoint_only" if rejected and (jumps_a.count or jumps_b.count) else "no_discontinuity"
+
+
 def pair_seed(seed: int, date: dt.date, k: int) -> int:
     """Bootstrap seed of the k-th configured pair on ``date``."""
     return int(np.random.SeedSequence([seed, date.toordinal(), k]).generate_state(1, np.uint64)[0])
@@ -93,8 +102,6 @@ def process_day(
         outcome = bootstrap.bootstrap_statistic(
             raw_a,
             raw_b,
-            jump_series[a],
-            jump_series[b],
             sub,
             estimator,
             b_reps=b_reps,
@@ -103,7 +110,8 @@ def process_day(
         )
         outcomes[pair] = outcome
         cj_raw, common = jumps.cojump_variation(jump_series[a], jump_series[b])
-        is_cj = outcome.classification == "co_jump"
+        label = classify(outcome.rejected, common, jump_series[a], jump_series[b])
+        is_cj = label == "co_jump"
         cj = cj_raw if is_cj else 0.0
         # the test's one verdict picks the continuous part: the robust
         # estimate on rejection (or no verdict), the realized one otherwise
@@ -118,7 +126,7 @@ def process_day(
                 qv=qv,
                 ic=cont,
                 cj=cj,
-                classification=outcome.classification,
+                classification=label,
                 events=_pair_events(jump_series[a], jump_series[b], common) if is_cj else (),
                 corr_total=_corr(qv, qv_diag[a], qv_diag[b]),
                 corr_cont=_corr(cont, den_a, den_b),
@@ -190,10 +198,11 @@ def process_panels(
         (panel, pairs, estimator, b_reps, alpha, seed, tuples)
         for panel in sorted(panels, key=lambda p: p.date)
     ]
-    if jobs > 1:
+    workers = min(jobs, len(tasks))  # a pool forks all its workers at once
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool is used
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_one_safe, task) for task in tasks]
             outs = [_result_or_rerun(future, task) for future, task in zip(futures, tasks)]
     else:
@@ -270,10 +279,13 @@ def write_tables(results, failures: list, out, spec: SessionSpec) -> None:
     rows = {name: [] for name in _TABLES}
     for res in results:
         date = res.date.isoformat()
-        rows["decompositions.csv"] += (
-            [date, "-".join(r.pair), r.qv, r.ic, r.cj, r.z, r.p_value, int(r.rejected),
-             int(r.inconclusive), r.classification, r.corr_total, r.corr_cont]
-            for r in sorted(res.decomps, key=lambda r: r.pair))
+        for r in sorted(res.decomps, key=lambda r: r.pair):  # both rows carry the one label
+            pair, o = "-".join(r.pair), res.outcomes[r.pair]
+            rows["decompositions.csv"].append(
+                [date, pair, r.qv, r.ic, r.cj, r.z, r.p_value, int(r.rejected),
+                 int(r.inconclusive), r.classification, r.corr_total, r.corr_cont])
+            rows["outcomes.csv"].append([date, pair, o.z, o.p_value, int(o.rejected),
+                                         r.classification, o.b_reps, o.alpha, o.seed])
         rows["events.csv"] += sorted(
             [date, "-".join(r.pair), ev.index, labels[ev.index], *ev.sizes]
             for r in res.decomps for ev in r.events)
@@ -282,10 +294,6 @@ def write_tables(results, failures: list, out, spec: SessionSpec) -> None:
             for name, js in res.jump_series.items() for idx in js.jump_indices.tolist())
         rows["tuple_days.csv"] += sorted(
             [date, "-".join(members), label] for members, label in res.tuple_labels.items())
-        rows["outcomes.csv"] += (
-            [date, "-".join(pair), o.z, o.p_value, int(o.rejected), o.classification,
-             o.b_reps, o.alpha, o.seed]
-            for pair, o in sorted(res.outcomes.items()))
     rows["failures.csv"] = [(date.isoformat(), message) for date, message in failures]
     for name, header in _TABLES.items():
         write_csv(os.path.join(out, name), header, rows[name])

@@ -25,7 +25,7 @@ import pytest
 from conftest import record_criterion, seeded
 
 import cojump
-from cojump import bootstrap, cli, events, jumps, jwc, modwt, sim
+from cojump import bootstrap, cli, events, jumps, jwc, modwt, pipeline, sim
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -61,7 +61,7 @@ def _day_statistic(day: sim.SimDay, cfg: jwc.JwcConfig, b_reps: int, seed: int):
     adj = np.vstack([jumps.adjust_returns(r1, j1), jumps.adjust_returns(r2, j2)])
     ic = jwc.jwc_integrated_covariance(adj, cfg)
     out = bootstrap.bootstrap_statistic(
-        r1, r2, j1, j2, ic.values, cfg, b_reps=b_reps, alpha=0.05, seed=seed
+        r1, r2, ic.values, cfg, b_reps=b_reps, alpha=0.05, seed=seed
     )
     return out, j1, j2
 
@@ -284,9 +284,9 @@ def _power_study(common: bool, n_seeds: int = 1000, b_reps: int = 999):
             seed=int(seeds[k]) % (2 ** 63), vol_pattern="flat",
         )
         out, j1, j2 = _day_statistic(next(sim.simulate(sc)), cfg, b_reps, int(seeds[k]))
-        if out.classification == "co_jump":
+        cj, common = jumps.cojump_variation(j1, j2)
+        if pipeline.classify(out.rejected, common, j1, j2) == "co_jump":
             n_cj += 1
-            cj, _ = jumps.cojump_variation(j1, j2)
             ratios.append(cj / (jump1 * jump2))
     return n_cj, ratios
 

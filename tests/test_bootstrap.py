@@ -1,4 +1,5 @@
-"""Discontinuity test: null simulation, studentized statistic, classification."""
+"""Discontinuity test: null simulation, studentized statistic, and the day label
+that the pipeline gives its verdict."""
 
 import csv
 import datetime as dt
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cojump import bootstrap, jumps, jwc, pipeline
+from cojump import bootstrap, events, jumps, jwc, pipeline
 from cojump.ticks import SessionSpec
 
 N = 540
@@ -29,9 +30,14 @@ def _run_day(seed, jump_spec=(), b_reps=199):
     adjusted = np.vstack([jumps.adjust_returns(r_1, j_1), jumps.adjust_returns(r_2, j_2)])
     ic = jwc.jwc_integrated_covariance(adjusted, CFG)
     out = bootstrap.bootstrap_statistic(
-        r_1, r_2, j_1, j_2, ic.values, CFG, b_reps=b_reps, alpha=0.05, seed=seed
+        r_1, r_2, ic.values, CFG, b_reps=b_reps, alpha=0.05, seed=seed
     )
     return out, j_1, j_2
+
+
+def _label(out, j_1, j_2):
+    """The pipeline's day label for a test outcome and the pair's jumps."""
+    return pipeline.classify(out.rejected, jumps.cojump_variation(j_1, j_2)[1], j_1, j_2)
 
 
 def _rebuild(seed, jump_spec, b_reps, j_1, j_2):
@@ -112,7 +118,7 @@ def test_statistic_peak_memory_stays_blocked(g):
     ic = jwc.jwc_integrated_covariance(adjusted, cfg).values
     tracemalloc.start()
     try:
-        out = bootstrap.bootstrap_statistic(r_1, r_2, j_1, j_2, ic, cfg, b_reps=999, seed=5)
+        out = bootstrap.bootstrap_statistic(r_1, r_2, ic, cfg, b_reps=999, seed=5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -138,7 +144,7 @@ def test_quiet_day_accepts():
     assert j_1.count == 0 and j_2.count == 0
     assert not out.rejected
     assert not out.inconclusive
-    assert out.classification == "no_discontinuity"
+    assert _label(out, j_1, j_2) == "no_discontinuity"
     # bootstrap centering reflects the estimator's partition deficit nbar_G/n_S
     z_star = _rebuild(0, (), 199, j_1, j_2)[3]
     assert float(np.mean(z_star)) == pytest.approx((536 / 5) / 540, abs=0.05)
@@ -149,7 +155,7 @@ def test_common_jump_rejects_as_co_jump():
     assert j_1.jump_indices.tolist() == [200]
     assert j_2.jump_indices.tolist() == [200]
     assert out.rejected
-    assert out.classification == "co_jump"
+    assert _label(out, j_1, j_2) == "co_jump"
     assert out.z > bootstrap.critical_value(0.05)
 
 
@@ -158,14 +164,14 @@ def test_disjoint_jumps_reject_as_disjoint_only():
     assert j_1.jump_indices.tolist() == [100]
     assert j_2.jump_indices.tolist() == [400]
     assert out.rejected
-    assert out.classification == "disjoint_only"
+    assert _label(out, j_1, j_2) == "disjoint_only"
 
 
 def test_detected_jump_without_rejection_is_no_discontinuity():
     out, j_1, j_2 = _run_day(0, [(0, 100, 0.08)])
     assert j_1.count == 1 and j_2.count == 0
     assert not out.rejected
-    assert out.classification == "no_discontinuity"
+    assert _label(out, j_1, j_2) == "no_discontinuity"
 
 
 def test_rejection_matches_p_value():
@@ -207,11 +213,11 @@ def test_zero_qv_inconclusive():
     j = jumps.JumpSeries(n=n, jump_indices=np.empty(0, dtype=int),
                          jump_sizes=np.zeros(n), threshold=0.0, degenerate=True)
     ic = jwc.jwc_integrated_covariance(np.vstack([zero, zero]), CFG)
-    out = bootstrap.bootstrap_statistic(zero, zero, j, j, ic.values, CFG, b_reps=150)
+    out = bootstrap.bootstrap_statistic(zero, zero, ic.values, CFG, b_reps=150)
     assert out.inconclusive
     assert not out.rejected
     assert math.isnan(out.z) and math.isnan(out.p_value)
-    assert out.classification == "no_discontinuity"
+    assert _label(out, j, j) == "no_discontinuity"
 
 
 def test_zero_diagonal_inconclusive():
@@ -223,7 +229,7 @@ def test_zero_diagonal_inconclusive():
     # one leg fully suppressed: its IC diagonal is exactly zero
     ic = jwc.jwc_integrated_covariance(np.vstack([np.zeros(N), r_2]), CFG)
     assert ic.values[0, 0] == 0.0
-    out = bootstrap.bootstrap_statistic(r_1, r_2, j, j, ic.values, CFG, b_reps=150)
+    out = bootstrap.bootstrap_statistic(r_1, r_2, ic.values, CFG, b_reps=150)
     assert out.inconclusive
 
 
@@ -240,26 +246,20 @@ def test_classify_matches_intersect1d(rejected, indices_1, indices_2):
         expected = "co_jump"
     else:
         expected = "disjoint_only" if a.count or b.count else "no_discontinuity"
-    assert bootstrap._classify(rejected, a, b) == expected
-
-
-def test_outcome_classification_validated():
-    with pytest.raises(ValueError, match="classification"):
-        bootstrap.TestOutcome(
-            z=0.0, p_value=1.0, rejected=False,
-            b_reps=999, alpha=0.05, seed=0,
-            classification="maybe",
-        )
+    assert pipeline.classify(rejected, jumps.cojump_variation(a, b)[1], a, b) == expected
 
 
 def test_write_outcomes_schema(tmp_path):
     """outcomes.csv as decompose writes it: one row per day and pair."""
-    out, _, _ = _run_day(0, [(0, 200, 0.05), (1, 200, 0.06)])
-    quiet, _, _ = _run_day(0)
-    days = [
-        pipeline.DayResult(date=dt.date(2026, 1, day), jump_series={},
-                           outcomes={("AAA", "BBB"): outcome}, decomps=[])
-        for day, outcome in ((5, out), (6, quiet))
+    runs = {5: _run_day(0, [(0, 200, 0.05), (1, 200, 0.06)]), 6: _run_day(0)}
+    out = runs[5][0]
+    pair = ("AAA", "BBB")
+    days = [  # the label is the decomposition's, as process_day sets it
+        pipeline.DayResult(
+            date=dt.date(2026, 1, day), jump_series={}, outcomes={pair: run[0]},
+            decomps=[events.DayDecomposition(dt.date(2026, 1, day), pair, qv=1.0, ic=1.0,
+                                             cj=0.0, classification=_label(*run))])
+        for day, run in runs.items()
     ]
     pipeline.write_tables(days, [], tmp_path, SessionSpec(dt.time(7), dt.time(16), "UTC", 60))
     path = tmp_path / "outcomes.csv"

@@ -283,6 +283,18 @@ def test_simulate_writes_day_k_as_the_panel_of_the_kth_weekday(tmp_path):
         assert np.array_equal(panel.returns, day.observed)
 
 
+def test_simulate_day_whose_truth_overflows_is_numerical_error(capsys, tmp_path):
+    """A planted jump whose square overflows exits 4 and names its day; truth.csv gets no inf."""
+    cfg = _write_config(tmp_path)
+    (tmp_path / "scenario.txt").write_text(SCENARIO + "jump = 2, 5, 1.7e308, 0.0\n")
+    with np.errstate(over="ignore"):
+        assert cli.main(["simulate", "--config", str(cfg)]) == cli.EXIT_NUMERICAL
+    msg = _stderr_json(capsys)
+    assert msg["error"] == "numerical"
+    assert "2017-03-15" in msg["message"]
+    assert "inf" not in (tmp_path / "out" / "truth.csv").read_text()
+
+
 def _simulate_peak(tmp_path, n_days):
     """The traced peak of one simulate run of the two-leg scenario at ``n_days``, in bytes
     over the memory held before it."""
@@ -528,6 +540,19 @@ def test_rerun_is_byte_identical(full_run):
     assert cli.main(["report", "--config", str(cfg)]) == cli.EXIT_OK
     for name, blob in first.items():
         assert (out / name).read_bytes() == blob, name
+
+
+def test_outcomes_agree_with_decompositions(full_run):
+    """Each outcomes.csv row carries the Z, p, verdict and label of its decompositions.csv row."""
+    out = full_run[0] / "out"
+    decomps = {(r["date"], r["pair"]): r
+               for r in csv.DictReader(open(out / "decompositions.csv", newline=""))}
+    outcomes = list(csv.DictReader(open(out / "outcomes.csv", newline="")))
+    assert [(r["date"], r["pair"]) for r in outcomes] == list(decomps)
+    for row in outcomes:
+        dec = decomps[row["date"], row["pair"]]
+        assert [row["Z"], row["p"], row["rejected"], row["classification"]] == [
+            dec["z"], dec["p"], dec["rejected"], dec["classification"]]
 
 
 def test_seed_override_changes_outcomes(full_run):

@@ -1,5 +1,6 @@
 """Day orchestration: detection, estimation, testing, labeling, CSV io."""
 
+import concurrent.futures
 import csv
 import datetime as dt
 from pathlib import Path
@@ -149,7 +150,7 @@ def test_three_leg_tuple_rotation():
     )
     assert failures == []
     day = results[0]
-    assert all(o.classification == "co_jump" for o in day.outcomes.values())
+    assert all(rec.classification == "co_jump" for rec in day.decomps)
     assert day.tuple_labels == {("TU", "FV", "TY"): "Rotation"}
     for rec in day.decomps:
         assert rec.events[0].index == 270
@@ -232,6 +233,36 @@ def test_worker_count_does_not_change_results(two_leg):
             assert a.cj == b.cj
             assert a.ic == b.ic
             assert a.classification == b.classification
+
+
+def test_pool_has_at_most_one_worker_per_day(two_leg, monkeypatch):
+    """jobs = 8 on three days asks for three workers (a pool forks all of its workers at once),
+    and one day runs in this process."""
+    workers = []
+
+    class InlinePool:  # records the pool's size and runs each day here, so nothing is forked
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    results, failures = _run_two_leg(jobs=8)
+    assert workers == [3] and failures == []
+    assert [[rec.z for rec in r.decomps] for r in results] == [
+        [rec.z for rec in r.decomps] for r in two_leg]
+    one_day = pipeline.process_panels(_two_leg_panels()[:1], [("TU", "FV")], EST, b_reps=150,
+                                      jobs=2)
+    assert workers == [3] and one_day[0][0].decomps[0].z == two_leg[0].decomps[0].z
 
 
 def _panels_with_short_day():
@@ -372,10 +403,11 @@ def _per_table_writers(results, failures, out, spec):
               [(date.isoformat(), message) for date, message in failures])
     outcomes = [(res.date, pair, res.outcomes[pair])
                 for res in results for pair in sorted(res.outcomes)]
+    label = {(rec.date, rec.pair): rec.classification for rec in decomps}
     write_csv(
         out / "outcomes.csv",
         ["date", "pair", "Z", "p", "rejected", "classification", "B", "alpha", "seed"],
-        ([date, "-".join(pair), o.z, o.p_value, int(o.rejected), o.classification,
+        ([date, "-".join(pair), o.z, o.p_value, int(o.rejected), label[date, pair],
           o.b_reps, o.alpha, o.seed] for date, pair, o in outcomes),
     )
 

@@ -7,8 +7,9 @@ logit, intraday co-jump histograms, and the shift/rotation breakdown
 by announcement status.
 
 Announcements enter at the level of the day, as a set of dates, and a
-co-jump's intraday moment as the grid index of its interval; the
-histogram turns indices into wall-clock bins through the session alone.
+co-jump event as the grid index of its interval alone (its sizes are
+the two legs' jump sizes there); the histogram turns indices into
+wall-clock bins through the session alone.
 ``write_report`` builds the rows of all five tables, declared once in
 ``_TABLES``, before it writes any of them.
 
@@ -34,6 +35,7 @@ import numpy as np
 from .ticks import SessionSpec, write_csv
 
 LABELS = ("UpShift", "DownShift", "Rotation")
+CLASSIFICATIONS = ("co_jump", "disjoint_only", "no_discontinuity")  # a pair's day labels
 
 
 class DegenerateFit(ValueError):
@@ -44,17 +46,10 @@ class CompleteSeparation(DegenerateFit):
     """The logit likelihood is unbounded; no finite estimates exist."""
 
 
-@dataclass(frozen=True)
-class CoJumpEvent:
-    """One simultaneous jump: grid index of its interval, sizes."""
-
-    index: int
-    sizes: tuple
-
-
 @dataclass
 class DayDecomposition:
-    """Final per-day, per-pair record entering the report stage."""
+    """Final per-day, per-pair record entering the report stage; ``events`` are the grid
+    indices of the pair's co-jumps, whose sizes are the legs' jump sizes there."""
 
     date: dt.date
     pair: tuple
@@ -71,6 +66,8 @@ class DayDecomposition:
     inconclusive: bool = False
 
     def __post_init__(self):
+        if self.classification not in CLASSIFICATIONS:
+            raise ValueError(f"unknown classification {self.classification!r}")
         # Co-jump variation exists only on days the test attributes one.
         if self.classification != "co_jump" and self.cj != 0.0:
             raise ValueError("CJ must be zero unless the day is classified co_jump")

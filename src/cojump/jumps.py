@@ -3,7 +3,8 @@
 A day is processed per instrument: the Haar level-1 coefficients of the
 return series are compared against a universal threshold estimated
 from that same day's coefficients, flagged returns are taken as jump
-sizes, and the jump-adjusted series keeps the diffusive part only.
+sizes, stored once as a size vector that is zero where no jump was
+flagged, and the jump-adjusted series keeps the diffusive part only.
 """
 
 from __future__ import annotations
@@ -18,32 +19,32 @@ MAD_NORMAL = 0.6745  # median absolute deviation of a standard normal
 
 @dataclass
 class JumpSeries:
-    """Detected jumps of one instrument on one day.
+    """Detected jumps of one instrument on one day, stored as their size vector.
 
     jump_sizes is a length-N vector in log-return units, zero where no
-    jump was flagged; jump_indices is the sorted index set; degenerate
+    jump was flagged, so its nonzero entries are the jumps; degenerate
     marks days whose threshold collapsed to zero (detection skipped).
     """
 
-    n: int
-    jump_indices: np.ndarray
     jump_sizes: np.ndarray
     threshold: float
     degenerate: bool = False
 
     def __post_init__(self):
-        self.jump_indices = np.asarray(self.jump_indices, dtype=int)
         self.jump_sizes = np.asarray(self.jump_sizes, dtype=float)
-        if self.jump_sizes.shape != (self.n,):
-            raise ValueError("jump_sizes must have length n")
-        flagged = set(self.jump_indices.tolist())
-        nonzero = set(np.flatnonzero(self.jump_sizes).tolist())
-        if flagged != nonzero:
-            raise ValueError("jump_sizes must be nonzero exactly on jump_indices")
+
+    @property
+    def n(self) -> int:
+        return self.jump_sizes.size
+
+    @property
+    def jump_indices(self) -> np.ndarray:
+        """The sorted flagged indices: a flagged return is never zero."""
+        return np.flatnonzero(self.jump_sizes)
 
     @property
     def count(self) -> int:
-        return int(self.jump_indices.size)
+        return int(np.count_nonzero(self.jump_sizes))
 
 
 def universal_threshold(w1: np.ndarray) -> float:
@@ -75,14 +76,7 @@ def detect_jumps(returns: np.ndarray, w1: np.ndarray, threshold: float) -> JumpS
         raise ValueError("returns and coefficients must have the same length")
     degenerate = threshold == 0.0
     flagged = (np.abs(w1) > threshold) & (returns != 0.0) & (not degenerate)
-    sizes = np.where(flagged, returns, 0.0)
-    return JumpSeries(
-        n=returns.size,
-        jump_indices=np.flatnonzero(flagged),
-        jump_sizes=sizes,
-        threshold=float(threshold),
-        degenerate=degenerate,
-    )
+    return JumpSeries(np.where(flagged, returns, 0.0), float(threshold), degenerate)
 
 
 def haar_detect(returns: np.ndarray) -> JumpSeries:
@@ -104,9 +98,7 @@ def adjust_returns(returns: np.ndarray, jumps: JumpSeries) -> np.ndarray:
     returns = np.asarray(returns, dtype=float)
     if returns.size != jumps.n:
         raise ValueError("returns length does not match the jump series")
-    adjusted = returns.copy()
-    adjusted[jumps.jump_indices] = 0.0
-    return adjusted
+    return np.where(jumps.jump_sizes != 0.0, 0.0, returns)
 
 
 def cojump_variation(jumps_1: JumpSeries, jumps_2: JumpSeries):
@@ -117,8 +109,7 @@ def cojump_variation(jumps_1: JumpSeries, jumps_2: JumpSeries):
     """
     if jumps_1.n != jumps_2.n:
         raise ValueError("jump series live on different grids")
-    shared = set(jumps_1.jump_indices.tolist()).intersection(jumps_2.jump_indices.tolist())
-    common = np.array(sorted(shared), dtype=int)
+    common = np.flatnonzero((jumps_1.jump_sizes != 0.0) & (jumps_2.jump_sizes != 0.0))
     cj = float((jumps_1.jump_sizes[common] * jumps_2.jump_sizes[common]).sum())
     return cj, common
 

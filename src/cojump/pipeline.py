@@ -4,6 +4,8 @@ For each day: detect jumps per instrument, adjust returns, estimate the
 integrated covariance matrix on the adjusted panel, then test each
 configured pair for a discontinuity, label it from the verdict and the
 pair's shared jump indices (``classify``), and assemble its decomposition.
+A day's jumps are stored once, as each instrument's size vector, and a
+co-jump event is a shared grid index whose sizes are read from the legs'.
 Multi-asset tuples are labeled as common-jump days only when every
 constituent pair rejects and all members share a jump index.
 
@@ -41,15 +43,6 @@ class DayResult:
 def detect_panel_jumps(panel: ReturnPanel) -> dict:
     """Haar universal-threshold jump detection on every instrument of a day."""
     return {name: jumps.haar_detect(panel.series(name)) for name in panel.instruments}
-
-
-def _pair_events(jumps_a, jumps_b, common) -> tuple:
-    return tuple(
-        events.CoJumpEvent(
-            index=i, sizes=(float(jumps_a.jump_sizes[i]), float(jumps_b.jump_sizes[i]))
-        )
-        for i in common.tolist()
-    )
 
 
 def _corr(num: float, den_1: float, den_2: float) -> float:
@@ -127,7 +120,7 @@ def process_day(
                 ic=cont,
                 cj=cj,
                 classification=label,
-                events=_pair_events(jump_series[a], jump_series[b], common) if is_cj else (),
+                events=tuple(common.tolist()) if is_cj else (),
                 corr_total=_corr(qv, qv_diag[a], qv_diag[b]),
                 corr_cont=_corr(cont, den_a, den_b),
                 z=outcome.z,
@@ -158,17 +151,14 @@ def _tuple_label(members, jump_series, outcomes):
     for every constituent pair. Days with several common indices take
     the label of the largest total-magnitude one (lowest index on ties).
     """
-    common = None
-    for name in members:
-        idx = set(jump_series[name].jump_indices.tolist())
-        common = idx if common is None else (common & idx)
+    sizes = [jump_series[name].jump_sizes for name in members]
+    common = np.flatnonzero(np.all(sizes, axis=0)).tolist()  # where every member jumped
     if not common:
         return None
     for a, b in itertools.combinations(members, 2):
         out = _pair_outcome(outcomes, a, b)
         if out is None or not out.rejected:
             return None
-    sizes = [jump_series[name].jump_sizes for name in members]
     best = min(common, key=lambda k: (-sum(abs(s[k]) for s in sizes), k))
     return events.classify_shift_rotation([s[best] for s in sizes])
 
@@ -287,8 +277,9 @@ def write_tables(results, failures: list, out, spec: SessionSpec) -> None:
             rows["outcomes.csv"].append([date, pair, o.z, o.p_value, int(o.rejected),
                                          r.classification, o.b_reps, o.alpha, o.seed])
         rows["events.csv"] += sorted(
-            [date, "-".join(r.pair), ev.index, labels[ev.index], *ev.sizes]
-            for r in res.decomps for ev in r.events)
+            [date, "-".join(r.pair), i, labels[i],
+             *(res.jump_series[leg].jump_sizes[i] for leg in r.pair)]
+            for r in res.decomps for i in r.events)
         rows["jumps.csv"] += sorted(
             [date, name, idx, labels[idx], js.jump_sizes[idx]]
             for name, js in res.jump_series.items() for idx in js.jump_indices.tolist())
@@ -347,9 +338,12 @@ def read_events_csv(path, spec: SessionSpec) -> list:
 
 def read_tuple_labels(path) -> dict:
     """Maps tuple name -> {date: label}."""
+    def convert(row):
+        if row["label"] not in events.LABELS:
+            raise ValueError(f"unknown label {row['label']!r}")
+        return row["tuple"], dt.date.fromisoformat(row["date"]), row["label"]
+
     out: dict = {}
-    rows = _read_csv(path, _TABLES["tuple_days.csv"],
-                     lambda r: (r["tuple"], dt.date.fromisoformat(r["date"]), r["label"]))
-    for name, date, label in rows:
+    for name, date, label in _read_csv(path, _TABLES["tuple_days.csv"], convert):
         out.setdefault(name, {})[date] = label
     return out

@@ -176,8 +176,11 @@ def simulate(scenario: SimScenario):
         noise = rng.standard_normal((d, n + 1)) * scenario.noise_sd
         latent = mu[:, None] + scale * _correlate(eta, scenario.rho, d)
         jump_vectors = np.zeros((d, n))
-        for j in by_day.get(k, ()):
-            jump_vectors[:, int(j[1])] += np.asarray(j[2:], dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):  # the CLI refuses a non-finite truth
+            for j in by_day.get(k, ()):
+                jump_vectors[:, int(j[1])] += np.asarray(j[2:], dtype=float)
+            true_cj = np.array([[math.fsum((a * b).tolist()) for b in jump_vectors]
+                                for a in jump_vectors])
         observed = latent + jump_vectors
         if scenario.noise_sd > 0.0:
             observed = observed + np.diff(noise, axis=1)
@@ -187,9 +190,7 @@ def simulate(scenario: SimScenario):
             latent=latent,
             jump_vectors=jump_vectors,
             true_ic=ic.copy(),
-            true_cj=np.array(
-                [[math.fsum((a * b).tolist()) for b in jump_vectors] for a in jump_vectors]
-            ),
+            true_cj=true_cj,
         )
 
 

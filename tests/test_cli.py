@@ -283,13 +283,21 @@ def test_simulate_writes_day_k_as_the_panel_of_the_kth_weekday(tmp_path):
         assert np.array_equal(panel.returns, day.observed)
 
 
-def test_simulate_day_whose_truth_overflows_is_numerical_error(capsys, tmp_path):
-    """A planted jump whose square overflows exits 4 and names its day; truth.csv gets no inf."""
+@pytest.mark.parametrize("copies", [1, 2], ids=["square", "sum"])
+def test_simulate_day_whose_truth_overflows_is_numerical_error(tmp_path, copies):
+    """A planted jump whose square (or, written twice, whose sum) overflows exits 4 with one
+    JSON line naming its day and nothing else on stderr; truth.csv gets no inf. The stage
+    runs in a subprocess, where no test harness captures numpy's warnings."""
     cfg = _write_config(tmp_path)
-    (tmp_path / "scenario.txt").write_text(SCENARIO + "jump = 2, 5, 1.7e308, 0.0\n")
-    with np.errstate(over="ignore"):
-        assert cli.main(["simulate", "--config", str(cfg)]) == cli.EXIT_NUMERICAL
-    msg = _stderr_json(capsys)
+    (tmp_path / "scenario.txt").write_text(SCENARIO + copies * "jump = 2, 5, 1.7e308, 0.0\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-m", "cojump.cli", "simulate", "--config", str(cfg)],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == cli.EXIT_NUMERICAL, out.stderr
+    [line] = out.stderr.splitlines()
+    msg = json.loads(line)
     assert msg["error"] == "numerical"
     assert "2017-03-15" in msg["message"]
     assert "inf" not in (tmp_path / "out" / "truth.csv").read_text()
@@ -542,6 +550,28 @@ def test_rerun_is_byte_identical(full_run):
         assert (out / name).read_bytes() == blob, name
 
 
+@pytest.mark.parametrize("run", ["full_run", "golden"])
+def test_events_agree_with_jumps(request, tmp_path, run):
+    """Each events.csv row is an index flagged for both legs of its pair in jumps.csv, its
+    sizes are those legs' size cells as written, and its pair's day is a co_jump day."""
+    if run == "full_run":
+        out = request.getfixturevalue("full_run")[0] / "out"
+    else:
+        out, cfg = tmp_path / "golden", Path(__file__).parent / "golden" / "config.json"
+        for stage in ("simulate", "decompose"):
+            assert cli.main([stage, "--config", str(cfg), "--output", str(out)]) == cli.EXIT_OK
+    sizes = {(r["date"], r["instrument"], r["index"]): r["size"]
+             for r in csv.DictReader(open(out / "jumps.csv", newline=""))}
+    labels = {(r["date"], r["pair"]): r["classification"]
+              for r in csv.DictReader(open(out / "decompositions.csv", newline=""))}
+    events = list(csv.DictReader(open(out / "events.csv", newline="")))
+    assert events
+    for row in events:
+        legs = [sizes.get((row["date"], leg, row["index"])) for leg in row["pair"].split("-")]
+        assert [row["size_1"], row["size_2"]] == legs, row
+        assert labels[row["date"], row["pair"]] == "co_jump", row
+
+
 def test_outcomes_agree_with_decompositions(full_run):
     """Each outcomes.csv row carries the Z, p, verdict and label of its decompositions.csv row."""
     out = full_run[0] / "out"
@@ -789,20 +819,33 @@ def test_event_off_the_session_grid_is_io_error(capsys, full_run, column, value)
 
 
 @pytest.mark.parametrize("announcements", [True, False], ids=["news", "no_news"])
-@pytest.mark.parametrize("fault", ["missing", "no_label"])
+@pytest.mark.parametrize("fault", ["missing", "no_label", "unknown_label"])
 def test_unreadable_tuple_days_is_io_error(capsys, full_run, announcements, fault):
     """tuple_days.csv is required and read, with or without announcements, before any
-    table is written."""
+    table is written; a label other than UpShift, DownShift or Rotation does not parse."""
     def edit(path):
         if fault == "missing":
             path.unlink()
-        else:
+        elif fault == "no_label":
             path.write_text(path.read_text().replace(",label", ",kind", 1))
+        else:
+            path.write_text(path.read_text() + "2017-03-14,TU-FV,Foo\n")
 
     config = None if announcements else _write_config(full_run[0], "quiet.json", announcements=None)
     message = _report_fails_before_any_table(capsys, full_run, "tuple_days.csv", edit, config)
-    assert ("missing decomposition output" if fault == "missing"
-            else "missing columns ['label']") in message
+    assert {"missing": "missing decomposition output", "no_label": "missing columns ['label']",
+            "unknown_label": "line 2: unknown label 'Foo'"}[fault] in message
+
+
+def test_unknown_classification_is_io_error(capsys, full_run):
+    """A decompositions.csv classification outside classify's three labels does not parse."""
+    def edit(path):
+        text = path.read_text()
+        assert ",no_discontinuity," in text
+        path.write_text(text.replace(",no_discontinuity,", ",co_jmp,", 1))
+
+    message = _report_fails_before_any_table(capsys, full_run, "decompositions.csv", edit)
+    assert "line 2: unknown classification 'co_jmp'" in message
 
 
 def _edit_panel(tmp_path, line, edit):

@@ -27,10 +27,9 @@ def _decomp(date, pair=("A", "B"), qv=1.0, ic=1.0, cj=0.0,
 
 
 def _cj_day(date, index, sizes, pair=("A", "B"), qv=1.0):
-    event = ev.CoJumpEvent(index=index, sizes=tuple(sizes))
     cj = math.prod(sizes)
     return _decomp(date, pair=pair, qv=qv, cj=cj, classification="co_jump",
-                   events=(event,))
+                   events=(index,))
 
 
 def test_day_decomposition_invariants():
@@ -38,7 +37,7 @@ def test_day_decomposition_invariants():
     with pytest.raises(ValueError, match="co_jump"):
         _decomp(d, cj=1e-5)
     with pytest.raises(ValueError, match="co_jump"):
-        _decomp(d, events=(ev.CoJumpEvent(3, (0.1, 0.1)),))
+        _decomp(d, events=(3,))
     _cj_day(d, 3, (0.1, 0.1))  # consistent record accepted
 
 

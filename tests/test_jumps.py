@@ -105,13 +105,6 @@ def test_detect_length_mismatch():
         jumps.detect_jumps(np.zeros(3), np.zeros(4), 0.5)
 
 
-def test_jump_series_invariant_enforced():
-    with pytest.raises(ValueError, match="nonzero exactly"):
-        jumps.JumpSeries(n=3, jump_indices=[0], jump_sizes=[0.0, 0.0, 0.0], threshold=1.0)
-    with pytest.raises(ValueError, match="length n"):
-        jumps.JumpSeries(n=4, jump_indices=[], jump_sizes=[0.0], threshold=1.0)
-
-
 # --- Haar detection: the closed form against the transform ---
 
 
@@ -164,19 +157,19 @@ def test_adjust_no_jumps_identity():
 
 def test_adjust_example():
     r = np.array([0.01, -0.30, 0.02])
-    js = jumps.JumpSeries(n=3, jump_indices=[1], jump_sizes=[0.0, -0.30, 0.0], threshold=0.1)
+    js = jumps.JumpSeries(jump_sizes=[0.0, -0.30, 0.0], threshold=0.1)
     adj = jumps.adjust_returns(r, js)
     assert adj.tolist() == [0.01, 0.0, 0.02]
 
 
 def test_adjust_all_flagged_zeroes_series():
     r = np.array([0.5, -0.5])
-    js = jumps.JumpSeries(n=2, jump_indices=[0, 1], jump_sizes=[0.5, -0.5], threshold=0.0)
+    js = jumps.JumpSeries(jump_sizes=[0.5, -0.5], threshold=0.0)
     assert jumps.adjust_returns(r, js).tolist() == [0.0, 0.0]
 
 
 def test_adjust_length_check():
-    js = jumps.JumpSeries(n=2, jump_indices=[], jump_sizes=[0.0, 0.0], threshold=1.0)
+    js = jumps.JumpSeries(jump_sizes=[0.0, 0.0], threshold=1.0)
     with pytest.raises(ValueError, match="length"):
         jumps.adjust_returns(np.zeros(3), js)
 
@@ -188,9 +181,7 @@ def _series(n, sized: dict, **kw):
     sizes = np.zeros(n)
     for i, s in sized.items():
         sizes[i] = s
-    return jumps.JumpSeries(
-        n=n, jump_indices=sorted(sized), jump_sizes=sizes, threshold=0.1, **kw
-    )
+    return jumps.JumpSeries(jump_sizes=sizes, threshold=0.1, **kw)
 
 
 def test_cojump_example_shared_index():

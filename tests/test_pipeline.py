@@ -92,15 +92,14 @@ def test_co_jump_day_record(two_leg, tmp_path):
     expected_cj = panel.series("TU")[270] * panel.series("FV")[270]
     assert rec.cj == pytest.approx(expected_cj, rel=1e-12)
     assert rec.cj == pytest.approx(0.1 * 0.12, rel=0.1)
-    assert len(rec.events) == 1
-    event = rec.events[0]
-    assert event.index == 270
+    assert rec.events == (270,)
     pipeline.write_tables(two_leg, [], tmp_path, SPEC)
     rows = list(csv.DictReader(open(tmp_path / "events.csv", newline="")))
     assert [(r["index"], r["time"]) for r in rows] == [("270", "11:30:00")]
-    assert event.sizes == (panel.series("TU")[270], panel.series("FV")[270])
-    # rejected day: continuous part switches to the jump-robust estimate
     js = two_leg[1].jump_series
+    assert (js["TU"].jump_sizes[270], js["FV"].jump_sizes[270]) == (
+        panel.series("TU")[270], panel.series("FV")[270])
+    # rejected day: continuous part switches to the jump-robust estimate
     adjusted = np.vstack([jumps.adjust_returns(panel.series(n), js[n]) for n in panel.instruments])
     assert rec.ic == jwc.jwc_integrated_covariance(adjusted, EST).values[0, 1]
     assert rec.ic != rec.qv
@@ -153,7 +152,7 @@ def test_three_leg_tuple_rotation():
     assert all(rec.classification == "co_jump" for rec in day.decomps)
     assert day.tuple_labels == {("TU", "FV", "TY"): "Rotation"}
     for rec in day.decomps:
-        assert rec.events[0].index == 270
+        assert rec.events[0] == 270
 
 
 def test_tuple_label_requires_all_pairs():
@@ -383,8 +382,9 @@ def _per_table_writers(results, failures, out, spec):
          for r in decomps),
     )
     events = sorted(
-        ([rec.date.isoformat(), "-".join(rec.pair), ev.index, labels[ev.index], *ev.sizes]
-         for res in results for rec in res.decomps for ev in rec.events),
+        ([rec.date.isoformat(), "-".join(rec.pair), i, labels[i],
+          *(res.jump_series[leg].jump_sizes[i] for leg in rec.pair)]
+         for res in results for rec in res.decomps for i in rec.events),
         key=lambda r: r[:3],
     )
     write_csv(out / "events.csv", ["date", "pair", "index", "time", "size_1", "size_2"], events)

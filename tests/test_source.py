@@ -1,6 +1,9 @@
-"""Source guard: every public definition under src/cojump is reached from src/."""
+"""Source guards: every public definition under src/cojump is reached from src/, stages
+load only what they use, and bench/tracer.py still reads its counts from src/."""
 
 import ast
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -65,3 +68,25 @@ def test_no_stage_loads_numpy_ma(tmp_path):
         out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
                              capture_output=True, text=True, check=True)
         assert out.stdout.split() == ["0", "False"], (stage, out.stdout, out.stderr)
+
+
+def test_tracer_reads_its_counts_from_every_stage(tmp_path):
+    """bench/tracer.py, run unchanged over ingest, simulate, decompose and report, finds
+    every function it counts and reads a count from each one's return value."""
+    from test_cli import _write_tick_config
+
+    tracer_path = SRC.parents[1] / "bench" / "tracer.py"
+    module_spec = importlib.util.spec_from_file_location("tracer", tracer_path)
+    tracer = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(tracer)
+    cfg = str(_write_tick_config(tmp_path))
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    counted = set()
+    for stage in (["ingest"], ["simulate"], ["decompose", "--jobs", "1"], ["report"]):
+        spans = tmp_path / f"{stage[0]}.json"
+        out = subprocess.run([sys.executable, str(tracer_path), str(spans), *stage, "--config", cfg],
+                             env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True)
+        assert out.returncode == 0, (stage, out.stderr)
+        counted |= {name for name, *_, counts in json.loads(spans.read_text())["spans"]
+                    if counts and None not in counts.values()}
+    assert sorted(set(tracer.COUNTS) - counted) == []

@@ -346,41 +346,48 @@ def cmd_simulate(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _load_panels(config: RunConfig) -> list:
-    """Every panel file; one of another date or instrument set raises SessionMismatch."""
+def _panel_paths(config: RunConfig) -> list:
+    """Every panel file's path, in date order."""
     paths = sorted(glob.glob(os.path.join(glob.escape(_panels_dir(config)), "panel_*.csv")))
     if not paths:
         raise OSError(f"no panel files under {_panels_dir(config)}")
-    panels = [ticks.read_panel_csv(p, config.session) for p in paths]
-    for path, panel in zip(paths, panels):
-        if os.path.basename(path) != f"panel_{panel.date.isoformat()}.csv":
-            raise ticks.SessionMismatch(f"{path}: rows are dated {panel.date}, not the file's date")
-        if sorted(panel.instruments) != sorted(config.instruments):
-            raise ticks.SessionMismatch(
-                f"{path}: instruments {panel.instruments} are not the configured "
-                f"{config.instruments}"
-            )
-    return panels
+    return paths
+
+
+def _read_panel(config: RunConfig, path: str) -> ticks.ReturnPanel:
+    """One panel file; one of another date or instrument set raises SessionMismatch."""
+    panel = ticks.read_panel_csv(path, config.session)
+    if os.path.basename(path) != f"panel_{panel.date.isoformat()}.csv":
+        raise ticks.SessionMismatch(f"{path}: rows are dated {panel.date}, not the file's date")
+    if sorted(panel.instruments) != sorted(config.instruments):
+        raise ticks.SessionMismatch(
+            f"{path}: instruments {panel.instruments} are not the configured "
+            f"{config.instruments}"
+        )
+    return panel
 
 
 def cmd_decompose(config: RunConfig) -> int:
-    """Detect, estimate, and test every day; write decomposition files."""
+    """Detect, estimate, and test every day, holding one at a time; write decomposition
+    files."""
     from . import pipeline
     if not config.pairs:
         raise ConfigError("decompose requires at least one pair")
-    panels = _load_panels(config)
-    results, failures = pipeline.process_panels(
-        panels,
-        config.pairs,
-        config.estimator,
-        b_reps=config.b_reps,
-        alpha=config.alpha,
-        seed=config.seed,
-        tuples=config.tuples,
-        jobs=config.jobs,
-    )
-    pipeline.write_tables(results, failures, config.output, config.session)
-    if not results:
+    paths = _panel_paths(config)
+    with pipeline.Tables(config.output, config.session) as tables:
+        _, failures = pipeline.process_panels(
+            (_read_panel(config, path) for path in paths),
+            config.pairs,
+            config.estimator,
+            b_reps=config.b_reps,
+            alpha=config.alpha,
+            seed=config.seed,
+            tuples=config.tuples,
+            jobs=config.jobs,
+            write=tables.write_day,
+        )
+        tables.write_failures(failures)
+    if len(failures) == len(paths):
         date, message = failures[0]
         _emit_error(
             "numerical",

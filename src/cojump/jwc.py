@@ -35,7 +35,7 @@ the partial end blocks would shrink the average daily coverage by
 (G-1)/N and bias the combination low by far more than its nominal
 (1 - nbar_G/n_S) factor at desk-scale G. One kernel serves the day's
 matrix and the bootstrap's batches; the bootstrap hands it one row
-block of about 2**15 returns at a time, so the temporaries stay
+block of about 2**14 returns at a time, so the temporaries stay
 cache-sized. No wavelet filter, boundary rule or depth enters the
 number.
 """

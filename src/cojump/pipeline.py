@@ -15,6 +15,10 @@ index in the configured pairs alone, so a day's results do not depend
 on the worker count, the scheduling or which other days are in the run.
 A day whose worker process dies is rerun in the calling process, so a
 crash costs time, not results.
+
+Days stream: each panel is taken as its day starts, and each day's
+result is passed on, in date order, as soon as every earlier day is
+done, so a run holds a bounded number of days whatever its length.
 """
 
 from __future__ import annotations
@@ -24,11 +28,12 @@ import datetime as dt
 import itertools
 import os
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import bootstrap, events, jumps, jwc
-from .ticks import MalformedFile, ReturnPanel, SessionSpec, write_csv
+from .ticks import MalformedFile, ReturnPanel, SessionSpec, csv_cells
 
 
 @dataclass
@@ -168,7 +173,7 @@ def _pair_outcome(outcomes: dict, a: str, b: str):
 
 
 def process_panels(
-    panels: list,
+    panels,
     pairs: list,
     estimator: jwc.JwcConfig,
     b_reps: int = 999,
@@ -176,35 +181,51 @@ def process_panels(
     seed: int = 0,
     tuples: list = (),
     jobs: int = 1,
+    write=None,
 ):
-    """Run the day pipeline over all panels.
+    """Run the day pipeline over ``panels``, an iterable taken in order, one panel as its
+    day is started.
 
-    Returns (results, failures): failures collect per-day errors as
-    (date, message) without aborting the remaining days. A day whose
-    worker process dies is rerun here, in this process.
+    Each day's DayResult goes to ``write`` as soon as every earlier day is done, and none
+    is kept; without ``write`` they are collected. Returns (results, failures): the
+    collected results, and per-day errors as (date, message), which do not abort the
+    remaining days. Under ``jobs`` > 1 a pool of at most one worker per day holds at
+    most ``_IN_FLIGHT`` days per worker, and a day whose worker process dies is rerun
+    here, in this process, as is every day submitted after the pool broke.
     """
-    pairs = [tuple(p) for p in pairs]
-    tasks = [
-        (panel, pairs, estimator, b_reps, alpha, seed, tuples)
-        for panel in sorted(panels, key=lambda p: p.date)
-    ]
-    workers = min(jobs, len(tasks))  # a pool forks all its workers at once
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool is used
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_one_safe, task) for task in tasks]
-            outs = [_result_or_rerun(future, task) for future, task in zip(futures, tasks)]
-    else:
-        outs = [_run_one_safe(task) for task in tasks]
-    results = []
-    failures = []
-    for (panel, *_), res in zip(tasks, outs):
-        if isinstance(res, tuple) and res and res[0] == "__error__":
+    args = ([tuple(p) for p in pairs], estimator, b_reps, alpha, seed, tuples)
+    results, failures = [], []
+    write = write or results.append
+    for panel, res in _day_results(iter(panels), args, jobs):
+        if isinstance(res, tuple):  # ("__error__", message)
             failures.append((panel.date, res[1]))
         else:
-            results.append(res)
+            write(res)
     return results, failures
+
+
+_IN_FLIGHT = 2  # days submitted per pool worker before the oldest one's result is awaited
+
+
+def _day_results(panels, args, jobs):
+    """(panel, DayResult or error) of each panel, in order."""
+    head = list(itertools.islice(panels, jobs))  # a pool forks all its workers at once
+    if len(head) < 2:
+        for panel in itertools.chain(head, panels):
+            yield panel, _run_one_safe((panel, *args))
+        return
+    from collections import deque
+    from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool is used
+
+    with ProcessPoolExecutor(max_workers=len(head)) as pool:
+        pending = deque()
+        for panel in itertools.chain(head, panels):
+            task = (panel, *args)
+            pending.append((task, _submit(pool, task)))
+            if len(pending) == _IN_FLIGHT * len(head):
+                yield _result_or_rerun(*pending.popleft())
+        while pending:
+            yield _result_or_rerun(*pending.popleft())
 
 
 def _run_one_safe(args):
@@ -214,13 +235,27 @@ def _run_one_safe(args):
         return ("__error__", f"{type(exc).__name__}: {exc}")
 
 
-def _result_or_rerun(future, task):
+def _submit(pool, task):
+    """The future of ``task`` in ``pool``, or None once a dead worker has broken the pool."""
     from concurrent.futures.process import BrokenProcessPool
 
     try:
-        return future.result()
-    except BrokenProcessPool:  # a worker died; every day it took down runs again serially
-        return _run_one_safe(task)
+        return pool.submit(_run_one_safe, task)
+    except BrokenProcessPool:
+        return None
+
+
+def _result_or_rerun(task, future):
+    """(panel, result) of ``task``; a day that a dead worker took down, or that found the pool
+    broken, runs again here."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    if future is not None:
+        try:
+            return task[0], future.result()
+        except BrokenProcessPool:
+            pass
+    return task[0], _run_one_safe(task)
 
 
 def _read_csv(path, columns: list, convert) -> list:
@@ -256,38 +291,68 @@ _TABLES = {  # each table of a decompose run: its file name and header
 }
 
 
-def write_tables(results, failures: list, out, spec: SessionSpec) -> None:
-    """The six tables of a decompose run, written into the directory ``out`` in one pass.
+class Tables:
+    """The six tables of a decompose run, written into the directory ``out`` a day at a time.
 
-    ``results`` come one per date in date order, as ``process_panels`` returns
-    them, so a table sorted by date and then by a key within the day needs each
-    day's rows sorted alone: by pair (decompositions, outcomes), pair and index
-    (events), instrument and index (jumps) or tuple (tuple_days). ``failures.csv``
-    keeps the order of ``failures``.
+    Days come one per date in date order, as ``process_panels`` passes them on, so a
+    table sorted by date and then by a key within the day needs each day's rows sorted
+    alone: by pair (decompositions, outcomes), pair and index (events), instrument and
+    index (jumps) or tuple (tuple_days). ``failures.csv`` keeps the order of the failures.
+    Each table is written as ``<name>.part`` and renamed to its name when the ``with``
+    block ends without an exception; otherwise the parts are removed, so a run that
+    stops part-way leaves no table of its own behind.
     """
-    labels = spec.grid_labels()
-    rows = {name: [] for name in _TABLES}
-    for res in results:
-        date = res.date.isoformat()
+
+    def __init__(self, out, spec: SessionSpec):
+        self._out = out
+        self._labels = spec.grid_labels()
+        self._files = {}
+        self._file = None  # the table the csv writer writes to
+        # one csv writer serves all six files: each writer keeps a record buffer of 128 KiB
+        self._csv = csv.writer(SimpleNamespace(write=lambda line: self._file.write(line)),
+                               lineterminator="\n")
+
+    def __enter__(self):
+        for name, header in _TABLES.items():
+            self._files[name] = open(os.path.join(self._out, name + ".part"), "w", newline="")
+            self._rows(name, [header])
+        return self
+
+    def _rows(self, name: str, rows) -> None:
+        self._file = self._files[name]
+        self._csv.writerows(map(csv_cells, rows))
+
+    def write_day(self, res: DayResult) -> None:
+        date, labels, rows = res.date.isoformat(), self._labels, self._rows
         for r in sorted(res.decomps, key=lambda r: r.pair):  # both rows carry the one label
             pair, o = "-".join(r.pair), res.outcomes[r.pair]
-            rows["decompositions.csv"].append(
-                [date, pair, r.qv, r.ic, r.cj, r.z, r.p_value, int(r.rejected),
-                 int(r.inconclusive), r.classification, r.corr_total, r.corr_cont])
-            rows["outcomes.csv"].append([date, pair, o.z, o.p_value, int(o.rejected),
-                                         r.classification, o.b_reps, o.alpha, o.seed])
-        rows["events.csv"] += sorted(
+            rows("decompositions.csv", [[date, pair, r.qv, r.ic, r.cj, r.z, r.p_value,
+                                         int(r.rejected), int(r.inconclusive), r.classification,
+                                         r.corr_total, r.corr_cont]])
+            rows("outcomes.csv", [[date, pair, o.z, o.p_value, int(o.rejected), r.classification,
+                                   o.b_reps, o.alpha, o.seed]])
+        rows("events.csv", sorted(
             [date, "-".join(r.pair), i, labels[i],
              *(res.jump_series[leg].jump_sizes[i] for leg in r.pair)]
-            for r in res.decomps for i in r.events)
-        rows["jumps.csv"] += sorted(
+            for r in res.decomps for i in r.events))
+        rows("jumps.csv", sorted(
             [date, name, idx, labels[idx], js.jump_sizes[idx]]
-            for name, js in res.jump_series.items() for idx in js.jump_indices.tolist())
-        rows["tuple_days.csv"] += sorted(
-            [date, "-".join(members), label] for members, label in res.tuple_labels.items())
-    rows["failures.csv"] = [(date.isoformat(), message) for date, message in failures]
-    for name, header in _TABLES.items():
-        write_csv(os.path.join(out, name), header, rows[name])
+            for name, js in res.jump_series.items() for idx in js.jump_indices.tolist()))
+        rows("tuple_days.csv", sorted(
+            [date, "-".join(members), label] for members, label in res.tuple_labels.items()))
+
+    def write_failures(self, failures: list) -> None:
+        self._rows("failures.csv", ((date.isoformat(), message) for date, message in failures))
+
+    def __exit__(self, exc_type, *exc):
+        for file in self._files.values():
+            file.close()
+        for name, file in self._files.items():
+            if exc_type is None:
+                os.replace(file.name, os.path.join(self._out, name))
+            else:
+                os.remove(file.name)
+        return False
 
 
 def read_decompositions(path) -> list:

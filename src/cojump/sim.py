@@ -151,6 +151,15 @@ def _correlate(eta: np.ndarray, rho: float, d: int) -> np.ndarray:
     return out
 
 
+def _exact_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum(a * b) rounded once; NaN where fsum has no float to give: an inf and a -inf
+    term, or finite terms whose sum leaves the float range."""
+    try:
+        return math.fsum((a * b).tolist())
+    except (ValueError, OverflowError):
+        return math.nan
+
+
 def simulate(scenario: SimScenario):
     """The days of a scenario in day order, each drawn as the iterator reaches it;
     deterministic under the scenario seed."""
@@ -179,8 +188,7 @@ def simulate(scenario: SimScenario):
         with np.errstate(over="ignore", invalid="ignore"):  # the CLI refuses a non-finite truth
             for j in by_day.get(k, ()):
                 jump_vectors[:, int(j[1])] += np.asarray(j[2:], dtype=float)
-            true_cj = np.array([[math.fsum((a * b).tolist()) for b in jump_vectors]
-                                for a in jump_vectors])
+            true_cj = np.array([[_exact_dot(a, b) for b in jump_vectors] for a in jump_vectors])
         observed = latent + jump_vectors
         if scenario.noise_sd > 0.0:
             observed = observed + np.diff(noise, axis=1)

@@ -7,8 +7,9 @@ rule and the thin-day rule read (``TickDays``: no trade is held and no
 file is sorted), filtered by a trading calendar, sampled onto an evenly
 spaced price grid, and differenced into log-return panels: one row per
 interval, one column per instrument. ``write_csv`` writes every output
-table of the package but the panels, which ``write_panel_csv`` writes
-in the same layout.
+table of the package but the panels and ``decompose``'s six tables,
+which ``write_panel_csv`` and ``pipeline.Tables`` write in the same
+layout (``csv_cells``).
 
 Grid convention: a session of length T seconds sampled every s seconds
 yields N = T/s return intervals and N + 1 grid instants t_0..t_N.
@@ -490,10 +491,12 @@ def write_csv(path, header: list, rows) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(
-            ["" if v is None else repr(float(v)) if isinstance(v, float) else v for v in row]
-            for row in rows
-        )
+        writer.writerows(map(csv_cells, rows))
+
+
+def csv_cells(row) -> list:
+    """The cells of one row of write_csv's layout."""
+    return ["" if v is None else repr(float(v)) if isinstance(v, float) else v for v in row]
 
 
 def write_panel_csv(panel: ReturnPanel, path, spec: SessionSpec) -> None:

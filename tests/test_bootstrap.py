@@ -87,9 +87,9 @@ def test_null_day_moments():
     assert float(np.var(r_2)) * 100_000 == pytest.approx(1.44e-4, rel=0.02)
 
 
-# B = 999 at N = 540 is 16 blocks of 60 rows and one of 39
+# B = 999 at N = 540 is 33 blocks of 30 rows and one of 9
 @pytest.mark.parametrize("shape, rows", [
-    ((999, 540), [60] * 16 + [39]),
+    ((999, 540), [30] * 33 + [9]),
     ((100, 64), [100]),
     (100_000, [100_000]),
 ], ids=["b999-n540", "b100-n64", "one-day-n100000"])
@@ -258,7 +258,9 @@ def test_write_outcomes_schema(tmp_path):
                                              cj=0.0, classification=_label(*run))])
         for day, run in runs.items()
     ]
-    pipeline.write_tables(days, [], tmp_path, SessionSpec(dt.time(7), dt.time(16), "UTC", 60))
+    with pipeline.Tables(tmp_path, SessionSpec(dt.time(7), dt.time(16), "UTC", 60)) as tables:
+        for day in days:
+            tables.write_day(day)
     path = tmp_path / "outcomes.csv"
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))

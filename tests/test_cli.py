@@ -2,6 +2,7 @@
 
 import csv
 import datetime as dt
+import gc
 import json
 import os
 import re
@@ -283,13 +284,20 @@ def test_simulate_writes_day_k_as_the_panel_of_the_kth_weekday(tmp_path):
         assert np.array_equal(panel.returns, day.observed)
 
 
-@pytest.mark.parametrize("copies", [1, 2], ids=["square", "sum"])
-def test_simulate_day_whose_truth_overflows_is_numerical_error(tmp_path, copies):
-    """A planted jump whose square (or, written twice, whose sum) overflows exits 4 with one
-    JSON line naming its day and nothing else on stderr; truth.csv gets no inf. The stage
-    runs in a subprocess, where no test harness captures numpy's warnings."""
+@pytest.mark.parametrize("jump_lines", [
+    ["2, 5, 1.7e308, 0.0"],
+    ["2, 5, 1.7e308, 0.0"] * 2,
+    ["2, 5, 1.7e308, 1.7e308", "2, 6, -1.7e308, 1.7e308"],
+    ["2, 5, 1e308, 1.0", "2, 6, 1e308, 1.0"],
+], ids=["square", "sum", "signs", "finite-terms"])
+def test_simulate_day_whose_truth_overflows_is_numerical_error(tmp_path, jump_lines):
+    """A planted jump whose square (or, written twice, whose sum) overflows, jump products
+    that overflow to both signs, or finite products whose sum overflows: each exits 4 with
+    one JSON line naming its day and nothing else on stderr; truth.csv gets no inf. The
+    stage runs in a subprocess, where no test harness captures numpy's warnings."""
     cfg = _write_config(tmp_path)
-    (tmp_path / "scenario.txt").write_text(SCENARIO + copies * "jump = 2, 5, 1.7e308, 0.0\n")
+    (tmp_path / "scenario.txt").write_text(SCENARIO + "".join(f"jump = {line}\n"
+                                                              for line in jump_lines))
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -324,6 +332,69 @@ def test_simulate_memory_stays_flat_in_days(tmp_path):
     finally:
         tracemalloc.stop()
     assert long - short < 64 * 1024, (short, long)
+
+
+def _decompose_peak(tmp_path, n_days):
+    """The traced peak of one decompose --jobs 1 run of the two-leg scenario at ``n_days``,
+    simulated first, in bytes over the memory held before it."""
+    cfg = _write_config(tmp_path, bootstrap={"b_reps": 100, "alpha": 0.05})
+    (tmp_path / "scenario.txt").write_text(SCENARIO.replace("n_days = 3", f"n_days = {n_days}"))
+    assert cli.main(["simulate", "--config", str(cfg)]) == cli.EXIT_OK
+    gc.collect()  # garbage of earlier tests is not freed inside the traced run
+    tracemalloc.reset_peak()
+    held = tracemalloc.get_traced_memory()[0]
+    assert cli.main(["decompose", "--config", str(cfg), "--jobs", "1"]) == cli.EXIT_OK
+    return tracemalloc.get_traced_memory()[1] - held
+
+
+def test_decompose_memory_stays_flat_in_days(tmp_path):
+    """decompose reads each panel as its day starts and writes each day as it ends: at 40
+    days it peaks within 64 KiB of its peak at 10 days, where holding every panel and every
+    day's result would add about 20 KiB a day."""
+    tracemalloc.start()
+    try:
+        _decompose_peak(tmp_path, 10)  # imports and first-call caches
+        short, long = _decompose_peak(tmp_path, 10), _decompose_peak(tmp_path, 40)
+    finally:
+        tracemalloc.stop()
+    assert long - short < 64 * 1024, (short, long)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("fault, code", [("date", cli.EXIT_CONFIG),
+                                         ("instruments", cli.EXIT_CONFIG),
+                                         ("number", cli.EXIT_IO)])
+def test_decompose_stopped_by_a_late_panel_leaves_no_table(capsys, tmp_path, monkeypatch, jobs,
+                                                            fault, code):
+    """A last panel that fails its date or instrument check (exit 3) or does not parse
+    (exit 2) is read after earlier days ran and were written: the run still exits with the
+    panel's code and names its file, and leaves no table, finished or in part, in the
+    output directory."""
+    cfg = _write_config(tmp_path)
+    (tmp_path / "scenario.txt").write_text(SCENARIO.replace("n_days = 3", "n_days = 8"))
+    assert cli.main(["simulate", "--config", str(cfg)]) == cli.EXIT_OK
+    last = tmp_path / "out" / "panels" / "panel_2017-03-22.csv"
+    lines = last.read_text().splitlines(keepends=True)
+    if fault == "date":
+        lines = [line.replace("2017-03-22", "2017-03-23") for line in lines]
+    elif fault == "instruments":
+        lines[0] = lines[0].replace(",FV", ",US")
+    else:
+        lines[9] = lines[9].replace(lines[9].split(",")[2], "abc", 1)
+    last.write_text("".join(lines))
+    written, write_day = [], pipeline.Tables.write_day
+
+    def record_day(tables, res):
+        written.append(res.date)
+        write_day(tables, res)
+
+    monkeypatch.setattr(pipeline.Tables, "write_day", record_day)
+    assert cli.main(["decompose", "--config", str(cfg), "--jobs", str(jobs)]) == code
+    msg = _stderr_json(capsys)
+    assert msg["error"] == {cli.EXIT_CONFIG: "config", cli.EXIT_IO: "io"}[code]
+    assert "panel_2017-03-22.csv" in msg["message"]
+    assert written[:3] == sim.business_dates(dt.date(2017, 3, 13), 3)  # days ran before it
+    assert sorted(os.listdir(tmp_path / "out")) == ["panels", "truth.csv"]
 
 
 def _write_tick_config(tmp_path, **extra):

@@ -236,7 +236,7 @@ def test_diagonal_floor_flag():
     assert bool(ic.floored[0])
 
 
-# 5 rows, and more rows than two of the bootstrap's row blocks at N = 128
+# 5 rows, and more rows than four of the bootstrap's row blocks at N = 128
 @pytest.mark.parametrize("b", [5, 2 * (2**15 // 128) + 7])
 @pytest.mark.parametrize("g", [6, 9, 40])
 def test_batched_pair_entry_matches_loop(g, b):

@@ -3,7 +3,9 @@
 import concurrent.futures
 import csv
 import datetime as dt
+import os
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,6 +40,15 @@ def _run_two_leg(jobs=1, b_reps=150, seed=0):
         _two_leg_panels(), [("TU", "FV")], EST,
         b_reps=b_reps, alpha=0.05, seed=seed, jobs=jobs,
     )
+
+
+def _write_tables(results, failures, out, spec):
+    """The six tables of ``results`` and ``failures`` through one Tables writer, as decompose
+    writes them."""
+    with pipeline.Tables(out, spec) as tables:
+        for res in results:
+            tables.write_day(res)
+        tables.write_failures(failures)
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +104,7 @@ def test_co_jump_day_record(two_leg, tmp_path):
     assert rec.cj == pytest.approx(expected_cj, rel=1e-12)
     assert rec.cj == pytest.approx(0.1 * 0.12, rel=0.1)
     assert rec.events == (270,)
-    pipeline.write_tables(two_leg, [], tmp_path, SPEC)
+    _write_tables(two_leg, [], tmp_path, SPEC)
     rows = list(csv.DictReader(open(tmp_path / "events.csv", newline="")))
     assert [(r["index"], r["time"]) for r in rows] == [("270", "11:30:00")]
     js = two_leg[1].jump_series
@@ -264,6 +275,86 @@ def test_pool_has_at_most_one_worker_per_day(two_leg, monkeypatch):
     assert workers == [3] and one_day[0][0].decomps[0].z == two_leg[0].decomps[0].z
 
 
+def _eight_days():
+    sc = sim.SimScenario(n_intervals=540, n_days=8, sigma=(0.01, 0.012), rho=0.6, seed=400,
+                         jumps=((2, 270, 0.1, 0.12),))
+    return _panels(sc, ["TU", "FV"])
+
+
+def _zs(results):
+    return [[rec.z for rec in day.decomps] for day in results]
+
+
+def test_pool_reads_and_holds_a_bounded_window_of_days(monkeypatch):
+    """At jobs = 2 over eight days the parent reads each panel as it submits its day and
+    passes each day on in date order, with at most two days a worker read and not yet
+    passed on."""
+    panels = _eight_days()
+    pending, drawn, ahead, written = [], [], [], []
+
+    class LazyPool:  # runs a day only when its result is asked for, so nothing is forked
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            def result():
+                pending.remove(future)
+                return fn(*args)
+
+            future = SimpleNamespace(result=result)
+            pending.append(future)
+            return future
+
+    def read():
+        for panel in panels:
+            drawn.append(panel.date)
+            yield panel
+
+    def write(res):
+        written.append(res)
+        ahead.append((len(drawn) - len(written), len(pending)))
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", LazyPool)
+    kept, failures = pipeline.process_panels(read(), [("TU", "FV")], EST, b_reps=150, jobs=2,
+                                             write=write)
+    assert kept == [] and failures == []
+    assert [res.date for res in written] == [panel.date for panel in panels]
+    assert _zs(written) == _zs(pipeline.process_panels(panels, [("TU", "FV")], EST,
+                                                       b_reps=150)[0])
+    assert max(read_ahead for read_ahead, _ in ahead) <= 2 * 2
+    assert max(in_pool for _, in_pool in ahead) <= 2 * 2
+
+
+def test_days_submitted_after_a_worker_dies_run_here(tmp_path, monkeypatch):
+    """A worker that dies on the first of eight days breaks the pool before the later days
+    are submitted: they run in this process, as the days it took down do, and every result
+    equals a jobs = 1 run's."""
+    panels = _eight_days()
+    serial, _ = pipeline.process_panels(panels, [("TU", "FV")], EST, b_reps=150)
+    main_pid, real = os.getpid(), pipeline.process_day
+    marker = tmp_path / "crashed"
+
+    def crash_in_worker(panel, *args):
+        if os.getpid() != main_pid and panel.date == panels[0].date:
+            marker.touch()
+            os._exit(1)
+        return real(panel, *args)
+
+    # the pool's workers are forked, so they inherit the patched module
+    monkeypatch.setattr(pipeline, "process_day", crash_in_worker)
+    parallel, failures = pipeline.process_panels(iter(panels), [("TU", "FV")], EST, b_reps=150,
+                                                 jobs=2)
+    assert marker.exists() and failures == []
+    assert [res.date for res in parallel] == [panel.date for panel in panels]
+    assert _zs(parallel) == _zs(serial)
+
+
 def _panels_with_short_day():
     panels = _two_leg_panels()
     # a short day cannot supply a single coarse return at this spacing
@@ -298,7 +389,7 @@ def test_failures_same_serial_and_parallel():
 
 
 def test_decomposition_csv_roundtrip(two_leg, tmp_path):
-    pipeline.write_tables(two_leg, [], tmp_path, SPEC)
+    _write_tables(two_leg, [], tmp_path, SPEC)
     back = pipeline.read_decompositions(tmp_path / "decompositions.csv")
     flat = [rec for day in two_leg for rec in day.decomps]
     flat.sort(key=lambda r: (r.date, r.pair))
@@ -312,7 +403,7 @@ def test_decomposition_csv_roundtrip(two_leg, tmp_path):
 
 
 def test_events_csv_roundtrip(two_leg, tmp_path):
-    pipeline.write_tables(two_leg, [], tmp_path, SPEC)
+    _write_tables(two_leg, [], tmp_path, SPEC)
     rows = pipeline.read_events_csv(tmp_path / "events.csv", SPEC)
     assert len(rows) == 1
     row = rows[0]
@@ -325,7 +416,7 @@ def test_events_csv_roundtrip(two_leg, tmp_path):
 
 
 def test_jump_report_roundtrip(two_leg, tmp_path):
-    pipeline.write_tables(two_leg, [], tmp_path, SPEC)
+    _write_tables(two_leg, [], tmp_path, SPEC)
     with open(tmp_path / "jumps.csv", newline="") as handle:
         rows = [
             {
@@ -358,13 +449,13 @@ def test_tuple_labels_csv_roundtrip(tmp_path):
         panels, prs, EST, b_reps=150, alpha=0.05, seed=0,
         tuples=[("TU", "FV", "TY")],
     )
-    pipeline.write_tables(results, [], tmp_path, SPEC)
+    _write_tables(results, [], tmp_path, SPEC)
     back = pipeline.read_tuple_labels(tmp_path / "tuple_days.csv")
     assert back == {"TU-FV-TY": {START: "Rotation"}}
 
 
 def test_failures_csv(tmp_path):
-    pipeline.write_tables([], [(START, "ValueError: boom")], tmp_path, SPEC)
+    _write_tables([], [(START, "ValueError: boom")], tmp_path, SPEC)
     rows = list(csv.reader(open(tmp_path / "failures.csv", newline="")))
     assert rows == [["date", "error"], ["2017-03-13", "ValueError: boom"]]
 
@@ -414,30 +505,42 @@ def _per_table_writers(results, failures, out, spec):
 
 @pytest.mark.parametrize("run", ["golden", "two_leg"])
 def test_write_tables_matches_the_per_table_writers(tmp_path, monkeypatch, run):
-    """One pass that sorts each day's rows writes the bytes of six writers that each
-    sort the whole run: on the golden run, and on a two-leg run with a failed day,
-    a disjoint-jump day and a tuple label."""
+    """Tables, appending each day's rows sorted alone as decompose passes the day on, writes
+    the bytes of six writers that each sort the whole run: on the golden run, and on a
+    two-leg run with a failed day, a disjoint-jump day and a tuple label."""
     if run == "golden":
         cfg = Path(__file__).parent / "golden" / "config.json"
     else:
         cfg = _write_config(tmp_path, tuples=[["TU", "FV"]])
         _fail_days(monkeypatch, 13)
-    calls = []
-    write_tables = pipeline.write_tables
-    monkeypatch.setattr(pipeline, "write_tables", lambda *args: calls.append(args))
+    results, failures = [], []
+    write_day, write_failures = pipeline.Tables.write_day, pipeline.Tables.write_failures
+
+    def record_day(tables, res):
+        results.append(res)
+        write_day(tables, res)
+
+    def record_failures(tables, failed):
+        failures.extend(failed)
+        write_failures(tables, failed)
+
+    monkeypatch.setattr(pipeline.Tables, "write_day", record_day)
+    monkeypatch.setattr(pipeline.Tables, "write_failures", record_failures)
     for stage in ("simulate", "decompose"):
         assert cli.main([stage, "--config", str(cfg), "--output", str(tmp_path / "out")]) == 0
-    [(results, failures, _, spec)] = calls
+    monkeypatch.undo()  # the writers below write unrecorded
+    spec = cli.load_config(str(cfg), {}).session
     if run == "two_leg":
         assert [date for date, _ in failures] == [START]
         assert [rec.classification for res in results for rec in res.decomps] == [
             "co_jump", "disjoint_only"]
         assert [res.tuple_labels for res in results] == [{("TU", "FV"): "UpShift"}, {}]
-    for folder, write in (("one_pass", write_tables), ("per_table", _per_table_writers)):
+    for folder, write in (("one_pass", _write_tables), ("per_table", _per_table_writers)):
         (tmp_path / folder).mkdir()
         write(results, failures, tmp_path / folder, spec)
     for name in ("decompositions.csv", "events.csv", "jumps.csv", "tuple_days.csv",
                  "failures.csv", "outcomes.csv"):
         one_pass = (tmp_path / "one_pass" / name).read_bytes()
         assert one_pass == (tmp_path / "per_table" / name).read_bytes(), name
+        assert one_pass == (tmp_path / "out" / name).read_bytes(), name  # as decompose wrote it
         assert one_pass.count(b"\n") > 1 or name == "failures.csv" and run == "golden", name

@@ -9,8 +9,9 @@ Subpackage map:
 - jwc: jump wavelet covariance estimator, as the two-scale realized covariance
 - sim: correlated diffusion-with-jumps panel simulator
 - bootstrap: wild bootstrap discontinuity test
+- spec: numpy-free run settings, input errors, and the output table layout
 - ticks: tick ingestion, grid sampling, and return panel construction
-- events: decomposition summaries, regressions, and event tables
+- events: reads decompose's tables into summaries, regressions, and event tables
 - pipeline: per-day orchestration and day-pair labels, from panels to report tables
 - cli: command-line entry point
 """

@@ -8,7 +8,9 @@ with the same inputs, config, and seed is byte-identical.
 
 Exit codes: 0 success, 2 I/O failure (including an input file that
 does not parse), 3 invalid configuration, 4 numerical failure. Errors
-are emitted as one-line JSON on stderr.
+are emitted as one-line JSON on stderr. The config is read into the
+numpy-free types of ``spec``, and each stage imports what it runs:
+``report`` and this front end load no numpy.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ import re
 import sys
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from . import __version__, jwc, ticks  # each stage imports the rest of what it runs
+from . import __version__  # each stage imports the modules it runs
+from .spec import (JwcConfig, MalformedFile, SessionMismatch, SessionSpec, TradingCalendar,
+                   write_csv)
 
 ENV_CONFIG = "COJUMP_CONFIG"
 
@@ -41,15 +43,15 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    session: ticks.SessionSpec
+    session: SessionSpec
     instruments: list
     pairs: list
     tuples: list
-    calendar: ticks.TradingCalendar
+    calendar: TradingCalendar
     announcements: frozenset | None
     tick_sources: dict
     scenario_path: object
-    estimator: jwc.JwcConfig
+    estimator: JwcConfig
     b_reps: int
     alpha: float
     seed: int
@@ -104,7 +106,7 @@ def _iso(kind):
 
 def _zone(value, path):
     """A reader of IANA time zone names."""
-    from zoneinfo import ZoneInfo  # loaded with ticks already
+    from zoneinfo import ZoneInfo  # loaded with spec already
     name = _text(value, path)
     try:
         return ZoneInfo(name).key
@@ -197,13 +199,12 @@ def load_config(path: str, overrides: dict) -> RunConfig:
     c = _read(CONFIG, raw, "", {k: v for k, v in overrides.items() if v is not None})
     ses, cal, ann = c["session"], c["calendar"], c["announcements"]
     try:
-        session = ticks.SessionSpec(*ses.values())  # the table's order
+        session = SessionSpec(*ses.values())  # the table's order
     except ValueError as exc:  # the zone passed its reader: the window or the grid step is bad
         key = "session.end" if ses["start"] >= ses["end"] else "session.sampling_seconds"
         raise ConfigError(f"{key}: {exc}") from None
     try:
-        calendar = ticks.TradingCalendar(frozenset(cal["excluded_dates"]),
-                                         cal["low_trade_threshold"])
+        calendar = TradingCalendar(frozenset(cal["excluded_dates"]), cal["low_trade_threshold"])
     except ValueError as exc:  # the message opens with the key's last part
         raise ConfigError(f"calendar.{exc}") from None
     config = RunConfig(
@@ -216,7 +217,7 @@ def load_config(path: str, overrides: dict) -> RunConfig:
         tick_sources={name: {**src, "path": os.path.join(base, src["path"])}
                       for name, src in c["ticks"].items()},
         scenario_path=None if c["scenario"] is None else os.path.join(base, c["scenario"]),
-        estimator=jwc.JwcConfig(**c["estimator"]),
+        estimator=JwcConfig(**c["estimator"]),
         **c["bootstrap"],  # b_reps and alpha
         seed=c["seed"],
         jobs=c["jobs"],
@@ -278,6 +279,7 @@ def _panels_dir(config: RunConfig) -> str:
 def _panel_writer(config: RunConfig):
     """A writer of one panel as panels/panel_<date>.csv, made once every panel file of an
     earlier run is removed."""
+    from . import ticks
     out = _panels_dir(config)
     os.makedirs(out, exist_ok=True)
     for stale in glob.glob(os.path.join(glob.escape(out), "panel_*.csv")):
@@ -292,6 +294,7 @@ def _emit_error(kind: str, message: str) -> None:
 
 def cmd_ingest(config: RunConfig) -> int:
     """Parse ticks, build per-day return panels, write the drop log and tick counts."""
+    from . import ticks
     missing = [n for n in config.instruments if n not in config.tick_sources]
     if missing:
         raise ConfigError(f"no tick source for instruments: {', '.join(missing)}")
@@ -305,8 +308,8 @@ def cmd_ingest(config: RunConfig) -> int:
         write_panel(panel)
     ticks.write_drop_log(drop_log, os.path.join(config.output, "drop_log.csv"))
     counts = [(name, s.total_rows, s.rejected) for name, s in series.items()]
-    ticks.write_csv(os.path.join(config.output, "tick_counts.csv"),
-                    ["instrument", "rows", "rejected"], counts)
+    write_csv(os.path.join(config.output, "tick_counts.csv"), ["instrument", "rows", "rejected"],
+              counts)
     if not panels:
         raise OSError(f"ingest kept no day: {len(drop_log)} dates dropped, see drop_log.csv")
     return EXIT_OK
@@ -315,7 +318,7 @@ def cmd_ingest(config: RunConfig) -> int:
 def cmd_simulate(config: RunConfig) -> int:
     """Simulate a scenario into panel files plus a ground-truth record, writing each day as
     it is drawn."""
-    from . import sim
+    from . import ticks, sim  # ticks first: compiled before numpy loads, it leaves RSS lower
     if config.scenario_path is None:
         raise ConfigError("simulate requires a 'scenario' path in the config")
     scenario = sim.read_scenario(config.scenario_path)
@@ -335,14 +338,14 @@ def cmd_simulate(config: RunConfig) -> int:
         dates = sim.business_dates(config.start_date, scenario.n_days)
         for date, day in zip(dates, sim.simulate(scenario)):
             qv = day.true_ic + day.true_cj  # finite only where IC and CJ both are
-            if not np.isfinite(qv).all():
+            if not all(map(math.isfinite, qv.flat)):
                 raise OverflowError(f"simulated day {date}: its true IC, CJ or QV is not finite")
             write_panel(ticks.ReturnPanel(date, names, day.observed))
             yield from ([date.isoformat(), entry, day.true_ic[i, j], day.true_cj[i, j], qv[i, j]]
                         for i, j, entry in entries)
 
-    ticks.write_csv(os.path.join(config.output, "truth.csv"), ["date", "entry", "ic", "cj", "qv"],
-                    truth_rows())
+    write_csv(os.path.join(config.output, "truth.csv"), ["date", "entry", "ic", "cj", "qv"],
+              truth_rows())
     return EXIT_OK
 
 
@@ -356,11 +359,12 @@ def _panel_paths(config: RunConfig) -> list:
 
 def _read_panel(config: RunConfig, path: str) -> ticks.ReturnPanel:
     """One panel file; one of another date or instrument set raises SessionMismatch."""
+    from . import ticks
     panel = ticks.read_panel_csv(path, config.session)
     if os.path.basename(path) != f"panel_{panel.date.isoformat()}.csv":
-        raise ticks.SessionMismatch(f"{path}: rows are dated {panel.date}, not the file's date")
+        raise SessionMismatch(f"{path}: rows are dated {panel.date}, not the file's date")
     if sorted(panel.instruments) != sorted(config.instruments):
-        raise ticks.SessionMismatch(
+        raise SessionMismatch(
             f"{path}: instruments {panel.instruments} are not the configured "
             f"{config.instruments}"
         )
@@ -370,7 +374,7 @@ def _read_panel(config: RunConfig, path: str) -> ticks.ReturnPanel:
 def cmd_decompose(config: RunConfig) -> int:
     """Detect, estimate, and test every day, holding one at a time; write decomposition
     files."""
-    from . import pipeline
+    from . import ticks, pipeline  # ticks first, as in cmd_simulate
     if not config.pairs:
         raise ConfigError("decompose requires at least one pair")
     paths = _panel_paths(config)
@@ -416,20 +420,20 @@ def _file_hash(path: str) -> str:
 
 def cmd_report(config: RunConfig) -> int:
     """Aggregate decompositions into the summary tables and manifest."""
-    from . import events, pipeline
+    from . import events
     paths = [os.path.join(config.output, name)
              for name in ("decompositions.csv", "events.csv", "tuple_days.csv")]
     for p in paths:
         if not os.path.exists(p):
             raise OSError(f"missing decomposition output: {p}")
     dec_path, ev_path, tuple_path = paths
-    decomps = pipeline.read_decompositions(dec_path)
+    decomps = events.read_decompositions(dec_path)
     if not decomps:
         raise OSError(f"{dec_path} has no rows: decompose processed no day")
-    event_rows = pipeline.read_events_csv(ev_path, config.session)
+    event_rows = events.read_events_csv(ev_path, config.session)
     degenerate = events.write_report(
         config.output, decomps, [row["index"] for row in event_rows],
-        pipeline.read_tuple_labels(tuple_path), config.announcements, config.session,
+        events.read_tuple_labels(tuple_path), config.announcements, config.session,
         config.histogram_bin_minutes,
     )
     for table, pair, reason in degenerate:
@@ -498,16 +502,16 @@ def main(argv=None) -> int:
     try:
         os.makedirs(config.output, exist_ok=True)
         return COMMANDS[args.command](config)
-    except (ConfigError, ticks.SessionMismatch) as exc:
+    except (ConfigError, SessionMismatch) as exc:
         _emit_error("config", str(exc))
         return EXIT_CONFIG
-    except (OSError, ticks.MalformedFile) as exc:
+    except (OSError, MalformedFile) as exc:
         _emit_error("io", str(exc))
         return EXIT_IO
     except UnicodeEncodeError as exc:  # a path that the filesystem encoding cannot write
         _emit_error("io", f"cannot write {exc.object!r} in the {exc.encoding} encoding: {exc.reason}")
         return EXIT_IO
-    except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         _emit_error("numerical", f"{type(exc).__name__}: {exc}")
         return EXIT_NUMERICAL
 

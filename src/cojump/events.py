@@ -11,7 +11,8 @@ co-jump event as the grid index of its interval alone (its sizes are
 the two legs' jump sizes there); the histogram turns indices into
 wall-clock bins through the session alone.
 ``write_report`` builds the rows of all five tables, declared once in
-``_TABLES``, before it writes any of them.
+``_TABLES``, before it writes any of them. ``decompose``'s tables and their
+readers are here too (``DECOMPOSE_TABLES``): ``report`` loads no numpy.
 
 Both fits are computed by hand on purpose: OLS in exact integer
 arithmetic with an HC0 sandwich, and the logit, which its one binary
@@ -24,15 +25,16 @@ the report bytes do not depend on which BLAS kernel the machine selects.
 
 from __future__ import annotations
 
+import csv
 import datetime as dt
+import functools
 import math
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .ticks import SessionSpec, write_csv
+from .spec import MalformedFile, SessionSpec, write_csv
 
 LABELS = ("UpShift", "DownShift", "Rotation")
 CLASSIFICATIONS = ("co_jump", "disjoint_only", "no_discontinuity")  # a pair's day labels
@@ -90,11 +92,25 @@ def cj_qv_summary(decomps: list) -> list:
     for pair in sorted(by_pair):
         recs = by_pair[pair]
         days_cj = sum(1 for r in recs if r.cj != 0.0)
-        qv_total = float(sum(r.qv for r in recs))
+        qv_total = functools.reduce(operator.add, (r.qv for r in recs), 0.0)  # in turn
         ratios = [100.0 * r.cj / r.qv for r in recs if r.qv != 0.0]
-        pct = float(np.mean(ratios)) if ratios else 0.0
+        pct = (0.0 + _pairwise_sum(ratios)) / len(ratios) if ratios else 0.0  # np.mean: from 0.0
         rows.append({"pair": pair, "days_cj": days_cj, "qv_total": qv_total, "pct_cj_qv": pct})
     return rows
+
+
+def _pairwise_sum(x: list) -> float:
+    """``x`` summed in numpy's pairwise order, so with np.sum's bits: in turn below 8 values,
+    in 8 running sums up to 128 and then in turn, and in halves of whole 8s above 128."""
+    n, full = len(x), len(x) - len(x) % 8
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(x[:half]) + _pairwise_sum(x[half:])
+    if n < 8:
+        return functools.reduce(operator.add, x, 0.0)
+    r = [functools.reduce(operator.add, x[j:full:8]) for j in range(8)]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    return functools.reduce(operator.add, x[full:], total)
 
 
 @dataclass
@@ -110,12 +126,12 @@ class RegressionResult:
 
 
 def _scaled_ints(*arrays) -> tuple:
-    """Exact integer images of float arrays on one binary scale.
+    """Exact integer images of lists of floats on one binary scale.
 
     Returns the integer lists and ``unit`` such that every input value
     equals its integer times ``unit`` (a power of two).
     """
-    ratios = [[v.as_integer_ratio() for v in arr.tolist()] for arr in arrays]
+    ratios = [[v.as_integer_ratio() for v in arr] for arr in arrays]
     shift = max(den.bit_length() - 1 for r in ratios for _, den in r)
     ints = [[num << (shift - den.bit_length() + 1) for num, den in r] for r in ratios]
     return ints, Fraction(1, 1 << shift)
@@ -137,14 +153,13 @@ def correlation_impact_regression(total_corr, cont_corr) -> RegressionResult:
     sandwich (all residual weight at one regressor value, which leaves
     the Wald statistic undefined) raise ``DegenerateFit``.
     """
-    y = np.asarray(total_corr, dtype=float)
-    x = np.asarray(cont_corr, dtype=float)
-    if y.shape != x.shape or y.ndim != 1:
+    y, x = [float(v) for v in total_corr], [float(v) for v in cont_corr]
+    if len(y) != len(x):
         raise ValueError("need two equal-length daily series")
-    n = y.size
+    n = len(y)
     if n < 3:
         raise DegenerateFit("need at least 3 paired observations")
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(x))):
+    if not all(map(math.isfinite, y + x)):
         raise ValueError("series must be finite")
     (xi, yi), unit = _scaled_ints(x, y)
     sx, sy = sum(xi), sum(yi)
@@ -161,7 +176,7 @@ def correlation_impact_regression(total_corr, cont_corr) -> RegressionResult:
     r_squared = Fraction(cxy * cxy, cxx * cyy) if cyy else Fraction(1)
     # residual i is resid[i] * unit / (n * cxx)
     resid = [n * cxx * b - (sy * cxx - sx * cxy) - n * cxy * a for a, b in zip(xi, yi)]
-    scale = max(float(np.max(np.abs(y))), 1e-30)
+    scale = max(*map(abs, y), 1e-30)
     if float(Fraction(max(map(abs, resid)), n * cxx) * unit) <= 1e-12 * scale:
         # Exact fit: the sandwich is singular and the Wald ratio would be
         # 0/0 round-off. The hypothesis is then decided by theta alone.
@@ -234,14 +249,14 @@ def announcement_logit(cojump_indicator, news_indicator) -> LogitResult:
     (l - l0) / -l0 with l - l0 = sum k log(k n / (row * column)) over the
     cells, so it is exactly 0 when news and quiet days share one rate.
     """
-    y = np.asarray(cojump_indicator, dtype=float)
-    x = np.asarray(news_indicator, dtype=float)
-    if y.shape != x.shape or y.ndim != 1:
+    y, x = [float(v) for v in cojump_indicator], [float(v) for v in news_indicator]
+    if len(y) != len(x):
         raise ValueError("need two equal-length daily indicator series")
     for name, v in (("outcome", y), ("news indicator", x)):
-        if not set(v.tolist()) <= {0.0, 1.0}:
+        if not set(v) <= {0.0, 1.0}:
             raise ValueError(f"{name} must be 0/1")
-    b, a, d, c = np.bincount((2.0 * x + y).astype(int), minlength=4).tolist()
+    cells = [int(2.0 * xv + yv) for xv, yv in zip(x, y)]  # 0 to 3: (news, co-jump) bits
+    b, a, d, c = map(cells.count, range(4))
     quiet, news, cojump, calm = a + b, c + d, a + c, b + d
     if not (cojump and calm):
         raise DegenerateFit("both outcome classes must be present")
@@ -274,7 +289,7 @@ def intraday_histogram(indices: list, bin_minutes: int, spec: SessionSpec):
     width = bin_minutes * 60
     if width <= 0 or spec.session_seconds % width != 0:
         raise ValueError("bin width must divide the session length")
-    counts = np.zeros(spec.session_seconds // width, dtype=int)
+    counts = [0] * (spec.session_seconds // width)
     for index in indices:
         if not 0 <= index < spec.n_intervals:
             raise ValueError(f"event index {index} outside the session")
@@ -378,7 +393,7 @@ def write_report(out, decomps: list, event_indices: list, labels_by_tuple: dict,
     news_dates = announcements or frozenset()
     for pair in sorted(by_pair):  # both fits are exact sums, so the rows' order is free
         recs = by_pair[pair]
-        finite = [r for r in recs if np.isfinite(r.corr_total) and np.isfinite(r.corr_cont)]
+        finite = [r for r in recs if math.isfinite(r.corr_total) and math.isfinite(r.corr_cont)]
         for table, fit, args in (
             ("correlation_regression", correlation_impact_regression,
              ([r.corr_total for r in finite], [r.corr_cont for r in finite])),
@@ -407,4 +422,86 @@ def write_report(out, decomps: list, event_indices: list, labels_by_tuple: dict,
 
 
 def write_histogram(bin_starts: list, counts, path) -> None:
-    write_csv(path, _TABLES["histogram.csv"], ([t, int(c)] for t, c in zip(bin_starts, counts)))
+    write_csv(path, _TABLES["histogram.csv"], zip(bin_starts, counts))
+
+
+def _read_csv(path, columns: list, convert) -> list:
+    """``convert`` of each row of an intermediate CSV; bad files raise MalformedFile."""
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, [])
+            missing = [c for c in columns if c not in header]
+            if missing:
+                raise MalformedFile(f"{path}: missing columns {missing}")
+            out = []
+            for row in filter(None, reader):  # blank lines are no records
+                try:
+                    if len(row) < len(header):
+                        raise ValueError(f"{len(row)} fields where the header has {len(header)}")
+                    out.append(convert(dict(zip(header, row))))
+                except (TypeError, ValueError) as exc:
+                    raise MalformedFile(f"{path}: line {reader.line_num}: {exc}") from exc
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise MalformedFile(f"{path}: {exc}") from exc
+    return out
+
+
+DECOMPOSE_TABLES = {  # each table of a decompose run: its file name and header
+    "decompositions.csv": ["date", "pair", "qv", "ic", "cj", "z", "p", "rejected", "inconclusive",
+                           "classification", "corr_total", "corr_cont"],
+    "events.csv": ["date", "pair", "index", "time", "size_1", "size_2"],
+    "jumps.csv": ["date", "instrument", "index", "time", "size"],
+    "tuple_days.csv": ["date", "tuple", "label"],
+    "failures.csv": ["date", "error"],
+    "outcomes.csv": ["date", "pair", "Z", "p", "rejected", "classification", "B", "alpha", "seed"],
+}
+
+
+def read_decompositions(path) -> list:
+    """Rebuild DayDecomposition records (events live in events.csv)."""
+    def convert(row):
+        return DayDecomposition(
+            date=dt.date.fromisoformat(row["date"]), pair=tuple(row["pair"].split("-")),
+            qv=float(row["qv"]), ic=float(row["ic"]), cj=float(row["cj"]),
+            classification=row["classification"], corr_total=float(row["corr_total"]),
+            corr_cont=float(row["corr_cont"]), z=float(row["z"]), p_value=float(row["p"]),
+            rejected=bool(int(row["rejected"])), inconclusive=bool(int(row["inconclusive"])))
+
+    return _read_csv(path, DECOMPOSE_TABLES["decompositions.csv"], convert)
+
+
+def read_events_csv(path, spec: SessionSpec) -> list:
+    """Event rows as (date, pair, index, wall-clock time, sizes).
+
+    A row whose index is not an interval of ``spec`` or whose time is
+    not that interval's label raises MalformedFile.
+    """
+    labels = spec.grid_labels()
+
+    def convert(row):
+        index = int(row["index"])
+        if not 0 <= index < len(labels) or row["time"] != labels[index]:
+            raise ValueError(f"index {index} at {row['time']} is not an interval of the session")
+        return {
+            "date": dt.date.fromisoformat(row["date"]),
+            "pair": tuple(row["pair"].split("-")),
+            "index": index,
+            "time": dt.time.fromisoformat(row["time"]),
+            "sizes": (float(row["size_1"]), float(row["size_2"])),
+        }
+
+    return _read_csv(path, DECOMPOSE_TABLES["events.csv"], convert)
+
+
+def read_tuple_labels(path) -> dict:
+    """Maps tuple name -> {date: label}."""
+    def convert(row):
+        if row["label"] not in LABELS:
+            raise ValueError(f"unknown label {row['label']!r}")
+        return row["tuple"], dt.date.fromisoformat(row["date"]), row["label"]
+
+    out: dict = {}
+    for name, date, label in _read_csv(path, DECOMPOSE_TABLES["tuple_days.csv"], convert):
+        out.setdefault(name, {})[date] = label
+    return out

@@ -46,49 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-def default_g_spacing(n: int) -> int:
-    """Default slow-grid spacing, the two-scale rule G ~ N^(2/3)."""
-    return max(2, int(round(n ** (2.0 / 3.0))))
-
-
-@dataclass(frozen=True)
-class JwcConfig:
-    """Estimator configuration.
-
-    ``g_spacing`` defaults to the grid-size rule when left None.
-    S = G = 1 is permitted as the degenerate identity case; otherwise
-    S < G is required.
-    """
-
-    c_n: float = 1.0
-    s_spacing: int = 1
-    g_spacing: object = None
-
-    def resolve(self, n: int) -> "ResolvedJwc":
-        g = self.g_spacing if self.g_spacing is not None else default_g_spacing(n)
-        s = self.s_spacing
-        if not (1 <= s <= g <= n):
-            raise ValueError(f"need 1 <= S <= G <= N, got S={s} G={g} N={n}")
-        if s == g and g != 1:
-            raise ValueError("S must be strictly smaller than G (except S = G = 1)")
-        if 2 * g - 1 > n:
-            raise ValueError(f"G={g} leaves offsets with no coarse return on N={n}")
-        return ResolvedJwc(c_n=float(self.c_n), s_spacing=int(s), g_spacing=int(g), n=int(n))
-
-
-@dataclass(frozen=True)
-class ResolvedJwc:
-    c_n: float
-    s_spacing: int
-    g_spacing: int
-    n: int
-
-    @property
-    def subsample_ratio(self) -> float:
-        nbar_g = (self.n - self.g_spacing + 1) / self.g_spacing
-        n_s = (self.n - self.s_spacing + 1) / self.s_spacing
-        return nbar_g / n_s
+from .spec import JwcConfig, ResolvedJwc
 
 
 @dataclass

@@ -33,7 +33,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import bootstrap, events, jumps, jwc
-from .ticks import MalformedFile, ReturnPanel, SessionSpec, csv_cells
+from .spec import SessionSpec, csv_cells
+from .ticks import ReturnPanel
 
 
 @dataclass
@@ -258,39 +259,6 @@ def _result_or_rerun(task, future):
     return task[0], _run_one_safe(task)
 
 
-def _read_csv(path, columns: list, convert) -> list:
-    """``convert`` of each row of an intermediate CSV; bad files raise MalformedFile."""
-    try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, [])
-            missing = [c for c in columns if c not in header]
-            if missing:
-                raise MalformedFile(f"{path}: missing columns {missing}")
-            out = []
-            for row in filter(None, reader):  # blank lines are no records
-                try:
-                    if len(row) < len(header):
-                        raise ValueError(f"{len(row)} fields where the header has {len(header)}")
-                    out.append(convert(dict(zip(header, row))))
-                except (TypeError, ValueError) as exc:
-                    raise MalformedFile(f"{path}: line {reader.line_num}: {exc}") from exc
-    except (csv.Error, UnicodeDecodeError) as exc:
-        raise MalformedFile(f"{path}: {exc}") from exc
-    return out
-
-
-_TABLES = {  # each table of a decompose run: its file name and header
-    "decompositions.csv": ["date", "pair", "qv", "ic", "cj", "z", "p", "rejected", "inconclusive",
-                           "classification", "corr_total", "corr_cont"],
-    "events.csv": ["date", "pair", "index", "time", "size_1", "size_2"],
-    "jumps.csv": ["date", "instrument", "index", "time", "size"],
-    "tuple_days.csv": ["date", "tuple", "label"],
-    "failures.csv": ["date", "error"],
-    "outcomes.csv": ["date", "pair", "Z", "p", "rejected", "classification", "B", "alpha", "seed"],
-}
-
-
 class Tables:
     """The six tables of a decompose run, written into the directory ``out`` a day at a time.
 
@@ -313,7 +281,7 @@ class Tables:
                                lineterminator="\n")
 
     def __enter__(self):
-        for name, header in _TABLES.items():
+        for name, header in events.DECOMPOSE_TABLES.items():
             self._files[name] = open(os.path.join(self._out, name + ".part"), "w", newline="")
             self._rows(name, [header])
         return self
@@ -353,62 +321,3 @@ class Tables:
             else:
                 os.remove(file.name)
         return False
-
-
-def read_decompositions(path) -> list:
-    """Rebuild DayDecomposition records (events live in events.csv)."""
-    return _read_csv(
-        path,
-        _TABLES["decompositions.csv"],
-        lambda row: events.DayDecomposition(
-            date=dt.date.fromisoformat(row["date"]),
-            pair=tuple(row["pair"].split("-")),
-            qv=float(row["qv"]),
-            ic=float(row["ic"]),
-            cj=float(row["cj"]),
-            classification=row["classification"],
-            events=(),
-            corr_total=float(row["corr_total"]),
-            corr_cont=float(row["corr_cont"]),
-            z=float(row["z"]),
-            p_value=float(row["p"]),
-            rejected=bool(int(row["rejected"])),
-            inconclusive=bool(int(row["inconclusive"])),
-        ),
-    )
-
-
-def read_events_csv(path, spec: SessionSpec) -> list:
-    """Event rows as (date, pair, index, wall-clock time, sizes).
-
-    A row whose index is not an interval of ``spec`` or whose time is
-    not that interval's label raises MalformedFile.
-    """
-    labels = spec.grid_labels()
-
-    def convert(row):
-        index = int(row["index"])
-        if not 0 <= index < len(labels) or row["time"] != labels[index]:
-            raise ValueError(f"index {index} at {row['time']} is not an interval of the session")
-        return {
-            "date": dt.date.fromisoformat(row["date"]),
-            "pair": tuple(row["pair"].split("-")),
-            "index": index,
-            "time": dt.time.fromisoformat(row["time"]),
-            "sizes": (float(row["size_1"]), float(row["size_2"])),
-        }
-
-    return _read_csv(path, _TABLES["events.csv"], convert)
-
-
-def read_tuple_labels(path) -> dict:
-    """Maps tuple name -> {date: label}."""
-    def convert(row):
-        if row["label"] not in events.LABELS:
-            raise ValueError(f"unknown label {row['label']!r}")
-        return row["tuple"], dt.date.fromisoformat(row["date"]), row["label"]
-
-    out: dict = {}
-    for name, date, label in _read_csv(path, _TABLES["tuple_days.csv"], convert):
-        out.setdefault(name, {})[date] = label
-    return out

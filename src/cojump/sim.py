@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ticks import MalformedFile
+from .spec import MalformedFile
 
 VOL_PATTERNS = ("flat", "u_shape")
 

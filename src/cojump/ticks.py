@@ -6,10 +6,10 @@ reduced block by block per instrument and date to what the last-tick
 rule and the thin-day rule read (``TickDays``: no trade is held and no
 file is sorted), filtered by a trading calendar, sampled onto an evenly
 spaced price grid, and differenced into log-return panels: one row per
-interval, one column per instrument. ``write_csv`` writes every output
-table of the package but the panels and ``decompose``'s six tables,
-which ``write_panel_csv`` and ``pipeline.Tables`` write in the same
-layout (``csv_cells``).
+interval, one column per instrument. ``write_panel_csv`` writes a panel
+in the layout of ``spec.write_csv``. The session, the calendar and the
+input errors are numpy-free types of ``spec``, which the CLI reads
+without loading this module.
 
 Grid convention: a session of length T seconds sampled every s seconds
 yields N = T/s return intervals and N + 1 grid instants t_0..t_N.
@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import functools
 import math
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from zoneinfo import ZoneInfo
 
 import numpy as np
+
+from .spec import MalformedFile, SessionMismatch, SessionSpec, TradingCalendar, write_csv
 
 LOW_TRADE_BIN_SECONDS = 300  # the thin-day rule is always judged on 5-min bins
 PARSE_BLOCK_ROWS = 2048  # lines read at a time by parse_ticks
@@ -50,10 +51,6 @@ def _wall_us(stamp: dt.datetime) -> int:
     return (stamp - _EPOCH) // _US
 
 
-class MalformedFile(ValueError):
-    """An input file cannot be parsed; the message names the file."""
-
-
 class ZeroValidRows(MalformedFile):
     """A tick file contained no parseable rows."""
 
@@ -62,64 +59,10 @@ class DayUnusable(ValueError):
     """No trade occurred inside the session; the day cannot be sampled."""
 
 
-class SessionMismatch(ValueError):
-    """A panel file's date or grid does not match the configured session."""
-
-
-@dataclass(frozen=True)
-class SessionSpec:
-    """Trading session geometry: wall-clock window, timezone, grid step."""
-
-    session_start: dt.time
-    session_end: dt.time
-    timezone: str
-    sampling_interval: int
-
-    def __post_init__(self):
-        if self.session_start >= self.session_end:
-            raise ValueError(f"the session start {self.session_start} must precede "
-                             f"its end {self.session_end}")
-        if self.sampling_interval <= 0 or self.session_seconds % self.sampling_interval:
-            raise ValueError(f"the grid step of {self.sampling_interval} s must divide "
-                             f"the session length of {self.session_seconds} s")
-        ZoneInfo(self.timezone)  # fail fast on unknown zone names
-
-    @property
-    def session_seconds(self) -> int:
-        start = self.session_start
-        end = self.session_end
-        return (end.hour - start.hour) * 3600 + (end.minute - start.minute) * 60 + (
-            end.second - start.second
-        )
-
-    @property
-    def n_intervals(self) -> int:
-        return self.session_seconds // self.sampling_interval
-
-    def tzinfo(self) -> ZoneInfo:
-        return ZoneInfo(self.timezone)
-
-    def grid_labels(self, step: int = 0) -> list[str]:
-        """Wall-clock "HH:MM:SS" of the N interval left endpoints, the same on every date.
-
-        A ``step`` in seconds labels a coarser cut of the session instead. The
-        labels are built once per cut, and each call returns a new list.
-        """
-        step = step or self.sampling_interval
-        start = self.session_start
-        base = start.hour * 3600 + start.minute * 60 + start.second
-        return list(_labels(base, base + self.session_seconds // step * step, step))
-
-    def grid_us(self, date: dt.date) -> np.ndarray:
-        """The N + 1 grid instants of one date as wall-clock microseconds (see TickDays)."""
-        start = _wall_us(dt.datetime.combine(date, self.session_start))
-        return start + self.sampling_interval * 1_000_000 * np.arange(self.n_intervals + 1)
-
-
-@functools.lru_cache(maxsize=8)
-def _labels(start: int, stop: int, step: int) -> tuple:
-    """"HH:MM:SS" of the seconds of the day in ``range(start, stop, step)``."""
-    return tuple(f"{t // 3600:02d}:{t // 60 % 60:02d}:{t % 60:02d}" for t in range(start, stop, step))
+def grid_us(spec: SessionSpec, date: dt.date) -> np.ndarray:
+    """The N + 1 grid instants of one date as wall-clock microseconds (see TickDays)."""
+    start = _wall_us(dt.datetime.combine(date, spec.session_start))
+    return start + spec.sampling_interval * 1_000_000 * np.arange(spec.n_intervals + 1)
 
 
 class _Day:
@@ -169,7 +112,7 @@ class TickDays:
 
     def _add_day(self, date: dt.date, times: np.ndarray, prices: np.ndarray) -> None:
         """Fold one date's sorted trades, later in the file than any before, into its _Day."""
-        grid = self.spec.grid_us(date)
+        grid = grid_us(self.spec, date)
         if date not in self.days:
             self.days[date] = _Day(self.spec)
         day = self.days[date]
@@ -180,17 +123,6 @@ class TickDays:
         day.last_us[later], day.last_price[later] = times[last[later]], prices[last[later]]
         bins = (times[last[0] + 1 : last[-1] + 1] - grid[0]) // (LOW_TRADE_BIN_SECONDS * 1_000_000)
         day.bins[np.minimum(day.bins.size - 1, bins)] = True
-
-
-@dataclass(frozen=True)
-class TradingCalendar:
-    excluded_dates: frozenset = frozenset()
-    low_trade_threshold: float = 0.60
-
-    def __post_init__(self):
-        if not (0.0 < self.low_trade_threshold <= 1.0):
-            raise ValueError(
-                f"low_trade_threshold must lie in (0, 1], got {self.low_trade_threshold}")
 
 
 @dataclass
@@ -253,10 +185,23 @@ def _offset_us(raw: np.ndarray):
 
 def _zone_wall_us(utc: np.ndarray, tz: ZoneInfo) -> np.ndarray:
     """Wall clock in ``tz`` of whole-second UTC microseconds inside ``_UTC_SPAN``, each
-    distinct second's offset (whole seconds) from the ``fromutc`` that ``astimezone`` calls."""
-    secs, where = np.unique(utc // 1_000_000, return_inverse=True)
-    offsets = [dt.datetime.fromtimestamp(s, tz).utcoffset().total_seconds() for s in secs.tolist()]
-    return utc + (np.array(offsets) * 1e6).astype(np.int64)[where]
+    second's offset from the ``fromutc`` that ``astimezone`` calls. No zone of tzdata has
+    two transitions within an hour (in 2025b the closest are four days apart), so an hour
+    whose first and last seconds share an offset has it throughout; only the seconds of
+    an hour whose ends differ are read one by one."""
+    def offset(second: int) -> int:
+        return dt.datetime.fromtimestamp(second, tz).utcoffset() // _US
+
+    secs = utc // 1_000_000
+    hours, where = np.unique(secs // 3600, return_inverse=True)
+    ends = np.array([[offset(h * 3600), offset(h * 3600 + 3599)] for h in hours.tolist()],
+                    np.int64).reshape(-1, 2)
+    shift = ends[where, 0]
+    mixed = np.flatnonzero(shift != ends[where, 1])  # the stamps of hours holding a transition
+    if mixed.size:
+        seconds, at = np.unique(secs[mixed], return_inverse=True)
+        shift[mixed] = np.array([offset(s) for s in seconds.tolist()], np.int64)[at]
+    return utc + shift
 
 
 def _bulk_wall_us(data: np.ndarray, starts: np.ndarray, sizes: np.ndarray, tz: ZoneInfo):
@@ -422,7 +367,7 @@ def sample_last_tick(ticks: TickDays, spec: SessionSpec, date: dt.date) -> np.nd
     falls inside [session_start, session_end].
     """
     day = _reduced(ticks, spec, date)
-    if day is None or day.last_us[-1] < spec.grid_us(date)[0]:  # no trade in [t_0, t_N]
+    if day is None or day.last_us[-1] < grid_us(spec, date)[0]:  # no trade in [t_0, t_N]
         raise DayUnusable(f"{ticks.instrument} {date}: no session trades")
     return np.where(day.last_us > _NO_TRADE, day.last_price, day.first_price)
 
@@ -478,25 +423,6 @@ def build_panels(tick_series: dict, spec: SessionSpec, calendar: TradingCalendar
             continue
         panels.append(build_panel(grids, date, spec))
     return panels, drop_log
-
-
-def write_csv(path, header: list, rows) -> None:
-    """Write one output table: the layout of every CSV file the package writes.
-
-    A header row, then one row per item of ``rows``, lines ended by
-    ``\\n``. A float, numpy scalars included, is written as its shortest
-    round-trip ``repr``, so it reads back bit-exact; ``None`` is a blank
-    cell (an undefined fit); any other value is written as ``str``.
-    """
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(map(csv_cells, rows))
-
-
-def csv_cells(row) -> list:
-    """The cells of one row of write_csv's layout."""
-    return ["" if v is None else repr(float(v)) if isinstance(v, float) else v for v in row]
 
 
 def write_panel_csv(panel: ReturnPanel, path, spec: SessionSpec) -> None:

@@ -48,6 +48,9 @@ def test_cj_qv_summary_trivials():
     assert rows[0]["days_cj"] == 0
     assert rows[0]["pct_cj_qv"] == 0.0
     assert rows[0]["qv_total"] == 5.0
+    # QV is summed in turn on every Python: 3.12's compensated sum() gives 1.0 here
+    days = [_decomp(dt.date(2017, 3, 15 + k), qv=q) for k, q in enumerate((1e16, 1.0, -1e16))]
+    assert ev.cj_qv_summary(days)[0]["qv_total"] == 0.0
 
     full = [_cj_day(d0, 10, (1.0, 1.0), qv=1.0)]
     rows = ev.cj_qv_summary(full)
@@ -67,6 +70,22 @@ def test_cj_qv_summary_mean_skips_zero_qv():
     assert rows[0]["days_cj"] == 1
     with pytest.raises(ValueError):
         ev.cj_qv_summary([])
+
+
+def test_cj_qv_summary_mean_is_np_mean_bit_for_bit():
+    """The report's mean of 100 * CJ / QV has the bits of np.mean of the same ratios, at
+    every edge of numpy's pairwise order (8 running sums, 128-value blocks, halving)."""
+    rng = np.random.default_rng(27)
+    lengths = [*range(1, 21), 127, 128, 129, 255, 256, 257, 8191, 8192, 8193,
+               *rng.integers(1, 9001, 30).tolist()]
+    d = dt.date(2017, 3, 15)
+    for n in lengths:
+        cj = (rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 2, n)).tolist()
+        qv = (rng.uniform(0.5, 2.0, n) * 10.0 ** rng.uniform(-4, 4, n)).tolist()
+        recs = [_decomp(d, qv=q, cj=c, classification="co_jump") for q, c in zip(qv, cj)]
+        [row] = ev.cj_qv_summary(recs)
+        want = float(np.mean([100.0 * c / q for q, c in zip(qv, cj)]))
+        assert row["pct_cj_qv"].hex() == want.hex(), n
 
 
 def test_cj_qv_summary_sorted_by_pair():
@@ -308,7 +327,7 @@ def _index(hh, mm):
 def test_histogram_binning_rule():
     indices = [_index(7, 31), _index(7, 45), _index(13, 5)]
     starts, counts = ev.intraday_histogram(indices, 30, SPEC)
-    assert counts.sum() == 3
+    assert sum(counts) == 3
     assert counts[starts.index("07:30:00")] == 2
     assert counts[starts.index("13:00:00")] == 1
     assert len(starts) == 18
@@ -317,10 +336,10 @@ def test_histogram_binning_rule():
 
 def test_histogram_trivials_and_errors():
     _, counts = ev.intraday_histogram([], 30, SPEC)
-    assert np.all(counts == 0)
+    assert not any(counts)
     triple = [_index(9, 1), _index(9, 14), _index(9, 29)]
     _, counts = ev.intraday_histogram(triple, 30, SPEC)
-    assert counts.max() == 3 and counts.sum() == 3
+    assert max(counts) == 3 and sum(counts) == 3
     with pytest.raises(ValueError, match="divide"):
         ev.intraday_histogram([], 7, SPEC)
     with pytest.raises(ValueError, match="outside"):
@@ -332,7 +351,7 @@ def test_histogram_trivials_and_errors():
 @given(st.lists(st.integers(min_value=0, max_value=9 * 12 - 1), max_size=40))
 def test_histogram_conserves_counts(indices):
     _, counts = ev.intraday_histogram(indices, 15, SPEC)
-    assert counts.sum() == len(indices)
+    assert sum(counts) == len(indices)
 
 
 def test_classify_shift_rotation_pairs():

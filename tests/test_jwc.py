@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cojump import jumps, jwc, modwt, pipeline
+from cojump import jumps, jwc, modwt, pipeline, spec
 from conftest import seeded
 
 
@@ -62,9 +62,9 @@ def exact_two_scale(r1, r2, g_spacing):
 
 
 def test_default_g_spacing_rule():
-    assert jwc.default_g_spacing(540) == 66
-    assert jwc.default_g_spacing(1000) == 100
-    assert jwc.default_g_spacing(2) == 2  # floor of the rule
+    assert spec.default_g_spacing(540) == 66
+    assert spec.default_g_spacing(1000) == 100
+    assert spec.default_g_spacing(2) == 2  # floor of the rule
 
 
 def test_resolve_defaults():

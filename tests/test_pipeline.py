@@ -12,6 +12,7 @@ import pytest
 from test_cli import _fail_days, _write_config
 
 from cojump import cli, jumps, jwc, pipeline, sim
+from cojump import events as ev
 from cojump.ticks import ReturnPanel, SessionSpec, write_csv
 
 SPEC = SessionSpec(dt.time(7, 0), dt.time(16, 0), "America/Chicago", 60)
@@ -390,7 +391,7 @@ def test_failures_same_serial_and_parallel():
 
 def test_decomposition_csv_roundtrip(two_leg, tmp_path):
     _write_tables(two_leg, [], tmp_path, SPEC)
-    back = pipeline.read_decompositions(tmp_path / "decompositions.csv")
+    back = ev.read_decompositions(tmp_path / "decompositions.csv")
     flat = [rec for day in two_leg for rec in day.decomps]
     flat.sort(key=lambda r: (r.date, r.pair))
     assert len(back) == len(flat)
@@ -404,7 +405,7 @@ def test_decomposition_csv_roundtrip(two_leg, tmp_path):
 
 def test_events_csv_roundtrip(two_leg, tmp_path):
     _write_tables(two_leg, [], tmp_path, SPEC)
-    rows = pipeline.read_events_csv(tmp_path / "events.csv", SPEC)
+    rows = ev.read_events_csv(tmp_path / "events.csv", SPEC)
     assert len(rows) == 1
     row = rows[0]
     assert row["date"] == START + dt.timedelta(days=1)
@@ -450,7 +451,7 @@ def test_tuple_labels_csv_roundtrip(tmp_path):
         tuples=[("TU", "FV", "TY")],
     )
     _write_tables(results, [], tmp_path, SPEC)
-    back = pipeline.read_tuple_labels(tmp_path / "tuple_days.csv")
+    back = ev.read_tuple_labels(tmp_path / "tuple_days.csv")
     assert back == {"TU-FV-TY": {START: "Rotation"}}
 
 

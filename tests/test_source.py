@@ -54,6 +54,29 @@ def test_cli_import_loads_no_process_pool_or_openssl():
     assert out.stdout.strip() == "[]"
 
 
+def test_front_end_and_report_load_no_numpy(tmp_path):
+    """Reading a config, failing on one, and a whole ``report`` run load neither numpy nor
+    the modules that run on it: the front end and the report stage need no array code."""
+    from test_cli import _write_config
+
+    from cojump import cli
+
+    cfg, bad = str(_write_config(tmp_path)), str(_write_config(tmp_path, "bad.json", seed=-1))
+    for stage in (["simulate"], ["decompose", "--jobs", "1"]):
+        assert cli.main([*stage, "--config", cfg]) == cli.EXIT_OK
+    golden = str(SRC.parents[1] / "tests" / "golden" / "config.json")
+    modules = ["numpy", "cojump.ticks", "cojump.jwc"]
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    for run, code in ((f"c.load_config({golden!r}, {{}}); code = 0", 0),
+                      (f"code = c.main(['decompose', '--config', {bad!r}])", cli.EXIT_CONFIG),
+                      (f"code = c.main(['report', '--config', {cfg!r}])", cli.EXIT_OK)):
+        probe = (f"import sys, cojump.cli as c; {run}; "
+                 f"print(code, [m for m in {modules!r} if m in sys.modules])")
+        out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == f"{code} []", (run, out.stdout, out.stderr)
+
+
 def test_no_stage_loads_numpy_ma(tmp_path):
     """No stage loads numpy.ma: np.unique without return_inverse, np.intersect1d and
     np.median import it (14 ms and 0.45 MiB) for arrays of a few elements."""

@@ -3,6 +3,7 @@
 import csv
 import datetime as dt
 import gc
+import itertools
 import math
 import random
 import tracemalloc
@@ -98,7 +99,7 @@ def _held_day(series, date):
 
 
 def _held_sample(series, spec, date):
-    grid = spec.grid_us(date)
+    grid = tk.grid_us(spec, date)
     times, prices = _held_day(series, date)
     if not np.any((times >= grid[0]) & (times <= grid[-1])):
         raise tk.DayUnusable(f"{series.instrument} {date}: no session trades")
@@ -106,7 +107,7 @@ def _held_sample(series, spec, date):
 
 
 def _held_fraction(series, spec, date):
-    grid = spec.grid_us(date)
+    grid = tk.grid_us(spec, date)
     start, end = grid[0], grid[-1]
     n_bins = max(1, spec.session_seconds // tk.LOW_TRADE_BIN_SECONDS)
     times, _ = _held_day(series, date)
@@ -189,7 +190,7 @@ def test_session_spec_geometry():
     spec = _spec("07:00", "16:00", 300)
     assert spec.session_seconds == 9 * 3600
     assert spec.n_intervals == 108
-    grid = spec.grid_us(dt.date(2017, 3, 15))
+    grid = tk.grid_us(spec, dt.date(2017, 3, 15))
     assert len(grid) == 109
     assert grid[0] == _wall_us(dt.datetime(2017, 3, 15, 7, 0))
     assert grid[-1] == _wall_us(dt.datetime(2017, 3, 15, 16, 0))
@@ -211,7 +212,7 @@ def test_grid_labels_across_dst_switches(date):
     spec = _spec("00:30", "03:30", 1800)
     expected = ["00:30:00", "01:00:00", "01:30:00", "02:00:00", "02:30:00", "03:00:00"]
     assert spec.grid_labels() == expected
-    assert [_label(us) for us in spec.grid_us(date)[:-1]] == expected
+    assert [_label(us) for us in tk.grid_us(spec, date)[:-1]] == expected
     berlin = tk.SessionSpec(dt.time(1), dt.time(2), "Europe/Berlin", 900)
     assert berlin.grid_labels() == ["01:00:00", "01:15:00", "01:30:00", "01:45:00"]
 
@@ -697,6 +698,17 @@ def test_parse_ticks_offset_stamps_match_astimezone_near_transitions(tmp_path, m
                                                                 oracle.prices.tobytes())
 
 
+def test_no_zone_has_two_transitions_within_an_hour():
+    """_zone_wall_us reads one UTC hour's offset from its two ends: no two transitions of
+    any installed zone may lie within an hour of each other."""
+    from zoneinfo import _zoneinfo, available_timezones
+
+    closest = min(((b - a, key) for key in available_timezones()
+                   for a, b in itertools.pairwise(_zoneinfo.ZoneInfo(key)._trans_utc)),
+                  default=(math.inf, ""))
+    assert closest[0] > 3600, closest
+
+
 def test_parse_ticks_quoted_and_crlf_files_decode_offset_stamps_in_bulk(tmp_path, monkeypatch):
     """One tick file written with "\\n" line ends, with csv.QUOTE_ALL and with "\\r\\n" line
     ends gives the same series and counts all three ways, and every offset stamp of each
@@ -820,7 +832,7 @@ def test_reduction_is_read_under_its_own_session():
 def test_sampling_idempotent_on_gridded_series():
     date = dt.date(2017, 3, 15)
     spec = _spec()
-    grid = spec.grid_us(date)
+    grid = tk.grid_us(spec, date)
     base = [100.0 + 0.1 * k for k in range(len(grid))]
     recs = [(int(t), p) for t, p in zip(grid, base)]
     prices = tk.sample_last_tick(_series(recs), spec, date)
@@ -846,7 +858,7 @@ def test_array_sampling_matches_per_tick_loops():
         date = day0 + dt.timedelta(days=k)
         day = [(t, p) for t, p in zip(held.times.tolist(), held.prices.tolist())
                if (t - midnight) // 86_400_000_000 == k]
-        grid = spec.grid_us(date).tolist()
+        grid = tk.grid_us(spec, date).tolist()
         expected, last, idx = [], None, 0
         for g in grid:
             while idx < len(day) and day[idx][0] <= g:
@@ -872,7 +884,7 @@ def test_dates_and_trade_fraction_match_np_unique(stamps):
     expected = [dt.date(1970, 1, 1) + dt.timedelta(days=int(d)) for d in np.unique(times // _DAY)]
     assert sorted(series.days) == expected
     for date in [*expected, dt.date(1970, 1, 1)]:
-        grid = spec.grid_us(date)
+        grid = tk.grid_us(spec, date)
         day = times[times // _DAY == (date - dt.date(1970, 1, 1)).days]
         offsets = day[(day > grid[0]) & (day <= grid[-1])] - grid[0]
         bins = np.minimum(275, offsets // 300_000_000)

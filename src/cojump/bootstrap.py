@@ -12,11 +12,14 @@ by the bootstrap moments and referred to the standard normal. The test
 gives the verdict alone; ``pipeline`` labels the day from its jumps.
 
 Randomness is one stream per day-pair: the integer ``seed`` (recorded
-in ``outcomes.csv``) starts one Generator, whose ``standard_normal((2,
-B, N))`` stream holds all B replications, so the seed alone reproduces
-a day-pair's null. The stream is consumed as leg 1 whole, then leg 2 in
-row blocks, each block going through the estimator before the next is
-drawn; the numbers are those of the one whole draw, bit for bit.
+in ``outcomes.csv``) starts one Generator, whose ``standard_normal((B,
+2, N))`` stream holds all B replications, replication b's two legs in
+rows ``[b, 0]`` and ``[b, 1]``, so the seed alone reproduces a
+day-pair's null. The stream is drawn in blocks of whole replications,
+each block going through the estimator before the next is drawn; the
+numbers are those of the one whole draw, bit for bit, whatever the
+block size. Z* does not change when a leg is rescaled, so the null legs
+are left at unit variance.
 """
 
 from __future__ import annotations
@@ -32,9 +35,9 @@ from .jumps import realized_covariance
 
 _NORMAL = NormalDist()
 
-# Returns per block of null days: a block and the estimator's temporaries stay cache-sized.
-# Twice as many read about 0.5 MiB more peak RSS in decompose; half as many cost about 12%
-# more of its time.
+# Returns per block of null replications, both legs counted (15 replications at N = 540): a
+# block and the estimator's temporaries stay cache-sized, and no array grows with B. 2**13 and
+# 2**15 each read about 0.6 MiB more peak RSS in decompose, and 2**13 about 10% more time.
 BLOCK_RETURNS = 2**14
 
 
@@ -58,38 +61,32 @@ class TestOutcome:
     inconclusive: bool = False
 
 
-def simulate_null_day(ic_diag_1: float, ic_diag_2: float, rho_hat: float, n: int | tuple, seed):
-    """Synthetic no-jump days matched to estimated scales, in row blocks.
+def simulate_null_day(rho_hat: float, shape: tuple, seed):
+    """Synthetic no-jump days with cross correlation rho_hat, in blocks of whole replications.
 
-    Returns an iterator of (r_1, r_2) pairs of return series with
-    interval variance IC_ll / N and cross correlation rho_hat,
-    deterministic under the seed (an int, SeedSequence, or Generator).
-    ``n`` is N for one day, given as one pair, or a (B, N) shape for B
-    days, given in blocks of ``max(1, BLOCK_RETURNS // N)`` rows. Leg 1
-    is drawn whole here, then leg 2 block by block from the same
-    Generator as the iterator advances, which is the
-    ``standard_normal((2, B, N))`` stream bit for bit.
+    ``shape`` is (B, N). Returns an iterator of (R, 2, N) blocks of
+    ``max(1, BLOCK_RETURNS // (2 * N))`` replications (fewer in the last),
+    whose rows ``[b, 0]`` and ``[b, 1]`` are replication b's two legs of
+    unit-variance returns. Stacked, the blocks are one
+    ``standard_normal((B, 2, N))`` draw from the seed (an int, SeedSequence
+    or Generator) with leg 2 correlated to leg 1, bit for bit; each block is
+    drawn only as the iterator reaches it.
     """
-    if ic_diag_1 < 0 or ic_diag_2 < 0:
-        raise ValueError("IC diagonals must be non-negative")
     if not abs(rho_hat) <= 1.0:
         raise ValueError("|rho_hat| must not exceed 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    r_1 = rng.standard_normal(n)
-    n_returns = r_1.shape[-1]
-    scales = (math.sqrt(ic_diag_1 / n_returns), math.sqrt(ic_diag_2 / n_returns))
-    rows = max(1, BLOCK_RETURNS // n_returns) if r_1.ndim > 1 else n_returns
-    return (_correlate(rng, r_1[i:i + rows], rho_hat, *scales) for i in range(0, len(r_1), rows))
+    b_reps, n = shape
+    rows = max(1, BLOCK_RETURNS // (2 * n))
+    return (_correlate(rng.standard_normal((min(rows, b_reps - i), 2, n)), rho_hat)
+            for i in range(0, b_reps, rows))
 
 
-def _correlate(rng, r_1, rho_hat, scale_1, scale_2):
-    """Leg 2 of one block drawn next, then both legs correlated and scaled in place."""
-    r_2 = rng.standard_normal(r_1.shape)
-    r_2 *= math.sqrt(max(0.0, 1.0 - rho_hat * rho_hat))
-    r_2 += rho_hat * r_1
-    r_2 *= scale_2
-    r_1 *= scale_1
-    return r_1, r_2
+def _correlate(block, rho_hat):
+    """Leg 2 of every replication in a block correlated with its leg 1, in place."""
+    leg_2 = block[:, 1]
+    leg_2 *= math.sqrt(max(0.0, 1.0 - rho_hat * rho_hat))
+    leg_2 += rho_hat * block[:, 0]
+    return block
 
 
 def _inconclusive(b_reps, alpha, seed) -> TestOutcome:
@@ -139,9 +136,9 @@ def bootstrap_statistic(
 
     res = estimator.resolve(n)
     qv_star, ic_star = [], []
-    for r_1, r_2 in simulate_null_day(diag_1, diag_2, rho_hat, (b_reps, n), seed):
-        qv_star.append(np.einsum("bi,bi->b", r_1, r_2))
-        ic_star.append(jwc.jwc_pair_entry(r_1, r_2, res))
+    for block in simulate_null_day(rho_hat, (b_reps, n), seed):
+        qv_star.append(np.einsum("bi,bi->b", block[:, 0], block[:, 1]))
+        ic_star.append(jwc.jwc_pair_entry(block, res, qv_star[-1]))
     qv_star, ic_star = np.concatenate(qv_star), np.concatenate(ic_star)
     z_star = (qv_star - ic_star) / qv_star
     mean_z = float(np.mean(z_star))

@@ -34,9 +34,11 @@ W_k[s+k], and P and T the prefix and suffix sums of length L. Dropping
 the partial end blocks would shrink the average daily coverage by
 (G-1)/N and bias the combination low by far more than its nominal
 (1 - nbar_G/n_S) factor at desk-scale G. One kernel serves the day's
-matrix and the bootstrap's batches; the bootstrap hands it one row
-block of about 2**14 returns at a time, so the temporaries stay
-cache-sized. No wavelet filter, boundary rule or depth enters the
+matrix and the bootstrap's batches; the bootstrap hands it one block of
+whole null replications, both legs of each, of about 2**14 returns at a
+time, so the temporaries stay cache-sized. With S = 1 the fine-grid term
+is the plain realized covariance, which the bootstrap has already summed
+and passes in. No wavelet filter, boundary rule or depth enters the
 number.
 """
 
@@ -58,18 +60,28 @@ class IcMatrix:
 
 
 def _window_sums(r: np.ndarray, spacing: int) -> np.ndarray:
-    """Sums of every length-``spacing`` window along the last axis, by doubling."""
-    m = r.shape[-1] - spacing + 1
-    w, width, pos, out = r, 1, 0, None
+    """Sums of every length-``spacing`` window of each row of ``r`` (..., N), by doubling.
+
+    The rows are doubled as one vector laid end to end, and the result is
+    viewed back as rows: a window that crosses a row's end starts past that
+    row's last full window, so no row's view reaches it. Each window sum is
+    the same sequence of additions as on its row alone.
+    """
+    r = np.ascontiguousarray(r)
+    w = r.reshape(-1)
+    m = w.size - spacing + 1
+    width, pos, out = 1, 0, None
     while True:
         if spacing & width:
-            piece = w[..., pos:pos + m]
+            piece = w[pos:pos + m]
             out = piece if out is None else out + piece
             pos += width
         if 2 * width > spacing:
-            return out
-        w = w[..., :-width] + w[..., width:]
+            break
+        w = w[:-width] + w[width:]
         width *= 2
+    rows = r.shape[:-1] + (r.shape[-1] - spacing + 1,)
+    return np.lib.stride_tricks.as_strided(out, rows, r.strides[:-1] + out.strides, writeable=False)
 
 
 def _end_sums(r: np.ndarray, spacing: int) -> np.ndarray:
@@ -78,18 +90,27 @@ def _end_sums(r: np.ndarray, spacing: int) -> np.ndarray:
     return np.concatenate([np.cumsum(e, axis=-1) for e in ends], axis=-1)
 
 
-def _two_scale(r_a: np.ndarray, r_b: np.ndarray, res: ResolvedJwc) -> np.ndarray:
-    """Two-scale realized covariance of broadcastable return arrays (..., N).
+def _two_scale(r: np.ndarray, a: tuple, b: tuple, res: ResolvedJwc, fine=None) -> np.ndarray:
+    """Two-scale realized covariance of the return rows ``r[a]`` against ``r[b]``.
 
-    Each grid's term is the window identity above, summed with numpy's
-    pairwise ``.sum``. No BLAS call is involved, so the bytes do not depend
-    on the BLAS kernel, and swapping r_a and r_b gives the same bits.
+    ``r`` is (..., N); each grid's window and end sums are taken once over
+    all its rows, then the index tuples ``a`` and ``b`` pick the two
+    operands of every product. Each grid's term is the window identity
+    above, summed with numpy's pairwise ``.sum``. No BLAS call is involved,
+    so the bytes do not depend on the BLAS kernel, and swapping ``a`` and
+    ``b`` gives the same bits. ``fine``, when given with S = 1, is the
+    fine-grid term (the plain realized covariance) and is not recomputed.
     """
     terms = []
     for spacing in (res.g_spacing, res.s_spacing):
-        total = (_window_sums(r_a, spacing) * _window_sums(r_b, spacing)).sum(axis=-1)
+        if spacing == 1 and fine is not None:
+            terms.append(fine)
+            continue
+        w = _window_sums(r, spacing)
+        total = (w[a] * w[b]).sum(axis=-1)
         if spacing > 1:
-            total = total + (_end_sums(r_a, spacing) * _end_sums(r_b, spacing)).sum(axis=-1)
+            e = _end_sums(r, spacing)
+            total = total + (e[a] * e[b]).sum(axis=-1)
         terms.append(total / spacing)
     slow, fast = terms
     return res.c_n * (slow - res.subsample_ratio * fast)
@@ -105,16 +126,18 @@ def jwc_integrated_covariance(adjusted: np.ndarray, config: JwcConfig) -> IcMatr
     """
     r = np.atleast_2d(np.asarray(adjusted, dtype=float))
     res = config.resolve(r.shape[1])
-    values = _two_scale(r[:, None, :], r[None, :, :], res)
+    values = _two_scale(r, np.s_[:, None], np.s_[None, :], res)
     floored = values.diagonal() < 0.0
     values[floored, floored] = 0.0
     return IcMatrix(values=values, floored=floored)
 
 
-def jwc_pair_entry(r_1: np.ndarray, r_2: np.ndarray, res: ResolvedJwc) -> np.ndarray:
-    """Single covariance entry for batched return pairs of shape (..., N).
+def jwc_pair_entry(legs: np.ndarray, res: ResolvedJwc, fine=None) -> np.ndarray:
+    """Single covariance entry of each leg pair in ``legs`` (..., 2, N).
 
-    Used by the bootstrap, which needs only one matrix entry per
-    replication and passes its null days one row block at a time.
+    Row ``[..., 0, :]`` is crossed with row ``[..., 1, :]``, so a (2, N)
+    pair gives one entry and an (R, 2, N) block R of them. The bootstrap
+    passes one block of whole null replications at a time, both legs
+    windowed in one pass, with their realized covariances as ``fine``.
     """
-    return _two_scale(np.asarray(r_1, dtype=float), np.asarray(r_2, dtype=float), res)
+    return _two_scale(np.asarray(legs, dtype=float), np.s_[..., 0, :], np.s_[..., 1, :], res, fine)

@@ -11,8 +11,9 @@ constituent pair rejects and all members share a jump index.
 
 Seeding: each (day, pair) draws its bootstrap from one stream whose
 seed is derived from the run's master seed, the date and the pair's
-index in the configured pairs alone, so a day's results do not depend
-on the worker count, the scheduling or which other days are in the run.
+configured "A-B" name alone, so a day-pair's results do not depend on
+the worker count, the scheduling, which other days are in the run, or
+which other pairs are configured and in what order.
 A day whose worker process dies is rerun in the calling process, so a
 crash costs time, not results.
 
@@ -66,9 +67,12 @@ def classify(rejected: bool, common: np.ndarray, jumps_a, jumps_b) -> str:
     return "disjoint_only" if rejected and (jumps_a.count or jumps_b.count) else "no_discontinuity"
 
 
-def pair_seed(seed: int, date: dt.date, k: int) -> int:
-    """Bootstrap seed of the k-th configured pair on ``date``."""
-    return int(np.random.SeedSequence([seed, date.toordinal(), k]).generate_state(1, np.uint64)[0])
+def pair_seed(seed: int, date: dt.date, pair: tuple) -> int:
+    """Bootstrap seed of ``pair`` on ``date``: the UTF-8 bytes of its "A-B" name, in the
+    configured orientation, enter the entropy as one big-endian int."""
+    name = int.from_bytes("-".join(pair).encode("utf-8"), "big")
+    entropy = [seed, date.toordinal(), name]
+    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
 def process_day(
@@ -92,7 +96,7 @@ def process_day(
 
     outcomes = {}
     decomps = []
-    for k, pair in enumerate(pairs):
+    for pair in pairs:
         a, b = pair
         ia, ib = panel.instruments.index(a), panel.instruments.index(b)
         raw_a, raw_b = panel.series(a), panel.series(b)
@@ -105,7 +109,7 @@ def process_day(
             estimator,
             b_reps=b_reps,
             alpha=alpha,
-            seed=pair_seed(seed, panel.date, k),
+            seed=pair_seed(seed, panel.date, pair),
         )
         outcomes[pair] = outcome
         cj_raw, common = jumps.cojump_variation(jump_series[a], jump_series[b])

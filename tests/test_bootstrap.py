@@ -18,12 +18,15 @@ N = 540
 CFG = jwc.JwcConfig(g_spacing=5)
 
 
+def _day(seed):
+    """A quiet day: one null replication at rho = 0.5, scaled to IC diagonals 1e-4 and 1.44e-4."""
+    r_1, r_2 = next(bootstrap.simulate_null_day(0.5, (1, N), seed))[0]
+    return r_1 * math.sqrt(1e-4 / N), r_2 * math.sqrt(1.44e-4 / N)
+
+
 def _run_day(seed, jump_spec=(), b_reps=199):
     """One synthetic day-pair through detection, IC, and the test."""
-    r_1, r_2 = next(bootstrap.simulate_null_day(
-        1e-4, 1.44e-4, 0.5, N, np.random.default_rng(seed)
-    ))
-    r_1, r_2 = r_1.copy(), r_2.copy()
+    r_1, r_2 = _day(seed)
     for leg, idx, size in jump_spec:
         (r_1 if leg == 0 else r_2)[idx] += size
     j_1, j_2 = jumps.haar_detect(r_1), jumps.haar_detect(r_2)
@@ -43,20 +46,19 @@ def _label(out, j_1, j_2):
 def _rebuild(seed, jump_spec, b_reps, j_1, j_2):
     """A _run_day call's raw legs, IC block and null Z* rebuilt from its seed.
 
-    Z* is rebuilt from default_rng(seed).standard_normal((2, B, N)), the
-    one draw the statistic's seed stands for.
+    Z* is rebuilt from default_rng(seed).standard_normal((B, 2, N)), the
+    one draw the statistic's seed stands for, with QV* as the fine-grid term.
     """
-    r_1, r_2 = next(bootstrap.simulate_null_day(1e-4, 1.44e-4, 0.5, N, np.random.default_rng(seed)))
+    r_1, r_2 = _day(seed)
     for leg, idx, size in jump_spec:
         (r_1 if leg == 0 else r_2)[idx] += size
     adjusted = np.vstack([jumps.adjust_returns(r_1, j_1), jumps.adjust_returns(r_2, j_2)])
     ic = jwc.jwc_integrated_covariance(adjusted, CFG).values
     rho = min(0.999, max(-0.999, ic[0, 1] / math.sqrt(ic[0, 0] * ic[1, 1])))
-    eta = np.random.default_rng(seed).standard_normal((2, b_reps, N))
-    s_1 = math.sqrt(ic[0, 0] / N) * eta[0]
-    s_2 = math.sqrt(ic[1, 1] / N) * (rho * eta[0] + math.sqrt(1.0 - rho * rho) * eta[1])
-    qv_star = np.einsum("bi,bi->b", s_1, s_2)
-    z_star = (qv_star - jwc.jwc_pair_entry(s_1, s_2, CFG.resolve(N))) / qv_star
+    eta = np.random.default_rng(seed).standard_normal((b_reps, 2, N))
+    legs = np.stack([eta[:, 0], rho * eta[:, 0] + math.sqrt(1.0 - rho * rho) * eta[:, 1]], axis=1)
+    qv_star = np.einsum("bi,bi->b", legs[:, 0], legs[:, 1])
+    z_star = (qv_star - jwc.jwc_pair_entry(legs, CFG.resolve(N), qv_star)) / qv_star
     return r_1, r_2, ic, z_star
 
 
@@ -69,74 +71,74 @@ def test_critical_value():
 
 
 def test_null_day_rho_one_proportional():
-    r_1, r_2 = next(bootstrap.simulate_null_day(1e-4, 4e-4, 1.0, 64, 3))
-    assert r_2 == pytest.approx(2.0 * r_1, rel=1e-12)
-
-
-def test_null_day_zero_diag_zero_series():
-    r_1, r_2 = next(bootstrap.simulate_null_day(0.0, 1e-4, 0.3, 64, 3))
-    assert np.all(r_1 == 0.0)
-    assert np.any(r_2 != 0.0)
+    r_1, r_2 = next(bootstrap.simulate_null_day(1.0, (1, 64), 3))[0]
+    assert np.array_equal(r_2, r_1)
 
 
 def test_null_day_moments():
     rng = np.random.default_rng(77)
-    r_1, r_2 = next(bootstrap.simulate_null_day(1e-4, 1.44e-4, 0.6, 100_000, rng))
+    r_1, r_2 = next(bootstrap.simulate_null_day(0.6, (1, 100_000), rng))[0]
     assert np.corrcoef(r_1, r_2)[0, 1] == pytest.approx(0.6, abs=0.01)
-    assert float(np.var(r_1)) * 100_000 == pytest.approx(1e-4, rel=0.02)
-    assert float(np.var(r_2)) * 100_000 == pytest.approx(1.44e-4, rel=0.02)
+    assert float(np.var(r_1)) == pytest.approx(1.0, rel=0.02)
+    assert float(np.var(r_2)) == pytest.approx(1.0, rel=0.02)
 
 
-# B = 999 at N = 540 is 33 blocks of 30 rows and one of 9
-@pytest.mark.parametrize("shape, rows", [
-    ((999, 540), [30] * 33 + [9]),
-    ((100, 64), [100]),
-    (100_000, [100_000]),
-], ids=["b999-n540", "b100-n64", "one-day-n100000"])
-def test_null_blocks_are_one_whole_draw_bit_for_bit(shape, rows):
-    """Stacked, the blocks equal one standard_normal((2, B, N)) correlated and scaled in place."""
-    diag_1, diag_2, rho, seed = 1e-4, 1.44e-4, -0.37, 11
-    blocks = list(bootstrap.simulate_null_day(diag_1, diag_2, rho, shape, seed))
-    assert [len(r_1) for r_1, _ in blocks] == rows
-    r_1, r_2 = np.random.default_rng(seed).standard_normal((2, *np.atleast_1d(shape)))
-    n = r_1.shape[-1]
-    r_2 *= math.sqrt(1.0 - rho * rho)
-    r_2 += rho * r_1
-    r_2 *= math.sqrt(diag_2 / n)
-    r_1 *= math.sqrt(diag_1 / n)
-    for leg, expected in enumerate((r_1, r_2)):
-        assert np.array_equal(np.concatenate([block[leg] for block in blocks]), expected)
+@pytest.mark.parametrize("shape", [(999, 540), (100, 64), (1, 100_000)],
+                         ids=["b999-n540", "b100-n64", "one-day-n100000"])
+def test_null_blocks_are_one_whole_draw_bit_for_bit(shape, monkeypatch):
+    """Stacked, the blocks equal one standard_normal((B, 2, N)) with leg 2 correlated in place,
+    at the default block size (15 replications at N = 540, which does not divide 999), one
+    replication, 7 and B replications a block."""
+    (b_reps, n), rho, seed = shape, -0.37, 11
+    expected = np.random.default_rng(seed).standard_normal((b_reps, 2, n))
+    expected[:, 1] *= math.sqrt(1.0 - rho * rho)
+    expected[:, 1] += rho * expected[:, 0]
+    for rows in (max(1, bootstrap.BLOCK_RETURNS // (2 * n)), 1, 7, b_reps):
+        monkeypatch.setattr(bootstrap, "BLOCK_RETURNS", rows * 2 * n)
+        blocks = list(bootstrap.simulate_null_day(rho, shape, seed))
+        sizes = [rows] * (b_reps // rows) + ([b_reps % rows] if b_reps % rows else [])
+        assert [len(block) for block in blocks] == sizes
+        assert np.array_equal(np.concatenate(blocks), expected)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 999])
+def test_statistic_does_not_depend_on_block_size(rows, monkeypatch):
+    default = _run_day(3, [(0, 200, 0.05)], b_reps=999)[0]
+    monkeypatch.setattr(bootstrap, "BLOCK_RETURNS", rows * 2 * N)
+    assert _run_day(3, [(0, 200, 0.05)], b_reps=999)[0] == default
 
 
 @pytest.mark.parametrize("g", [5, pytest.param(None, id="default")])
 def test_statistic_peak_memory_stays_blocked(g):
-    """One B = 999, N = 540 test peaks at 7 MiB or less: leg 1 whole and one block at a time."""
+    """One N = 540 test holds one block of whole replications at a time: it peaks at 7 MiB or
+    less at B = 999, and within 0.25 MiB of its peak at B = 100."""
     cfg = jwc.JwcConfig(g_spacing=g)
-    r_1, r_2 = next(bootstrap.simulate_null_day(1e-4, 1.44e-4, 0.5, N, 5))
+    r_1, r_2 = _day(5)
     j_1, j_2 = jumps.haar_detect(r_1), jumps.haar_detect(r_2)
     adjusted = np.vstack([jumps.adjust_returns(r_1, j_1), jumps.adjust_returns(r_2, j_2)])
     ic = jwc.jwc_integrated_covariance(adjusted, cfg).values
-    tracemalloc.start()
-    try:
-        out = bootstrap.bootstrap_statistic(r_1, r_2, ic, cfg, b_reps=999, seed=5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert not out.inconclusive
-    assert peak <= 7 * 2**20, f"{peak / 2**20:.2f} MiB"
+    peaks = {}
+    for b_reps in (100, 999):
+        tracemalloc.start()
+        try:
+            out = bootstrap.bootstrap_statistic(r_1, r_2, ic, cfg, b_reps=b_reps, seed=5)
+            peaks[b_reps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not out.inconclusive
+    assert peaks[999] <= 7 * 2**20, f"{peaks[999] / 2**20:.2f} MiB"
+    assert peaks[999] - peaks[100] <= 0.25 * 2**20, [f"{p / 2**20:.2f} MiB" for p in peaks.values()]
 
 
 def test_null_day_validation():
     with pytest.raises(ValueError, match="rho"):
-        bootstrap.simulate_null_day(1e-4, 1e-4, 1.5, 16, 0)
-    with pytest.raises(ValueError, match="non-negative"):
-        bootstrap.simulate_null_day(-1e-4, 1e-4, 0.5, 16, 0)
+        bootstrap.simulate_null_day(1.5, (1, 16), 0)
 
 
 def test_null_day_deterministic():
-    a = next(bootstrap.simulate_null_day(1e-4, 2e-4, 0.4, 32, 123))
-    b = next(bootstrap.simulate_null_day(1e-4, 2e-4, 0.4, 32, 123))
-    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+    a = next(bootstrap.simulate_null_day(0.4, (3, 32), 123))
+    b = next(bootstrap.simulate_null_day(0.4, (3, 32), 123))
+    assert np.array_equal(a, b)
 
 
 def test_quiet_day_accepts():
@@ -187,8 +189,8 @@ def test_statistic_deterministic():
     assert a == b
 
 
-def test_statistic_null_is_one_draw_of_shape_2_b_n():
-    """bootstrap_statistic(seed=s) uses default_rng(s).standard_normal((2, B, N)).
+def test_statistic_null_is_one_draw_of_shape_b_2_n():
+    """bootstrap_statistic(seed=s) uses default_rng(s).standard_normal((B, 2, N)).
 
     Z is studentized by the moments of that draw's Z*, bit for bit.
     """

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from cojump import cli, pipeline, sim, ticks
 
@@ -605,6 +607,90 @@ def test_pipeline_end_to_end(full_run):
                     continue
                 if not re.fullmatch(r"-?\d+", cell):
                     assert repr(value) == cell, (path.name, cell)
+
+
+FOUR_LEG_SCENARIO = """\
+n_intervals = 540
+n_days = 4
+sigma = 0.01, 0.012, 0.011, 0.009
+rho = 0.6
+seed = 300
+jump = 1, 270, 0.1, 0.12, 0.0, 0.09
+jump = 3, 100, 0.0, 0.0, 0.11, 0.0
+"""
+FOUR_LEGS = ["TU", "FV", "TY", "US"]
+BASE_PAIRS = [["TU", "FV"], ["TU", "TY"], ["FV", "US"]]
+ROW_KEYS = {"decompositions.csv": ("date", "pair"), "outcomes.csv": ("date", "pair"),
+            "events.csv": ("date", "pair", "index"), "jumps.csv": ("date", "instrument", "index")}
+
+
+def _four_leg_config(root, pairs):
+    cfg = _write_config(root, instruments=FOUR_LEGS, pairs=pairs, seed=11,
+                        bootstrap={"b_reps": 100, "alpha": 0.05})
+    (root / "scenario.txt").write_text(FOUR_LEG_SCENARIO)
+    return cfg
+
+
+def _tree(out):
+    return {str(path.relative_to(out)): path.read_bytes() for path in out.rglob("*")
+            if path.is_file()}
+
+
+def _rows(out, name):
+    with open(out / name, newline="") as handle:
+        return {tuple(row[k] for k in ROW_KEYS[name]): row for row in csv.DictReader(handle)}
+
+
+@pytest.fixture(scope="module")
+def four_leg_runs(tmp_path_factory):
+    """The full run (four days, three pairs) and one work tree every variant is rerun in."""
+    full = tmp_path_factory.mktemp("full")
+    cfg = _four_leg_config(full, BASE_PAIRS)
+    for stage in ("simulate", "decompose", "report"):
+        assert cli.main([stage, "--config", str(cfg)]) == cli.EXIT_OK
+    return full / "out", tmp_path_factory.mktemp("variant")
+
+
+_ORDERED_PAIRS = [[a, b] for a in FOUR_LEGS for b in FOUR_LEGS if a != b]
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(pairs=st.lists(st.sampled_from(_ORDERED_PAIRS), min_size=1, max_size=4,
+                      unique_by=frozenset),
+       days=st.sets(st.integers(0, 3), min_size=1),
+       jobs=st.sampled_from([1, 2]))
+@example(pairs=BASE_PAIRS, days={0, 1, 2, 3}, jobs=1)
+@example(pairs=BASE_PAIRS, days={0, 1, 2, 3}, jobs=2)
+def test_kept_rows_do_not_depend_on_the_other_pairs_days_or_jobs(four_leg_runs, pairs, days,
+                                                                 jobs):
+    """Rerun over the full run's panels with any subset, permutation or insertion of pairs
+    (new pairs in either orientation), any subset of its days and --jobs 1 or 2: every
+    decompositions, outcomes, events and jumps row of a kept day (and, where the table has a
+    pair, a configured pair of the full run in its orientation) equals the full run's.
+    The full configuration rerun gives a byte-identical tree, report included."""
+    full_out, root = four_leg_runs
+    out = root / "out"
+    cfg = _four_leg_config(root, pairs)
+    panels = sorted((full_out / "panels").glob("panel_*.csv"))
+    (out / "panels").mkdir(parents=True, exist_ok=True)
+    for stale in (out / "panels").glob("*"):
+        stale.unlink()
+    for day in days:
+        (out / "panels" / panels[day].name).write_bytes(panels[day].read_bytes())
+    assert cli.main(["decompose", "--config", str(cfg), "--jobs", str(jobs)]) == cli.EXIT_OK
+    assert cli.main(["report", "--config", str(cfg)]) == cli.EXIT_OK
+
+    dates = {panels[day].name[6:16] for day in days}
+    names = {"-".join(pair) for pair in pairs} & {"-".join(pair) for pair in BASE_PAIRS}
+    for table, keys in ROW_KEYS.items():
+        want = {key: row for key, row in _rows(full_out, table).items() if key[0] in dates
+                and ("pair" not in keys or key[1] in names)}
+        got = _rows(out, table)
+        assert {key: got.get(key) for key in want} == want, table
+    if pairs == BASE_PAIRS and len(days) == len(panels):
+        full = _tree(full_out)
+        del full["truth.csv"]
+        assert _tree(out) == full
 
 
 def test_rerun_is_byte_identical(full_run):

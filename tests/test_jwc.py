@@ -97,7 +97,7 @@ def test_subsample_ratio_value():
 def test_subsampled_zero_returns():
     for g in (1, 2, 7):
         res = jwc.JwcConfig(g_spacing=g).resolve(32)
-        assert jwc.jwc_pair_entry(np.zeros(32), np.zeros(32), res) == 0.0
+        assert jwc.jwc_pair_entry(np.zeros((2, 32)), res) == 0.0
 
 
 @settings(max_examples=20, deadline=None)
@@ -108,7 +108,7 @@ def test_scale_additivity_subsampled(seed, g):
     r1 = rng.standard_normal(64)
     r2 = rng.standard_normal(64)
     res = jwc.JwcConfig(g_spacing=g).resolve(64)
-    entry = jwc.jwc_pair_entry(r1, r2, res)
+    entry = jwc.jwc_pair_entry(np.stack((r1, r2)), res)
     assert entry == pytest.approx(oracle_two_scale(r1, r2, res), rel=1e-10)
 
 
@@ -119,7 +119,22 @@ def test_scale_additivity_full_grid():
     res = jwc.JwcConfig(g_spacing=5).resolve(540)
     slow = oracle_subsampled_rc(r1, r2, 5)
     expected = slow - res.subsample_ratio * jumps.realized_covariance(r1, r2)
-    assert jwc.jwc_pair_entry(r1, r2, res) == pytest.approx(expected, rel=1e-10)
+    assert jwc.jwc_pair_entry(np.stack((r1, r2)), res) == pytest.approx(expected, rel=1e-10)
+
+
+def test_given_fine_term_is_read_only_with_unit_spacing():
+    """With S = 1 a given fine-grid sum stands in for the recomputed one; with S > 1 it is
+    not read."""
+    legs = seeded("fine").standard_normal((4, 2, 540))
+    qv = np.einsum("bi,bi->b", legs[:, 0], legs[:, 1])
+    res = jwc.JwcConfig(g_spacing=5).resolve(540)
+    computed = jwc.jwc_pair_entry(legs, res)
+    assert jwc.jwc_pair_entry(legs, res, qv) == pytest.approx(computed, rel=1e-12)
+    assert jwc.jwc_pair_entry(legs, res, np.zeros(4)) == pytest.approx(
+        computed + res.subsample_ratio * qv, rel=1e-12)
+    res = jwc.JwcConfig(s_spacing=2, g_spacing=5).resolve(540)
+    assert np.array_equal(jwc.jwc_pair_entry(legs, res, np.full(4, np.nan)),
+                          jwc.jwc_pair_entry(legs, res))
 
 
 def test_depth_capped_offsets_keep_additivity():
@@ -128,7 +143,7 @@ def test_depth_capped_offsets_keep_additivity():
     r1 = rng.standard_normal(64)
     r2 = rng.standard_normal(64)
     res = jwc.JwcConfig(g_spacing=13, c_n=1.5).resolve(64)
-    entry = jwc.jwc_pair_entry(r1, r2, res)
+    entry = jwc.jwc_pair_entry(np.stack((r1, r2)), res)
     assert entry == pytest.approx(oracle_two_scale(r1, r2, res), rel=1e-10)
 
 
@@ -153,7 +168,7 @@ def test_closed_form_equals_wavelet_scale_sum(name, boundary):
             total += float(d1.cross_products(d2).sum())
         terms.append(total / spacing)
     wavelet = terms[0] - res.subsample_ratio * terms[1]
-    assert jwc.jwc_pair_entry(r1, r2, res) == pytest.approx(wavelet, rel=1e-10)
+    assert jwc.jwc_pair_entry(np.stack((r1, r2)), res) == pytest.approx(wavelet, rel=1e-10)
 
 
 # --- integrated covariance matrix ---
@@ -209,7 +224,7 @@ def test_matrix_pair_entry_agrees():
     r = seeded("entry").standard_normal((2, 300)) * 1e-4
     cfg = jwc.JwcConfig(g_spacing=12)
     ic = jwc.jwc_integrated_covariance(r, cfg)
-    entry = jwc.jwc_pair_entry(r[0], r[1], cfg.resolve(300))
+    entry = jwc.jwc_pair_entry(r, cfg.resolve(300))
     assert float(entry) == pytest.approx(ic.values[0, 1], rel=1e-12)
 
 
@@ -245,10 +260,11 @@ def test_batched_pair_entry_matches_loop(g, b):
     rng = seeded("batch")
     r1 = rng.standard_normal((b, 128))
     r2 = rng.standard_normal((b, 128))
-    batched = jwc.jwc_pair_entry(r1, r2, res)
+    legs = np.stack((r1, r2), axis=1)
+    batched = jwc.jwc_pair_entry(legs, res)
     assert batched.shape == (b,)
     for k in range(b):
-        single = jwc.jwc_pair_entry(r1[k], r2[k], res)
+        single = jwc.jwc_pair_entry(legs[k], res)
         assert float(batched[k]) == pytest.approx(float(single), rel=1e-14)
 
 
@@ -267,7 +283,7 @@ def test_batched_pair_entry_within_ulps_of_exact_two_scale(g, n):
     vol = np.vstack([np.exp(-5.0 * t), np.exp(-5.0 * (1.0 - t))])
     days = [1e-3 * vol * seeded("exact", k).standard_normal((2, n)) for k in range(3)]
     r = np.stack(days, axis=1)
-    entries = jwc.jwc_pair_entry(r[0], r[1], jwc.JwcConfig(g_spacing=g).resolve(n))
+    entries = jwc.jwc_pair_entry(np.stack(days), jwc.JwcConfig(g_spacing=g).resolve(n))
     worst = 0.0
     for entry, r1, r2 in zip(entries, r[0], r[1]):
         exact = exact_two_scale(r1, r2, g)
@@ -302,7 +318,7 @@ def test_subsampled_total_unbiased_g5_g10():
     for g in (5, 10):
         ratio = jwc.JwcConfig(g_spacing=g).resolve(540).subsample_ratio
         res = jwc.JwcConfig(g_spacing=g, c_n=1.0 / (1.0 - ratio)).resolve(540)
-        vals = jwc.jwc_pair_entry(observed[:, 0], observed[:, 1], res)
+        vals = jwc.jwc_pair_entry(observed, res)
         assert vals.shape == (500,)
         se = vals.std(ddof=1) / np.sqrt(len(vals))
         assert abs(vals.mean() - truth) <= 3.0 * se

@@ -184,11 +184,7 @@ def test_tuple_label_requires_all_pairs():
 
 
 def _seed_table(seed, dates, pairs):
-    return {
-        (date, pair): pipeline.pair_seed(seed, date, k)
-        for date in dates
-        for k, pair in enumerate(pairs)
-    }
+    return {(date, pair): pipeline.pair_seed(seed, date, pair) for date in dates for pair in pairs}
 
 
 def test_pair_seed_table_properties():
@@ -197,14 +193,15 @@ def test_pair_seed_table_properties():
     table = _seed_table(7, dates, pairs)
     assert len(table) == 8
     assert len(set(table.values())) == 8  # distinct streams per day-pair
-    # insertion order of the dates argument must not matter
-    shuffled = _seed_table(7, dates[::-1], pairs)
-    assert shuffled == table
+    # insertion order of the dates and the pairs must not matter
+    assert _seed_table(7, dates[::-1], pairs[::-1]) == table
     assert _seed_table(8, dates, pairs) != table
-    # nor which other dates are present
-    assert _seed_table(7, dates[1:], pairs) == {
-        key: value for key, value in table.items() if key[0] != dates[0]
-    }
+    # nor which other dates and pairs are present
+    assert _seed_table(7, dates[1:], pairs[1:] + [("FV", "TY")]) == {
+        key: value for key, value in table.items() if key[0] != dates[0] and key[1] != pairs[0]
+    } | _seed_table(7, dates[1:], [("FV", "TY")])
+    # a pair's stream is keyed in its configured orientation
+    assert pipeline.pair_seed(7, dates[0], ("FV", "TU")) != table[dates[0], ("TU", "FV")]
 
 
 def test_rerun_subset_keeps_each_days_test():

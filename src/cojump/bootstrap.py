@@ -56,8 +56,6 @@ class TestOutcome:
     p_value: float
     rejected: bool
     b_reps: int
-    alpha: float
-    seed: int
     inconclusive: bool = False
 
 
@@ -74,7 +72,7 @@ def simulate_null_day(rho_hat: float, shape: tuple, seed):
     """
     if not abs(rho_hat) <= 1.0:
         raise ValueError("|rho_hat| must not exceed 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)  # a Generator is returned unchanged
     b_reps, n = shape
     rows = max(1, BLOCK_RETURNS // (2 * n))
     return (_correlate(rng.standard_normal((min(rows, b_reps - i), 2, n)), rho_hat)
@@ -89,16 +87,9 @@ def _correlate(block, rho_hat):
     return block
 
 
-def _inconclusive(b_reps, alpha, seed) -> TestOutcome:
-    return TestOutcome(
-        z=float("nan"),
-        p_value=float("nan"),
-        rejected=False,
-        b_reps=b_reps,
-        alpha=alpha,
-        seed=seed,
-        inconclusive=True,
-    )
+def _inconclusive(b_reps) -> TestOutcome:
+    return TestOutcome(z=float("nan"), p_value=float("nan"), rejected=False, b_reps=b_reps,
+                       inconclusive=True)
 
 
 def bootstrap_statistic(
@@ -129,7 +120,7 @@ def bootstrap_statistic(
     diag_1 = float(ic_pair[0, 0])
     diag_2 = float(ic_pair[1, 1])
     if qv == 0.0 or diag_1 <= 0.0 or diag_2 <= 0.0:
-        return _inconclusive(b_reps, alpha, seed)
+        return _inconclusive(b_reps)
 
     rho_hat = ic_val / math.sqrt(diag_1 * diag_2)
     rho_hat = min(0.999, max(-0.999, rho_hat))
@@ -144,17 +135,11 @@ def bootstrap_statistic(
     mean_z = float(np.mean(z_star))
     sd_z = float(np.std(z_star, ddof=1))
     if sd_z == 0.0 or not math.isfinite(sd_z):
-        return _inconclusive(b_reps, alpha, seed)
+        return _inconclusive(b_reps)
 
     z = ((qv - ic_val) / qv - mean_z) / sd_z
     p_value = 2.0 * (1.0 - _NORMAL.cdf(abs(z)))
     rejected = abs(z) > critical_value(alpha)
-    return TestOutcome(
-        z=float(z),
-        p_value=float(p_value),
-        rejected=bool(rejected),
-        b_reps=b_reps,
-        alpha=alpha,
-        seed=seed,
-    )
+    return TestOutcome(z=float(z), p_value=float(p_value), rejected=bool(rejected),
+                       b_reps=b_reps)
 

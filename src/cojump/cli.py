@@ -104,6 +104,15 @@ def _iso(kind):
     return read
 
 
+def _clock(value, path):
+    """A reader of session wall-clock times: ISO, in whole seconds, with no UTC offset."""
+    time = _iso(dt.time)(value, path)
+    if time.tzinfo is not None or time.microsecond:
+        raise ConfigError(f"{path} must be a time of whole seconds with no UTC offset "
+                          f"(the zone is session.timezone), got {value!r}")
+    return time
+
+
 def _zone(value, path):
     """A reader of IANA time zone names."""
     from zoneinfo import ZoneInfo  # loaded with spec already
@@ -122,6 +131,8 @@ def _unread(value, path):
 def _event(value, path):
     """An announcement's date; the event is [date, time, timezone] or an object of EVENT's keys."""
     if isinstance(value, list):
+        if len(value) > len(EVENT):
+            raise ConfigError(f"{path} must be [date, time, timezone], got {value!r}")
         value = dict(zip(EVENT, value))
     return _read(EVENT, value, path, {})["date"]
 
@@ -136,7 +147,7 @@ _column = _string("schema column names must be strings")
 EVENT = {"date": (_iso(dt.date), REQUIRED), "time": (_unread, None), "timezone": (_unread, None)}
 SCHEMA = {"timestamp": (_column, REQUIRED), "price": (_column, REQUIRED), "volume": (_column, None)}
 CONFIG = {
-    "session": ({"start": (_iso(dt.time), REQUIRED), "end": (_iso(dt.time), REQUIRED),
+    "session": ({"start": (_clock, REQUIRED), "end": (_clock, REQUIRED),
                  "timezone": (_zone, REQUIRED), "sampling_seconds": (_integer(1), REQUIRED)},
                 REQUIRED),
     "instruments": ([_name], REQUIRED),
@@ -242,10 +253,14 @@ def _validate(config: RunConfig) -> None:
         if frozenset(pair) in seen_pairs:
             raise ConfigError(f"pair {pair} is declared twice (in either order)")
         seen_pairs.add(frozenset(pair))
+    seen_tuples = set()
     for members in config.tuples:
         if len(members) < 2 or len(set(members)) != len(members) or not set(members) <= declared:
             raise ConfigError(f"tuple {members} must name two or more distinct "
                               "declared instruments")
+        if frozenset(members) in seen_tuples:
+            raise ConfigError(f"tuple {members} is declared twice (in any order)")
+        seen_tuples.add(frozenset(members))
         missing = [
             f"{a}-{b}"
             for a, b in itertools.combinations(members, 2)
@@ -378,7 +393,7 @@ def cmd_decompose(config: RunConfig) -> int:
     if not config.pairs:
         raise ConfigError("decompose requires at least one pair")
     paths = _panel_paths(config)
-    with pipeline.Tables(config.output, config.session) as tables:
+    with pipeline.Tables(config.output, config.session, config.b_reps, config.alpha) as tables:
         _, failures = pipeline.process_panels(
             (_read_panel(config, path) for path in paths),
             config.pairs,

@@ -51,7 +51,8 @@ class CompleteSeparation(DegenerateFit):
 @dataclass
 class DayDecomposition:
     """Final per-day, per-pair record entering the report stage; ``events`` are the grid
-    indices of the pair's co-jumps, whose sizes are the legs' jump sizes there."""
+    indices of the pair's co-jumps, whose sizes are the legs' jump sizes there, and ``seed``
+    the day-pair's bootstrap stream seed (None where the table read has no seed column)."""
 
     date: dt.date
     pair: tuple
@@ -66,6 +67,7 @@ class DayDecomposition:
     p_value: float = float("nan")
     rejected: bool = False
     inconclusive: bool = False
+    seed: int | None = None
 
     def __post_init__(self):
         if self.classification not in CLASSIFICATIONS:
@@ -91,7 +93,7 @@ def cj_qv_summary(decomps: list) -> list:
     rows = []
     for pair in sorted(by_pair):
         recs = by_pair[pair]
-        days_cj = sum(1 for r in recs if r.cj != 0.0)
+        days_cj = sum(1 for r in recs if r.classification == "co_jump")
         qv_total = functools.reduce(operator.add, (r.qv for r in recs), 0.0)  # in turn
         ratios = [100.0 * r.cj / r.qv for r in recs if r.qv != 0.0]
         pct = (0.0 + _pairwise_sum(ratios)) / len(ratios) if ratios else 0.0  # np.mean: from 0.0

@@ -3,7 +3,8 @@
 For each day: detect jumps per instrument, adjust returns, estimate the
 integrated covariance matrix on the adjusted panel, then test each
 configured pair for a discontinuity, label it from the verdict and the
-pair's shared jump indices (``classify``), and assemble its decomposition.
+pair's shared jump indices (``classify``), and assemble its decomposition,
+the one record of the day-pair's verdict, label and stream seed.
 A day's jumps are stored once, as each instrument's size vector, and a
 co-jump event is a shared grid index whose sizes are read from the legs'.
 Multi-asset tuples are labeled as common-jump days only when every
@@ -42,7 +43,6 @@ from .ticks import ReturnPanel
 class DayResult:
     date: dt.date
     jump_series: dict
-    outcomes: dict
     decomps: list
     tuple_labels: dict = field(default_factory=dict)
 
@@ -94,7 +94,6 @@ def process_day(
         n: jumps.realized_covariance(panel.series(n), panel.series(n)) for n in panel.instruments
     }
 
-    outcomes = {}
     decomps = []
     for pair in pairs:
         a, b = pair
@@ -102,16 +101,10 @@ def process_day(
         raw_a, raw_b = panel.series(a), panel.series(b)
         qv = jumps.realized_covariance(raw_a, raw_b)
         sub = ic.values[np.ix_([ia, ib], [ia, ib])]
+        stream = pair_seed(seed, panel.date, pair)
         outcome = bootstrap.bootstrap_statistic(
-            raw_a,
-            raw_b,
-            sub,
-            estimator,
-            b_reps=b_reps,
-            alpha=alpha,
-            seed=pair_seed(seed, panel.date, pair),
+            raw_a, raw_b, sub, estimator, b_reps=b_reps, alpha=alpha, seed=stream
         )
-        outcomes[pair] = outcome
         cj_raw, common = jumps.cojump_variation(jump_series[a], jump_series[b])
         label = classify(outcome.rejected, common, jump_series[a], jump_series[b])
         is_cj = label == "co_jump"
@@ -137,44 +130,38 @@ def process_day(
                 p_value=outcome.p_value,
                 rejected=outcome.rejected,
                 inconclusive=outcome.inconclusive,
+                seed=stream,
             )
         )
 
+    rejected = {frozenset(r.pair) for r in decomps if r.rejected}  # either orientation
     tuple_labels = {}
     for members in tuples:
-        label = _tuple_label(members, jump_series, outcomes)
+        label = _tuple_label(members, jump_series, rejected)
         if label is not None:
             tuple_labels[tuple(members)] = label
     return DayResult(
         date=panel.date,
         jump_series=jump_series,
-        outcomes=outcomes,
         decomps=decomps,
         tuple_labels=tuple_labels,
     )
 
 
-def _tuple_label(members, jump_series, outcomes):
+def _tuple_label(members, jump_series, rejected: set):
     """Day label for an instrument tuple, or None without a common jump.
 
-    Requires a jump index shared by every member and a rejecting test
-    for every constituent pair. Days with several common indices take
-    the label of the largest total-magnitude one (lowest index on ties).
+    Requires a jump index shared by every member and, for every constituent
+    pair, its ``frozenset`` in ``rejected``. Days with several common indices
+    take the label of the largest total-magnitude one (lowest index on ties).
     """
     sizes = [jump_series[name].jump_sizes for name in members]
     common = np.flatnonzero(np.all(sizes, axis=0)).tolist()  # where every member jumped
-    if not common:
+    if not common or not all(frozenset(p) in rejected
+                             for p in itertools.combinations(members, 2)):
         return None
-    for a, b in itertools.combinations(members, 2):
-        out = _pair_outcome(outcomes, a, b)
-        if out is None or not out.rejected:
-            return None
     best = min(common, key=lambda k: (-sum(abs(s[k]) for s in sizes), k))
     return events.classify_shift_rotation([s[best] for s in sizes])
-
-
-def _pair_outcome(outcomes: dict, a: str, b: str):
-    return outcomes.get((a, b)) or outcomes.get((b, a))
 
 
 def process_panels(
@@ -275,8 +262,9 @@ class Tables:
     stops part-way leaves no table of its own behind.
     """
 
-    def __init__(self, out, spec: SessionSpec):
+    def __init__(self, out, spec: SessionSpec, b_reps: int, alpha: float):
         self._out = out
+        self._run = (b_reps, alpha)  # outcomes.csv's B and alpha, constant over the run
         self._labels = spec.grid_labels()
         self._files = {}
         self._file = None  # the table the csv writer writes to
@@ -296,13 +284,13 @@ class Tables:
 
     def write_day(self, res: DayResult) -> None:
         date, labels, rows = res.date.isoformat(), self._labels, self._rows
-        for r in sorted(res.decomps, key=lambda r: r.pair):  # both rows carry the one label
-            pair, o = "-".join(r.pair), res.outcomes[r.pair]
+        for r in sorted(res.decomps, key=lambda r: r.pair):  # both rows are the one record's
+            pair = "-".join(r.pair)
             rows("decompositions.csv", [[date, pair, r.qv, r.ic, r.cj, r.z, r.p_value,
                                          int(r.rejected), int(r.inconclusive), r.classification,
                                          r.corr_total, r.corr_cont]])
-            rows("outcomes.csv", [[date, pair, o.z, o.p_value, int(o.rejected), r.classification,
-                                   o.b_reps, o.alpha, o.seed]])
+            rows("outcomes.csv", [[date, pair, r.z, r.p_value, int(r.rejected), r.classification,
+                                   *self._run, r.seed]])
         rows("events.csv", sorted(
             [date, "-".join(r.pair), i, labels[i],
              *(res.jump_series[leg].jump_sizes[i] for leg in r.pair)]

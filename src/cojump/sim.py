@@ -100,10 +100,8 @@ class SimScenario:
 class SimDay:
     """One simulated day with its ground truth."""
 
-    day_index: int
     observed: np.ndarray     # (d, N) returns including jumps and noise
     latent: np.ndarray       # (d, N) continuous returns, no jumps, no noise
-    jump_vectors: np.ndarray  # (d, N) true jump sizes, zero elsewhere
     true_ic: np.ndarray      # (d, d)
     true_cj: np.ndarray      # (d, d)
 
@@ -192,14 +190,7 @@ def simulate(scenario: SimScenario):
         observed = latent + jump_vectors
         if scenario.noise_sd > 0.0:
             observed = observed + np.diff(noise, axis=1)
-        yield SimDay(
-            day_index=k,
-            observed=observed,
-            latent=latent,
-            jump_vectors=jump_vectors,
-            true_ic=ic.copy(),
-            true_cj=true_cj,
-        )
+        yield SimDay(observed=observed, latent=latent, true_ic=ic.copy(), true_cj=true_cj)
 
 
 def business_dates(start: dt.date, count: int) -> list:

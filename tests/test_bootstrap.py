@@ -179,7 +179,7 @@ def test_detected_jump_without_rejection_is_no_discontinuity():
 def test_rejection_matches_p_value():
     for seed, spec in [(0, ()), (0, [(0, 200, 0.05), (1, 200, 0.06)]), (4, ())]:
         out, _, _ = _run_day(seed, spec)
-        assert out.rejected == (out.p_value < out.alpha)
+        assert out.rejected == (out.p_value < 0.05)
         assert 0.0 <= out.p_value <= 1.0
 
 
@@ -199,7 +199,6 @@ def test_statistic_null_is_one_draw_of_shape_b_2_n():
     r_1, r_2, ic, z_star = _rebuild(seed, spec, b_reps, j_1, j_2)
     qv = jumps.realized_covariance(r_1, r_2)
     mean, sd = float(np.mean(z_star)), float(np.std(z_star, ddof=1))
-    assert out.seed == seed
     assert out.z == ((qv - ic[0, 1]) / qv - mean) / sd
     assert mean == pytest.approx((536 / 5) / 540, abs=0.05)
 
@@ -253,14 +252,16 @@ def test_write_outcomes_schema(tmp_path):
     runs = {5: _run_day(0, [(0, 200, 0.05), (1, 200, 0.06)]), 6: _run_day(0)}
     out = runs[5][0]
     pair = ("AAA", "BBB")
-    days = [  # the label is the decomposition's, as process_day sets it
+    days = [  # the verdict and the label are the decomposition's, as process_day sets them
         pipeline.DayResult(
-            date=dt.date(2026, 1, day), jump_series={}, outcomes={pair: run[0]},
-            decomps=[events.DayDecomposition(dt.date(2026, 1, day), pair, qv=1.0, ic=1.0,
-                                             cj=0.0, classification=_label(*run))])
+            date=dt.date(2026, 1, day), jump_series={},
+            decomps=[events.DayDecomposition(
+                dt.date(2026, 1, day), pair, qv=1.0, ic=1.0, cj=0.0, classification=_label(*run),
+                z=run[0].z, p_value=run[0].p_value, rejected=run[0].rejected, seed=day)])
         for day, run in runs.items()
     ]
-    with pipeline.Tables(tmp_path, SessionSpec(dt.time(7), dt.time(16), "UTC", 60)) as tables:
+    spec = SessionSpec(dt.time(7), dt.time(16), "UTC", 60)
+    with pipeline.Tables(tmp_path, spec, b_reps=199, alpha=0.05) as tables:
         for day in days:
             tables.write_day(day)
     path = tmp_path / "outcomes.csv"
@@ -273,4 +274,4 @@ def test_write_outcomes_schema(tmp_path):
     assert rows[1][4] == "1" and rows[2][4] == "0"
     assert rows[1][5] == "co_jump"
     assert rows[2][5] == "no_discontinuity"
-    assert rows[1][6] == "199"
+    assert [row[6:] for row in rows[1:]] == [["199", "0.05", "5"], ["199", "0.05", "6"]]

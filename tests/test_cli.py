@@ -101,13 +101,18 @@ def test_unknown_instrument_in_pair(capsys, tmp_path):
         ([["TU", "FV"], ["TU", "FV"]], []),
         ([["TU", "FV"], ["FV", "TU"]], []),
         ([["TU", "FV"]], [["TU", "FV", "TU"]]),
+        ([["TU", "FV"]], [["TU", "FV"], ["TU", "FV"]]),
+        ([["TU", "FV"]], [["TU", "FV"], ["FV", "TU"]]),
     ],
-    ids=["self-pair", "duplicate-pair", "reversed-pair", "repeated-tuple-member"],
+    ids=["self-pair", "duplicate-pair", "reversed-pair", "repeated-tuple-member",
+         "duplicate-tuple", "reordered-tuple"],
 )
 def test_degenerate_pairs_and_tuples_rejected(capsys, tmp_path, pairs, tuples):
     cfg = _write_config(tmp_path, pairs=pairs, tuples=tuples)
     assert cli.main(["decompose", "--config", str(cfg)]) == cli.EXIT_CONFIG
-    assert _stderr_json(capsys)["error"] == "config"
+    msg = _stderr_json(capsys)
+    assert msg["error"] == "config"
+    assert repr(tuple((pairs + tuples)[-1])) in msg["message"]  # the item, as declared
 
 
 def test_bad_alpha_and_reps(capsys, tmp_path):
@@ -1224,12 +1229,19 @@ def test_string_where_a_list_is_read_rejected(capsys, tmp_path, key, value):
     [("session.timezone", "Nowhere/Zone", "no time zone"),
      ("session.timezone", "../zoneinfo", "no time zone"),
      ("session.end", "06:30", "must precede"),
+     ("session.start", "07:00+02:00", "no UTC offset"),
+     ("session.end", "16:00Z", "no UTC offset"),
+     ("session.start", "07:00:00.5", "whole seconds"),
+     ("session.end", "16:00:00.000001", "whole seconds"),
+     ("announcements.events", [["2017-03-14", "13:00", "America/Chicago", "2017-03-15"]],
+      "[0] must be [date, time, timezone]"),
      ("session.sampling_seconds", 7, "grid step of 7 s"),
      ("calendar.low_trade_threshold", 1.5, "(0, 1], got 1.5")],
 )
 def test_session_and_calendar_errors_name_the_key(capsys, tmp_path, key, value, text):
-    """A zone, window, grid step or threshold the session or calendar refuses exits 3
-    naming its dotted key, never a name that is in no config."""
+    """A zone, window, grid step or threshold the session or calendar refuses, and an event
+    list longer than [date, time, timezone], exits 3 naming its dotted key, never a name that
+    is in no config."""
     raw = _set(json.loads(_write_config(tmp_path).read_text()), key, value)
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(raw))

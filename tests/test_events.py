@@ -56,6 +56,11 @@ def test_cj_qv_summary_trivials():
     rows = ev.cj_qv_summary(full)
     assert rows[0]["days_cj"] == 1
     assert rows[0]["pct_cj_qv"] == pytest.approx(100.0)
+    # days_cj counts co_jump days, as events.csv lists them, also one whose products cancel:
+    # common jumps (a, -a) on one leg and (b, b) on the other give CJ = 0.0 exactly
+    cancel = [_decomp(d0, cj=0.03 * 0.07 + -0.03 * 0.07, classification="co_jump", events=(3, 4))]
+    assert cancel[0].cj == 0.0
+    assert ev.cj_qv_summary(cancel + quiet)[0]["days_cj"] == 1
 
 
 def test_cj_qv_summary_mean_skips_zero_qv():

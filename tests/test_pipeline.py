@@ -43,10 +43,10 @@ def _run_two_leg(jobs=1, b_reps=150, seed=0):
     )
 
 
-def _write_tables(results, failures, out, spec):
+def _write_tables(results, failures, out, spec, b_reps=150, alpha=0.05):
     """The six tables of ``results`` and ``failures`` through one Tables writer, as decompose
     writes them."""
-    with pipeline.Tables(out, spec) as tables:
+    with pipeline.Tables(out, spec, b_reps, alpha) as tables:
         for res in results:
             tables.write_day(res)
         tables.write_failures(failures)
@@ -148,13 +148,17 @@ def test_disjoint_day_record(two_leg):
     assert js["FV"].jump_indices.tolist() == [400]
 
 
-def test_three_leg_tuple_rotation():
+@pytest.mark.parametrize("prs", [
+    [("TU", "FV"), ("TU", "TY"), ("FV", "TY")],
+    [("FV", "TU"), ("TY", "TU"), ("TY", "FV")],
+], ids=["tuple-order", "reversed"])
+def test_three_leg_tuple_rotation(prs):
+    """A tuple's constituent pairs are found in either configured orientation."""
     sc = sim.SimScenario(
         n_intervals=540, n_days=1, sigma=(0.01, 0.012, 0.011), rho=0.6, seed=200,
         jumps=((0, 270, 0.1, 0.12, -0.11),),
     )
     panels = _panels(sc, ["TU", "FV", "TY"])
-    prs = [("TU", "FV"), ("TU", "TY"), ("FV", "TY")]
     results, failures = pipeline.process_panels(
         panels, prs, EST, b_reps=150, alpha=0.05, seed=0,
         tuples=[("TU", "FV", "TY")],
@@ -219,9 +223,9 @@ def test_rerun_subset_keeps_each_days_test():
         )
         assert failures == []
         return {
-            (day.date, pair): (out.seed, out.z, out.p_value)
+            (day.date, rec.pair): (rec.seed, rec.z, rec.p_value)
             for day in results
-            for pair, out in day.outcomes.items()
+            for rec in day.decomps
         }
 
     full = run(panels, jobs=1)
@@ -459,7 +463,7 @@ def test_failures_csv(tmp_path):
 
 
 
-def _per_table_writers(results, failures, out, spec):
+def _per_table_writers(results, failures, out, spec, b_reps, alpha):
     """decompose's six tables as six writers wrote them, each sorting the whole run's rows."""
     labels = spec.grid_labels()
     decomps = sorted((rec for res in results for rec in res.decomps), key=lambda r: (r.date, r.pair))
@@ -490,14 +494,11 @@ def _per_table_writers(results, failures, out, spec):
         for res in results for members, label in res.tuple_labels.items()))
     write_csv(out / "failures.csv", ["date", "error"],
               [(date.isoformat(), message) for date, message in failures])
-    outcomes = [(res.date, pair, res.outcomes[pair])
-                for res in results for pair in sorted(res.outcomes)]
-    label = {(rec.date, rec.pair): rec.classification for rec in decomps}
     write_csv(
         out / "outcomes.csv",
         ["date", "pair", "Z", "p", "rejected", "classification", "B", "alpha", "seed"],
-        ([date, "-".join(pair), o.z, o.p_value, int(o.rejected), label[date, pair],
-          o.b_reps, o.alpha, o.seed] for date, pair, o in outcomes),
+        ([r.date.isoformat(), "-".join(r.pair), r.z, r.p_value, int(r.rejected),
+          r.classification, b_reps, alpha, r.seed] for r in decomps),
     )
 
 
@@ -527,7 +528,7 @@ def test_write_tables_matches_the_per_table_writers(tmp_path, monkeypatch, run):
     for stage in ("simulate", "decompose"):
         assert cli.main([stage, "--config", str(cfg), "--output", str(tmp_path / "out")]) == 0
     monkeypatch.undo()  # the writers below write unrecorded
-    spec = cli.load_config(str(cfg), {}).session
+    config = cli.load_config(str(cfg), {})
     if run == "two_leg":
         assert [date for date, _ in failures] == [START]
         assert [rec.classification for res in results for rec in res.decomps] == [
@@ -535,7 +536,7 @@ def test_write_tables_matches_the_per_table_writers(tmp_path, monkeypatch, run):
         assert [res.tuple_labels for res in results] == [{("TU", "FV"): "UpShift"}, {}]
     for folder, write in (("one_pass", _write_tables), ("per_table", _per_table_writers)):
         (tmp_path / folder).mkdir()
-        write(results, failures, tmp_path / folder, spec)
+        write(results, failures, tmp_path / folder, config.session, config.b_reps, config.alpha)
     for name in ("decompositions.csv", "events.csv", "jumps.csv", "tuple_days.csv",
                  "failures.csv", "outcomes.csv"):
         one_pass = (tmp_path / "one_pass" / name).read_bytes()

@@ -10,6 +10,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "cojump"
 # the reference transform: only tests call it, to check the closed forms against
 EXEMPT_MODULES = {"modwt"}
@@ -75,6 +77,32 @@ def test_front_end_and_report_load_no_numpy(tmp_path):
         out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == f"{code} []", (run, out.stdout, out.stderr)
+
+
+def test_pool_parent_loads_no_numpy_random(tmp_path):
+    """``decompose --jobs 2`` over three days leaves numpy.random, and OpenSSL with it, to the
+    pool's workers: the parent draws nothing, and each day-pair's stream seed comes back on
+    its record. numpy.random and OpenSSL took about 6 MiB of peak RSS when loaded there."""
+    from test_cli import _write_config
+
+    from cojump import cli
+
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    probe = "import sys, numpy; print('numpy.random' in sys.modules)"
+    loaded = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True)
+    if loaded.stdout.strip() != "False":
+        pytest.skip("import numpy alone loads numpy.random (numpy 1.x)")
+    cfg = str(_write_config(tmp_path))  # a three-day scenario
+    assert cli.main(["simulate", "--config", cfg]) == cli.EXIT_OK
+    modules = ["concurrent.futures.process", "numpy.random", "_hashlib"]
+    probe = ("import sys; from cojump import cli; "
+             f"code = cli.main(['decompose', '--config', {cfg!r}, '--jobs', '2']); "
+             f"print(code, [m for m in {modules!r} if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "0 ['concurrent.futures.process']", (out.stdout, out.stderr)
 
 
 def test_no_stage_loads_numpy_ma(tmp_path):

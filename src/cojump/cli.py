@@ -317,11 +317,12 @@ def cmd_ingest(config: RunConfig) -> int:
     for name in config.instruments:
         src = config.tick_sources[name]
         series[name] = ticks.parse_ticks(src["path"], src["schema"], config.session, name)
-    panels, drop_log = ticks.build_panels(series, config.session, config.calendar)
+    panels, drop_log = ticks.build_panels(series, config.calendar)
     write_panel = _panel_writer(config)
     for panel in panels:
         write_panel(panel)
-    ticks.write_drop_log(drop_log, os.path.join(config.output, "drop_log.csv"))
+    write_csv(os.path.join(config.output, "drop_log.csv"), ["date", "reason"],
+              [(date.isoformat(), reason) for date, reason in drop_log])
     counts = [(name, s.total_rows, s.rejected) for name, s in series.items()]
     write_csv(os.path.join(config.output, "tick_counts.csv"), ["instrument", "rows", "rejected"],
               counts)
@@ -416,25 +417,10 @@ def cmd_decompose(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _config_hash(config: RunConfig) -> str:
-    import hashlib  # loads OpenSSL, as numpy.random does: only stages drawing nothing (ingest) save it
-
-    canon = json.dumps(config.raw, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
-
-
-def _file_hash(path: str) -> str:
-    import hashlib
-
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def cmd_report(config: RunConfig) -> int:
     """Aggregate decompositions into the summary tables and manifest."""
+    import hashlib  # loads OpenSSL, as numpy.random does: only stages drawing nothing (ingest) save it
+
     from . import events
     paths = [os.path.join(config.output, name)
              for name in ("decompositions.csv", "events.csv", "tuple_days.csv")]
@@ -454,9 +440,14 @@ def cmd_report(config: RunConfig) -> int:
     for table, pair, reason in degenerate:
         fields = {"warning": "degenerate_fit", "table": table, "pair": pair, "message": reason}
         sys.stderr.write(json.dumps(fields, sort_keys=True) + "\n")
+    inputs = {}
+    for p in paths:
+        with open(p, "rb") as handle:
+            inputs[os.path.basename(p)] = hashlib.file_digest(handle, "sha256").hexdigest()
+    canon = json.dumps(config.raw, sort_keys=True, separators=(",", ":"))
     manifest = {
-        "config_hash": _config_hash(config),
-        "inputs": {os.path.basename(p): _file_hash(p) for p in paths},
+        "config_hash": hashlib.sha256(canon.encode()).hexdigest(),
+        "inputs": inputs,
         "package_version": __version__,
         "seed": config.seed,
         "alpha": config.alpha,

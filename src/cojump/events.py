@@ -124,7 +124,6 @@ class RegressionResult:
     wald_p: float
     se_alpha: float
     se_beta: float
-    n_obs: int
 
 
 def _scaled_ints(*arrays) -> tuple:
@@ -216,7 +215,6 @@ def correlation_impact_regression(total_corr, cont_corr) -> RegressionResult:
         wald_p=wald_p,
         se_alpha=math.sqrt(var_alpha),
         se_beta=math.sqrt(var_beta),
-        n_obs=n,
     )
 
 
@@ -227,13 +225,6 @@ class LogitResult:
     se_beta0: float
     se_beta1: float
     pseudo_r_squared: float
-    loglik: float
-
-
-def _share_loglik(*counts: int) -> float:
-    """Sum of k * log(k / n) over positive cell counts k with total n."""
-    total = sum(counts)
-    return math.fsum(k * math.log(k / total) for k in counts)
 
 
 def announcement_logit(cojump_indicator, news_indicator) -> LogitResult:
@@ -269,14 +260,14 @@ def announcement_logit(cojump_indicator, news_indicator) -> LogitResult:
             raise CompleteSeparation(f"outcome is constant ({int(yes > 0)}) on the news={xv} cell")
     cells = ((a, quiet, cojump), (b, quiet, calm), (c, news, cojump), (d, news, calm))
     gain = math.fsum(k * math.log(k * (quiet + news) / (row * col)) for k, row, col in cells)
+    null = math.fsum(k * math.log(k / (cojump + calm)) for k in (cojump, calm))  # l0
     beta0 = math.log(a / b)
     return LogitResult(
         beta0=beta0,
         beta1=math.log(c / d) - beta0,
         se_beta0=math.sqrt(quiet / (a * b)),
         se_beta1=math.sqrt(Fraction(quiet, a * b) + Fraction(news, c * d)),
-        pseudo_r_squared=gain / -_share_loglik(cojump, calm),
-        loglik=_share_loglik(a, b) + _share_loglik(c, d),
+        pseudo_r_squared=gain / -null,
     )
 
 

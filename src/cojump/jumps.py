@@ -27,7 +27,6 @@ class JumpSeries:
     """
 
     jump_sizes: np.ndarray
-    threshold: float
     degenerate: bool = False
 
     def __post_init__(self):
@@ -76,7 +75,7 @@ def detect_jumps(returns: np.ndarray, w1: np.ndarray, threshold: float) -> JumpS
         raise ValueError("returns and coefficients must have the same length")
     degenerate = threshold == 0.0
     flagged = (np.abs(w1) > threshold) & (returns != 0.0) & (not degenerate)
-    return JumpSeries(np.where(flagged, returns, 0.0), float(threshold), degenerate)
+    return JumpSeries(np.where(flagged, returns, 0.0), degenerate)
 
 
 def haar_detect(returns: np.ndarray) -> JumpSeries:

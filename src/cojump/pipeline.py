@@ -273,9 +273,13 @@ class Tables:
                                lineterminator="\n")
 
     def __enter__(self):
-        for name, header in events.DECOMPOSE_TABLES.items():
-            self._files[name] = open(os.path.join(self._out, name + ".part"), "w", newline="")
-            self._rows(name, [header])
+        try:
+            for name, header in events.DECOMPOSE_TABLES.items():
+                self._files[name] = open(os.path.join(self._out, name + ".part"), "w", newline="")
+                self._rows(name, [header])
+        except BaseException as exc:  # the parts opened so far go too
+            self.__exit__(type(exc), exc, exc.__traceback__)
+            raise
         return self
 
     def _rows(self, name: str, rows) -> None:

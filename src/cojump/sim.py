@@ -101,7 +101,6 @@ class SimDay:
     """One simulated day with its ground truth."""
 
     observed: np.ndarray     # (d, N) returns including jumps and noise
-    latent: np.ndarray       # (d, N) continuous returns, no jumps, no noise
     true_ic: np.ndarray      # (d, d)
     true_cj: np.ndarray      # (d, d)
 
@@ -190,7 +189,7 @@ def simulate(scenario: SimScenario):
         observed = latent + jump_vectors
         if scenario.noise_sd > 0.0:
             observed = observed + np.diff(noise, axis=1)
-        yield SimDay(observed=observed, latent=latent, true_ic=ic.copy(), true_cj=true_cj)
+        yield SimDay(observed=observed, true_ic=ic.copy(), true_cj=true_cj)
 
 
 def business_dates(start: dt.date, count: int) -> list:

@@ -31,7 +31,7 @@ from zoneinfo import ZoneInfo
 
 import numpy as np
 
-from .spec import MalformedFile, SessionMismatch, SessionSpec, TradingCalendar, write_csv
+from .spec import MalformedFile, SessionMismatch, SessionSpec, TradingCalendar
 
 LOW_TRADE_BIN_SECONDS = 300  # the thin-day rule is always judged on 5-min bins
 PARSE_BLOCK_ROWS = 2048  # lines read at a time by parse_ticks
@@ -139,10 +139,6 @@ class ReturnPanel:
             raise ValueError("returns must be a d x N matrix matching instruments")
         if not np.all(np.isfinite(self.returns)):
             raise ValueError("returns must be finite")
-
-    @property
-    def n_intervals(self) -> int:
-        return self.returns.shape[1]
 
     def series(self, instrument: str) -> np.ndarray:
         return self.returns[self.instruments.index(instrument)]
@@ -351,50 +347,40 @@ def parse_ticks(path, schema: dict, spec: SessionSpec, instrument: str = "") -> 
     return reduced
 
 
-def _reduced(ticks: TickDays, spec: SessionSpec, date: dt.date):
-    """The _Day of ``date``, None if it holds no trade; ``spec`` is the one reduced onto."""
-    if spec != ticks.spec:
-        raise ValueError(f"{ticks.instrument}: the trades were reduced onto another session")
-    return ticks.days.get(date)
-
-
-def sample_last_tick(ticks: TickDays, spec: SessionSpec, date: dt.date) -> np.ndarray:
-    """Last-tick sampling of one day onto the session grid.
+def sample_last_tick(ticks: TickDays, date: dt.date) -> np.ndarray:
+    """Last-tick sampling of one day onto the grid of the session its trades were reduced onto.
 
     Returns N + 1 prices where grid point t holds the last trade of the
     day at or before t. Grid points before the day's first trade are
     back-filled with that first price. Raises DayUnusable when no trade
     falls inside [session_start, session_end].
     """
-    day = _reduced(ticks, spec, date)
-    if day is None or day.last_us[-1] < grid_us(spec, date)[0]:  # no trade in [t_0, t_N]
+    day = ticks.days.get(date)
+    if day is None or day.last_us[-1] < grid_us(ticks.spec, date)[0]:  # no trade in [t_0, t_N]
         raise DayUnusable(f"{ticks.instrument} {date}: no session trades")
     return np.where(day.last_us > _NO_TRADE, day.last_price, day.first_price)
 
 
-def trade_fraction(ticks: TickDays, spec: SessionSpec, date: dt.date) -> float:
+def trade_fraction(ticks: TickDays, date: dt.date) -> float:
     """Fraction of the session's 5-minute bins containing at least one trade."""
-    day = _reduced(ticks, spec, date)
+    day = ticks.days.get(date)
     return 0.0 if day is None else np.count_nonzero(day.bins) / day.bins.size
 
 
-def build_panel(price_grids: dict, date: dt.date, spec: SessionSpec) -> ReturnPanel:
-    """Log-return panel from per-instrument price grids of one day."""
-    instruments = list(price_grids)
-    n = spec.n_intervals
-    returns = np.empty((len(instruments), n))
-    for i, name in enumerate(instruments):
-        prices = np.asarray(price_grids[name], dtype=float)
-        if prices.shape != (n + 1,):
-            raise ValueError(f"{name}: price grid must hold N + 1 prices")
+def build_panel(price_grids: dict, date: dt.date) -> ReturnPanel:
+    """Log-return panel from per-instrument price grids of one day, all of one length."""
+    returns = []
+    for name, prices in price_grids.items():
+        prices = np.asarray(prices, dtype=float)
         if np.any(prices <= 0.0):
             raise ValueError(f"{name}: non-positive price on the grid")
-        returns[i] = np.diff(np.log(prices))
-    return ReturnPanel(date=date, instruments=instruments, returns=returns)
+        returns.append(np.diff(np.log(prices)))
+    return ReturnPanel(date=date, instruments=list(price_grids), returns=returns)
 
 
-def build_panels(tick_series: dict, spec: SessionSpec, calendar: TradingCalendar):
-    """Per-day panels from parsed ticks, with a drop log.
+def build_panels(tick_series: dict, calendar: TradingCalendar):
+    """Per-day panels from parsed ticks, each sampled on its own reduction's session, with
+    a drop log.
 
     A date is dropped when it is excluded by the calendar, when any
     instrument has no usable session trades, or when every instrument
@@ -412,16 +398,16 @@ def build_panels(tick_series: dict, spec: SessionSpec, calendar: TradingCalendar
         if missing:
             drop_log.append((date, f"missing_instrument:{','.join(sorted(missing))}"))
             continue
-        fractions = {n: trade_fraction(s, spec, date) for n, s in tick_series.items()}
+        fractions = {n: trade_fraction(s, date) for n, s in tick_series.items()}
         if all(f < calendar.low_trade_threshold for f in fractions.values()):
             drop_log.append((date, "low_trade"))
             continue
         try:  # the first unusable instrument names the date's drop
-            grids = {n: sample_last_tick(s, spec, date) for n, s in tick_series.items()}
+            grids = {n: sample_last_tick(s, date) for n, s in tick_series.items()}
         except DayUnusable as exc:
             drop_log.append((date, f"unusable:{exc}"))
             continue
-        panels.append(build_panel(grids, date, spec))
+        panels.append(build_panel(grids, date))
     return panels, drop_log
 
 
@@ -469,7 +455,3 @@ def read_panel_csv(path, spec: SessionSpec) -> ReturnPanel:
         return ReturnPanel(date=date, instruments=header[2:], returns=returns)
     except ValueError as exc:
         raise MalformedFile(f"{path}: {exc}") from exc
-
-
-def write_drop_log(drop_log, path) -> None:
-    write_csv(path, ["date", "reason"], [(date.isoformat(), reason) for date, reason in drop_log])

@@ -211,7 +211,7 @@ def test_minimum_replications_enforced():
 def test_zero_qv_inconclusive():
     n = 64
     zero = np.zeros(n)
-    j = jumps.JumpSeries(jump_sizes=np.zeros(n), threshold=0.0, degenerate=True)
+    j = jumps.JumpSeries(jump_sizes=np.zeros(n), degenerate=True)
     ic = jwc.jwc_integrated_covariance(np.vstack([zero, zero]), CFG)
     out = bootstrap.bootstrap_statistic(zero, zero, ic.values, CFG, b_reps=150)
     assert out.inconclusive
@@ -224,7 +224,7 @@ def test_zero_diagonal_inconclusive():
     rng = np.random.default_rng(8)
     r_1 = rng.standard_normal(N) * 1e-3
     r_2 = rng.standard_normal(N) * 1e-3
-    j = jumps.JumpSeries(jump_sizes=np.zeros(N), threshold=1.0)
+    j = jumps.JumpSeries(jump_sizes=np.zeros(N))
     # one leg fully suppressed: its IC diagonal is exactly zero
     ic = jwc.jwc_integrated_covariance(np.vstack([np.zeros(N), r_2]), CFG)
     assert ic.values[0, 0] == 0.0
@@ -236,8 +236,8 @@ def test_zero_diagonal_inconclusive():
 @given(st.booleans(), st.sets(st.integers(0, 15)), st.sets(st.integers(0, 15)))
 def test_classify_matches_intersect1d(rejected, indices_1, indices_2):
     """A rejection with a shared index is a co-jump exactly where np.intersect1d is non-empty."""
-    a, b = (jumps.JumpSeries(jump_sizes=[0.01 if i in idx else 0.0 for i in range(16)],
-                             threshold=0.001) for idx in (indices_1, indices_2))
+    a, b = (jumps.JumpSeries(jump_sizes=[0.01 if i in idx else 0.0 for i in range(16)])
+            for idx in (indices_1, indices_2))
     if not rejected:
         expected = "no_discontinuity"
     elif np.intersect1d(a.jump_indices, b.jump_indices).size > 0:

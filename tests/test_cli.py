@@ -428,7 +428,11 @@ def test_ingest_writes_panels_and_drop_log(tmp_path):
     assert cli.main(["ingest", "--config", str(cfg)]) == cli.EXIT_OK
     panels = sorted(os.listdir(tmp_path / "out" / "panels"))
     assert panels == ["panel_2017-03-13.csv", "panel_2017-03-14.csv"]
-    assert (tmp_path / "out" / "drop_log.csv").exists()
+    assert (tmp_path / "out" / "drop_log.csv").read_text() == "date,reason\n"
+    cfg = _write_tick_config(tmp_path, name="drop.json", calendar={"excluded_dates": ["2017-03-14"]})
+    assert cli.main(["ingest", "--config", str(cfg)]) == cli.EXIT_OK
+    rows = list(csv.reader(open(tmp_path / "out" / "drop_log.csv", newline="")))
+    assert rows == [["date", "reason"], ["2017-03-14", "excluded_date"]]
 
 
 @pytest.mark.parametrize("stage", ["ingest", "simulate"])

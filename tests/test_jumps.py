@@ -80,7 +80,6 @@ def test_detect_threshold_rule():
     out = jumps.detect_jumps(returns, w1, 0.5)
     assert out.jump_indices.tolist() == [1]
     assert out.jump_sizes.tolist() == [0.0, -0.02, 0.0]
-    assert out.threshold == 0.5
     assert not out.degenerate
 
 
@@ -157,19 +156,19 @@ def test_adjust_no_jumps_identity():
 
 def test_adjust_example():
     r = np.array([0.01, -0.30, 0.02])
-    js = jumps.JumpSeries(jump_sizes=[0.0, -0.30, 0.0], threshold=0.1)
+    js = jumps.JumpSeries(jump_sizes=[0.0, -0.30, 0.0])
     adj = jumps.adjust_returns(r, js)
     assert adj.tolist() == [0.01, 0.0, 0.02]
 
 
 def test_adjust_all_flagged_zeroes_series():
     r = np.array([0.5, -0.5])
-    js = jumps.JumpSeries(jump_sizes=[0.5, -0.5], threshold=0.0)
+    js = jumps.JumpSeries(jump_sizes=[0.5, -0.5])
     assert jumps.adjust_returns(r, js).tolist() == [0.0, 0.0]
 
 
 def test_adjust_length_check():
-    js = jumps.JumpSeries(jump_sizes=[0.0, 0.0], threshold=1.0)
+    js = jumps.JumpSeries(jump_sizes=[0.0, 0.0])
     with pytest.raises(ValueError, match="length"):
         jumps.adjust_returns(np.zeros(3), js)
 
@@ -181,7 +180,7 @@ def _series(n, sized: dict, **kw):
     sizes = np.zeros(n)
     for i, s in sized.items():
         sizes[i] = s
-    return jumps.JumpSeries(jump_sizes=sizes, threshold=0.1, **kw)
+    return jumps.JumpSeries(jump_sizes=sizes, **kw)
 
 
 def test_cojump_example_shared_index():

@@ -13,7 +13,8 @@ from test_cli import _fail_days, _write_config
 
 from cojump import cli, jumps, jwc, pipeline, sim
 from cojump import events as ev
-from cojump.ticks import ReturnPanel, SessionSpec, write_csv
+from cojump.spec import write_csv
+from cojump.ticks import ReturnPanel, SessionSpec
 
 SPEC = SessionSpec(dt.time(7, 0), dt.time(16, 0), "America/Chicago", 60)
 EST = jwc.JwcConfig(g_spacing=5)
@@ -460,6 +461,15 @@ def test_failures_csv(tmp_path):
     _write_tables([], [(START, "ValueError: boom")], tmp_path, SPEC)
     rows = list(csv.reader(open(tmp_path / "failures.csv", newline="")))
     assert rows == [["date", "error"], ["2017-03-13", "ValueError: boom"]]
+
+
+def test_tables_that_cannot_open_leave_no_part(tmp_path):
+    """A table that fails to open removes the parts opened before it: only the obstacle,
+    a directory in the place of events.csv.part, is left."""
+    (tmp_path / "events.csv.part").mkdir()
+    with pytest.raises(IsADirectoryError):
+        _write_tables([], [], tmp_path, SPEC)
+    assert os.listdir(tmp_path) == ["events.csv.part"]
 
 
 

@@ -12,7 +12,6 @@ def test_degenerate_diffusion_all_zero():
     sc = sim.SimScenario(n_intervals=16, n_days=2, sigma=(0.0, 0.0), mu=0.0)
     for day in sim.simulate(sc):
         assert np.all(day.observed == 0.0)
-        assert np.all(day.latent == 0.0)
 
 
 def test_rho_one_identical_series():
@@ -96,7 +95,6 @@ def test_seed_determinism_bitwise():
     b = sim.simulate(sc)
     for da, db in zip(a, b):
         assert np.array_equal(da.observed, db.observed)
-        assert np.array_equal(da.latent, db.latent)
 
 
 def test_day_streams_independent_of_day_count():

@@ -141,3 +141,45 @@ def test_tracer_reads_its_counts_from_every_stage(tmp_path):
         counted |= {name for name, *_, counts in json.loads(spans.read_text())["spans"]
                     if counts and None not in counts.values()}
     assert sorted(set(tracer.COUNTS) - counted) == []
+
+
+# Probes that name code src/ no longer has: each still reads 0, until the bench drops it
+STALE_PROBES = {"modwt.level1_coefficients", "sim.panels_from_sim", "bootstrap.write_outcomes",
+                "pipeline.write_"}
+
+
+def test_bench_probes_name_src_functions():
+    """Every span name that bench/layers.py reads, and every count of bench/tracer.py, is a
+    public module-level function of its src/cojump module, so a rename cannot silently
+    zero a probe. A prefix must start the name of one. The stale probes are the exception,
+    and each of them must still be read and still name nothing."""
+    bench = SRC.parents[1] / "bench"
+    readers = {"_total", "_calls", "_count", "_durations", "_total_self"}
+    probes, prefixes = set(), set()
+    for node in ast.walk(ast.parse((bench / "layers.py").read_text())):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in readers and isinstance(node.args[1], ast.Constant)):
+            probes.add(node.args[1].value)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "startswith" and isinstance(node.func.value, ast.Attribute)
+              and node.func.value.attr in ("name", "parent")):
+            prefixes.add(node.args[0].value)
+        elif isinstance(node, ast.Compare):  # s.name == "..." or "..." in s.children
+            sides = [node.left, *node.comparators]
+            if any(isinstance(side, ast.Attribute) and side.attr in ("name", "parent", "children")
+                   for side in sides):
+                probes |= {side.value for side in sides
+                           if isinstance(side, ast.Constant) and isinstance(side.value, str)}
+    tracer = ast.parse((bench / "tracer.py").read_text())
+    counts = next(node.value for node in tracer.body if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["COUNTS"])
+    probes |= {key.value for key in counts.keys}
+    functions = {f"{path.stem}.{node.name}" for path in SRC.glob("*.py")
+                 for node in ast.parse(path.read_text()).body
+                 if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    assert "ticks.sample_last_tick" in probes and "pipeline.write_" in prefixes
+    named = {p for p in probes if p in functions}
+    named |= {p for p in prefixes if any(f.startswith(p) for f in functions)}
+    assert sorted(STALE_PROBES - probes - prefixes) == [], "a stale probe is gone: drop it here"
+    assert sorted(STALE_PROBES & named) == [], "a stale probe names code again: drop it here"
+    assert sorted((probes | prefixes) - named - STALE_PROBES) == []

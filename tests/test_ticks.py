@@ -4,7 +4,9 @@ import csv
 import datetime as dt
 import gc
 import itertools
+import json
 import math
+import os
 import random
 import tracemalloc
 from dataclasses import dataclass
@@ -15,7 +17,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from cojump import cli
 from cojump import ticks as tk
+from cojump.spec import write_csv
 
 TZ = "America/Chicago"
 
@@ -143,14 +147,14 @@ def _held_panels(tick_series, spec, calendar):
         if unusable is not None:
             drop_log.append((date, f"unusable:{unusable}"))
             continue
-        panels.append(tk.build_panel(grids, date, spec))
+        panels.append(tk.build_panel(grids, date))
     return panels, drop_log
 
 
-def _sampled(sample, series, spec, date):
+def _sampled(sample, *args):
     """The bytes of a date's sampled grid, or the DayUnusable message."""
     try:
-        return sample(series, spec, date).tobytes()
+        return sample(*args).tobytes()
     except tk.DayUnusable as exc:
         return str(exc)
 
@@ -176,9 +180,9 @@ def _parse(path, schema=SCHEMA, spec=None, instrument=""):
                    reduced.total_rows)
     assert sorted(reduced.days) == _held_dates(series)
     for date in reduced.days:
-        assert _sampled(tk.sample_last_tick, reduced, spec, date) == _sampled(
+        assert _sampled(tk.sample_last_tick, reduced, date) == _sampled(
             _held_sample, series, spec, date)
-        assert tk.trade_fraction(reduced, spec, date) == _held_fraction(series, spec, date)
+        assert tk.trade_fraction(reduced, date) == _held_fraction(series, spec, date)
     return series
 
 
@@ -796,7 +800,7 @@ def test_last_tick_sampling_rule():
         _rec("2017-03-15 09:00:48", 100.3),
         _rec("2017-03-15 09:01:30", 100.2),
     ]
-    prices = tk.sample_last_tick(_series(recs), _spec(), date)
+    prices = tk.sample_last_tick(_series(recs), date)
     assert prices[1] == 100.3  # 09:01 takes the last trade at or before it
     assert prices[2] == 100.2
     assert prices[3] == 100.2  # carry-forward when (09:02, 09:03] is silent
@@ -807,9 +811,9 @@ def test_last_tick_sampling_rule():
 def test_single_tick_constant_path():
     date = dt.date(2017, 3, 15)
     recs = [_rec("2017-03-15 09:00:30", 101.5)]
-    prices = tk.sample_last_tick(_series(recs), _spec(), date)
+    prices = tk.sample_last_tick(_series(recs), date)
     assert np.all(prices == 101.5)
-    panel = tk.build_panel({"X": prices}, date, _spec())
+    panel = tk.build_panel({"X": prices}, date)
     assert np.all(panel.returns == 0.0)
 
 
@@ -817,16 +821,7 @@ def test_no_session_trades_unusable():
     date = dt.date(2017, 3, 15)
     recs = [_rec("2017-03-15 14:00:00", 100.0)]  # after the session
     with pytest.raises(tk.DayUnusable):
-        tk.sample_last_tick(_series(recs), _spec(), date)
-
-
-def test_reduction_is_read_under_its_own_session():
-    """Trades reduced onto one grid are not sampled or binned under another session."""
-    date = dt.date(2017, 3, 15)
-    series = _series([_rec("2017-03-15 09:00:30", 101.5)])
-    for read in (tk.sample_last_tick, tk.trade_fraction):
-        with pytest.raises(ValueError, match="another session"):
-            read(series, _spec(interval=300), date)
+        tk.sample_last_tick(_series(recs), date)
 
 
 def test_sampling_idempotent_on_gridded_series():
@@ -835,7 +830,7 @@ def test_sampling_idempotent_on_gridded_series():
     grid = tk.grid_us(spec, date)
     base = [100.0 + 0.1 * k for k in range(len(grid))]
     recs = [(int(t), p) for t, p in zip(grid, base)]
-    prices = tk.sample_last_tick(_series(recs), spec, date)
+    prices = tk.sample_last_tick(_series(recs), date)
     assert prices == pytest.approx(base, rel=0)
 
 
@@ -867,8 +862,8 @@ def test_array_sampling_matches_per_tick_loops():
             expected.append(day[0][1] if last is None else last)
         hit = {min(11, (t - grid[0]) // 300_000_000) for t, _ in day if grid[0] < t <= grid[-1]}
         assert _held_day(held, date)[1].tolist() == [p for _, p in day]
-        assert tk.sample_last_tick(series, spec, date).tolist() == expected
-        assert tk.trade_fraction(series, spec, date) == len(hit) / 12
+        assert tk.sample_last_tick(series, date).tolist() == expected
+        assert tk.trade_fraction(series, date) == len(hit) / 12
 
 
 @settings(max_examples=200, deadline=None)
@@ -888,24 +883,22 @@ def test_dates_and_trade_fraction_match_np_unique(stamps):
         day = times[times // _DAY == (date - dt.date(1970, 1, 1)).days]
         offsets = day[(day > grid[0]) & (day <= grid[-1])] - grid[0]
         bins = np.minimum(275, offsets // 300_000_000)
-        assert tk.trade_fraction(series, spec, date) == len(np.unique(bins)) / 276
+        assert tk.trade_fraction(series, date) == len(np.unique(bins)) / 276
 
 
 def test_log_return_definition():
     date = dt.date(2017, 3, 15)
-    spec = _spec(interval=3600)  # one interval
-    panel = tk.build_panel({"X": [100.0, 101.0]}, date, spec)
+    panel = tk.build_panel({"X": [100.0, 101.0]}, date)  # one interval
     assert panel.returns[0, 0] == pytest.approx(math.log(1.01), rel=1e-12)
     assert panel.returns[0, 0] == pytest.approx(0.00995, abs=5e-6)
 
 
 def test_build_panel_validation():
     date = dt.date(2017, 3, 15)
-    spec = _spec(interval=3600)
-    with pytest.raises(ValueError, match="N \\+ 1"):
-        tk.build_panel({"X": [100.0, 101.0, 102.0]}, date, spec)
     with pytest.raises(ValueError, match="non-positive"):
-        tk.build_panel({"X": [100.0, 0.0]}, date, spec)
+        tk.build_panel({"X": [100.0, 0.0]}, date)
+    with pytest.raises(ValueError):  # grids of two lengths make no d x N panel
+        tk.build_panel({"X": [100.0, 101.0], "Y": [100.0, 101.0, 102.0]}, date)
 
 
 def test_return_panel_invariants():
@@ -915,7 +908,6 @@ def test_return_panel_invariants():
     with pytest.raises(ValueError, match="finite"):
         tk.ReturnPanel(date, ["A"], np.array([[np.nan, 0.0]]))
     panel = tk.ReturnPanel(date, ["A"], np.zeros((1, 2)))
-    assert panel.n_intervals == 2
     assert np.array_equal(panel.series("A"), np.zeros(2))
 
 
@@ -944,12 +936,11 @@ def test_trade_fraction_counts_bins():
     date = dt.date(2017, 3, 15)
     series = _series(_sparse_day("2017-03-15", 0.55))
     # 0.55 rounds to 7 of 12 bins hit
-    assert tk.trade_fraction(series, _spec(), date) == pytest.approx(7 / 12)
+    assert tk.trade_fraction(series, date) == pytest.approx(7 / 12)
 
 
 def test_build_panels_filters():
     cal = tk.TradingCalendar(excluded_dates=frozenset({dt.date(2017, 3, 16)}))
-    spec = _spec()
     x = _series(
         _dense_day("2017-03-15")
         + _dense_day("2017-03-16")
@@ -963,7 +954,7 @@ def test_build_panels_filters():
         + _sparse_day("2017-03-17", 6 / 12),
         instrument="Y",
     )
-    panels, drop_log = tk.build_panels({"X": x, "Y": y}, spec, cal)
+    panels, drop_log = tk.build_panels({"X": x, "Y": y}, cal)
     assert [p.date for p in panels] == [dt.date(2017, 3, 15)]
     reasons = dict((d.isoformat(), r) for d, r in drop_log)
     assert reasons["2017-03-16"] == "excluded_date"
@@ -971,17 +962,16 @@ def test_build_panels_filters():
     assert reasons["2017-03-20"].startswith("missing_instrument:Y")
     panel = panels[0]
     assert panel.instruments == ["X", "Y"]
-    assert panel.n_intervals == 60
+    assert panel.returns.shape == (2, 60)
     assert np.all(np.isfinite(panel.returns))
 
 
 def test_thin_day_kept_when_one_leg_active():
     """The low-trade drop fires only when every instrument is thin."""
     cal = tk.TradingCalendar()
-    spec = _spec()
     x = _series(_sparse_day("2017-03-15", 6 / 12), instrument="X")
     y = _series(_dense_day("2017-03-15"), instrument="Y")
-    panels, drop_log = tk.build_panels({"X": x, "Y": y}, spec, cal)
+    panels, drop_log = tk.build_panels({"X": x, "Y": y}, cal)
     assert len(panels) == 1
     assert drop_log == []
 
@@ -1034,7 +1024,7 @@ def _oracle_outcome(parse, build, paths, calendar):
         series = {name: parse(path, SCHEMA, _ORACLE_SPEC, name) for name, path in paths.items()}
     except tk.ZeroValidRows as exc:
         return str(exc)
-    panels, drop_log = build(series, _ORACLE_SPEC, calendar)
+    panels, drop_log = build(series, calendar)
     return [(p.date, p.instruments, p.returns.tobytes()) for p in panels], drop_log
 
 
@@ -1080,7 +1070,8 @@ def test_build_panels_matches_held_tick_oracle(tmp_path_factory, case):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tk, "PARSE_BLOCK_ROWS", block_rows)
         reduced = _oracle_outcome(tk.parse_ticks, tk.build_panels, paths, calendar)
-        held = _oracle_outcome(_held_parse, _held_panels, paths, calendar)
+        held = _oracle_outcome(
+            _held_parse, lambda series, cal: _held_panels(series, _ORACLE_SPEC, cal), paths, calendar)
     assert reduced == held
 
 
@@ -1112,7 +1103,7 @@ def _write_csv_panel(panel, path, spec):
     """The panel writer as it was: every row through ``write_csv``."""
     date = panel.date.isoformat()
     rows = ([date, t, *r] for t, r in zip(spec.grid_labels(), panel.returns.T.tolist()))
-    tk.write_csv(path, ["date", "grid_time", *panel.instruments], rows)
+    write_csv(path, ["date", "grid_time", *panel.instruments], rows)
 
 
 _EDGE_RETURNS = [0.0, -0.0, 5e-324, -5e-324, 2.5e-308, 1e-05, -1e-05, 1e16, -1e16,
@@ -1158,8 +1149,25 @@ def test_panel_csv_other_session_rejected(tmp_path, start, end, interval):
         tk.read_panel_csv(path, _spec(start, end, interval))
 
 
+
 def test_drop_log_csv(tmp_path):
-    path = tmp_path / "drops.csv"
-    tk.write_drop_log([(dt.date(2017, 3, 16), "excluded_date")], path)
-    rows = list(csv.reader(open(path, newline="")))
-    assert rows == [["date", "reason"], ["2017-03-16", "excluded_date"]]
+    """The drop log ingest writes holds one (date, reason) row per dropped date, in date order."""
+    def minutes(day, every):  # one trade each ``every`` minutes from 09:00:30
+        return [f"{day} 09:{m:02d}:30,100.{m % 7},1" for m in range(0, 60, every)]
+    x = minutes("2017-03-13", 1) + minutes("2017-03-14", 1) + minutes("2017-03-15", 1)
+    y = minutes("2017-03-13", 1) + minutes("2017-03-15", 1)
+    _tick_file(tmp_path, x + minutes("2017-03-16", 30), name="x.csv")
+    _tick_file(tmp_path, y + minutes("2017-03-16", 30), name="y.csv")
+    config = {
+        "session": {"start": "09:00", "end": "10:00", "timezone": TZ, "sampling_seconds": 60},
+        "instruments": ["X", "Y"],
+        "ticks": {n: {"path": f"{n.lower()}.csv", "schema": SCHEMA} for n in ("X", "Y")},
+        "calendar": {"excluded_dates": ["2017-03-15"]},
+        "output": "out",
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert cli.main(["ingest", "--config", str(tmp_path / "config.json")]) == cli.EXIT_OK
+    rows = list(csv.reader(open(tmp_path / "out" / "drop_log.csv", newline="")))
+    assert rows == [["date", "reason"], ["2017-03-14", "missing_instrument:Y"],
+                    ["2017-03-15", "excluded_date"], ["2017-03-16", "low_trade"]]
+    assert os.listdir(tmp_path / "out" / "panels") == ["panel_2017-03-13.csv"]

@@ -1,14 +1,15 @@
 """Command-line front end: ingest, simulate, decompose, report.
 
 One JSON config file drives every stage; a handful of flags override
-its most-tuned knobs. Each stage reads files written by the previous
-one, so long runs restart at stage boundaries. All randomness flows
-from the single master seed, and outputs carry no timestamps: a rerun
-with the same inputs, config, and seed is byte-identical.
+its most-tuned knobs, and each stage takes only those it reads
+(``OVERRIDES``). Each stage reads files written by the previous one, so
+long runs restart at stage boundaries. All randomness flows from the
+single master seed, and outputs carry no timestamps: a rerun with the
+same inputs, config, and seed is byte-identical.
 
 Exit codes: 0 success, 2 I/O failure (including an input file that
-does not parse), 3 invalid configuration, 4 numerical failure. Errors
-are emitted as one-line JSON on stderr. The config is read into the
+does not parse), 3 invalid configuration or flag, 4 numerical failure.
+Errors are emitted as one-line JSON on stderr. The config is read into the
 numpy-free types of ``spec``, and each stage imports what it runs:
 ``report`` and this front end load no numpy.
 """
@@ -357,10 +358,10 @@ def cmd_simulate(config: RunConfig) -> int:
             if not all(map(math.isfinite, qv.flat)):
                 raise OverflowError(f"simulated day {date}: its true IC, CJ or QV is not finite")
             write_panel(ticks.ReturnPanel(date, names, day.observed))
-            yield from ([date.isoformat(), entry, day.true_ic[i, j], day.true_cj[i, j], qv[i, j]]
+            yield from ([date.isoformat(), entry, day.true_ic[i, j], day.true_cj[i, j]]
                         for i, j, entry in entries)
 
-    write_csv(os.path.join(config.output, "truth.csv"), ["date", "entry", "ic", "cj", "qv"],
+    write_csv(os.path.join(config.output, "truth.csv"), ["date", "entry", "ic", "cj"],
               truth_rows())
     return EXIT_OK
 
@@ -431,9 +432,8 @@ def cmd_report(config: RunConfig) -> int:
     decomps = events.read_decompositions(dec_path)
     if not decomps:
         raise OSError(f"{dec_path} has no rows: decompose processed no day")
-    event_rows = events.read_events_csv(ev_path, config.session)
     degenerate = events.write_report(
-        config.output, decomps, [row["index"] for row in event_rows],
+        config.output, decomps, events.read_events_csv(ev_path, config.session),
         events.read_tuple_labels(tuple_path), config.announcements, config.session,
         config.histogram_bin_minutes,
     )
@@ -468,8 +468,24 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors are ConfigErrors: a bad flag exits 3, as a bad config value does."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+OVERRIDES = {  # each flag: the config key it replaces, its type, what it holds, who reads it
+    "--seed": ("seed", int, "master seed", ("decompose", "report")),
+    "--alpha": ("bootstrap.alpha", float, "test level", ("decompose", "report")),
+    "--bootstrap-reps": ("bootstrap.b_reps", int, "replication count", ("decompose", "report")),
+    "--jobs": ("jobs", int, "worker process count", ("decompose",)),
+    "--output": ("output", str, "output directory", tuple(COMMANDS)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cojump",
         description="Wavelet co-jump detection and noise-robust covariance estimation.",
     )
@@ -477,35 +493,22 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in COMMANDS.items():
         p = sub.add_parser(name, help=fn.__doc__)
         p.add_argument("--config", help=f"config JSON (default: ${ENV_CONFIG})")
-        # each override's dest is the config key it replaces
-        p.add_argument("--seed", type=int, help="master seed override")
-        p.add_argument("--alpha", dest="bootstrap.alpha", type=float, help="test level override")
-        p.add_argument("--bootstrap-reps", dest="bootstrap.b_reps", type=int,
-                       help="replication override")
-        p.add_argument("--jobs", type=int, help="worker process count")
-        p.add_argument("--output", help="output directory override")
+        for flag, (key, kind, what, stages) in OVERRIDES.items():
+            if name in stages:
+                p.add_argument(flag, dest=key, type=kind, help=f"{what} override")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    config_path = args.config or os.environ.get(ENV_CONFIG)
-    if not config_path:
-        _emit_error("config", f"no --config given and ${ENV_CONFIG} is unset")
-        return EXIT_CONFIG
-    if not os.path.exists(config_path):
-        _emit_error("io", f"config file not found: {config_path}")
-        return EXIT_IO
-    overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     try:
+        args = build_parser().parse_args(argv)
+        config_path = args.config or os.environ.get(ENV_CONFIG)
+        if not config_path:
+            raise ConfigError(f"no --config given and ${ENV_CONFIG} is unset")
+        if not os.path.exists(config_path):
+            raise FileNotFoundError(f"config file not found: {config_path}")
+        overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
         config = load_config(config_path, overrides)
-    except ConfigError as exc:
-        _emit_error("config", str(exc))
-        return EXIT_CONFIG
-    except OSError as exc:
-        _emit_error("io", str(exc))
-        return EXIT_IO
-    try:
         os.makedirs(config.output, exist_ok=True)
         return COMMANDS[args.command](config)
     except (ConfigError, SessionMismatch) as exc:

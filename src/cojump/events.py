@@ -443,7 +443,7 @@ def _read_csv(path, columns: list, convert) -> list:
 DECOMPOSE_TABLES = {  # each table of a decompose run: its file name and header
     "decompositions.csv": ["date", "pair", "qv", "ic", "cj", "z", "p", "rejected", "inconclusive",
                            "classification", "corr_total", "corr_cont"],
-    "events.csv": ["date", "pair", "index", "time", "size_1", "size_2"],
+    "events.csv": ["date", "pair", "index", "time"],  # the sizes are the legs' jumps.csv rows
     "jumps.csv": ["date", "instrument", "index", "time", "size"],
     "tuple_days.csv": ["date", "tuple", "label"],
     "failures.csv": ["date", "error"],
@@ -465,7 +465,7 @@ def read_decompositions(path) -> list:
 
 
 def read_events_csv(path, spec: SessionSpec) -> list:
-    """Event rows as (date, pair, index, wall-clock time, sizes).
+    """The grid index of each event row.
 
     A row whose index is not an interval of ``spec`` or whose time is
     not that interval's label raises MalformedFile.
@@ -476,13 +476,7 @@ def read_events_csv(path, spec: SessionSpec) -> list:
         index = int(row["index"])
         if not 0 <= index < len(labels) or row["time"] != labels[index]:
             raise ValueError(f"index {index} at {row['time']} is not an interval of the session")
-        return {
-            "date": dt.date.fromisoformat(row["date"]),
-            "pair": tuple(row["pair"].split("-")),
-            "index": index,
-            "time": dt.time.fromisoformat(row["time"]),
-            "sizes": (float(row["size_1"]), float(row["size_2"])),
-        }
+        return index
 
     return _read_csv(path, DECOMPOSE_TABLES["events.csv"], convert)
 

@@ -296,9 +296,7 @@ class Tables:
             rows("outcomes.csv", [[date, pair, r.z, r.p_value, int(r.rejected), r.classification,
                                    *self._run, r.seed]])
         rows("events.csv", sorted(
-            [date, "-".join(r.pair), i, labels[i],
-             *(res.jump_series[leg].jump_sizes[i] for leg in r.pair)]
-            for r in res.decomps for i in r.events))
+            [date, "-".join(r.pair), i, labels[i]] for r in res.decomps for i in r.events))
         rows("jumps.csv", sorted(
             [date, name, idx, labels[idx], js.jump_sizes[idx]]
             for name, js in res.jump_series.items() for idx in js.jump_indices.tolist()))

@@ -3,6 +3,7 @@ that the pipeline gives its verdict."""
 
 import csv
 import datetime as dt
+import hashlib
 import math
 import tracemalloc
 
@@ -139,6 +140,20 @@ def test_null_day_deterministic():
     a = next(bootstrap.simulate_null_day(0.4, (3, 32), 123))
     b = next(bootstrap.simulate_null_day(0.4, (3, 32), 123))
     assert np.array_equal(a, b)
+
+
+def test_stream_canary():
+    """One day-pair's seed and the SHA-256 of the first null block drawn from it, as numpy
+    2.4.6 draws them. numpy does not promise its normal stream across versions, and every
+    golden p-value rests on it: a numpy whose stream has moved fails here, by name."""
+    seed = pipeline.pair_seed(123, dt.date(2017, 3, 13), ("TU", "FV"))
+    block = next(bootstrap.simulate_null_day(0.0, (999, 540), seed))
+    where = f"numpy {np.__version__}; the golden files were drawn by numpy 2.4.6"
+    assert seed == 11336354198470203286, f"the pair seed moved under {where}"
+    assert block.shape == (15, 2, 540)
+    digest = hashlib.sha256(block.astype("<f8").tobytes()).hexdigest()
+    assert digest == "1b1259c8f131b464122301e4bb2ca91d508e6b63f4074eb03058ae792396565f", (
+        f"the normal stream moved under {where}")
 
 
 def test_quiet_day_accepts():

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, overrides, determinism, outputs."""
 
+import argparse
 import csv
 import datetime as dt
 import gc
@@ -122,6 +123,61 @@ def test_bad_alpha_and_reps(capsys, tmp_path):
     assert cli.main(
         ["simulate", "--config", str(cfg), "--bootstrap-reps", "10"]
     ) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["decompose", "--jobs", "two"], "--jobs"),
+    (["decompose", "--jobz", "2"], "--jobz"),
+    (["decompose", "--alpha"], "--alpha"),
+    (["ingest", "--seed", "1"], "--seed"),
+    (["ingest", "--bootstrap-reps", "10"], "--bootstrap-reps"),
+    (["simulate", "--jobs", "2"], "--jobs"),
+    (["simulate", "--alpha", "0.1"], "--alpha"),
+    (["report", "--jobs", "2"], "--jobs"),
+    (["decompse"], "decompse"),
+    ([], "command"),
+], ids=["wrong-kind", "misspelled", "no-value", "ingest-seed", "ingest-reps", "simulate-jobs",
+        "simulate-alpha", "report-jobs", "unknown-stage", "no-stage"])
+def test_bad_flag_exits_3_naming_it(capsys, tmp_path, args, flag):
+    """A flag that its stage does not take, or that does not parse, exits 3 with one JSON
+    line on stderr naming it, as a bad config value does, before any stage runs."""
+    cfg = _write_config(tmp_path)
+    code = cli.main([*args[:1], "--config", str(cfg), *args[1:]])
+    assert code == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    msg = json.loads(line)
+    assert msg["error"] == "config" and flag in msg["message"], msg
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args", [["-h"], ["decompose", "-h"], ["ingest", "--help"]])
+def test_help_exits_0(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == 0
+    assert "usage: cojump" in capsys.readouterr().out
+
+
+def stage_flags() -> dict:
+    """The long flags, but --help, that ``build_parser`` gives each stage, sorted."""
+    parser = cli.build_parser()
+    stages = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: sorted(o for a in p._actions for o in a.option_strings
+                         if o.startswith("--") and o != "--help")
+            for name, p in stages.choices.items()}
+
+
+def test_each_stage_takes_the_overrides_it_reads():
+    """ingest and simulate take only --config and --output; report takes the three values
+    it records in manifest.json; decompose takes every override."""
+    assert stage_flags() == {
+        "ingest": ["--config", "--output"],
+        "simulate": ["--config", "--output"],
+        "decompose": ["--alpha", "--bootstrap-reps", "--config", "--jobs", "--output", "--seed"],
+        "report": ["--alpha", "--bootstrap-reps", "--config", "--output", "--seed"],
+    }
 
 
 @pytest.mark.parametrize("flag", ["--bootstrap-reps", "--jobs"])
@@ -604,7 +660,7 @@ def test_pipeline_end_to_end(full_run):
 
     # every table reads back: plain cells, floats as their shortest round-trip repr
     for row in csv.DictReader(open(out / "truth.csv", newline="")):
-        for col in ("ic", "cj", "qv"):
+        for col in ("ic", "cj"):
             float(row[col])
     for path in out.rglob("*.csv"):
         for row in csv.reader(open(path, newline="")):
@@ -716,25 +772,46 @@ def test_rerun_is_byte_identical(full_run):
         assert (out / name).read_bytes() == blob, name
 
 
+def test_tree_does_not_depend_on_the_hash_seed(tmp_path):
+    """simulate, decompose and report of the three-day config, each chain in its own
+    interpreter under PYTHONHASHSEED 1 and 977, write byte-identical trees, manifest.json
+    included: no output follows the order of a set or a dict keyed by strings."""
+    cfg = _write_config(tmp_path)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    trees = []
+    for hash_seed in ("1", "977"):
+        out = tmp_path / f"out{hash_seed}"
+        chain = (f"from cojump import cli\nfor stage in ('simulate', 'decompose', 'report'):\n"
+                 f"    assert cli.main([stage, '--config', {str(cfg)!r}, '--output', "
+                 f"{str(out)!r}]) == 0")
+        subprocess.run([sys.executable, "-c", chain], check=True,
+                       env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed})
+        trees.append(_tree(out))
+    assert "manifest.json" in trees[0] and "panels/panel_2017-03-15.csv" in trees[0]
+    assert trees[0] == trees[1]
+
+
 @pytest.mark.parametrize("run", ["full_run", "golden"])
 def test_events_agree_with_jumps(request, tmp_path, run):
-    """Each events.csv row is an index flagged for both legs of its pair in jumps.csv, its
-    sizes are those legs' size cells as written, and its pair's day is a co_jump day."""
+    """Each events.csv row joins onto jumps.csv: its index is flagged for both legs of its
+    pair, at the same time label, and its pair's day is a co_jump day."""
     if run == "full_run":
         out = request.getfixturevalue("full_run")[0] / "out"
     else:
         out, cfg = tmp_path / "golden", Path(__file__).parent / "golden" / "config.json"
         for stage in ("simulate", "decompose"):
             assert cli.main([stage, "--config", str(cfg), "--output", str(out)]) == cli.EXIT_OK
-    sizes = {(r["date"], r["instrument"], r["index"]): r["size"]
+    times = {(r["date"], r["instrument"], r["index"]): r["time"]
              for r in csv.DictReader(open(out / "jumps.csv", newline=""))}
     labels = {(r["date"], r["pair"]): r["classification"]
               for r in csv.DictReader(open(out / "decompositions.csv", newline=""))}
     events = list(csv.DictReader(open(out / "events.csv", newline="")))
     assert events
     for row in events:
-        legs = [sizes.get((row["date"], leg, row["index"])) for leg in row["pair"].split("-")]
-        assert [row["size_1"], row["size_2"]] == legs, row
+        assert list(row) == ["date", "pair", "index", "time"], row
+        legs = [times.get((row["date"], leg, row["index"])) for leg in row["pair"].split("-")]
+        assert legs == [row["time"]] * 2, row
         assert labels[row["date"], row["pair"]] == "co_jump", row
 
 
@@ -795,7 +872,7 @@ def test_report_on_empty_decompositions(capsys, tmp_path):
         "date,pair,qv,ic,cj,z,p,rejected,inconclusive,classification,"
         "corr_total,corr_cont\n"
     )
-    (out / "events.csv").write_text("date,pair,index,time,size_1,size_2\n")
+    (out / "events.csv").write_text("date,pair,index,time\n")
     (out / "tuple_days.csv").write_text("date,tuple,label\n")
     assert cli.main(["report", "--config", str(cfg)]) == cli.EXIT_IO
     msg = _stderr_json(capsys)
@@ -1400,25 +1477,3 @@ def test_golden_config_with_a_misspelled_key_rejected(capsys, tmp_path, edit, ke
     cfg.write_text(json.dumps(raw))
     assert cli.main(["simulate", "--config", str(cfg)]) == cli.EXIT_CONFIG
     assert _stderr_json(capsys)["message"] == f"unknown config key {key}"
-
-
-def _table_leaves(table, prefix=""):
-    """(dotted key, default) of every leaf of a config table; "<name>" stands for any name."""
-    for key, (spec, default) in table.items():
-        if isinstance(spec, dict):
-            yield from _table_leaves(spec, f"{prefix}{key}.")
-        else:
-            yield f"{prefix}{key}", default
-
-
-def test_readme_config_reference_lists_every_key_and_default():
-    """The README's config reference and the loader's table name the same keys and defaults."""
-    reference = README.split("| key | default | value |\n")[1].split("\n\n")[0]
-    rows = dict(re.findall(r"^\| `([^`]+)` \| ([^|]+?) \|", reference, re.M))
-
-    def cell(default):
-        if default is cli.REQUIRED:
-            return "required"
-        return "unset" if default is None else f"`{json.dumps(default)}`"
-
-    assert rows == {key: cell(default) for key, default in _table_leaves(cli.CONFIG)}

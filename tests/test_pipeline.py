@@ -406,16 +406,17 @@ def test_decomposition_csv_roundtrip(two_leg, tmp_path):
 
 
 def test_events_csv_roundtrip(two_leg, tmp_path):
+    """An event row names its day, pair, index and label; its sizes are the join of
+    events.csv onto the legs' jumps.csv rows; read_events_csv gives the index."""
     _write_tables(two_leg, [], tmp_path, SPEC)
-    rows = ev.read_events_csv(tmp_path / "events.csv", SPEC)
-    assert len(rows) == 1
-    row = rows[0]
-    assert row["date"] == START + dt.timedelta(days=1)
-    assert row["pair"] == ("TU", "FV")
-    assert row["index"] == 270
-    assert row["time"] == dt.time(11, 30)  # interval 270 of a 07:00 session
-    assert row["sizes"][0] == pytest.approx(0.1, rel=0.05)
-    assert row["sizes"][1] == pytest.approx(0.12, rel=0.05)
+    assert ev.read_events_csv(tmp_path / "events.csv", SPEC) == [270]
+    [row] = csv.DictReader(open(tmp_path / "events.csv", newline=""))
+    assert row == {"date": (START + dt.timedelta(days=1)).isoformat(), "pair": "TU-FV",
+                   "index": "270", "time": "11:30:00"}  # interval 270 of a 07:00 session
+    sizes = {(r["date"], r["instrument"], r["index"]): float(r["size"])
+             for r in csv.DictReader(open(tmp_path / "jumps.csv", newline=""))}
+    legs = [sizes[row["date"], leg, row["index"]] for leg in row["pair"].split("-")]
+    assert legs == pytest.approx([0.1, 0.12], rel=0.05)
 
 
 def test_jump_report_roundtrip(two_leg, tmp_path):
@@ -485,12 +486,11 @@ def _per_table_writers(results, failures, out, spec, b_reps, alpha):
          for r in decomps),
     )
     events = sorted(
-        ([rec.date.isoformat(), "-".join(rec.pair), i, labels[i],
-          *(res.jump_series[leg].jump_sizes[i] for leg in rec.pair)]
+        ([rec.date.isoformat(), "-".join(rec.pair), i, labels[i]]
          for res in results for rec in res.decomps for i in rec.events),
         key=lambda r: r[:3],
     )
-    write_csv(out / "events.csv", ["date", "pair", "index", "time", "size_1", "size_2"], events)
+    write_csv(out / "events.csv", ["date", "pair", "index", "time"], events)
     jump_rows = sorted(
         ([res.date.isoformat(), name, idx, labels[idx], js.jump_sizes[idx]]
          for res in results

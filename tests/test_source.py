@@ -1,10 +1,12 @@
 """Source guards: every public definition under src/cojump is reached from src/, stages
-load only what they use, and bench/tracer.py still reads its counts from src/."""
+load only what they use, bench/tracer.py still reads its counts from src/, and the README
+names every config key and every stage's flags."""
 
 import ast
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cojump"
+README = (SRC.parents[1] / "README.md").read_text()
 # the reference transform: only tests call it, to check the closed forms against
 EXEMPT_MODULES = {"modwt"}
 
@@ -183,3 +186,40 @@ def test_bench_probes_name_src_functions():
     assert sorted(STALE_PROBES - probes - prefixes) == [], "a stale probe is gone: drop it here"
     assert sorted(STALE_PROBES & named) == [], "a stale probe names code again: drop it here"
     assert sorted((probes | prefixes) - named - STALE_PROBES) == []
+
+
+def _table_leaves(table, prefix=""):
+    """(dotted key, default) of every leaf of a config table; "<name>" stands for any name."""
+    for key, (spec, default) in table.items():
+        if isinstance(spec, dict):
+            yield from _table_leaves(spec, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", default
+
+
+def test_readme_config_reference_lists_every_key_and_default():
+    """The README's config reference and the loader's table name the same keys and defaults."""
+    from cojump import cli
+
+    reference = README.split("| key | default | value |\n")[1].split("\n\n")[0]
+    rows = dict(re.findall(r"^\| `([^`]+)` \| ([^|]+?) \|", reference, re.M))
+
+    def cell(default):
+        if default is cli.REQUIRED:
+            return "required"
+        return "unset" if default is None else f"`{json.dumps(default)}`"
+
+    assert rows == {key: cell(default) for key, default in _table_leaves(cli.CONFIG)}
+
+
+def test_readme_synopsis_lists_every_stage_flag():
+    """The README's command-line synopsis gives each stage exactly the flags that
+    ``build_parser`` gives it."""
+    from test_cli import stage_flags
+
+    synopsis = README.split("## Command line\n")[1].split("```sh\n")[1].split("```")[0]
+    listed = {}
+    for stage, flags in re.findall(r"^cojump (\w+)(.*(?:\n {2,}.*)*)", synopsis, re.M):
+        assert stage not in listed, f"{stage} is listed twice"
+        listed[stage] = sorted(re.findall(r"--[a-z-]+", flags))
+    assert listed == stage_flags()

@@ -10,8 +10,10 @@ same inputs, config, and seed is byte-identical.
 Exit codes: 0 success, 2 I/O failure (including an input file that
 does not parse), 3 invalid configuration or flag, 4 numerical failure.
 Errors are emitted as one-line JSON on stderr. The config is read into the
-numpy-free types of ``spec``, and each stage imports what it runs:
-``report`` and this front end load no numpy.
+numpy-free named tuples of ``spec`` and one ``SimpleNamespace`` (``RunConfig``),
+and each stage imports what it runs: ``report`` and this front end load neither
+numpy nor ``dataclasses``, whose ``inspect`` would make the import of this
+module, paid by every stage, about a third slower.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from types import SimpleNamespace as RunConfig  # the attributes load_config sets
 
 from . import __version__  # each stage imports the modules it runs
 from .spec import (JwcConfig, MalformedFile, SessionMismatch, SessionSpec, TradingCalendar,
@@ -40,27 +42,6 @@ EXIT_NUMERICAL = 4
 
 class ConfigError(ValueError):
     """The run configuration is invalid."""
-
-
-@dataclass
-class RunConfig:
-    session: SessionSpec
-    instruments: list
-    pairs: list
-    tuples: list
-    calendar: TradingCalendar
-    announcements: frozenset | None
-    tick_sources: dict
-    scenario_path: object
-    estimator: JwcConfig
-    b_reps: int
-    alpha: float
-    seed: int
-    jobs: int
-    output: str
-    histogram_bin_minutes: int
-    start_date: dt.date
-    raw: dict = field(default_factory=dict)
 
 
 REQUIRED = object()  # the default of a key that must be given
@@ -500,7 +481,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        flag = argv[0].partition("=")[0] if argv else ""
+        if flag in ("--config", *OVERRIDES):  # argparse would read its value as the command
+            raise ConfigError(f"cojump: {flag} is given before the command; flags follow it, "
+                              f"as in cojump <command> {flag} ...")
         args = build_parser().parse_args(argv)
         config_path = args.config or os.environ.get(ENV_CONFIG)
         if not config_path:

@@ -31,7 +31,7 @@ import functools
 import math
 import operator
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .spec import MalformedFile, SessionSpec, write_csv
@@ -48,28 +48,18 @@ class CompleteSeparation(DegenerateFit):
     """The logit likelihood is unbounded; no finite estimates exist."""
 
 
-@dataclass
-class DayDecomposition:
+class DayDecomposition(namedtuple(
+        "DayDecomposition", "date pair qv ic cj classification events corr_total corr_cont z "
+        "p_value rejected inconclusive seed",
+        defaults=((), float("nan"), float("nan"), float("nan"), float("nan"), False, False, None))):
     """Final per-day, per-pair record entering the report stage; ``events`` are the grid
     indices of the pair's co-jumps, whose sizes are the legs' jump sizes there, and ``seed``
     the day-pair's bootstrap stream seed (None where the table read has no seed column)."""
 
-    date: dt.date
-    pair: tuple
-    qv: float
-    ic: float
-    cj: float
-    classification: str
-    events: tuple = ()
-    corr_total: float = float("nan")
-    corr_cont: float = float("nan")
-    z: float = float("nan")
-    p_value: float = float("nan")
-    rejected: bool = False
-    inconclusive: bool = False
-    seed: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.classification not in CLASSIFICATIONS:
             raise ValueError(f"unknown classification {self.classification!r}")
         # Co-jump variation exists only on days the test attributes one.
@@ -77,6 +67,7 @@ class DayDecomposition:
             raise ValueError("CJ must be zero unless the day is classified co_jump")
         if self.classification != "co_jump" and self.events:
             raise ValueError("co-jump events require a co_jump classification")
+        return self
 
 
 def cj_qv_summary(decomps: list) -> list:
@@ -115,15 +106,8 @@ def _pairwise_sum(x: list) -> float:
     return functools.reduce(operator.add, x[full:], total)
 
 
-@dataclass
-class RegressionResult:
-    alpha: float
-    beta: float
-    r_squared: float
-    wald_stat: float
-    wald_p: float
-    se_alpha: float
-    se_beta: float
+RegressionResult = namedtuple("RegressionResult",
+                              "alpha beta r_squared wald_stat wald_p se_alpha se_beta")
 
 
 def _scaled_ints(*arrays) -> tuple:
@@ -218,13 +202,7 @@ def correlation_impact_regression(total_corr, cont_corr) -> RegressionResult:
     )
 
 
-@dataclass
-class LogitResult:
-    beta0: float
-    beta1: float
-    se_beta0: float
-    se_beta1: float
-    pseudo_r_squared: float
+LogitResult = namedtuple("LogitResult", "beta0 beta1 se_beta0 se_beta1 pseudo_r_squared")
 
 
 def announcement_logit(cojump_indicator, news_indicator) -> LogitResult:

@@ -1,16 +1,20 @@
 """The numpy-free types the config is read into, the input errors, and the table layout.
 
-The CLI front end and the ``report`` stage run on these alone. ``write_csv``
-writes every output table but the panels and ``decompose``'s six, which
-``ticks.write_panel_csv`` and ``pipeline.Tables`` write in its layout (``csv_cells``).
+The CLI front end and the ``report`` stage run on these alone. The records are
+named tuples, not dataclasses: ``dataclasses`` loads ``inspect`` and with it
+``ast``, ``dis`` and ``tokenize``, which would make ``import cojump.cli``, paid by
+every stage, about a third slower. Each record checks its fields in ``__new__``;
+like a frozen dataclass it is immutable, hashable and pickles to the pool's
+workers. ``write_csv`` writes every output table but the panels and
+``decompose``'s six, which ``ticks.write_panel_csv`` and ``pipeline.Tables``
+write in its layout (``csv_cells``).
 """
 
 from __future__ import annotations
 
 import csv
-import datetime as dt
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 from zoneinfo import ZoneInfo
 
 
@@ -22,16 +26,14 @@ class SessionMismatch(ValueError):
     """A panel file's date or grid does not match the configured session."""
 
 
-@dataclass(frozen=True)
-class SessionSpec:
+class SessionSpec(namedtuple("SessionSpec",
+                             "session_start session_end timezone sampling_interval")):
     """Trading session geometry: wall-clock window, timezone, grid step."""
 
-    session_start: dt.time
-    session_end: dt.time
-    timezone: str
-    sampling_interval: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.session_start >= self.session_end:
             raise ValueError(f"the session start {self.session_start} must precede "
                              f"its end {self.session_end}")
@@ -39,6 +41,7 @@ class SessionSpec:
             raise ValueError(f"the grid step of {self.sampling_interval} s must divide "
                              f"the session length of {self.session_seconds} s")
         ZoneInfo(self.timezone)  # fail fast on unknown zone names
+        return self
 
     @property
     def session_seconds(self) -> int:
@@ -73,15 +76,16 @@ def _labels(start: int, stop: int, step: int) -> tuple:
     return tuple(f"{t // 3600:02d}:{t // 60 % 60:02d}:{t % 60:02d}" for t in range(start, stop, step))
 
 
-@dataclass(frozen=True)
-class TradingCalendar:
-    excluded_dates: frozenset = frozenset()
-    low_trade_threshold: float = 0.60
+class TradingCalendar(namedtuple("TradingCalendar", "excluded_dates low_trade_threshold",
+                                 defaults=(frozenset(), 0.60))):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (0.0 < self.low_trade_threshold <= 1.0):
             raise ValueError(
                 f"low_trade_threshold must lie in (0, 1], got {self.low_trade_threshold}")
+        return self
 
 
 def default_g_spacing(n: int) -> int:
@@ -89,8 +93,7 @@ def default_g_spacing(n: int) -> int:
     return max(2, int(round(n ** (2.0 / 3.0))))
 
 
-@dataclass(frozen=True)
-class JwcConfig:
+class JwcConfig(namedtuple("JwcConfig", "c_n s_spacing g_spacing", defaults=(1.0, 1, None))):
     """Estimator configuration.
 
     ``g_spacing`` defaults to the grid-size rule when left None.
@@ -98,9 +101,7 @@ class JwcConfig:
     S < G is required.
     """
 
-    c_n: float = 1.0
-    s_spacing: int = 1
-    g_spacing: object = None
+    __slots__ = ()
 
     def resolve(self, n: int) -> "ResolvedJwc":
         g = self.g_spacing if self.g_spacing is not None else default_g_spacing(n)
@@ -114,12 +115,8 @@ class JwcConfig:
         return ResolvedJwc(c_n=float(self.c_n), s_spacing=int(s), g_spacing=int(g), n=int(n))
 
 
-@dataclass(frozen=True)
-class ResolvedJwc:
-    c_n: float
-    s_spacing: int
-    g_spacing: int
-    n: int
+class ResolvedJwc(namedtuple("ResolvedJwc", "c_n s_spacing g_spacing n")):
+    __slots__ = ()
 
     @property
     def subsample_ratio(self) -> float:

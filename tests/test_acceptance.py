@@ -12,11 +12,14 @@ everything else finishes in seconds.
 """
 
 import csv
+import glob
 import itertools
 import math
 import os
 import pathlib
 import platform
+import re
+import shutil
 import subprocess
 import sys
 import time
@@ -555,3 +558,52 @@ def test_end_to_end_rerun_byte_identical(golden_run, tmp_path):
     )
     assert sorted(first) == sorted(second)
     assert not diffs, f"differing files: {diffs}"
+
+
+def _other_interpreters() -> dict:
+    """Each other CPython >= 3.11 here that starts, by its ``sys.version``: ``python3.N`` on
+    PATH and, where pyenv exists, ``$(pyenv root)/versions/*/bin/python``."""
+    found = [os.path.join(d, name) for d in os.environ.get("PATH", "").split(os.pathsep)
+             if os.path.isdir(d) for name in sorted(os.listdir(d))
+             if re.fullmatch(r"python3\.\d+", name)]
+    if shutil.which("pyenv"):
+        root = subprocess.run(["pyenv", "root"], capture_output=True, text=True).stdout.strip()
+        found += sorted(glob.glob(os.path.join(glob.escape(root), "versions", "*", "bin", "python")))
+    probe = ("import sys; print(sys.version if sys.implementation.name == 'cpython' "
+             "and sys.version_info >= (3, 11) else '')")
+    versions = {}
+    for exe in found:
+        try:  # a pyenv shim of a version not selected exits 127; Python 2 has no sys.implementation
+            out = subprocess.run([exe, "-c", probe], capture_output=True, text=True, timeout=30)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        version = out.stdout.strip()
+        if out.returncode == 0 and version and version != sys.version:
+            versions.setdefault(version, exe)
+    return versions
+
+
+def test_report_bytes_independent_of_interpreter(golden_run, tmp_path):
+    """Every other CPython >= 3.11 found runs ``report`` on the golden decompose tables and
+    writes the five tables and manifest.json byte-identical to this interpreter's: the
+    report's sums and fits do not move with the interpreter (sum() of floats, for one,
+    compensates from 3.12 on). The stage loads no numpy, so an interpreter without it runs."""
+    interpreters = _other_interpreters()
+    if not interpreters:
+        pytest.skip("no other CPython >= 3.11 on PATH or under pyenv")
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(cojump.__file__)))
+    env = {**os.environ, "PYTHONPATH": package_root}
+    compared = (*REPORT_TABLES, "manifest.json")
+    mismatches = []
+    for i, (version, exe) in enumerate(sorted(interpreters.items())):
+        out = tmp_path / str(i)
+        out.mkdir()
+        for name in ("decompositions.csv", "events.csv", "tuple_days.csv"):
+            shutil.copyfile(golden_run / name, out / name)
+        proc = subprocess.run(
+            [exe, "-m", "cojump.cli", "report", "--config", os.path.join(GOLDEN_DIR, "config.json"),
+             "--output", str(out)], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, f"{exe} ({version}): {proc.stderr}"
+        mismatches += [f"{name} under {exe} ({version.split()[0]})" for name in compared
+                       if (out / name).read_bytes() != (golden_run / name).read_bytes()]
+    assert not mismatches, f"differ from {sys.version.split()[0]}'s bytes: {mismatches}"

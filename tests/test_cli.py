@@ -136,19 +136,28 @@ def test_bad_alpha_and_reps(capsys, tmp_path):
     (["report", "--jobs", "2"], "--jobs"),
     (["decompse"], "decompse"),
     ([], "command"),
+    (["--config", "{cfg}", "report"], "--config"),
 ], ids=["wrong-kind", "misspelled", "no-value", "ingest-seed", "ingest-reps", "simulate-jobs",
-        "simulate-alpha", "report-jobs", "unknown-stage", "no-stage"])
+        "simulate-alpha", "report-jobs", "unknown-stage", "no-stage", "config-first"])
 def test_bad_flag_exits_3_naming_it(capsys, tmp_path, args, flag):
     """A flag that its stage does not take, or that does not parse, exits 3 with one JSON
-    line on stderr naming it, as a bad config value does, before any stage runs."""
+    line on stderr naming it, as a bad config value does, before any stage runs. A flag
+    given before the command is named, not read as the command. Args with no "{cfg}"
+    place get ``--config`` right after the command."""
     cfg = _write_config(tmp_path)
-    code = cli.main([*args[:1], "--config", str(cfg), *args[1:]])
+    if "{cfg}" in args:
+        argv = [a.format(cfg=cfg) for a in args]
+    else:
+        argv = [*args[:1], "--config", str(cfg), *args[1:]]
+    code = cli.main(argv)
     assert code == cli.EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
     [line] = captured.err.splitlines()
     msg = json.loads(line)
     assert msg["error"] == "config" and flag in msg["message"], msg
+    if "{cfg}" in args:
+        assert "flags follow it" in msg["message"] and str(cfg) not in msg["message"], msg
     assert not (tmp_path / "out").exists()
 
 

@@ -3,9 +3,11 @@ load only what they use, bench/tracer.py still reads its counts from src/, and t
 names every config key and every stage's flags."""
 
 import ast
+import datetime as dt
 import importlib.util
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -13,6 +15,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from cojump import events, spec
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cojump"
 README = (SRC.parents[1] / "README.md").read_text()
@@ -30,7 +34,8 @@ def _names(node) -> Counter:
 
 
 def test_every_public_definition_is_reached_from_src():
-    """A public top-level function or class that only tests reach is dead code."""
+    """A public top-level function or class, a named-tuple record included, that only tests
+    reach is dead code."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     used = sum((_names(tree) for tree in trees.values()), Counter())
     checked, unreached = [], []
@@ -38,12 +43,19 @@ def test_every_public_definition_is_reached_from_src():
         if module in EXEMPT_MODULES:
             continue
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call) and \
+                    _names(node.value.func)["namedtuple"]:  # a record class made by a call
+                name = node.targets[0].id
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                name = node.name
+            else:
                 continue
-            checked.append(f"{module}.{node.name}")
-            if used[node.name] - _names(node)[node.name] <= 0:
+            if name.startswith("_"):
+                continue
+            checked.append(f"{module}.{name}")
+            if used[name] - _names(node)[name] <= 0:
                 unreached.append(checked[-1])
-    assert "pipeline.process_day" in checked
+    assert {"pipeline.process_day", "events.LogitResult"} <= set(checked)
     assert unreached == [], f"reached from no src/ code outside their own body: {unreached}"
 
 
@@ -61,7 +73,10 @@ def test_cli_import_loads_no_process_pool_or_openssl():
 
 def test_front_end_and_report_load_no_numpy(tmp_path):
     """Reading a config, failing on one, and a whole ``report`` run load neither numpy nor
-    the modules that run on it: the front end and the report stage need no array code."""
+    the modules that run on it: the front end and the report stage need no array code.
+    They load no ``dataclasses`` or ``inspect`` either: their records are named tuples, as
+    ``inspect``, with its ``ast``, ``dis`` and ``tokenize``, makes that start-up about a
+    third slower."""
     from test_cli import _write_config
 
     from cojump import cli
@@ -70,7 +85,7 @@ def test_front_end_and_report_load_no_numpy(tmp_path):
     for stage in (["simulate"], ["decompose", "--jobs", "1"]):
         assert cli.main([*stage, "--config", cfg]) == cli.EXIT_OK
     golden = str(SRC.parents[1] / "tests" / "golden" / "config.json")
-    modules = ["numpy", "cojump.ticks", "cojump.jwc"]
+    modules = ["numpy", "cojump.ticks", "cojump.jwc", "dataclasses", "inspect"]
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     for run, code in ((f"c.load_config({golden!r}, {{}}); code = 0", 0),
                       (f"code = c.main(['decompose', '--config', {bad!r}])", cli.EXIT_CONFIG),
@@ -80,6 +95,40 @@ def test_front_end_and_report_load_no_numpy(tmp_path):
         out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == f"{code} []", (run, out.stdout, out.stderr)
+
+
+RECORDS = {  # each numpy-free record: a valid instance and one of its fields
+    "SessionSpec": (lambda: spec.SessionSpec(dt.time(7), dt.time(16), "America/Chicago", 60),
+                    "sampling_interval"),
+    "TradingCalendar": (lambda: spec.TradingCalendar(frozenset({dt.date(2017, 3, 16)}), 0.5),
+                        "excluded_dates"),
+    "JwcConfig": (lambda: spec.JwcConfig(g_spacing=5), "g_spacing"),
+    "ResolvedJwc": (lambda: spec.JwcConfig(g_spacing=5).resolve(540), "n"),
+    "DayDecomposition": (lambda: events.DayDecomposition(
+        dt.date(2017, 3, 13), ("TU", "FV"), 2.0, 1.5, 0.5, "co_jump", events=(3, 7),
+        corr_total=0.5, corr_cont=0.4, z=2.5, p_value=0.01, rejected=True, seed=12345), "cj"),
+    "RegressionResult": (lambda: events.correlation_impact_regression(
+        [0.1, 0.5, 0.3, 0.9], [0.2, 0.4, 0.35, 0.8]), "beta"),
+    "LogitResult": (lambda: events.announcement_logit(
+        [1, 0, 0, 1, 1, 0], [0, 0, 0, 1, 1, 1]), "beta1"),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_are_immutable_hashable_and_pickle(name):
+    """Each record keeps a frozen dataclass's contract: a field cannot be assigned (an
+    AttributeError, as FrozenInstanceError is), equal records hash equal, and a pickle
+    round trip, which carries the estimator settings to the pool's workers, gives an equal
+    record of the same type."""
+    make, field = RECORDS[name]
+    record = make()
+    assert type(record).__name__ == name
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    again = make()
+    assert again == record and hash(again) == hash(record)
+    back = pickle.loads(pickle.dumps(record))
+    assert type(back) is type(record) and back == record
 
 
 def test_pool_parent_loads_no_numpy_random(tmp_path):

@@ -1,11 +1,12 @@
 """Command-line front end: ingest, simulate, decompose, report.
 
-One JSON config file drives every stage; a handful of flags override
-its most-tuned knobs, and each stage takes only those it reads
-(``OVERRIDES``). Each stage reads files written by the previous one, so
-long runs restart at stage boundaries. All randomness flows from the
-single master seed, and outputs carry no timestamps: a rerun with the
-same inputs, config, and seed is byte-identical.
+The required ``--config`` file holds every value that changes a result, so
+when ``decompose`` and ``report`` read one config, ``manifest.json`` records
+the seed, alpha and B the tests ran with. The flags of ``OVERRIDES`` only
+place a run; each stage takes those it reads and checks only the files it
+reads. Each stage reads the files of the one before, so a run restarts at a
+stage, and outputs carry no timestamps: a rerun with the same inputs and
+config is byte-identical.
 
 Exit codes: 0 success, 2 I/O failure (including an input file that
 does not parse), 3 invalid configuration or flag, 4 numerical failure.
@@ -32,8 +33,6 @@ from types import SimpleNamespace as RunConfig  # the attributes load_config set
 from . import __version__  # each stage imports the modules it runs
 from .spec import (JwcConfig, MalformedFile, SessionMismatch, SessionSpec, TradingCalendar,
                    write_csv)
-
-ENV_CONFIG = "COJUMP_CONFIG"
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -224,7 +223,7 @@ def load_config(path: str, overrides: dict) -> RunConfig:
 
 
 def _validate(config: RunConfig) -> None:
-    """The checks that span several keys: pairs, tuples, estimator, histogram, files."""
+    """The checks that span several keys: pairs, tuples, estimator, histogram, tick sources."""
     declared = set(config.instruments)
     if not declared or len(declared) < len(config.instruments):
         raise ConfigError(f"instruments must be distinct and not empty, got {config.instruments}")
@@ -259,14 +258,9 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError(f"estimator: {exc}") from exc
     if config.session.session_seconds % (config.histogram_bin_minutes * 60):
         raise ConfigError("report.histogram_bin_minutes must divide the session")
-    for name, src in config.tick_sources.items():
+    for name in config.tick_sources:
         if name not in declared:
             raise ConfigError(f"ticks.{name}: tick source of no declared instrument")
-        # missing referenced files are I/O failures, not config failures
-        if not os.path.exists(src["path"]):
-            raise FileNotFoundError(f"tick file for {name} not found: {src['path']}")
-    if config.scenario_path is not None and not os.path.exists(config.scenario_path):
-        raise FileNotFoundError(f"scenario file not found: {config.scenario_path}")
 
 
 def _panels_dir(config: RunConfig) -> str:
@@ -292,6 +286,9 @@ def _emit_error(kind: str, message: str) -> None:
 def cmd_ingest(config: RunConfig) -> int:
     """Parse ticks, build per-day return panels, write the drop log and tick counts."""
     from . import ticks
+    for name, src in config.tick_sources.items():  # every file, before the first is parsed
+        if not os.path.exists(src["path"]):
+            raise FileNotFoundError(f"tick file for {name} not found: {src['path']}")
     missing = [n for n in config.instruments if n not in config.tick_sources]
     if missing:
         raise ConfigError(f"no tick source for instruments: {', '.join(missing)}")
@@ -457,9 +454,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 OVERRIDES = {  # each flag: the config key it replaces, its type, what it holds, who reads it
-    "--seed": ("seed", int, "master seed", ("decompose", "report")),
-    "--alpha": ("bootstrap.alpha", float, "test level", ("decompose", "report")),
-    "--bootstrap-reps": ("bootstrap.b_reps", int, "replication count", ("decompose", "report")),
     "--jobs": ("jobs", int, "worker process count", ("decompose",)),
     "--output": ("output", str, "output directory", tuple(COMMANDS)),
 }
@@ -473,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in COMMANDS.items():
         p = sub.add_parser(name, help=fn.__doc__)
-        p.add_argument("--config", help=f"config JSON (default: ${ENV_CONFIG})")
+        p.add_argument("--config", required=True, help="config JSON")
         for flag, (key, kind, what, stages) in OVERRIDES.items():
             if name in stages:
                 p.add_argument(flag, dest=key, type=kind, help=f"{what} override")
@@ -488,13 +482,10 @@ def main(argv=None) -> int:
             raise ConfigError(f"cojump: {flag} is given before the command; flags follow it, "
                               f"as in cojump <command> {flag} ...")
         args = build_parser().parse_args(argv)
-        config_path = args.config or os.environ.get(ENV_CONFIG)
-        if not config_path:
-            raise ConfigError(f"no --config given and ${ENV_CONFIG} is unset")
-        if not os.path.exists(config_path):
-            raise FileNotFoundError(f"config file not found: {config_path}")
+        if not os.path.exists(args.config):
+            raise FileNotFoundError(f"config file not found: {args.config}")
         overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
-        config = load_config(config_path, overrides)
+        config = load_config(args.config, overrides)
         os.makedirs(config.output, exist_ok=True)
         return COMMANDS[args.command](config)
     except (ConfigError, SessionMismatch) as exc:

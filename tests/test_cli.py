@@ -64,16 +64,15 @@ def _stderr_json(capsys):
     return json.loads(err[-1])
 
 
-def test_no_config_anywhere(capsys, monkeypatch):
-    monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
+def test_no_config_anywhere(capsys):
+    """--config is required: a stage without it exits 3 naming the flag."""
     assert cli.main(["decompose"]) == cli.EXIT_CONFIG
     msg = _stderr_json(capsys)
     assert msg["error"] == "config"
-    assert cli.ENV_CONFIG in msg["message"]
+    assert "--config" in msg["message"]
 
 
-def test_config_file_missing(capsys, monkeypatch, tmp_path):
-    monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
+def test_config_file_missing(capsys, tmp_path):
     missing = tmp_path / "nope.json"
     assert cli.main(["report", "--config", str(missing)]) == cli.EXIT_IO
     msg = _stderr_json(capsys)
@@ -134,11 +133,15 @@ def test_bad_alpha_and_reps(capsys, tmp_path):
     (["simulate", "--jobs", "2"], "--jobs"),
     (["simulate", "--alpha", "0.1"], "--alpha"),
     (["report", "--jobs", "2"], "--jobs"),
+    (["decompose", "--seed", "7"], "--seed"),
+    (["decompose", "--bootstrap-reps", "150"], "--bootstrap-reps"),
+    (["report", "--alpha", "0.1"], "--alpha"),
     (["decompse"], "decompse"),
     ([], "command"),
     (["--config", "{cfg}", "report"], "--config"),
 ], ids=["wrong-kind", "misspelled", "no-value", "ingest-seed", "ingest-reps", "simulate-jobs",
-        "simulate-alpha", "report-jobs", "unknown-stage", "no-stage", "config-first"])
+        "simulate-alpha", "report-jobs", "decompose-seed", "decompose-reps", "report-alpha",
+        "unknown-stage", "no-stage", "config-first"])
 def test_bad_flag_exits_3_naming_it(capsys, tmp_path, args, flag):
     """A flag that its stage does not take, or that does not parse, exits 3 with one JSON
     line on stderr naming it, as a bad config value does, before any stage runs. A flag
@@ -179,17 +182,17 @@ def stage_flags() -> dict:
 
 
 def test_each_stage_takes_the_overrides_it_reads():
-    """ingest and simulate take only --config and --output; report takes the three values
-    it records in manifest.json; decompose takes every override."""
+    """Every stage takes --config and --output; only decompose takes --jobs. No flag sets
+    a value that changes a result: those come from the config file alone."""
     assert stage_flags() == {
         "ingest": ["--config", "--output"],
         "simulate": ["--config", "--output"],
-        "decompose": ["--alpha", "--bootstrap-reps", "--config", "--jobs", "--output", "--seed"],
-        "report": ["--alpha", "--bootstrap-reps", "--config", "--output", "--seed"],
+        "decompose": ["--config", "--jobs", "--output"],
+        "report": ["--config", "--output"],
     }
 
 
-@pytest.mark.parametrize("flag", ["--bootstrap-reps", "--jobs"])
+@pytest.mark.parametrize("flag", ["--jobs"])
 def test_zero_override_is_rejected_not_ignored(capsys, tmp_path, flag):
     cfg = _write_config(tmp_path)
     assert cli.main(["decompose", "--config", str(cfg), flag, "0"]) == cli.EXIT_CONFIG
@@ -315,6 +318,15 @@ def test_missing_scenario_file_is_io_error(capsys, tmp_path):
     os.remove(tmp_path / "scenario.txt")
     assert cli.main(["simulate", "--config", str(cfg)]) == cli.EXIT_IO
     assert "scenario" in _stderr_json(capsys)["message"]
+
+
+def test_stages_after_simulate_do_not_read_the_scenario(tmp_path):
+    """Only simulate reads the scenario file: decompose and report run without it."""
+    cfg = _write_config(tmp_path)
+    assert cli.main(["simulate", "--config", str(cfg)]) == cli.EXIT_OK
+    os.remove(tmp_path / "scenario.txt")
+    assert cli.main(["decompose", "--config", str(cfg)]) == cli.EXIT_OK
+    assert cli.main(["report", "--config", str(cfg)]) == cli.EXIT_OK
 
 
 def test_decompose_without_panels(capsys, tmp_path):
@@ -837,16 +849,33 @@ def test_outcomes_agree_with_decompositions(full_run):
             dec["z"], dec["p"], dec["rejected"], dec["classification"]]
 
 
+def test_manifest_describes_the_run(tmp_path):
+    """manifest.json's seed, alpha and b_reps are the ones every outcomes.csv row ran with."""
+    cfg = _write_config(tmp_path, seed=7, bootstrap={"b_reps": 120, "alpha": 0.1})
+    for stage in ("simulate", "decompose", "report"):
+        assert cli.main([stage, "--config", str(cfg)]) == cli.EXIT_OK
+    out = tmp_path / "out"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["seed"], manifest["b_reps"], manifest["alpha"]) == (7, 120, 0.1)
+    rows = list(csv.DictReader(open(out / "outcomes.csv", newline="")))
+    assert len(rows) == 3
+    for row in rows:
+        assert int(row["B"]) == manifest["b_reps"] and float(row["alpha"]) == manifest["alpha"]
+        date, pair = dt.date.fromisoformat(row["date"]), tuple(row["pair"].split("-"))
+        assert int(row["seed"]) == pipeline.pair_seed(manifest["seed"], date, pair)
+
+
 def test_seed_override_changes_outcomes(full_run):
+    """Another seed in the config changes the outcomes; no flag sets the seed."""
     tmp_path, cfg = full_run
     out = tmp_path / "out"
     baseline = (out / "outcomes.csv").read_bytes()
+    seed99 = _write_config(tmp_path, "seed99.json", seed=99)
     assert cli.main(
-        ["decompose", "--config", str(cfg), "--seed", "99", "--output",
-         str(tmp_path / "out99")]
+        ["decompose", "--config", str(seed99), "--output", str(tmp_path / "out99")]
     ) == cli.EXIT_IO  # panels live under the new output dir, none found yet
     # reuse the simulated panels: decompose in place with a new seed
-    assert cli.main(["decompose", "--config", str(cfg), "--seed", "99"]) == cli.EXIT_OK
+    assert cli.main(["decompose", "--config", str(seed99)]) == cli.EXIT_OK
     changed = (out / "outcomes.csv").read_bytes()
     assert changed != baseline
     rows = list(csv.DictReader(open(out / "outcomes.csv", newline="")))
@@ -864,12 +893,6 @@ def test_manifest_hash_tracks_config_content(full_run):
     cfg.write_text(json.dumps(raw, indent=1))
     assert cli.main(["report", "--config", str(cfg)]) == cli.EXIT_OK
     assert json.loads((out / "manifest.json").read_text())["config_hash"] != h1
-
-
-def test_env_var_config(full_run, monkeypatch):
-    tmp_path, cfg = full_run
-    monkeypatch.setenv(cli.ENV_CONFIG, str(cfg))
-    assert cli.main(["report"]) == cli.EXIT_OK
 
 
 def test_report_on_empty_decompositions(capsys, tmp_path):
@@ -1014,14 +1037,11 @@ def test_announcement_times_zones_and_windows_change_no_output(full_run):
     assert manifests[0] == manifests[1]
 
 
-@pytest.mark.parametrize("where", ["flag", "config"])
+@pytest.mark.parametrize("where", ["config"])
 def test_negative_seed_rejected_before_any_day(capsys, tmp_path, where):
     cfg = _write_config(tmp_path)
     assert cli.main(["simulate", "--config", str(cfg)]) == cli.EXIT_OK
-    if where == "flag":
-        args = ["decompose", "--config", str(cfg), "--seed", "-1"]
-    else:
-        args = ["decompose", "--config", str(_write_config(tmp_path, "neg.json", seed=-1))]
+    args = ["decompose", "--config", str(_write_config(tmp_path, "neg.json", seed=-1))]
     assert cli.main(args) == cli.EXIT_CONFIG
     msg = _stderr_json(capsys)
     assert msg["error"] == "config"

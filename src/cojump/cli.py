@@ -296,16 +296,13 @@ def cmd_ingest(config: RunConfig) -> int:
     for name in config.instruments:
         src = config.tick_sources[name]
         series[name] = ticks.parse_ticks(src["path"], src["schema"], config.session, name)
-    panels, drop_log = ticks.build_panels(series, config.calendar)
-    write_panel = _panel_writer(config)
-    for panel in panels:
-        write_panel(panel)
+    kept, drop_log = ticks.build_panels(series, config.calendar, _panel_writer(config))
     write_csv(os.path.join(config.output, "drop_log.csv"), ["date", "reason"],
               [(date.isoformat(), reason) for date, reason in drop_log])
     counts = [(name, s.total_rows, s.rejected) for name, s in series.items()]
     write_csv(os.path.join(config.output, "tick_counts.csv"), ["instrument", "rows", "rejected"],
               counts)
-    if not panels:
+    if not kept:
         raise OSError(f"ingest kept no day: {len(drop_log)} dates dropped, see drop_log.csv")
     return EXIT_OK
 
@@ -410,10 +407,11 @@ def cmd_report(config: RunConfig) -> int:
     decomps = events.read_decompositions(dec_path)
     if not decomps:
         raise OSError(f"{dec_path} has no rows: decompose processed no day")
+    labels_by_tuple = {"-".join(t): {} for t in config.tuples}  # rows even with no labelled day
+    labels_by_tuple.update(events.read_tuple_labels(tuple_path))
     degenerate = events.write_report(
         config.output, decomps, events.read_events_csv(ev_path, config.session),
-        events.read_tuple_labels(tuple_path), config.announcements, config.session,
-        config.histogram_bin_minutes,
+        labels_by_tuple, config.announcements, config.session, config.histogram_bin_minutes,
     )
     for table, pair, reason in degenerate:
         fields = {"warning": "degenerate_fit", "table": table, "pair": pair, "message": reason}

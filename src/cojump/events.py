@@ -11,7 +11,8 @@ co-jump event as the grid index of its interval alone (its sizes are
 the two legs' jump sizes there); the histogram turns indices into
 wall-clock bins through the session alone.
 ``write_report`` builds the rows of all five tables, declared once in
-``_TABLES``, before it writes any of them. ``decompose``'s tables and their
+``_TABLES``, before it writes any of them; each builder returns its
+table's rows in that column order. ``decompose``'s tables and their
 readers are here too (``DECOMPOSE_TABLES``): ``report`` loads no numpy.
 
 Both fits are computed by hand on purpose: OLS in exact integer
@@ -44,10 +45,6 @@ class DegenerateFit(ValueError):
     """A regression or logit has no defined solution on this input."""
 
 
-class CompleteSeparation(DegenerateFit):
-    """The logit likelihood is unbounded; no finite estimates exist."""
-
-
 class DayDecomposition(namedtuple(
         "DayDecomposition", "date pair qv ic cj classification events corr_total corr_cont z "
         "p_value rejected inconclusive seed",
@@ -70,25 +67,29 @@ class DayDecomposition(namedtuple(
         return self
 
 
+def _by_pair(decomps: list) -> list:
+    """(pair, its records) for each pair, in sorted pair order."""
+    by_pair: dict = {}
+    for rec in decomps:
+        by_pair.setdefault(rec.pair, []).append(rec)
+    return sorted(by_pair.items())
+
+
 def cj_qv_summary(decomps: list) -> list:
-    """Per-pair totals: co-jump day count, QV total, mean 100*CJ/QV.
+    """cj_qv_share.csv's rows: per pair, co-jump day count, QV total, mean 100*CJ/QV.
 
     The percentage averages the daily ratio over all days with QV != 0
     (not only co-jump days), so jump-free days pull it toward zero.
     """
     if not decomps:
         raise ValueError("no decompositions to summarize")
-    by_pair: dict = {}
-    for rec in decomps:
-        by_pair.setdefault(rec.pair, []).append(rec)
     rows = []
-    for pair in sorted(by_pair):
-        recs = by_pair[pair]
+    for pair, recs in _by_pair(decomps):
         days_cj = sum(1 for r in recs if r.classification == "co_jump")
         qv_total = functools.reduce(operator.add, (r.qv for r in recs), 0.0)  # in turn
         ratios = [100.0 * r.cj / r.qv for r in recs if r.qv != 0.0]
         pct = (0.0 + _pairwise_sum(ratios)) / len(ratios) if ratios else 0.0  # np.mean: from 0.0
-        rows.append({"pair": pair, "days_cj": days_cj, "qv_total": qv_total, "pct_cj_qv": pct})
+        rows.append(["-".join(pair), days_cj, qv_total, pct])
     return rows
 
 
@@ -214,7 +215,7 @@ def announcement_logit(cojump_indicator, news_indicator) -> LogitResult:
     (a, b) on quiet days and (c, d) on news days: beta0 = log(a/b),
     beta1 = log(c/d) - log(a/b), se(beta0)^2 = 1/a + 1/b and
     se(beta1)^2 = 1/a + 1/b + 1/c + 1/d. An empty cell pushes a
-    coefficient to infinity and raises ``CompleteSeparation``.
+    coefficient to infinity and raises ``DegenerateFit``.
 
     McFadden's 1 - l/l0 is reported as the pseudo R-squared, computed as
     (l - l0) / -l0 with l - l0 = sum k log(k n / (row * column)) over the
@@ -232,10 +233,10 @@ def announcement_logit(cojump_indicator, news_indicator) -> LogitResult:
     if not (cojump and calm):
         raise DegenerateFit("both outcome classes must be present")
     if not (quiet and news):
-        raise CompleteSeparation("news indicator is constant; no contrast")
+        raise DegenerateFit("news indicator is constant; no contrast")
     for xv, (yes, no) in enumerate(((a, b), (c, d))):
         if not (yes and no):
-            raise CompleteSeparation(f"outcome is constant ({int(yes > 0)}) on the news={xv} cell")
+            raise DegenerateFit(f"outcome is constant ({int(yes > 0)}) on the news={xv} cell")
     cells = ((a, quiet, cojump), (b, quiet, calm), (c, news, cojump), (d, news, calm))
     gain = math.fsum(k * math.log(k * (quiet + news) / (row * col)) for k, row, col in cells)
     null = math.fsum(k * math.log(k / (cojump + calm)) for k in (cojump, calm))  # l0
@@ -288,7 +289,8 @@ def classify_shift_rotation(sizes) -> str:
 
 
 def shift_rotation_table(day_labels: dict, announcement_dates, sample_dates) -> list:
-    """Shift/rotation counts split by announcement status.
+    """Shift/rotation counts split by announcement status: shift_rotation.csv's rows for
+    one tuple, without its tuple cell.
 
     ``day_labels`` maps dates with a co-jump to that day's label (one
     label per day; multi-event days are labeled upstream). A sample date
@@ -296,40 +298,14 @@ def shift_rotation_table(day_labels: dict, announcement_dates, sample_dates) -> 
     Percentages are taken against the segment's day count, which is
     emitted so the shares can be renormalized.
     """
-    segments = {"announcement": [], "non_announcement": []}
-    for date in sample_dates:
-        key = "announcement" if date in announcement_dates else "non_announcement"
-        segments[key].append(date)
     rows = []
-    for segment in ("announcement", "non_announcement"):
-        dates = segments[segment]
-        n_seg = len(dates)
-        tally = {label: 0 for label in LABELS}
-        days_cj = 0
-        for date in dates:
-            label = day_labels.get(date)
-            if label is None:
-                continue
-            if label not in LABELS:
-                raise ValueError(f"unknown label {label!r}")
-            tally[label] += 1
-            days_cj += 1
-        def pct(count: int) -> float:
-            return 100.0 * count / n_seg if n_seg else 0.0
-        rows.append(
-            {
-                "segment": segment,
-                "n_rotation": tally["Rotation"],
-                "pct_rotation": pct(tally["Rotation"]),
-                "n_up_shift": tally["UpShift"],
-                "pct_up_shift": pct(tally["UpShift"]),
-                "n_down_shift": tally["DownShift"],
-                "pct_down_shift": pct(tally["DownShift"]),
-                "n_days_cj": days_cj,
-                "pct_days_cj": pct(days_cj),
-                "n_segment_days": n_seg,
-            }
-        )
+    for segment, news in (("announcement", True), ("non_announcement", False)):
+        labels = [day_labels.get(d) for d in sample_dates if (d in announcement_dates) == news]
+        n_seg = len(labels)
+        counts = [*map(labels.count, ("Rotation", "UpShift", "DownShift")),
+                  n_seg - labels.count(None)]  # the last is the segment's co-jump days
+        cells = [v for k in counts for v in (k, 100.0 * k / n_seg if n_seg else 0.0)]
+        rows.append([segment, *cells, n_seg])
     return rows
 
 
@@ -354,16 +330,11 @@ def write_report(out, decomps: list, event_indices: list, labels_by_tuple: dict,
     non_announcement day. A fit with no defined solution leaves its row's cells blank;
     returns the sorted [table, pair, message] list of those fits.
     """
-    by_pair: dict = {}
-    for rec in decomps:
-        by_pair.setdefault(rec.pair, []).append(rec)
     rows = {name: [] for name in _TABLES if name != "histogram.csv"}
-    rows["cj_qv_share.csv"] = [["-".join(r["pair"]), r["days_cj"], r["qv_total"], r["pct_cj_qv"]]
-                               for r in cj_qv_summary(decomps)]
+    rows["cj_qv_share.csv"] = cj_qv_summary(decomps)
     degenerate = []
     news_dates = announcements or frozenset()
-    for pair in sorted(by_pair):  # both fits are exact sums, so the rows' order is free
-        recs = by_pair[pair]
+    for pair, recs in _by_pair(decomps):  # both fits are exact sums, so the rows' order is free
         finite = [r for r in recs if math.isfinite(r.corr_total) and math.isfinite(r.corr_cont)]
         for table, fit, args in (
             ("correlation_regression", correlation_impact_regression,
@@ -382,9 +353,8 @@ def write_report(out, decomps: list, event_indices: list, labels_by_tuple: dict,
             rows[f"{table}.csv"].append(["-".join(pair), *cells])
     sample_dates = sorted({r.date for r in decomps})
     for name in sorted(labels_by_tuple):
-        rows["shift_rotation.csv"] += (
-            [name, *(r[f] for f in _TABLES["shift_rotation.csv"][1:])]
-            for r in shift_rotation_table(labels_by_tuple[name], news_dates, sample_dates))
+        rows["shift_rotation.csv"] += ([name, *row] for row in shift_rotation_table(
+            labels_by_tuple[name], news_dates, sample_dates))
     bin_starts, counts = intraday_histogram(event_indices, bin_minutes, spec)
     for name, table in rows.items():
         write_csv(os.path.join(out, name), _TABLES[name], table)

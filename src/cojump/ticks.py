@@ -378,9 +378,9 @@ def build_panel(price_grids: dict, date: dt.date) -> ReturnPanel:
     return ReturnPanel(date=date, instruments=list(price_grids), returns=returns)
 
 
-def build_panels(tick_series: dict, calendar: TradingCalendar):
-    """Per-day panels from parsed ticks, each sampled on its own reduction's session, with
-    a drop log.
+def build_panels(tick_series: dict, calendar: TradingCalendar, write):
+    """Per-day panels from parsed ticks, each sampled on its own reduction's session and
+    passed to ``write`` as it is built; returns the kept day count and the drop log.
 
     A date is dropped when it is excluded by the calendar, when any
     instrument has no usable session trades, or when every instrument
@@ -388,8 +388,7 @@ def build_panels(tick_series: dict, calendar: TradingCalendar):
     if all legs are thin).
     """
     all_dates = sorted({d for s in tick_series.values() for d in s.days})
-    panels = []
-    drop_log = []
+    kept, drop_log = 0, []
     for date in all_dates:
         if date in calendar.excluded_dates:
             drop_log.append((date, "excluded_date"))
@@ -407,8 +406,9 @@ def build_panels(tick_series: dict, calendar: TradingCalendar):
         except DayUnusable as exc:
             drop_log.append((date, f"unusable:{exc}"))
             continue
-        panels.append(build_panel(grids, date))
-    return panels, drop_log
+        write(build_panel(grids, date))
+        kept += 1
+    return kept, drop_log
 
 
 def write_panel_csv(panel: ReturnPanel, path, spec: SessionSpec) -> None:

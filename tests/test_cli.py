@@ -1216,6 +1216,24 @@ def test_shift_rotation_without_announcements_counts_every_day_as_quiet(tmp_path
     assert int(rows[1]["n_segment_days"]) == len(processed) == 3
 
 
+def test_configured_tuple_without_labelled_day_keeps_its_rows(tmp_path):
+    """The golden run with no planted jump labels no tuple day: its configured tuple still
+    gets its two rows, with zero counts over each segment's days, not a header-only table."""
+    golden = Path(__file__).parent / "golden"
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes((golden / "config.json").read_bytes())
+    lines = (golden / "scenario.txt").read_text().splitlines(keepends=True)
+    (tmp_path / "scenario.txt").write_text("".join(x for x in lines if not x.startswith("jump")))
+    for stage in ("simulate", "decompose", "report"):
+        assert cli.main([stage, "--config", str(cfg)]) == cli.EXIT_OK
+    out = tmp_path / "out"
+    assert (out / "tuple_days.csv").read_text() == "date,tuple,label\n"
+    rows = list(csv.reader(open(out / "shift_rotation.csv", newline="")))
+    zeros = ["0", "0.0"] * 4
+    assert rows[1:] == [["TU-FV-TY", "announcement", *zeros, "10"],
+                        ["TU-FV-TY", "non_announcement", *zeros, "30"]]
+
+
 def test_degenerate_fits_leave_blank_rows(capsys, full_run):
     """A pair without a co-jump day, or with under 3 finite correlation days, gets a blank row."""
     tmp_path, cfg = full_run

@@ -42,26 +42,31 @@ def test_day_decomposition_invariants():
     _cj_day(d, 3, (0.1, 0.1))  # consistent record accepted
 
 
+def _cj_qv_rows(decomps):
+    """cj_qv_summary's rows, each keyed by cj_qv_share.csv's header."""
+    return [dict(zip(ev._TABLES["cj_qv_share.csv"], row)) for row in ev.cj_qv_summary(decomps)]
+
+
 def test_cj_qv_summary_trivials():
     d0 = dt.date(2017, 3, 15)
     quiet = [_decomp(d0, qv=2.0), _decomp(dt.date(2017, 3, 16), qv=3.0)]
-    rows = ev.cj_qv_summary(quiet)
+    rows = _cj_qv_rows(quiet)
     assert rows[0]["days_cj"] == 0
     assert rows[0]["pct_cj_qv"] == 0.0
     assert rows[0]["qv_total"] == 5.0
     # QV is summed in turn on every Python: 3.12's compensated sum() gives 1.0 here
     days = [_decomp(dt.date(2017, 3, 15 + k), qv=q) for k, q in enumerate((1e16, 1.0, -1e16))]
-    assert ev.cj_qv_summary(days)[0]["qv_total"] == 0.0
+    assert _cj_qv_rows(days)[0]["qv_total"] == 0.0
 
     full = [_cj_day(d0, 10, (1.0, 1.0), qv=1.0)]
-    rows = ev.cj_qv_summary(full)
+    rows = _cj_qv_rows(full)
     assert rows[0]["days_cj"] == 1
     assert rows[0]["pct_cj_qv"] == pytest.approx(100.0)
     # days_cj counts co_jump days, as events.csv lists them, also one whose products cancel:
     # common jumps (a, -a) on one leg and (b, b) on the other give CJ = 0.0 exactly
     cancel = [_decomp(d0, cj=0.03 * 0.07 + -0.03 * 0.07, classification="co_jump", events=(3, 4))]
     assert cancel[0].cj == 0.0
-    assert ev.cj_qv_summary(cancel + quiet)[0]["days_cj"] == 1
+    assert _cj_qv_rows(cancel + quiet)[0]["days_cj"] == 1
 
 
 def test_cj_qv_summary_mean_skips_zero_qv():
@@ -71,7 +76,7 @@ def test_cj_qv_summary_mean_skips_zero_qv():
         _decomp(d[1], qv=1.0),                                       # ratio 0%
         _decomp(d[2], qv=0.0),                                       # excluded
     ]
-    rows = ev.cj_qv_summary(recs)
+    rows = _cj_qv_rows(recs)
     assert rows[0]["pct_cj_qv"] == pytest.approx(25.0)
     assert rows[0]["days_cj"] == 1
     with pytest.raises(ValueError):
@@ -89,7 +94,7 @@ def test_cj_qv_summary_mean_is_np_mean_bit_for_bit():
         cj = (rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 2, n)).tolist()
         qv = (rng.uniform(0.5, 2.0, n) * 10.0 ** rng.uniform(-4, 4, n)).tolist()
         recs = [_decomp(d, qv=q, cj=c, classification="co_jump") for q, c in zip(qv, cj)]
-        [row] = ev.cj_qv_summary(recs)
+        [row] = _cj_qv_rows(recs)
         want = float(np.mean([100.0 * c / q for q, c in zip(qv, cj)]))
         assert row["pct_cj_qv"].hex() == want.hex(), n
 
@@ -97,8 +102,8 @@ def test_cj_qv_summary_mean_is_np_mean_bit_for_bit():
 def test_cj_qv_summary_sorted_by_pair():
     d = dt.date(2017, 3, 15)
     recs = [_decomp(d, pair=("B", "C")), _decomp(d, pair=("A", "B"))]
-    rows = ev.cj_qv_summary(recs)
-    assert [r["pair"] for r in rows] == [("A", "B"), ("B", "C")]
+    rows = _cj_qv_rows(recs)
+    assert [r["pair"] for r in rows] == ["A-B", "B-C"]
 
 
 def test_regression_identity_accepts():
@@ -278,10 +283,10 @@ def test_logit_indicator_check_matches_np_unique(value):
 
 def test_logit_separation_and_validation():
     y, x = _indicator_panel(0.5, 0.1)
-    with pytest.raises(ev.CompleteSeparation, match="constant"):
+    with pytest.raises(ev.DegenerateFit, match="constant"):
         ev.announcement_logit(y, np.zeros_like(y))
     sep_y = x.copy()  # co-jump exactly on news days
-    with pytest.raises(ev.CompleteSeparation, match="cell"):
+    with pytest.raises(ev.DegenerateFit, match="cell"):
         ev.announcement_logit(sep_y, x)
     with pytest.raises(ValueError, match="0/1"):
         ev.announcement_logit(y + 0.5, x)
@@ -393,13 +398,19 @@ def test_classify_scaling_invariance(c, signs):
     )
 
 
+def _shift_rotation_rows(day_labels, announcement_dates, sample_dates):
+    """shift_rotation_table's rows, each keyed by shift_rotation.csv's header past its tuple."""
+    return [dict(zip(ev._TABLES["shift_rotation.csv"][1:], row))
+            for row in ev.shift_rotation_table(day_labels, announcement_dates, sample_dates)]
+
+
 def test_shift_rotation_table_percentages():
     # 106 announcement days, 37 of them rotations
     ann_dates = [dt.date(2016, 1, 1) + dt.timedelta(days=k) for k in range(106)]
     quiet_dates = [dt.date(2017, 1, 1) + dt.timedelta(days=k) for k in range(50)]
     labels = {d: "Rotation" for d in ann_dates[:37]}
     labels[quiet_dates[0]] = "UpShift"
-    rows = ev.shift_rotation_table(labels, set(ann_dates), ann_dates + quiet_dates)
+    rows = _shift_rotation_rows(labels, set(ann_dates), ann_dates + quiet_dates)
     ann = next(r for r in rows if r["segment"] == "announcement")
     assert ann["n_rotation"] == 37
     assert ann["n_segment_days"] == 106
@@ -413,13 +424,9 @@ def test_shift_rotation_table_percentages():
 
 def test_shift_rotation_table_empty_and_errors():
     ann = {dt.date(2017, 3, 15)}
-    rows = ev.shift_rotation_table({}, ann, [dt.date(2017, 3, 15), dt.date(2017, 3, 16)])
+    rows = _shift_rotation_rows({}, ann, [dt.date(2017, 3, 15), dt.date(2017, 3, 16)])
     assert all(r["n_days_cj"] == 0 for r in rows)
     assert all(r["pct_rotation"] == 0.0 for r in rows)
-    with pytest.raises(ValueError, match="unknown label"):
-        ev.shift_rotation_table(
-            {dt.date(2017, 3, 15): "Sideways"}, ann, [dt.date(2017, 3, 15)]
-        )
 
 
 def test_write_histogram_schema(tmp_path):
@@ -441,8 +448,7 @@ def _per_table_writers(out, decomps, event_indices, labels_by_tuple, announcemen
             yield ["-".join(pair), *(None if res is None else getattr(res, f) for f in fields)]
 
     write_csv(out / "cj_qv_share.csv", ["pair", "days_cj", "qv_total", "pct_cj_qv"],
-              (["-".join(r["pair"]), r["days_cj"], r["qv_total"], r["pct_cj_qv"]]
-               for r in ev.cj_qv_summary(decomps)))
+              ev.cj_qv_summary(decomps))
     by_pair: dict = {}
     for rec in decomps:
         by_pair.setdefault(rec.pair, []).append(rec)
@@ -472,15 +478,13 @@ def _per_table_writers(out, decomps, event_indices, labels_by_tuple, announcemen
     write_csv(out / "announcement_logit.csv", ["pair", *fields],
               fit_rows(fits["announcement_logit"], fields))
     sample_dates = sorted({r.date for r in decomps})
-    rows_by_tuple = []
-    if announcements is not None:
-        for name in sorted(labels_by_tuple):
-            rows_by_tuple.append((name, ev.shift_rotation_table(
-                labels_by_tuple[name], announcements, sample_dates)))
+    rows_by_tuple = [(name, ev.shift_rotation_table(labels_by_tuple[name], news_dates,
+                                                    sample_dates))
+                     for name in sorted(labels_by_tuple)]  # no block: no announcement day
     fields = ("segment n_rotation pct_rotation n_up_shift pct_up_shift n_down_shift "
               "pct_down_shift n_days_cj pct_days_cj n_segment_days").split()
     write_csv(out / "shift_rotation.csv", ["tuple", *fields],
-              ([name, *(r[f] for f in fields)] for name, rows in rows_by_tuple for r in rows))
+              ([name, *row] for name, rows in rows_by_tuple for row in rows))
     bin_starts, counts = ev.intraday_histogram(event_indices, bin_minutes, spec)
     ev.write_histogram(bin_starts, counts, out / "histogram.csv")
     return sorted(degenerate)
@@ -490,11 +494,11 @@ def _per_table_writers(out, decomps, event_indices, labels_by_tuple, announcemen
 def test_write_report_matches_the_per_table_writers(tmp_path, monkeypatch, run):
     """One writer that writes once every row is built writes the bytes of the per-table
     writers: on the golden run, and on a two-leg run with a failed day (two days left, so
-    both fits are degenerate), no tuple and no announcements block."""
+    both fits are degenerate), a tuple and no announcements block."""
     if run == "golden":
         cfg = Path(__file__).parent / "golden" / "config.json"
     else:
-        cfg = _write_config(tmp_path, announcements=None)
+        cfg = _write_config(tmp_path, announcements=None, tuples=[["TU", "FV"]])
         _fail_days(monkeypatch, 13)
     calls = []
     write_report = ev.write_report
@@ -520,7 +524,7 @@ def test_write_report_matches_the_per_table_writers(tmp_path, monkeypatch, run):
         assert one_pass == (tmp_path / "per_table" / name).read_bytes(), name
         rows = list(csv.reader(one_pass.decode().splitlines()))
         assert rows[0][:len(header)] == header, name
-        assert len(rows) > 1 or name == "shift_rotation.csv" and run == "two_leg", name
+        assert len(rows) > 1, name
     if run == "golden":
         assert results["one_pass"] == []
         return
@@ -531,3 +535,6 @@ def test_write_report_matches_the_per_table_writers(tmp_path, monkeypatch, run):
     for name, blank in (("correlation_regression.csv", "TU-FV,,,,"),
                         ("announcement_logit.csv", "TU-FV,,,,,")):
         assert (tmp_path / "one_pass" / name).read_text().splitlines()[1:] == [blank]
+    assert (tmp_path / "one_pass" / "shift_rotation.csv").read_text().splitlines()[1:] == [
+        "TU-FV,announcement,0,0.0,0,0.0,0,0.0,0,0.0,0",
+        "TU-FV,non_announcement,0,0.0,1,50.0,0,0.0,1,50.0,2"]  # the UpShift of 03-14

@@ -954,7 +954,9 @@ def test_build_panels_filters():
         + _sparse_day("2017-03-17", 6 / 12),
         instrument="Y",
     )
-    panels, drop_log = tk.build_panels({"X": x, "Y": y}, cal)
+    panels = []
+    kept, drop_log = tk.build_panels({"X": x, "Y": y}, cal, panels.append)
+    assert kept == 1
     assert [p.date for p in panels] == [dt.date(2017, 3, 15)]
     reasons = dict((d.isoformat(), r) for d, r in drop_log)
     assert reasons["2017-03-16"] == "excluded_date"
@@ -971,9 +973,9 @@ def test_thin_day_kept_when_one_leg_active():
     cal = tk.TradingCalendar()
     x = _series(_sparse_day("2017-03-15", 6 / 12), instrument="X")
     y = _series(_dense_day("2017-03-15"), instrument="Y")
-    panels, drop_log = tk.build_panels({"X": x, "Y": y}, cal)
+    panels = []
+    assert tk.build_panels({"X": x, "Y": y}, cal, panels.append) == (1, [])
     assert len(panels) == 1
-    assert drop_log == []
 
 
 # Trades around Chicago's 02:00 switches: the session 00:30-03:30 (N = 12, 36 five-minute
@@ -1016,6 +1018,14 @@ def _oracle_line(date, second, price, form):
     local = wall.replace(tzinfo=ZoneInfo(TZ), fold=int(form == "folded"))
     stamp = local.astimezone(dt.timezone.utc) if form == "utc" else local
     return f"{stamp.isoformat()},{price},1"
+
+
+def _built_panels(series, calendar):
+    """build_panels' panels, as written in turn, and its drop log."""
+    panels = []
+    kept, drop_log = tk.build_panels(series, calendar, panels.append)
+    assert kept == len(panels)
+    return panels, drop_log
 
 
 def _oracle_outcome(parse, build, paths, calendar):
@@ -1069,7 +1079,7 @@ def test_build_panels_matches_held_tick_oracle(tmp_path_factory, case):
     calendar = tk.TradingCalendar(frozenset(excluded), threshold)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tk, "PARSE_BLOCK_ROWS", block_rows)
-        reduced = _oracle_outcome(tk.parse_ticks, tk.build_panels, paths, calendar)
+        reduced = _oracle_outcome(tk.parse_ticks, _built_panels, paths, calendar)
         held = _oracle_outcome(
             _held_parse, lambda series, cal: _held_panels(series, _ORACLE_SPEC, cal), paths, calendar)
     assert reduced == held

@@ -223,7 +223,7 @@ def load_config(path: str, overrides: dict) -> RunConfig:
 
 
 def _validate(config: RunConfig) -> None:
-    """The checks that span several keys: pairs, tuples, estimator, histogram, tick sources."""
+    """The checks that span several keys: pairs, tuples, session, estimator, histogram, ticks."""
     declared = set(config.instruments)
     if not declared or len(declared) < len(config.instruments):
         raise ConfigError(f"instruments must be distinct and not empty, got {config.instruments}")
@@ -252,6 +252,9 @@ def _validate(config: RunConfig) -> None:
                 f"tuple {'-'.join(members)} is labelled only when every member pair is "
                 f"tested; pairs not configured: {', '.join(missing)}"
             )
+    if config.session.n_intervals < 2:  # the universal threshold's median and log N
+        raise ConfigError("session: jump detection needs at least two intervals a day, "
+                          f"got {config.session.n_intervals}")
     try:
         config.estimator.resolve(config.session.n_intervals)
     except ValueError as exc:
@@ -400,9 +403,6 @@ def cmd_report(config: RunConfig) -> int:
     from . import events
     paths = [os.path.join(config.output, name)
              for name in ("decompositions.csv", "events.csv", "tuple_days.csv")]
-    for p in paths:
-        if not os.path.exists(p):
-            raise OSError(f"missing decomposition output: {p}")
     dec_path, ev_path, tuple_path = paths
     decomps = events.read_decompositions(dec_path)
     if not decomps:
@@ -480,8 +480,6 @@ def main(argv=None) -> int:
             raise ConfigError(f"cojump: {flag} is given before the command; flags follow it, "
                               f"as in cojump <command> {flag} ...")
         args = build_parser().parse_args(argv)
-        if not os.path.exists(args.config):
-            raise FileNotFoundError(f"config file not found: {args.config}")
         overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
         config = load_config(args.config, overrides)
         os.makedirs(config.output, exist_ok=True)

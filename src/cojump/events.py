@@ -81,8 +81,6 @@ def cj_qv_summary(decomps: list) -> list:
     The percentage averages the daily ratio over all days with QV != 0
     (not only co-jump days), so jump-free days pull it toward zero.
     """
-    if not decomps:
-        raise ValueError("no decompositions to summarize")
     rows = []
     for pair, recs in _by_pair(decomps):
         days_cj = sum(1 for r in recs if r.classification == "co_jump")
@@ -124,7 +122,8 @@ def _scaled_ints(*arrays) -> tuple:
 
 
 def correlation_impact_regression(total_corr, cont_corr) -> RegressionResult:
-    """OLS of the total correlation on the continuous correlation.
+    """OLS of the total correlation on the continuous correlation, two finite daily series
+    of one length.
 
     Fits total = alpha + beta * cont with an HC0 (plain White) sandwich
     covariance and a Wald test of the joint null alpha = 0, beta = 1
@@ -140,13 +139,9 @@ def correlation_impact_regression(total_corr, cont_corr) -> RegressionResult:
     the Wald statistic undefined) raise ``DegenerateFit``.
     """
     y, x = [float(v) for v in total_corr], [float(v) for v in cont_corr]
-    if len(y) != len(x):
-        raise ValueError("need two equal-length daily series")
     n = len(y)
     if n < 3:
         raise DegenerateFit("need at least 3 paired observations")
-    if not all(map(math.isfinite, y + x)):
-        raise ValueError("series must be finite")
     (xi, yi), unit = _scaled_ints(x, y)
     sx, sy = sum(xi), sum(yi)
     sxx = sum(a * a for a in xi)
@@ -207,7 +202,7 @@ LogitResult = namedtuple("LogitResult", "beta0 beta1 se_beta0 se_beta1 pseudo_r_
 
 
 def announcement_logit(cojump_indicator, news_indicator) -> LogitResult:
-    """Logistic fit of the daily co-jump indicator on a 0/1 news indicator.
+    """Logistic fit of the daily 0/1 co-jump indicator on a 0/1 news indicator of one length.
 
     One binary regressor saturates the logit, so its maximum likelihood
     estimate is the pair of empirical cell log-odds (Agresti,
@@ -221,13 +216,8 @@ def announcement_logit(cojump_indicator, news_indicator) -> LogitResult:
     (l - l0) / -l0 with l - l0 = sum k log(k n / (row * column)) over the
     cells, so it is exactly 0 when news and quiet days share one rate.
     """
-    y, x = [float(v) for v in cojump_indicator], [float(v) for v in news_indicator]
-    if len(y) != len(x):
-        raise ValueError("need two equal-length daily indicator series")
-    for name, v in (("outcome", y), ("news indicator", x)):
-        if not set(v) <= {0.0, 1.0}:
-            raise ValueError(f"{name} must be 0/1")
-    cells = [int(2.0 * xv + yv) for xv, yv in zip(x, y)]  # 0 to 3: (news, co-jump) bits
+    # each day's cell, 0 to 3: its (news, co-jump) bits
+    cells = [int(2.0 * xv + yv) for xv, yv in zip(news_indicator, cojump_indicator)]
     b, a, d, c = map(cells.count, range(4))
     quiet, news, cojump, calm = a + b, c + d, a + c, b + d
     if not (cojump and calm):
@@ -259,31 +249,22 @@ def intraday_histogram(indices: list, bin_minutes: int, spec: SessionSpec):
     on the session grid.
     """
     width = bin_minutes * 60
-    if width <= 0 or spec.session_seconds % width != 0:
-        raise ValueError("bin width must divide the session length")
     counts = [0] * (spec.session_seconds // width)
     for index in indices:
-        if not 0 <= index < spec.n_intervals:
-            raise ValueError(f"event index {index} outside the session")
         counts[index * spec.sampling_interval // width] += 1
     return spec.grid_labels(width), counts
 
 
 def classify_shift_rotation(sizes) -> str:
-    """Label a simultaneous jump tuple by the signs of its members.
+    """Label a simultaneous jump tuple by the signs of its two or more nonzero member sizes.
 
     All members positive is an upward level shift, all negative a
     downward one, any sign mix a rotation. Scaling all sizes by a
     positive constant cannot change the label.
     """
-    vals = [float(s) for s in sizes]
-    if len(vals) < 2:
-        raise ValueError("a co-jump tuple needs at least two members")
-    if any(v == 0.0 for v in vals):
-        raise ValueError("zero size: not a common jump across all members")
-    if all(v > 0.0 for v in vals):
+    if all(v > 0.0 for v in sizes):
         return "UpShift"
-    if all(v < 0.0 for v in vals):
+    if all(v < 0.0 for v in sizes):
         return "DownShift"
     return "Rotation"
 

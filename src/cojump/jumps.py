@@ -33,10 +33,6 @@ class JumpSeries:
         self.jump_sizes = np.asarray(self.jump_sizes, dtype=float)
 
     @property
-    def n(self) -> int:
-        return self.jump_sizes.size
-
-    @property
     def jump_indices(self) -> np.ndarray:
         """The sorted flagged indices: a flagged return is never zero."""
         return np.flatnonzero(self.jump_sizes)
@@ -49,21 +45,20 @@ class JumpSeries:
 def universal_threshold(w1: np.ndarray) -> float:
     """Universal threshold xi = sqrt(2) median|W1| sqrt(2 ln N) / 0.6745.
 
-    The median runs over all N coefficients of the day; the natural
+    The median runs over all N >= 2 coefficients of the day; the natural
     logarithm is used. An all-zero coefficient vector gives xi = 0,
     which callers must treat as a degenerate day.
     """
     w1 = np.asarray(w1, dtype=float)
     n = w1.size
-    if n < 2:
-        raise ValueError("need at least 2 coefficients")
     ranked = np.sort(np.abs(w1), axis=None)  # np.median's NaN check would load numpy.ma
     median = math.nan if np.isnan(ranked[-1]) else float(ranked[(n - 1) // 2 : n // 2 + 1].mean())
     return math.sqrt(2.0) * median * math.sqrt(2.0 * math.log(n)) / MAD_NORMAL
 
 
 def detect_jumps(returns: np.ndarray, w1: np.ndarray, threshold: float) -> JumpSeries:
-    """Flag index i as a jump iff |w1[i]| > threshold (strict).
+    """Flag index i as a jump iff |w1[i]| > threshold (strict), for ``returns`` and ``w1`` of
+    one length.
 
     The jump size at a flagged index is the raw return there, and an
     exactly zero return is never flagged. A zero threshold marks the day
@@ -71,8 +66,6 @@ def detect_jumps(returns: np.ndarray, w1: np.ndarray, threshold: float) -> JumpS
     """
     returns = np.asarray(returns, dtype=float)
     w1 = np.asarray(w1, dtype=float)
-    if returns.shape != w1.shape:
-        raise ValueError("returns and coefficients must have the same length")
     degenerate = threshold == 0.0
     flagged = (np.abs(w1) > threshold) & (returns != 0.0) & (not degenerate)
     return JumpSeries(np.where(flagged, returns, 0.0), degenerate)
@@ -93,34 +86,29 @@ def haar_detect(returns: np.ndarray) -> JumpSeries:
 
 
 def adjust_returns(returns: np.ndarray, jumps: JumpSeries) -> np.ndarray:
-    """Jump-adjusted series: flagged positions become exactly zero."""
+    """Jump-adjusted series of ``returns``, the day ``jumps`` was detected on: flagged
+    positions become exactly zero."""
     returns = np.asarray(returns, dtype=float)
-    if returns.size != jumps.n:
-        raise ValueError("returns length does not match the jump series")
     return np.where(jumps.jump_sizes != 0.0, 0.0, returns)
 
 
 def cojump_variation(jumps_1: JumpSeries, jumps_2: JumpSeries):
-    """Co-jump variation of a pair and the shared jump indices.
+    """Co-jump variation of a pair of one day's jump series and the shared jump indices.
 
     CJ is the sum over the intersection of the two index sets of the
     signed size products; disjoint jumps contribute exactly zero.
     """
-    if jumps_1.n != jumps_2.n:
-        raise ValueError("jump series live on different grids")
     common = np.flatnonzero((jumps_1.jump_sizes != 0.0) & (jumps_2.jump_sizes != 0.0))
     cj = float((jumps_1.jump_sizes[common] * jumps_2.jump_sizes[common]).sum())
     return cj, common
 
 
 def realized_covariance(returns_1: np.ndarray, returns_2: np.ndarray) -> float:
-    """Realized covariance sum_i r1_i r2_i over one day.
+    """Realized covariance sum_i r1_i r2_i over one day of two equal-length series.
 
     The products are summed with ``math.fsum`` (correctly rounded), not
     a BLAS dot, so the value does not depend on the BLAS kernel.
     """
     r1 = np.asarray(returns_1, dtype=float)
     r2 = np.asarray(returns_2, dtype=float)
-    if r1.shape != r2.shape:
-        raise ValueError("return series lengths differ")
     return math.fsum((r1 * r2).ravel().tolist())

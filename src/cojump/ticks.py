@@ -336,9 +336,6 @@ def parse_ticks(path, schema: dict, spec: SessionSpec, instrument: str = "") -> 
     through ``_bulk_wall_us`` or else one at a time (``_trades``). Each block's
     trades are reduced per date by ``TickDays.add`` and dropped: no file is sorted.
     """
-    for role in ("timestamp", "price"):
-        if role not in schema:
-            raise ValueError(f"schema must name a {role} column")
     reduced = TickDays(instrument, spec)
     for times, prices, rows in _trades(path, schema, spec.tzinfo()):
         reduced.add(times, prices, rows)
@@ -368,13 +365,9 @@ def trade_fraction(ticks: TickDays, date: dt.date) -> float:
 
 
 def build_panel(price_grids: dict, date: dt.date) -> ReturnPanel:
-    """Log-return panel from per-instrument price grids of one day, all of one length."""
-    returns = []
-    for name, prices in price_grids.items():
-        prices = np.asarray(prices, dtype=float)
-        if np.any(prices <= 0.0):
-            raise ValueError(f"{name}: non-positive price on the grid")
-        returns.append(np.diff(np.log(prices)))
+    """Log-return panel from per-instrument grids of positive prices of one day, all of one
+    length."""
+    returns = [np.diff(np.log(prices)) for prices in price_grids.values()]
     return ReturnPanel(date=date, instruments=list(price_grids), returns=returns)
 
 

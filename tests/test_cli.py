@@ -103,9 +103,10 @@ def test_unknown_instrument_in_pair(capsys, tmp_path):
         ([["TU", "FV"]], [["TU", "FV", "TU"]]),
         ([["TU", "FV"]], [["TU", "FV"], ["TU", "FV"]]),
         ([["TU", "FV"]], [["TU", "FV"], ["FV", "TU"]]),
+        ([["TU", "FV"]], [["TU"]]),
     ],
     ids=["self-pair", "duplicate-pair", "reversed-pair", "repeated-tuple-member",
-         "duplicate-tuple", "reordered-tuple"],
+         "duplicate-tuple", "reordered-tuple", "one-member-tuple"],
 )
 def test_degenerate_pairs_and_tuples_rejected(capsys, tmp_path, pairs, tuples):
     cfg = _write_config(tmp_path, pairs=pairs, tuples=tuples)
@@ -116,12 +117,12 @@ def test_degenerate_pairs_and_tuples_rejected(capsys, tmp_path, pairs, tuples):
 
 
 def test_bad_alpha_and_reps(capsys, tmp_path):
-    cfg = _write_config(tmp_path, bootstrap={"b_reps": 150, "alpha": 1.5})
-    assert cli.main(["simulate", "--config", str(cfg)]) == cli.EXIT_CONFIG
-    cfg = _write_config(tmp_path, name="c2.json")
-    assert cli.main(
-        ["simulate", "--config", str(cfg), "--bootstrap-reps", "10"]
-    ) == cli.EXIT_CONFIG
+    """bootstrap.b_reps below 100 and bootstrap.alpha outside (0, 1) exit 3 naming the key."""
+    for key, bootstrap in (("alpha", {"b_reps": 150, "alpha": 1.5}), ("b_reps", {"b_reps": 99}),
+                           ("alpha", {"alpha": 0.0}), ("alpha", {"alpha": 1.0})):
+        cfg = _write_config(tmp_path, bootstrap=bootstrap)
+        assert cli.main(["simulate", "--config", str(cfg)]) == cli.EXIT_CONFIG
+        assert f"bootstrap.{key}" in _stderr_json(capsys)["message"]
 
 
 @pytest.mark.parametrize("args, flag", [
@@ -498,6 +499,18 @@ def _write_tick_config(tmp_path, **extra):
                "FV": {"path": "fv.csv", "schema": schema}},
         **extra,
     )
+
+
+def test_one_interval_session_fails_at_ingest(capsys, tmp_path):
+    """A session of one interval, which jump detection cannot threshold, exits 3 naming the
+    session before any panel is written."""
+    cfg = _write_tick_config(tmp_path, session={**SESSION, "end": "07:01"},
+                             estimator={"s_spacing": 1, "g_spacing": 1},
+                             report={"histogram_bin_minutes": 1})
+    assert cli.main(["ingest", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    msg = _stderr_json(capsys)
+    assert msg["error"] == "config" and msg["message"].startswith("session:"), msg
+    assert not (tmp_path / "out").exists()
 
 
 def test_ingest_writes_panels_and_drop_log(tmp_path):
@@ -1105,7 +1118,7 @@ def test_unreadable_tuple_days_is_io_error(capsys, full_run, announcements, faul
 
     config = None if announcements else _write_config(full_run[0], "quiet.json", announcements=None)
     message = _report_fails_before_any_table(capsys, full_run, "tuple_days.csv", edit, config)
-    assert {"missing": "missing decomposition output", "no_label": "missing columns ['label']",
+    assert {"missing": "No such file or directory", "no_label": "missing columns ['label']",
             "unknown_label": "line 2: unknown label 'Foo'"}[fault] in message
 
 

@@ -33,29 +33,41 @@ def _names(node) -> Counter:
     )
 
 
+def _public_definitions(tree):
+    """(dotted name, node) of each public top-level function or class, a named-tuple record
+    included, and of each public method or property of a public class."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call) and \
+                _names(node.value.func)["namedtuple"]:  # a record class made by a call
+            name = node.targets[0].id
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            name = node.name
+        else:
+            continue
+        if name.startswith("_"):
+            continue
+        yield name, node
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{name}.{sub.name}", sub) for sub in node.body
+                        if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"))
+
+
 def test_every_public_definition_is_reached_from_src():
-    """A public top-level function or class, a named-tuple record included, that only tests
-    reach is dead code."""
+    """A public top-level function or class, a named-tuple record included, or a public
+    method or property of a public class, that only tests reach is dead code."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     used = sum((_names(tree) for tree in trees.values()), Counter())
     checked, unreached = [], []
     for module, tree in trees.items():
         if module in EXEMPT_MODULES:
             continue
-        for node in tree.body:
-            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call) and \
-                    _names(node.value.func)["namedtuple"]:  # a record class made by a call
-                name = node.targets[0].id
-            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                name = node.name
-            else:
-                continue
-            if name.startswith("_"):
-                continue
-            checked.append(f"{module}.{name}")
+        for dotted, node in _public_definitions(tree):
+            name = dotted.rpartition(".")[2]
+            checked.append(f"{module}.{dotted}")
             if used[name] - _names(node)[name] <= 0:
                 unreached.append(checked[-1])
-    assert {"pipeline.process_day", "events.LogitResult"} <= set(checked)
+    assert {"pipeline.process_day", "events.LogitResult", "spec.JwcConfig.resolve",
+            "ticks.ReturnPanel.series"} <= set(checked)
     assert unreached == [], f"reached from no src/ code outside their own body: {unreached}"
 
 

@@ -308,7 +308,7 @@ def test_parse_ticks_rejects_short_rows(tmp_path):
     assert series.prices.tolist() == [100.0]
 
 
-def test_parse_ticks_sorts_and_schema_validation(tmp_path):
+def test_parse_ticks_sorts_and_missing_file(tmp_path):
     path = _tick_file(
         tmp_path,
         ["2017-03-15 13:00:05,10,1", "2017-03-15 13:00:01,11,1"],
@@ -316,8 +316,6 @@ def test_parse_ticks_sorts_and_schema_validation(tmp_path):
     series = _parse(path, SCHEMA, _spec())
     assert series.times.tolist() == sorted(series.times.tolist())
     assert series.prices.tolist() == [11.0, 10.0]
-    with pytest.raises(ValueError, match="price"):
-        tk.parse_ticks(path, {"timestamp": "time"}, _spec())
     with pytest.raises(OSError):
         tk.parse_ticks(tmp_path / "absent.csv", SCHEMA, _spec())
 
@@ -895,8 +893,6 @@ def test_log_return_definition():
 
 def test_build_panel_validation():
     date = dt.date(2017, 3, 15)
-    with pytest.raises(ValueError, match="non-positive"):
-        tk.build_panel({"X": [100.0, 0.0]}, date)
     with pytest.raises(ValueError):  # grids of two lengths make no d x N panel
         tk.build_panel({"X": [100.0, 101.0], "Y": [100.0, 101.0, 102.0]}, date)
 

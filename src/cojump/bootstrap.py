@@ -97,7 +97,7 @@ def bootstrap_statistic(
     alpha: float = 0.05,
     seed: int = 0,
 ) -> TestOutcome:
-    """Test one day's pair for a discontinuity.
+    """Test one day's pair, the float return rows ``raw_1`` and ``raw_2``, for a discontinuity.
 
     ``ic_pair`` is the 2 x 2 block of the day's IC estimate for this
     pair on the jump-adjusted returns, and ``estimator`` the
@@ -106,9 +106,6 @@ def bootstrap_statistic(
     Days with QV = 0, a non-positive IC diagonal, or a degenerate
     bootstrap spread are reported inconclusive rather than forced.
     """
-    raw_1 = np.asarray(raw_1, dtype=float)
-    raw_2 = np.asarray(raw_2, dtype=float)
-    n = raw_1.size
     qv = realized_covariance(raw_1, raw_2)
     ic_val = float(ic_pair[0, 1])
     diag_1 = float(ic_pair[0, 0])
@@ -119,11 +116,10 @@ def bootstrap_statistic(
     rho_hat = ic_val / math.sqrt(diag_1 * diag_2)
     rho_hat = min(0.999, max(-0.999, rho_hat))
 
-    res = estimator.resolve(n)
     qv_star, ic_star = [], []
-    for block in simulate_null_day(rho_hat, (b_reps, n), seed):
+    for block in simulate_null_day(rho_hat, (b_reps, estimator.n), seed):
         qv_star.append(np.einsum("bi,bi->b", block[:, 0], block[:, 1]))
-        ic_star.append(jwc.jwc_pair_entry(block, res, qv_star[-1]))
+        ic_star.append(jwc.jwc_pair_entry(block, estimator, qv_star[-1]))
     qv_star, ic_star = np.concatenate(qv_star), np.concatenate(ic_star)
     z_star = (qv_star - ic_star) / qv_star
     mean_z = float(np.mean(z_star))

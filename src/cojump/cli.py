@@ -31,7 +31,7 @@ import sys
 from types import SimpleNamespace as RunConfig  # the attributes load_config sets
 
 from . import __version__  # each stage imports the modules it runs
-from .spec import (JwcConfig, MalformedFile, SessionMismatch, SessionSpec, TradingCalendar,
+from .spec import (MalformedFile, SessionMismatch, SessionSpec, TradingCalendar, resolve_jwc,
                    write_csv)
 
 EXIT_OK = 0
@@ -136,7 +136,7 @@ CONFIG = {
     "tuples": ([[_name]], []),
     "scenario": (_text, None),
     "ticks": ({"<name>": ({"path": (_text, REQUIRED), "schema": (SCHEMA, REQUIRED)}, None)}, {}),
-    "calendar": ({"excluded_dates": ([_iso(dt.date)], []),  # TradingCalendar caps the threshold
+    "calendar": ({"excluded_dates": ([_iso(dt.date)], []),  # _validate caps the threshold
                   "low_trade_threshold": (_real(0.0, math.inf), 0.6)}, {}),
     "announcements": ({"events": ([_event], []), "windows": (_unread, None)}, None),
     "estimator": ({"c_n": (_real(0.0, math.inf), 1.0), "s_spacing": (_integer(0), 1),
@@ -189,27 +189,18 @@ def load_config(path: str, overrides: dict) -> RunConfig:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     base = os.path.dirname(os.path.abspath(path))  # joined to an absolute path, base drops out
     c = _read(CONFIG, raw, "", {k: v for k, v in overrides.items() if v is not None})
-    ses, cal, ann = c["session"], c["calendar"], c["announcements"]
-    try:
-        session = SessionSpec(*ses.values())  # the table's order
-    except ValueError as exc:  # the zone passed its reader: the window or the grid step is bad
-        key = "session.end" if ses["start"] >= ses["end"] else "session.sampling_seconds"
-        raise ConfigError(f"{key}: {exc}") from None
-    try:
-        calendar = TradingCalendar(frozenset(cal["excluded_dates"]), cal["low_trade_threshold"])
-    except ValueError as exc:  # the message opens with the key's last part
-        raise ConfigError(f"calendar.{exc}") from None
+    cal, ann = c["calendar"], c["announcements"]
     config = RunConfig(
-        session=session,
+        session=SessionSpec(*c["session"].values()),  # the table's order
         instruments=c["instruments"],
         pairs=[tuple(p) for p in c["pairs"]],
         tuples=[tuple(t) for t in c["tuples"]],
-        calendar=calendar,
+        calendar=TradingCalendar(frozenset(cal["excluded_dates"]), cal["low_trade_threshold"]),
         announcements=None if ann is None else frozenset(ann["events"]),
         tick_sources={name: {**src, "path": os.path.join(base, src["path"])}
                       for name, src in c["ticks"].items()},
         scenario_path=None if c["scenario"] is None else os.path.join(base, c["scenario"]),
-        estimator=JwcConfig(**c["estimator"]),
+        estimator=c["estimator"],  # _validate resolves it against the session
         **c["bootstrap"],  # b_reps and alpha
         seed=c["seed"],
         jobs=c["jobs"],
@@ -223,7 +214,22 @@ def load_config(path: str, overrides: dict) -> RunConfig:
 
 
 def _validate(config: RunConfig) -> None:
-    """The checks that span several keys: pairs, tuples, session, estimator, histogram, ticks."""
+    """The checks that span several keys: session, threshold, pairs, tuples, estimator,
+    histogram, ticks; the estimator block is resolved against the session's N."""
+    session = config.session
+    if session.session_start >= session.session_end:
+        raise ConfigError(f"session.end: the session start {session.session_start} must precede "
+                          f"its end {session.session_end}")
+    if session.session_seconds % session.sampling_interval:
+        raise ConfigError(f"session.sampling_seconds: the grid step of "
+                          f"{session.sampling_interval} s must divide the session length of "
+                          f"{session.session_seconds} s")
+    if session.n_intervals < 2:  # the universal threshold's median and log N
+        raise ConfigError("session: jump detection needs at least two intervals a day, "
+                          f"got {session.n_intervals}")
+    if config.calendar.low_trade_threshold > 1.0:
+        raise ConfigError("calendar.low_trade_threshold must lie in (0, 1], "
+                          f"got {config.calendar.low_trade_threshold}")
     declared = set(config.instruments)
     if not declared or len(declared) < len(config.instruments):
         raise ConfigError(f"instruments must be distinct and not empty, got {config.instruments}")
@@ -252,14 +258,11 @@ def _validate(config: RunConfig) -> None:
                 f"tuple {'-'.join(members)} is labelled only when every member pair is "
                 f"tested; pairs not configured: {', '.join(missing)}"
             )
-    if config.session.n_intervals < 2:  # the universal threshold's median and log N
-        raise ConfigError("session: jump detection needs at least two intervals a day, "
-                          f"got {config.session.n_intervals}")
     try:
-        config.estimator.resolve(config.session.n_intervals)
+        config.estimator = resolve_jwc(**config.estimator, n=session.n_intervals)
     except ValueError as exc:
         raise ConfigError(f"estimator: {exc}") from exc
-    if config.session.session_seconds % (config.histogram_bin_minutes * 60):
+    if session.session_seconds % (config.histogram_bin_minutes * 60):
         raise ConfigError("report.histogram_bin_minutes must divide the session")
     for name in config.tick_sources:
         if name not in declared:

@@ -5,6 +5,8 @@ return series are compared against a universal threshold estimated
 from that same day's coefficients, flagged returns are taken as jump
 sizes, stored once as a size vector that is zero where no jump was
 flagged, and the jump-adjusted series keeps the diffusive part only.
+Every function takes float arrays, such as the rows of a ``ReturnPanel``,
+which converts its returns once, when it is made.
 """
 
 from __future__ import annotations
@@ -29,9 +31,6 @@ class JumpSeries:
     jump_sizes: np.ndarray
     degenerate: bool = False
 
-    def __post_init__(self):
-        self.jump_sizes = np.asarray(self.jump_sizes, dtype=float)
-
     @property
     def jump_indices(self) -> np.ndarray:
         """The sorted flagged indices: a flagged return is never zero."""
@@ -49,7 +48,6 @@ def universal_threshold(w1: np.ndarray) -> float:
     logarithm is used. An all-zero coefficient vector gives xi = 0,
     which callers must treat as a degenerate day.
     """
-    w1 = np.asarray(w1, dtype=float)
     n = w1.size
     ranked = np.sort(np.abs(w1), axis=None)  # np.median's NaN check would load numpy.ma
     median = math.nan if np.isnan(ranked[-1]) else float(ranked[(n - 1) // 2 : n // 2 + 1].mean())
@@ -64,8 +62,6 @@ def detect_jumps(returns: np.ndarray, w1: np.ndarray, threshold: float) -> JumpS
     exactly zero return is never flagged. A zero threshold marks the day
     degenerate and no index is flagged.
     """
-    returns = np.asarray(returns, dtype=float)
-    w1 = np.asarray(w1, dtype=float)
     degenerate = threshold == 0.0
     flagged = (np.abs(w1) > threshold) & (returns != 0.0) & (not degenerate)
     return JumpSeries(np.where(flagged, returns, 0.0), degenerate)
@@ -80,7 +76,6 @@ def haar_detect(returns: np.ndarray) -> JumpSeries:
     coefficients are formed from the returns without running the
     transform. Every coefficient belongs to its own interval.
     """
-    returns = np.asarray(returns, dtype=float)
     w1 = 0.5 * returns
     return detect_jumps(returns, w1, universal_threshold(w1))
 
@@ -88,7 +83,6 @@ def haar_detect(returns: np.ndarray) -> JumpSeries:
 def adjust_returns(returns: np.ndarray, jumps: JumpSeries) -> np.ndarray:
     """Jump-adjusted series of ``returns``, the day ``jumps`` was detected on: flagged
     positions become exactly zero."""
-    returns = np.asarray(returns, dtype=float)
     return np.where(jumps.jump_sizes != 0.0, 0.0, returns)
 
 
@@ -109,6 +103,4 @@ def realized_covariance(returns_1: np.ndarray, returns_2: np.ndarray) -> float:
     The products are summed with ``math.fsum`` (correctly rounded), not
     a BLAS dot, so the value does not depend on the BLAS kernel.
     """
-    r1 = np.asarray(returns_1, dtype=float)
-    r2 = np.asarray(returns_2, dtype=float)
-    return math.fsum((r1 * r2).ravel().tolist())
+    return math.fsum((returns_1 * returns_2).ravel().tolist())

@@ -39,7 +39,8 @@ whole null replications, both legs of each, of about 2**14 returns at a
 time, so the temporaries stay cache-sized. With S = 1 the fine-grid term
 is the plain realized covariance, which the bootstrap has already summed
 and passes in. No wavelet filter, boundary rule or depth enters the
-number.
+number. Every panel of a run is on the session's N intervals, so S, G and
+N arrive resolved once per run, in the config reader (``spec.resolve_jwc``).
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spec import JwcConfig, ResolvedJwc
+from .spec import JwcConfig
 
 
 @dataclass
@@ -90,7 +91,7 @@ def _end_sums(r: np.ndarray, spacing: int) -> np.ndarray:
     return np.concatenate([np.cumsum(e, axis=-1) for e in ends], axis=-1)
 
 
-def _two_scale(r: np.ndarray, a: tuple, b: tuple, res: ResolvedJwc, fine=None) -> np.ndarray:
+def _two_scale(r: np.ndarray, a: tuple, b: tuple, res: JwcConfig, fine=None) -> np.ndarray:
     """Two-scale realized covariance of the return rows ``r[a]`` against ``r[b]``.
 
     ``r`` is (..., N); each grid's window and end sums are taken once over
@@ -119,20 +120,18 @@ def _two_scale(r: np.ndarray, a: tuple, b: tuple, res: ResolvedJwc, fine=None) -
 def jwc_integrated_covariance(adjusted: np.ndarray, config: JwcConfig) -> IcMatrix:
     """JWC integrated covariance matrix of a day's jump-adjusted panel.
 
-    ``adjusted`` is the d x N matrix of jump-adjusted log returns. The
-    matrix is symmetric by construction; negative diagonal entries, a
-    known finite-sample artifact of two-scale corrections, are floored
-    at zero and flagged.
+    ``adjusted`` is the d x N float matrix of jump-adjusted log returns,
+    N that of ``config``. The matrix is symmetric by construction; negative
+    diagonal entries, a known finite-sample artifact of two-scale
+    corrections, are floored at zero and flagged.
     """
-    r = np.atleast_2d(np.asarray(adjusted, dtype=float))
-    res = config.resolve(r.shape[1])
-    values = _two_scale(r, np.s_[:, None], np.s_[None, :], res)
+    values = _two_scale(adjusted, np.s_[:, None], np.s_[None, :], config)
     floored = values.diagonal() < 0.0
     values[floored, floored] = 0.0
     return IcMatrix(values=values, floored=floored)
 
 
-def jwc_pair_entry(legs: np.ndarray, res: ResolvedJwc, fine=None) -> np.ndarray:
+def jwc_pair_entry(legs: np.ndarray, res: JwcConfig, fine=None) -> np.ndarray:
     """Single covariance entry of each leg pair in ``legs`` (..., 2, N).
 
     Row ``[..., 0, :]`` is crossed with row ``[..., 1, :]``, so a (2, N)
@@ -140,4 +139,4 @@ def jwc_pair_entry(legs: np.ndarray, res: ResolvedJwc, fine=None) -> np.ndarray:
     passes one block of whole null replications at a time, both legs
     windowed in one pass, with their realized covariances as ``fine``.
     """
-    return _two_scale(np.asarray(legs, dtype=float), np.s_[..., 0, :], np.s_[..., 1, :], res, fine)
+    return _two_scale(legs, np.s_[..., 0, :], np.s_[..., 1, :], res, fine)

@@ -84,7 +84,8 @@ def process_day(
     seed: int,
     tuples: list = (),
 ) -> DayResult:
-    """All per-day work for one panel; pure given the master seed."""
+    """All per-day work for one panel; pure given the master seed. ``pairs`` and ``tuples``
+    hold tuples of instrument names, as ``cli.load_config`` gives them."""
     jump_series = detect_panel_jumps(panel)
     adjusted = np.vstack(
         [jumps.adjust_returns(panel.series(n), jump_series[n]) for n in panel.instruments]
@@ -139,7 +140,7 @@ def process_day(
     for members in tuples:
         label = _tuple_label(members, jump_series, rejected)
         if label is not None:
-            tuple_labels[tuple(members)] = label
+            tuple_labels[members] = label
     return DayResult(
         date=panel.date,
         jump_series=jump_series,
@@ -185,7 +186,7 @@ def process_panels(
     most ``_IN_FLIGHT`` days per worker, and a day whose worker process dies is rerun
     here, in this process, as is every day submitted after the pool broke.
     """
-    args = ([tuple(p) for p in pairs], estimator, b_reps, alpha, seed, tuples)
+    args = (pairs, estimator, b_reps, alpha, seed, tuples)
     results, failures = [], []
     write = write or results.append
     for panel, res in _day_results(iter(panels), args, jobs):

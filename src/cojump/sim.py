@@ -125,7 +125,10 @@ def _cholesky(rho: float, d: int) -> np.ndarray:
         raise ValueError(f"rho={rho} is not a valid equicorrelation for d={d}") from exc
 
 
-def _correlate(eta: np.ndarray, rho: float, d: int) -> np.ndarray:
+def _correlate(eta: np.ndarray, rho: float, chol) -> np.ndarray:
+    """The d rows of ``eta`` correlated at ``rho``; ``chol`` is ``_cholesky(rho, d)`` when
+    d >= 3 and rho < 1, else None."""
+    d = len(eta)
     if d == 1:
         return eta
     if d == 2:
@@ -133,9 +136,8 @@ def _correlate(eta: np.ndarray, rho: float, d: int) -> np.ndarray:
         out[0] = eta[0]
         out[1] = rho * eta[0] + math.sqrt(max(0.0, 1.0 - rho * rho)) * eta[1]
         return out
-    if rho == 1.0:
+    if chol is None:  # rho = 1
         return np.broadcast_to(eta[:1], eta.shape).copy()
-    chol = _cholesky(rho, d)
     # Row i is chol[i, 0] * eta[0] + ... + chol[i, i] * eta[i], summed
     # left to right elementwise: a matrix product would hand the sum to
     # the BLAS kernel, whose order and FMA use vary between machines.
@@ -170,6 +172,7 @@ def simulate(scenario: SimScenario):
     corr = np.full((d, d), scenario.rho)
     np.fill_diagonal(corr, 1.0)
     ic = corr * np.outer(sigma, sigma) * float(np.mean(pattern**2))
+    chol = _cholesky(scenario.rho, d) if d >= 3 and scenario.rho != 1.0 else None
 
     by_day: dict = {}
     for j in scenario.jumps:
@@ -180,7 +183,7 @@ def simulate(scenario: SimScenario):
         rng = np.random.default_rng(root.spawn(1)[0])  # spawn(n_days)[k], spawned as it is drawn
         eta = rng.standard_normal((d, n))
         noise = rng.standard_normal((d, n + 1)) * scenario.noise_sd
-        latent = mu[:, None] + scale * _correlate(eta, scenario.rho, d)
+        latent = mu[:, None] + scale * _correlate(eta, scenario.rho, chol)
         jump_vectors = np.zeros((d, n))
         with np.errstate(over="ignore", invalid="ignore"):  # the CLI refuses a non-finite truth
             for j in by_day.get(k, ()):

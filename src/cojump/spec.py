@@ -3,11 +3,13 @@
 The CLI front end and the ``report`` stage run on these alone. The records are
 named tuples, not dataclasses: ``dataclasses`` loads ``inspect`` and with it
 ``ast``, ``dis`` and ``tokenize``, which would make ``import cojump.cli``, paid by
-every stage, about a third slower. Each record checks its fields in ``__new__``;
-like a frozen dataclass it is immutable, hashable and pickles to the pool's
-workers. ``write_csv`` writes every output table but the panels and
-``decompose``'s six, which ``ticks.write_panel_csv`` and ``pipeline.Tables``
-write in its layout (``csv_cells``).
+every stage, about a third slower. The records check nothing: ``cli.load_config``
+checks every field before it makes one, and resolves the estimator against the
+session's N once (``resolve_jwc``). Like a frozen dataclass a record is
+immutable, hashable and pickles to the pool's workers. ``write_csv`` writes
+every output table but the panels and ``decompose``'s six, which
+``ticks.write_panel_csv`` and ``pipeline.Tables`` write in its layout
+(``csv_cells``).
 """
 
 from __future__ import annotations
@@ -31,17 +33,6 @@ class SessionSpec(namedtuple("SessionSpec",
     """Trading session geometry: wall-clock window, timezone, grid step."""
 
     __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.session_start >= self.session_end:
-            raise ValueError(f"the session start {self.session_start} must precede "
-                             f"its end {self.session_end}")
-        if self.sampling_interval <= 0 or self.session_seconds % self.sampling_interval:
-            raise ValueError(f"the grid step of {self.sampling_interval} s must divide "
-                             f"the session length of {self.session_seconds} s")
-        ZoneInfo(self.timezone)  # fail fast on unknown zone names
-        return self
 
     @property
     def session_seconds(self) -> int:
@@ -76,46 +67,12 @@ def _labels(start: int, stop: int, step: int) -> tuple:
     return tuple(f"{t // 3600:02d}:{t // 60 % 60:02d}:{t % 60:02d}" for t in range(start, stop, step))
 
 
-class TradingCalendar(namedtuple("TradingCalendar", "excluded_dates low_trade_threshold",
-                                 defaults=(frozenset(), 0.60))):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not (0.0 < self.low_trade_threshold <= 1.0):
-            raise ValueError(
-                f"low_trade_threshold must lie in (0, 1], got {self.low_trade_threshold}")
-        return self
+TradingCalendar = namedtuple("TradingCalendar", "excluded_dates low_trade_threshold")
 
 
-def default_g_spacing(n: int) -> int:
-    """Default slow-grid spacing, the two-scale rule G ~ N^(2/3)."""
-    return max(2, int(round(n ** (2.0 / 3.0))))
+class JwcConfig(namedtuple("JwcConfig", "c_n s_spacing g_spacing n")):
+    """The estimator on the session's N intervals, resolved once per run by ``resolve_jwc``."""
 
-
-class JwcConfig(namedtuple("JwcConfig", "c_n s_spacing g_spacing", defaults=(1.0, 1, None))):
-    """Estimator configuration.
-
-    ``g_spacing`` defaults to the grid-size rule when left None.
-    S = G = 1 is permitted as the degenerate identity case; otherwise
-    S < G is required.
-    """
-
-    __slots__ = ()
-
-    def resolve(self, n: int) -> "ResolvedJwc":
-        g = self.g_spacing if self.g_spacing is not None else default_g_spacing(n)
-        s = self.s_spacing
-        if not (1 <= s <= g <= n):
-            raise ValueError(f"need 1 <= S <= G <= N, got S={s} G={g} N={n}")
-        if s == g and g != 1:
-            raise ValueError("S must be strictly smaller than G (except S = G = 1)")
-        if 2 * g - 1 > n:
-            raise ValueError(f"G={g} leaves offsets with no coarse return on N={n}")
-        return ResolvedJwc(c_n=float(self.c_n), s_spacing=int(s), g_spacing=int(g), n=int(n))
-
-
-class ResolvedJwc(namedtuple("ResolvedJwc", "c_n s_spacing g_spacing n")):
     __slots__ = ()
 
     @property
@@ -123,6 +80,23 @@ class ResolvedJwc(namedtuple("ResolvedJwc", "c_n s_spacing g_spacing n")):
         nbar_g = (self.n - self.g_spacing + 1) / self.g_spacing
         n_s = (self.n - self.s_spacing + 1) / self.s_spacing
         return nbar_g / n_s
+
+
+def resolve_jwc(c_n: float, s_spacing: int, g_spacing, n: int) -> JwcConfig:
+    """The estimator on N intervals; a G left None takes the two-scale rule G ~ N^(2/3).
+
+    S = G = 1 is permitted as the degenerate identity case; otherwise
+    S < G is required.
+    """
+    g = max(2, round(n ** (2.0 / 3.0))) if g_spacing is None else g_spacing
+    s = s_spacing
+    if not (1 <= s <= g <= n):
+        raise ValueError(f"need 1 <= S <= G <= N, got S={s} G={g} N={n}")
+    if s == g and g != 1:
+        raise ValueError("S must be strictly smaller than G (except S = G = 1)")
+    if 2 * g - 1 > n:
+        raise ValueError(f"G={g} leaves offsets with no coarse return on N={n}")
+    return JwcConfig(c_n, s, g, n)
 
 
 def write_csv(path, header: list, rows) -> None:

@@ -4,6 +4,8 @@ import hashlib
 
 import numpy as np
 
+from cojump import cli, spec
+
 _CRITERIA: dict = {}
 
 
@@ -32,3 +34,9 @@ def _entropy(part) -> int:
 def seeded(*key) -> np.random.Generator:
     """One reproducible generator per structured key (strings allowed)."""
     return np.random.default_rng(np.random.SeedSequence([_entropy(k) for k in key]))
+
+
+def estimator(n: int, **keys):
+    """The estimator resolved on N intervals, ``keys`` replacing the config's defaults."""
+    block = {key: default for key, (_, default) in cli.CONFIG["estimator"][0].items()}
+    return spec.resolve_jwc(**{**block, **keys}, n=n)

@@ -27,7 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from conftest import record_criterion, seeded
+from conftest import estimator, record_criterion, seeded
 
 import cojump
 from cojump import bootstrap, cli, events, jumps, jwc, modwt, pipeline, sim
@@ -181,7 +181,7 @@ def test_jump_localization_and_false_flag_rate():
 
 
 def test_integrated_covariance_consistency():
-    cfg = jwc.JwcConfig()
+    cfg = estimator(540)
     s1, s2 = 0.01, 0.012
     scale = s1 * s2
     failures = []
@@ -231,12 +231,11 @@ def test_integrated_covariance_consistency():
 
 
 def test_unit_spacing_cancels_exactly():
-    cfg = jwc.JwcConfig(s_spacing=1, g_spacing=1)
     rng = seeded("acceptance", "degenerate")
     ok = True
     for d, n in ((1, 64), (2, 127), (3, 540)):
         r = 1e-4 * rng.standard_normal((d, n))
-        vals = jwc.jwc_integrated_covariance(r, cfg).values
+        vals = jwc.jwc_integrated_covariance(r, estimator(n, g_spacing=1)).values
         ok = ok and bool(np.all(vals == 0.0))
     record_criterion(6, "G = S = 1 two-scale bracket is exactly zero", ok)
     assert ok
@@ -253,7 +252,7 @@ def test_bootstrap_null_size_and_uniformity():
         noise_sd=0.0, jumps=(), seed=0, vol_pattern="flat",
     )
     days = list(sim.simulate(sc))  # drawn in day order, here
-    cfg = jwc.JwcConfig(g_spacing=5)
+    cfg = estimator(540, g_spacing=5)
     seeds = np.random.SeedSequence((0, 777)).generate_state(n_days, dtype=np.uint64)
     outs = _thread_map(lambda k: _day_statistic(days[k], cfg, b_reps, int(seeds[k]))[0],
                        range(n_days))
@@ -281,7 +280,7 @@ def test_bootstrap_null_size_and_uniformity():
 
 def _power_study(common: bool, n_seeds: int = 1000, b_reps: int = 999):
     """Days with 10x daily-scale jumps on one or both legs."""
-    cfg = jwc.JwcConfig(g_spacing=5)
+    cfg = estimator(540, g_spacing=5)
     s1, s2 = 0.01, 0.012
     jump1 = 10.0 * s1
     jump2 = 10.0 * s2 if common else 0.0

@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 from cojump import bootstrap, cli, events, jumps, jwc, pipeline
 from cojump.ticks import SessionSpec
+from conftest import estimator
 
 N = 540
-CFG = jwc.JwcConfig(g_spacing=5)
+CFG = estimator(N, g_spacing=5)
 
 
 def _day(seed):
@@ -59,7 +60,7 @@ def _rebuild(seed, jump_spec, b_reps, j_1, j_2):
     eta = np.random.default_rng(seed).standard_normal((b_reps, 2, N))
     legs = np.stack([eta[:, 0], rho * eta[:, 0] + math.sqrt(1.0 - rho * rho) * eta[:, 1]], axis=1)
     qv_star = np.einsum("bi,bi->b", legs[:, 0], legs[:, 1])
-    z_star = (qv_star - jwc.jwc_pair_entry(legs, CFG.resolve(N), qv_star)) / qv_star
+    z_star = (qv_star - jwc.jwc_pair_entry(legs, CFG, qv_star)) / qv_star
     return r_1, r_2, ic, z_star
 
 
@@ -110,7 +111,7 @@ def test_statistic_does_not_depend_on_block_size(rows, monkeypatch):
 def test_statistic_peak_memory_stays_blocked(g):
     """One N = 540 test holds one block of whole replications at a time: it peaks at 7 MiB or
     less at B = 999, and within 0.25 MiB of its peak at B = 100."""
-    cfg = jwc.JwcConfig(g_spacing=g)
+    cfg = estimator(N, g_spacing=g)
     r_1, r_2 = _day(5)
     j_1, j_2 = jumps.haar_detect(r_1), jumps.haar_detect(r_2)
     adjusted = np.vstack([jumps.adjust_returns(r_1, j_1), jumps.adjust_returns(r_2, j_2)])
@@ -222,8 +223,9 @@ def test_zero_qv_inconclusive():
     n = 64
     zero = np.zeros(n)
     j = jumps.JumpSeries(jump_sizes=np.zeros(n), degenerate=True)
-    ic = jwc.jwc_integrated_covariance(np.vstack([zero, zero]), CFG)
-    out = bootstrap.bootstrap_statistic(zero, zero, ic.values, CFG, b_reps=150)
+    cfg = estimator(n, g_spacing=5)
+    ic = jwc.jwc_integrated_covariance(np.vstack([zero, zero]), cfg)
+    out = bootstrap.bootstrap_statistic(zero, zero, ic.values, cfg, b_reps=150)
     assert out.inconclusive
     assert not out.rejected
     assert math.isnan(out.z) and math.isnan(out.p_value)
@@ -246,7 +248,7 @@ def test_zero_diagonal_inconclusive():
 @given(st.booleans(), st.sets(st.integers(0, 15)), st.sets(st.integers(0, 15)))
 def test_classify_matches_intersect1d(rejected, indices_1, indices_2):
     """A rejection with a shared index is a co-jump exactly where np.intersect1d is non-empty."""
-    a, b = (jumps.JumpSeries(jump_sizes=[0.01 if i in idx else 0.0 for i in range(16)])
+    a, b = (jumps.JumpSeries(jump_sizes=np.array([0.01 if i in idx else 0.0 for i in range(16)]))
             for idx in (indices_1, indices_2))
     if not rejected:
         expected = "no_discontinuity"

@@ -146,14 +146,14 @@ def test_adjust_no_jumps_identity():
 
 def test_adjust_example():
     r = np.array([0.01, -0.30, 0.02])
-    js = jumps.JumpSeries(jump_sizes=[0.0, -0.30, 0.0])
+    js = jumps.JumpSeries(jump_sizes=np.array([0.0, -0.30, 0.0]))
     adj = jumps.adjust_returns(r, js)
     assert adj.tolist() == [0.01, 0.0, 0.02]
 
 
 def test_adjust_all_flagged_zeroes_series():
     r = np.array([0.5, -0.5])
-    js = jumps.JumpSeries(jump_sizes=[0.5, -0.5])
+    js = jumps.JumpSeries(jump_sizes=np.array([0.5, -0.5]))
     assert jumps.adjust_returns(r, js).tolist() == [0.0, 0.0]
 
 

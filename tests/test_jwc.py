@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cojump import jumps, jwc, modwt, pipeline, spec
-from conftest import seeded
+from conftest import estimator, seeded
 
 
 def oracle_coarse_series(returns, spacing, offset):
@@ -62,32 +62,39 @@ def exact_two_scale(r1, r2, g_spacing):
 
 
 def test_default_g_spacing_rule():
-    assert spec.default_g_spacing(540) == 66
-    assert spec.default_g_spacing(1000) == 100
-    assert spec.default_g_spacing(2) == 2  # floor of the rule
+    """A G left unset takes the rule G = max(2, round(N^(2/3)))."""
+    assert spec.resolve_jwc(1.0, 1, None, 540).g_spacing == 66
+    assert spec.resolve_jwc(1.0, 1, None, 1000).g_spacing == 100
+    with pytest.raises(ValueError, match="G=2 N=1"):  # the floor of the rule
+        spec.resolve_jwc(1.0, 1, None, 1)
 
 
-def test_resolve_defaults():
-    res = jwc.JwcConfig().resolve(540)
-    assert res.g_spacing == 66
-    assert res.s_spacing == 1
-    assert res.c_n == 1.0
-    assert res.n == 540
+def test_resolve_defaults(tmp_path):
+    """load_config resolves the estimator once, on the session's N: with no estimator key
+    set, G = 66 at N = 540."""
+    from test_cli import _write_config
+
+    from cojump import cli
+
+    config = cli.load_config(str(_write_config(tmp_path, estimator={})), {})
+    assert config.session.n_intervals == 540
+    assert config.estimator == spec.JwcConfig(c_n=1.0, s_spacing=1, g_spacing=66, n=540)
+    assert estimator(540) == config.estimator
 
 
 def test_resolve_validation():
     with pytest.raises(ValueError, match="S <= G"):
-        jwc.JwcConfig(s_spacing=5, g_spacing=3).resolve(100)
+        estimator(100, s_spacing=5, g_spacing=3)
     with pytest.raises(ValueError, match="strictly smaller"):
-        jwc.JwcConfig(s_spacing=4, g_spacing=4).resolve(100)
+        estimator(100, s_spacing=4, g_spacing=4)
     with pytest.raises(ValueError, match="no coarse return"):
-        jwc.JwcConfig(g_spacing=60).resolve(100)
+        estimator(100, g_spacing=60)
     # S = G = 1 is the sanctioned degenerate configuration
-    assert jwc.JwcConfig(g_spacing=1).resolve(100).subsample_ratio == 1.0
+    assert estimator(100, g_spacing=1).subsample_ratio == 1.0
 
 
 def test_subsample_ratio_value():
-    res = jwc.JwcConfig(g_spacing=5).resolve(540)
+    res = estimator(540, g_spacing=5)
     assert res.subsample_ratio == pytest.approx((536 / 5) / 540, rel=1e-14)
 
 
@@ -96,7 +103,7 @@ def test_subsample_ratio_value():
 
 def test_subsampled_zero_returns():
     for g in (1, 2, 7):
-        res = jwc.JwcConfig(g_spacing=g).resolve(32)
+        res = estimator(32, g_spacing=g)
         assert jwc.jwc_pair_entry(np.zeros((2, 32)), res) == 0.0
 
 
@@ -107,7 +114,7 @@ def test_scale_additivity_subsampled(seed, g):
     rng = seeded("addsub", seed)
     r1 = rng.standard_normal(64)
     r2 = rng.standard_normal(64)
-    res = jwc.JwcConfig(g_spacing=g).resolve(64)
+    res = estimator(64, g_spacing=g)
     entry = jwc.jwc_pair_entry(np.stack((r1, r2)), res)
     assert entry == pytest.approx(oracle_two_scale(r1, r2, res), rel=1e-10)
 
@@ -116,7 +123,7 @@ def test_scale_additivity_full_grid():
     """The fine-grid term is the plain realized covariance."""
     r1 = seeded("addfull", 1).standard_normal(540)
     r2 = seeded("addfull", 2).standard_normal(540)
-    res = jwc.JwcConfig(g_spacing=5).resolve(540)
+    res = estimator(540, g_spacing=5)
     slow = oracle_subsampled_rc(r1, r2, 5)
     expected = slow - res.subsample_ratio * jumps.realized_covariance(r1, r2)
     assert jwc.jwc_pair_entry(np.stack((r1, r2)), res) == pytest.approx(expected, rel=1e-10)
@@ -127,12 +134,12 @@ def test_given_fine_term_is_read_only_with_unit_spacing():
     not read."""
     legs = seeded("fine").standard_normal((4, 2, 540))
     qv = np.einsum("bi,bi->b", legs[:, 0], legs[:, 1])
-    res = jwc.JwcConfig(g_spacing=5).resolve(540)
+    res = estimator(540, g_spacing=5)
     computed = jwc.jwc_pair_entry(legs, res)
     assert jwc.jwc_pair_entry(legs, res, qv) == pytest.approx(computed, rel=1e-12)
     assert jwc.jwc_pair_entry(legs, res, np.zeros(4)) == pytest.approx(
         computed + res.subsample_ratio * qv, rel=1e-12)
-    res = jwc.JwcConfig(s_spacing=2, g_spacing=5).resolve(540)
+    res = estimator(540, s_spacing=2, g_spacing=5)
     assert np.array_equal(jwc.jwc_pair_entry(legs, res, np.full(4, np.nan)),
                           jwc.jwc_pair_entry(legs, res))
 
@@ -142,7 +149,7 @@ def test_depth_capped_offsets_keep_additivity():
     rng = seeded("cap")
     r1 = rng.standard_normal(64)
     r2 = rng.standard_normal(64)
-    res = jwc.JwcConfig(g_spacing=13, c_n=1.5).resolve(64)
+    res = estimator(64, g_spacing=13, c_n=1.5)
     entry = jwc.jwc_pair_entry(np.stack((r1, r2)), res)
     assert entry == pytest.approx(oracle_two_scale(r1, r2, res), rel=1e-10)
 
@@ -154,7 +161,7 @@ def test_closed_form_equals_wavelet_scale_sum(name, boundary):
     rng = seeded("wavelet-sum", name, boundary)
     r1 = rng.standard_normal(48)
     r2 = rng.standard_normal(48)
-    res = jwc.JwcConfig(g_spacing=3).resolve(48)
+    res = estimator(48, g_spacing=3)
     filters = modwt.shipped_filters(name)
     terms = []
     for spacing in (res.g_spacing, res.s_spacing):
@@ -175,14 +182,14 @@ def test_closed_form_equals_wavelet_scale_sum(name, boundary):
 
 
 def test_zero_returns_zero_matrix():
-    ic = jwc.jwc_integrated_covariance(np.zeros((3, 128)), jwc.JwcConfig())
+    ic = jwc.jwc_integrated_covariance(np.zeros((3, 128)), estimator(128))
     assert np.all(ic.values == 0.0)
     assert not ic.floored.any()
 
 
 def test_degenerate_bracket_exactly_zero():
     r = seeded("degen").standard_normal((2, 256))
-    ic = jwc.jwc_integrated_covariance(r, jwc.JwcConfig(s_spacing=1, g_spacing=1))
+    ic = jwc.jwc_integrated_covariance(r, estimator(256, g_spacing=1))
     assert np.abs(ic.values).max() == 0.0
 
 
@@ -194,7 +201,7 @@ def test_matrix_exactly_symmetric():
         n = int(rng.integers(16, 300))
         g = int(rng.integers(2, (n + 1) // 2 + 1))
         r = rng.standard_normal((d, n)) * 1e-3
-        ic = jwc.jwc_integrated_covariance(r, jwc.JwcConfig(g_spacing=g))
+        ic = jwc.jwc_integrated_covariance(r, estimator(n, g_spacing=g))
         assert np.array_equal(ic.values, ic.values.T)
         assert ic.values.shape == (d, d)
 
@@ -212,7 +219,7 @@ def test_matrix_within_ulps_of_exact_two_scale():
     worst = 0.0
     for k in range(12):
         r = 1e-3 * vol * seeded("exact", k).standard_normal((2, 540))
-        ic = jwc.jwc_integrated_covariance(r, jwc.JwcConfig(g_spacing=5))
+        ic = jwc.jwc_integrated_covariance(r, estimator(540, g_spacing=5))
         for i, j in ((0, 1), (0, 0), (1, 1)):
             exact = exact_two_scale(r[i], r[j], 5)
             err = abs(Fraction(float(ic.values[i, j])) - exact)
@@ -222,15 +229,15 @@ def test_matrix_within_ulps_of_exact_two_scale():
 
 def test_matrix_pair_entry_agrees():
     r = seeded("entry").standard_normal((2, 300)) * 1e-4
-    cfg = jwc.JwcConfig(g_spacing=12)
+    cfg = estimator(300, g_spacing=12)
     ic = jwc.jwc_integrated_covariance(r, cfg)
-    entry = jwc.jwc_pair_entry(r, cfg.resolve(300))
+    entry = jwc.jwc_pair_entry(r, cfg)
     assert float(entry) == pytest.approx(ic.values[0, 1], rel=1e-12)
 
 
 def test_bilinearity_in_one_instrument():
     r = seeded("bilin").standard_normal((2, 256)) * 1e-3
-    cfg = jwc.JwcConfig(g_spacing=8)
+    cfg = estimator(256, g_spacing=8)
     base = jwc.jwc_integrated_covariance(r, cfg)
     scaled_input = r.copy()
     scaled_input[0] *= 3.0
@@ -246,7 +253,7 @@ def test_diagonal_floor_flag():
     # a pure high-frequency alternating series makes the two-scale
     # difference negative on the diagonal: slow-grid blocks cancel
     r = np.tile([1e-3, -1e-3], 64)[None, :]
-    ic = jwc.jwc_integrated_covariance(r, jwc.JwcConfig(g_spacing=2))
+    ic = jwc.jwc_integrated_covariance(r, estimator(128, g_spacing=2))
     assert ic.values[0, 0] == 0.0
     assert bool(ic.floored[0])
 
@@ -255,8 +262,7 @@ def test_diagonal_floor_flag():
 @pytest.mark.parametrize("b", [5, 2 * (2**15 // 128) + 7])
 @pytest.mark.parametrize("g", [6, 9, 40])
 def test_batched_pair_entry_matches_loop(g, b):
-    cfg = jwc.JwcConfig(g_spacing=g)
-    res = cfg.resolve(128)
+    res = estimator(128, g_spacing=g)
     rng = seeded("batch")
     r1 = rng.standard_normal((b, 128))
     r2 = rng.standard_normal((b, 128))
@@ -283,7 +289,7 @@ def test_batched_pair_entry_within_ulps_of_exact_two_scale(g, n):
     vol = np.vstack([np.exp(-5.0 * t), np.exp(-5.0 * (1.0 - t))])
     days = [1e-3 * vol * seeded("exact", k).standard_normal((2, n)) for k in range(3)]
     r = np.stack(days, axis=1)
-    entries = jwc.jwc_pair_entry(np.stack(days), jwc.JwcConfig(g_spacing=g).resolve(n))
+    entries = jwc.jwc_pair_entry(np.stack(days), estimator(n, g_spacing=g))
     worst = 0.0
     for entry, r1, r2 in zip(entries, r[0], r[1]):
         exact = exact_two_scale(r1, r2, g)
@@ -301,7 +307,7 @@ def test_d1_mean_within_2pct():
     vals = np.empty(500)
     for k in range(500):
         r = sig * np.random.default_rng(np.random.SeedSequence((4, k))).standard_normal(n)
-        vals[k] = jwc.jwc_integrated_covariance(r[None, :], jwc.JwcConfig()).values[0, 0]
+        vals[k] = jwc.jwc_integrated_covariance(r[None, :], estimator(n)).values[0, 0]
     assert abs(vals.mean() / (n * sig * sig) - 1.0) < 0.02
 
 
@@ -316,8 +322,8 @@ def test_subsampled_total_unbiased_g5_g10():
     )
     observed = np.stack([d.observed for d in sim.simulate(sc)])
     for g in (5, 10):
-        ratio = jwc.JwcConfig(g_spacing=g).resolve(540).subsample_ratio
-        res = jwc.JwcConfig(g_spacing=g, c_n=1.0 / (1.0 - ratio)).resolve(540)
+        ratio = estimator(540, g_spacing=g).subsample_ratio
+        res = estimator(540, g_spacing=g, c_n=1.0 / (1.0 - ratio))
         vals = jwc.jwc_pair_entry(observed, res)
         assert vals.shape == (500,)
         se = vals.std(ddof=1) / np.sqrt(len(vals))

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import estimator
 from test_cli import _fail_days, _write_config
 
 from cojump import cli, jumps, jwc, pipeline, sim
@@ -17,7 +18,7 @@ from cojump.spec import write_csv
 from cojump.ticks import ReturnPanel, SessionSpec
 
 SPEC = SessionSpec(dt.time(7, 0), dt.time(16, 0), "America/Chicago", 60)
-EST = jwc.JwcConfig(g_spacing=5)
+EST = estimator(540, g_spacing=5)
 START = dt.date(2017, 3, 13)
 
 
@@ -124,7 +125,7 @@ def test_inconclusive_day_record():
         np.tile([1e-3, -1e-3], 270),  # slow-grid blocks cancel: negative two-scale variance
         np.random.default_rng(5).standard_normal(540) * 1e-3,
     ])
-    est = jwc.JwcConfig(g_spacing=2)
+    est = estimator(540, g_spacing=2)
     ic = jwc.jwc_integrated_covariance(legs, est)
     assert bool(ic.floored[0])
     day = pipeline.process_day(
@@ -358,28 +359,28 @@ def test_days_submitted_after_a_worker_dies_run_here(tmp_path, monkeypatch):
     assert _zs(parallel) == _zs(serial)
 
 
-def _panels_with_short_day():
+def _panels_with_bad_day():
     panels = _two_leg_panels()
-    # a short day cannot supply a single coarse return at this spacing
-    bad = sim.SimScenario(n_intervals=8, n_days=1, sigma=(0.01, 0.012), seed=3)
-    short_panel = _panels(bad, ["TU", "FV"], START + dt.timedelta(days=40))[0]
-    panels.insert(1, short_panel)
-    return panels, short_panel
+    # a day whose panel lacks the pair's second leg cannot be tested
+    bad = sim.SimScenario(n_intervals=540, n_days=1, sigma=(0.01, 0.012), seed=3)
+    bad_panel = _panels(bad, ["TU", "TY"], START + dt.timedelta(days=40))[0]
+    panels.insert(1, bad_panel)
+    return panels, bad_panel
 
 
 def test_per_day_failure_isolation():
-    panels, short_panel = _panels_with_short_day()
+    panels, bad_panel = _panels_with_bad_day()
     results, failures = pipeline.process_panels(
         panels, [("TU", "FV")], EST, b_reps=150, alpha=0.05, seed=0
     )
     assert len(results) == 3
     assert len(failures) == 1
-    assert failures[0][0] == short_panel.date
+    assert failures[0][0] == bad_panel.date
     assert "ValueError" in failures[0][1]
 
 
 def test_failures_same_serial_and_parallel():
-    panels, _ = _panels_with_short_day()
+    panels, _ = _panels_with_bad_day()
     runs = [
         pipeline.process_panels(
             panels, [("TU", "FV")], EST, b_reps=150, alpha=0.05, seed=0, jobs=jobs

@@ -24,13 +24,21 @@ README = (SRC.parents[1] / "README.md").read_text()
 EXEMPT_MODULES = {"modwt"}
 
 
-def _names(node) -> Counter:
-    """How often each name is read as a Name or an attribute inside ``node``."""
-    return Counter(
-        sub.id if isinstance(sub, ast.Name) else sub.attr
-        for sub in ast.walk(node)
-        if isinstance(sub, (ast.Name, ast.Attribute))
-    )
+def _reads(node, attributes_only=False) -> Counter:
+    """How often each name is read inside ``node``: as an attribute (``x.name``) and, unless
+    ``attributes_only``, as a bare name or a name imported by ``from ... import``. A name
+    that is only assigned, as a local variable, is not read."""
+    reads = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            reads[sub.attr] += 1
+        elif attributes_only:
+            continue
+        elif isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            reads[sub.id] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            reads.update(alias.name for alias in sub.names)
+    return reads
 
 
 def _public_definitions(tree):
@@ -38,7 +46,7 @@ def _public_definitions(tree):
     included, and of each public method or property of a public class."""
     for node in tree.body:
         if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call) and \
-                _names(node.value.func)["namedtuple"]:  # a record class made by a call
+                _reads(node.value.func)["namedtuple"]:  # a record class made by a call
             name = node.targets[0].id
         elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             name = node.name
@@ -54,20 +62,26 @@ def _public_definitions(tree):
 
 def test_every_public_definition_is_reached_from_src():
     """A public top-level function or class, a named-tuple record included, or a public
-    method or property of a public class, that only tests reach is dead code."""
+    method or property of a public class, that only tests reach is dead code. A method or
+    property is reached only by an attribute read (``x.name``); a top-level definition by
+    a bare name, an attribute or a ``from ... import`` outside its own body. The exempt
+    modules' reads reach nothing, as only tests reach those modules."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    used = sum((_names(tree) for tree in trees.values()), Counter())
+    reads = {only: sum((_reads(tree, only) for module, tree in trees.items()
+                        if module not in EXEMPT_MODULES), Counter())
+             for only in (False, True)}
     checked, unreached = [], []
     for module, tree in trees.items():
         if module in EXEMPT_MODULES:
             continue
         for dotted, node in _public_definitions(tree):
-            name = dotted.rpartition(".")[2]
+            owner, _, name = dotted.rpartition(".")
             checked.append(f"{module}.{dotted}")
-            if used[name] - _names(node)[name] <= 0:
+            method = bool(owner)
+            if reads[method][name] - _reads(node, method)[name] <= 0:
                 unreached.append(checked[-1])
-    assert {"pipeline.process_day", "events.LogitResult", "spec.JwcConfig.resolve",
-            "ticks.ReturnPanel.series"} <= set(checked)
+    assert {"pipeline.process_day", "events.LogitResult", "spec.JwcConfig.subsample_ratio",
+            "spec.resolve_jwc", "ticks.ReturnPanel.series"} <= set(checked)
     assert unreached == [], f"reached from no src/ code outside their own body: {unreached}"
 
 
@@ -114,8 +128,7 @@ RECORDS = {  # each numpy-free record: a valid instance and one of its fields
                     "sampling_interval"),
     "TradingCalendar": (lambda: spec.TradingCalendar(frozenset({dt.date(2017, 3, 16)}), 0.5),
                         "excluded_dates"),
-    "JwcConfig": (lambda: spec.JwcConfig(g_spacing=5), "g_spacing"),
-    "ResolvedJwc": (lambda: spec.JwcConfig(g_spacing=5).resolve(540), "n"),
+    "JwcConfig": (lambda: spec.resolve_jwc(1.0, 1, 5, 540), "g_spacing"),
     "DayDecomposition": (lambda: events.DayDecomposition(
         dt.date(2017, 3, 13), ("TU", "FV"), 2.0, 1.5, 0.5, "co_jump", events=(3, 7),
         corr_total=0.5, corr_cont=0.4, z=2.5, p_value=0.01, rejected=True, seed=12345), "cj"),

